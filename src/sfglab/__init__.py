@@ -39,7 +39,6 @@ from .model import (
     esm_loss,
     flow_to_eps,
     load_checkpoint,
-    predict_eps,
     save_checkpoint,
     score_to_eps,
     train,
@@ -58,7 +57,6 @@ from .guidance import (
 from .sampler import (
     Schedule,
     Trajectories,
-    attach_guidance,
     euler_flow_sample,
     flow_time_schedule,
     heun_sample,

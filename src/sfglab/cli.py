@@ -6,12 +6,13 @@ config hash), and honors the global flags --config/--seed/--out/--threads.
 Environment overrides use the SFGLAB_ prefix (SFGLAB_SEED, SFGLAB_OUT,
 SFGLAB_THREADS) and sit between the config file and the CLI flags.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure, 4 missing artifact.
+Exit codes: 0 success, 2 config error, 3 numeric failure, 4 missing or unreadable artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -21,14 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation, svg
-from .config import ConfigError, MissingArtifact, NumericFailure, config_hash, load_config
+from .config import (ConfigError, MissingArtifact, NumericFailure, config_hash, guidance_stack,
+                     load_config, sweep_stack)
 from .datasets import (FractalSpec, LabeledPointSet, make_fractal, make_outlier_gmm,
                        make_saddle_gmm, make_simplex_gmm, make_two_gaussian, sample_gmm)
-from .guidance import GuidanceSpec
 from .model import (TrainConfig, TrainingDiverged, load_checkpoint, save_checkpoint, train)
 from .oracle import smooth
 from .rng import derive_seed, generator
-from .sampler import attach_guidance, euler_flow_sample, flow_time_schedule, heun_sample, sigma_schedule
+from .sampler import GuidedProvider, euler_flow_sample, flow_time_schedule, heun_sample, sigma_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +83,16 @@ def _write_manifest(path: Path, command: str, cfg: dict, extra: dict | None = No
         fh.write("\n")
 
 
-def _guidance_tag(specs: list[GuidanceSpec]) -> str:
-    return "+".join(s.kind for s in specs) or "none"
+def _sample_tag(cfg: dict) -> str:
+    """Names the sample files: sample.tag, else the guidance kinds joined by '+'."""
+    return cfg["sample"].get("tag") or "+".join(d["kind"] for d in cfg["guidance"]) or "none"
+
+
+def _read_points(path) -> LabeledPointSet:
+    try:
+        return LabeledPointSet.from_csv(path)
+    except ValueError as exc:
+        raise MissingArtifact(f"unreadable point set: {exc}") from exc
 
 
 def _read_csv_rows(path) -> list[dict]:
@@ -140,7 +149,7 @@ def cmd_train(cfg: dict) -> int:
     train_csv = out / "train.csv"
     if not train_csv.exists():
         raise MissingArtifact(f"{train_csv} not found; run gen-data first")
-    dataset = LabeledPointSet.from_csv(train_csv)
+    dataset = _read_points(train_csv)
     models = cfg.get("models")
     if not models:
         raise ConfigError("train needs a models section")
@@ -166,21 +175,28 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _load_models(cfg: dict, out: Path, names) -> dict:
+def _load_models(out: Path, names) -> dict:
     table = {}
     for name in names:
         path = out / f"{name}.ckpt"
         if not path.exists():
             raise MissingArtifact(f"checkpoint {path} not found; run train first")
-        table[name], _ = load_checkpoint(path)
+        try:
+            table[name], _ = load_checkpoint(path)
+        except ValueError as exc:
+            raise MissingArtifact(f"unreadable checkpoint: {exc}") from exc
     return table
 
 
-def _guidance_specs(cfg: dict) -> list[GuidanceSpec]:
-    try:
-        return [GuidanceSpec.from_dict(d) for d in cfg["guidance"]]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad guidance spec: {exc}") from exc
+def _guided_models(cfg: dict, out: Path, specs):
+    """Load sample.model (as 'main') plus the companions of specs; returns the
+    main model and a GuidedProvider factory for stacks over that table."""
+    main = cfg["sample"]["model"]
+    table = _load_models(out, sorted({main} | {s.companion for s in specs if s.companion}))
+    table["main"] = table[main]
+    mode = "eps" if cfg["schedule"]["kind"] == "sigma" else "flow"
+    gmm = task_specs(cfg).get("base")
+    return table["main"], lambda stack: GuidedProvider(table, stack, mode=mode, gmm=gmm)
 
 
 def _class_ids_for(cfg: dict, model, n_samples: int):
@@ -208,19 +224,14 @@ def _run_sampler(cfg: dict, provider, n_samples: int, class_ids, record_sfg=True
 
 def cmd_sample(cfg: dict) -> int:
     out = _ensure_out(cfg)
-    specs = _guidance_specs(cfg)
-    names = {cfg["sample"]["model"]} | {s.companion for s in specs if s.companion}
-    table = _load_models(cfg, out, sorted(names))
-    table["main"] = table[cfg["sample"]["model"]]
-    mode = "eps" if cfg["schedule"]["kind"] == "sigma" else "flow"
-    gmm = task_specs(cfg).get("base") if cfg["task"] != "fractal" else None
-    provider = attach_guidance(table, specs, mode=mode, gmm=gmm)
+    specs = guidance_stack(cfg)
+    main, provider_for = _guided_models(cfg, out, specs)
     n_samples = cfg["sample"]["n_samples"]
-    class_ids = _class_ids_for(cfg, table["main"], n_samples)
-    trajs, sch = _run_sampler(cfg, provider, n_samples, class_ids)
+    class_ids = _class_ids_for(cfg, main, n_samples)
+    trajs, sch = _run_sampler(cfg, provider_for(specs), n_samples, class_ids)
     if trajs.n_failed == n_samples:
         raise NumericFailure("all trajectories became non-finite")
-    tag = cfg["sample"].get("tag") or _guidance_tag(specs)
+    tag = _sample_tag(cfg)
     trajs.to_point_set().to_csv(out / f"samples_{tag}.csv")
     extra = {"tag": tag, "n_failed": trajs.n_failed, "n_samples": n_samples}
     if trajs.sfg_trace is not None:
@@ -242,10 +253,27 @@ def _default_sigmas() -> list:
     return list(np.geomspace(0.02, 10.0, 12))
 
 
-def _reference_points(cfg: dict, specs: dict, n: int):
+def _sample_metrics(cfg: dict, specs: dict) -> dict:
+    """Sample-set metrics against the task's exact reference: Frechet distance
+    to a seeded reference draw, outlier rate and coverage entropy."""
+    ecfg = cfg["eval"]
+    n, seed = ecfg["frechet_reference_n"], derive_seed(cfg["seed"], 999)
     if cfg["task"] == "fractal":
-        return specs["fractal"].sample(n, derive_seed(cfg["seed"], 999)).points
-    return sample_gmm(specs["base"], n, derive_seed(cfg["seed"], 999)).points
+        manifold = specs["fractal"]
+        draw = lambda: manifold.sample(n, seed).points
+        threshold = ecfg["outlier_threshold"] or 3.0 * manifold.spec.jitter_sigma
+    else:
+        manifold = specs["base"]
+        draw = lambda: sample_gmm(manifold, n, seed).points
+        threshold = ecfg["outlier_threshold"] or 4.0
+    # drawn on first use, so the reference is not held while the larger
+    # outlier/coverage arrays of an earlier metric call are alive
+    ref = functools.cache(draw)
+    return {
+        "frechet": lambda s: evaluation.gaussian_frechet(s, ref()),
+        "outlier_rate": lambda s: evaluation.outlier_rate(s, manifold, threshold),
+        "coverage_entropy": lambda s: evaluation.coverage_entropy(s, manifold),
+    }
 
 
 def cmd_eval(cfg: dict) -> int:
@@ -255,9 +283,9 @@ def cmd_eval(cfg: dict) -> int:
     report = evaluation.EvalReport()
     tables = {}
 
-    model_path = out / f"{cfg['sample']['model']}.ckpt"
-    if cfg["task"] == "simplex" and model_path.exists():
-        model, _ = load_checkpoint(model_path)
+    name = cfg["sample"]["model"]
+    if cfg["task"] == "simplex" and (out / f"{name}.ckpt").exists():
+        model = _load_models(out, [name])[name]
         region_specs = {"mode": specs["base"], "saddle": specs["saddle"], "outlier": specs["outlier"]}
         sigmas = ecfg.get("sigmas") or _default_sigmas()
         report.esm_rows = evaluation.esm_by_region(model, region_specs, sigmas,
@@ -265,32 +293,17 @@ def cmd_eval(cfg: dict) -> int:
         evaluation.sweep_to_csv(report.esm_rows, out / "esm_rows.csv")
         tables["esm_rows.csv"] = len(report.esm_rows)
 
-    samples_file = ecfg.get("samples_file")
-    if samples_file is None:
-        default = out / f"samples_{_guidance_tag(_guidance_specs(cfg))}.csv"
-        samples_file = str(default) if default.exists() else None
-    if samples_file:
-        spath = Path(samples_file)
-        if not spath.is_absolute():
-            spath = out / spath
-        if not spath.exists():
-            raise MissingArtifact(f"samples file {spath} not found")
-        samples = LabeledPointSet.from_csv(spath)
-        if cfg["task"] == "fractal":
-            frac = specs["fractal"]
-            threshold = ecfg["outlier_threshold"] or 3.0 * frac.spec.jitter_sigma
-            report.outlier_rate = evaluation.outlier_rate(samples, frac, threshold)
-            report.coverage_entropy = evaluation.coverage_entropy(samples, frac)
-            ref = specs["fractal"].sample(ecfg["frechet_reference_n"], derive_seed(cfg["seed"], 999))
-            report.frechet = evaluation.gaussian_frechet(samples, ref)
-        else:
-            base = specs["base"]
-            threshold = ecfg["outlier_threshold"] or 4.0
-            report.outlier_rate = evaluation.outlier_rate(samples, base, threshold)
-            report.coverage_entropy = evaluation.coverage_entropy(samples, base)
-            ref = _reference_points(cfg, specs, ecfg["frechet_reference_n"])
-            report.frechet = evaluation.gaussian_frechet(samples, ref)
-        manifest = out / f"sample_manifest_{Path(samples_file).stem.replace('samples_', '')}.json"
+    # a relative samples_file is relative to out; an absolute one replaces it
+    spath = out / (ecfg.get("samples_file") or f"samples_{_sample_tag(cfg)}.csv")
+    if ecfg.get("samples_file") and not spath.exists():
+        raise MissingArtifact(f"samples file {spath} not found")
+    if spath.exists():
+        samples = _read_points(spath)
+        metrics = _sample_metrics(cfg, specs)
+        report.outlier_rate = metrics["outlier_rate"](samples)
+        report.coverage_entropy = metrics["coverage_entropy"](samples)
+        report.frechet = metrics["frechet"](samples)
+        manifest = out / f"sample_manifest_{spath.stem.replace('samples_', '')}.json"
         if manifest.exists():
             stats = json.loads(manifest.read_text()).get("extra", {}).get("sfg_stats")
             report.sfg_stats = stats
@@ -303,7 +316,7 @@ def cmd_eval(cfg: dict) -> int:
             g = smooth(specs["base"], float(np.sqrt(var)))
             rows = evaluation.curvature_field(g, grid)
             fname = f"field_var{var:g}.csv"
-            evaluation.field_to_csv(rows, out / fname)
+            evaluation.sweep_to_csv(rows, out / fname)
             tables[fname] = len(rows)
 
     report.to_json(out / "eval_report.json")
@@ -312,59 +325,24 @@ def cmd_eval(cfg: dict) -> int:
     return 0
 
 
-def _sweep_guidance(cfg: dict, weight, alpha, h) -> list[GuidanceSpec]:
-    sw = cfg["sweep"]
-    kind = sw["kind"]
-    kw = {"kind": kind, "weight": float(weight)}
-    if kind in ("cfg", "interval_cfg", "autoguidance"):
-        kw["companion"] = sw["companion"]
-    if kind == "interval_cfg":
-        kw["interval"] = tuple(sw["interval"])
-    if kind == "sfg":
-        if alpha is not None:
-            kw["alpha0"] = float(alpha)
-        if h is not None:
-            kw["h"] = float(h)
-    if kind == "classifier":
-        kw["classifier_class"] = cfg["guidance"][0].get("classifier_class", 0) \
-            if cfg.get("guidance") else 0
-    return [GuidanceSpec(**kw)]
-
-
 def cmd_sweep(cfg: dict) -> int:
     out = _ensure_out(cfg)
     sw = cfg.get("sweep")
     if not sw:
         raise ConfigError("sweep needs a sweep section")
-    specs = task_specs(cfg)
-    names = {cfg["sample"]["model"]} | ({sw["companion"]} if sw.get("companion") else set())
-    table = _load_models(cfg, out, sorted(names))
-    table["main"] = table[cfg["sample"]["model"]]
-    mode = "eps" if cfg["schedule"]["kind"] == "sigma" else "flow"
-    gmm = specs.get("base")
+    main, provider_for = _guided_models(cfg, out, sweep_stack(cfg, sw["weights"][0]))
     n_samples = cfg["sample"]["n_samples"]
-    class_ids = _class_ids_for(cfg, table["main"], n_samples)
+    class_ids = _class_ids_for(cfg, main, n_samples)
 
     def sample_fn(weight, alpha, h):
-        gspecs = _sweep_guidance(cfg, weight, alpha, h)
-        provider = attach_guidance(table, gspecs, mode=mode, gmm=gmm)
+        provider = provider_for(sweep_stack(cfg, weight, alpha, h))
         trajs, _ = _run_sampler(cfg, provider, n_samples, class_ids, record_sfg=False)
         if trajs.n_failed == n_samples:
             raise NumericFailure("all trajectories became non-finite")
         return trajs.to_point_set()
 
     metric_fns = {}
-    ref = _reference_points(cfg, specs, cfg["eval"]["frechet_reference_n"])
-    manifold = specs["fractal"] if cfg["task"] == "fractal" else specs["base"]
-    if cfg["task"] == "fractal":
-        threshold = cfg["eval"]["outlier_threshold"] or 3.0 * specs["fractal"].spec.jitter_sigma
-    else:
-        threshold = cfg["eval"]["outlier_threshold"] or 4.0
-    available = {
-        "frechet": lambda s: evaluation.gaussian_frechet(s, ref),
-        "outlier_rate": lambda s: evaluation.outlier_rate(s, manifold, threshold),
-        "coverage_entropy": lambda s: evaluation.coverage_entropy(s, manifold),
-    }
+    available = _sample_metrics(cfg, task_specs(cfg))
     for name in sw.get("metrics", ["frechet"]):
         if name not in available:
             raise ConfigError(f"unknown sweep metric {name!r}; have {sorted(available)}")
@@ -386,7 +364,7 @@ def cmd_plot(args) -> int:
     if args.kind == "scatter":
         panels = []
         for p in inputs:
-            ps = LabeledPointSet.from_csv(p)
+            ps = _read_points(p)
             if len(ps) and ps.dim != 2:
                 raise ConfigError(f"{p}: {ps.dim}-dimensional points; project to 2D before plotting")
             panels.append((ps.points, ps.labels, p.stem))

@@ -1,5 +1,10 @@
 """Run configuration: JSON files checked against a published schema plus
-cross-field validation before any compute starts."""
+cross-field validation before any compute starts.
+
+The schema fixes shape and types. Guidance value rules live in
+guidance.GuidanceSpec (one spec) and guidance.check_stack (a stack); the
+cross-field check runs both on the guidance list and on every sweep point,
+so a config that loads never fails on guidance later."""
 
 from __future__ import annotations
 
@@ -7,7 +12,11 @@ import copy
 import hashlib
 import json
 
-import jsonschema
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
+
+from .evaluation import sweep_grid
+from .guidance import GUIDANCE_KINDS, GuidanceSpec, check_stack
 
 
 class ConfigError(ValueError):
@@ -15,7 +24,7 @@ class ConfigError(ValueError):
 
 
 class MissingArtifact(FileNotFoundError):
-    """A required dataset/checkpoint/input file is absent (exit code 4)."""
+    """A required dataset/checkpoint/input file is absent or unreadable (exit code 4)."""
 
 
 class NumericFailure(RuntimeError):
@@ -25,13 +34,13 @@ class NumericFailure(RuntimeError):
 _GUIDANCE_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["none", "classifier", "cfg", "interval_cfg", "autoguidance", "sfg"]},
+        "kind": {"enum": list(GUIDANCE_KINDS)},
         "weight": {"type": "number"},
         "interval": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
         "companion": {"type": "string"},
         "classifier_class": {"type": "integer"},
-        "alpha0": {"type": "number", "minimum": 0},
-        "h": {"type": "number", "exclusiveMinimum": 0},
+        "alpha0": {"type": "number"},
+        "h": {"type": "number"},
         "sigma_scaled_shift": {"type": "boolean"},
     },
     "required": ["kind"],
@@ -166,10 +175,10 @@ SCHEMA = {
         "sweep": {
             "type": "object",
             "properties": {
-                "kind": {"enum": ["classifier", "cfg", "interval_cfg", "autoguidance", "sfg"]},
+                "kind": {"enum": [k for k in GUIDANCE_KINDS if k != "none"]},
                 "weights": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "alphas": {"type": ["array", "null"], "items": {"type": "number", "minimum": 0}},
-                "h_values": {"type": ["array", "null"], "items": {"type": "number", "exclusiveMinimum": 0}},
+                "alphas": {"type": ["array", "null"], "items": {"type": "number"}},
+                "h_values": {"type": ["array", "null"], "items": {"type": "number"}},
                 "metrics": {"type": "array", "items": {"type": "string"}, "minItems": 1},
                 "companion": {"type": "string"},
                 "interval": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
@@ -208,49 +217,60 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def guidance_stack(cfg: dict) -> list[GuidanceSpec]:
+    """The run's guidance list as specs."""
+    return [GuidanceSpec.from_dict(d) for d in cfg["guidance"]]
+
+
+def sweep_stack(cfg: dict, weight, alpha=None, h=None) -> list[GuidanceSpec]:
+    """The one-spec guidance stack of one sweep point (alpha/h None keep the
+    spec defaults)."""
+    sw = cfg["sweep"]
+    kw = {"kind": sw["kind"], "weight": float(weight)}
+    kw.update({key: sw[key] for key in ("companion", "interval") if key in sw})
+    if alpha is not None:
+        kw["alpha0"] = float(alpha)
+    if h is not None:
+        kw["h"] = float(h)
+    if sw["kind"] == "classifier":
+        kw["classifier_class"] = cfg["guidance"][0].get("classifier_class", 0) \
+            if cfg.get("guidance") else 0
+    return [GuidanceSpec(**kw)]
+
+
 def _cross_field_check(cfg: dict) -> None:
     task = cfg["task"]
     if task not in cfg.get("data", {}):
         raise ConfigError(f"task {task!r} needs a data.{task} section")
     models = cfg.get("models", {})
-    for spec in cfg.get("guidance", []):
-        kind = spec["kind"]
-        if kind in ("cfg", "interval_cfg", "autoguidance"):
-            comp = spec.get("companion")
-            if comp is None:
-                raise ConfigError(f"guidance kind {kind!r} needs a companion model name")
-            if comp not in models:
-                raise ConfigError(f"guidance companion {comp!r} not among models {sorted(models)}")
-        if kind in ("cfg", "interval_cfg"):
-            main = cfg.get("sample", {}).get("model", "main")
-            if not models.get(main, {}).get("conditional", False):
-                raise ConfigError(f"{kind} needs a conditional main model (got {main!r})")
-        if kind == "classifier":
-            if task == "fractal":
-                raise ConfigError("classifier guidance needs a mixture task (exact Bayes oracle)")
-            if spec.get("classifier_class") is None:
-                raise ConfigError("classifier guidance needs classifier_class")
-        if kind == "interval_cfg" and "interval" not in spec:
-            raise ConfigError("interval_cfg needs an interval")
-    sample_model = cfg.get("sample", {}).get("model", "main")
-    if models and sample_model not in models:
-        raise ConfigError(f"sample.model {sample_model!r} not among models {sorted(models)}")
-    sweep = cfg.get("sweep")
-    if sweep:
-        if sweep["kind"] in ("cfg", "interval_cfg", "autoguidance"):
-            comp = sweep.get("companion")
-            if comp is None or comp not in models:
-                raise ConfigError(f"sweep kind {sweep['kind']!r} needs a companion among models")
-        if sweep["kind"] == "interval_cfg" and "interval" not in sweep:
-            raise ConfigError("interval_cfg sweep needs an interval")
+    main = cfg["sample"]["model"]
+    if models and main not in models:
+        raise ConfigError(f"sample.model {main!r} not among models {sorted(models)}")
+    sw = cfg.get("sweep")
+    try:
+        stacks = [guidance_stack(cfg)]
+        if sw:
+            grid = sweep_grid(sw["weights"], alphas=sw.get("alphas"), h_values=sw.get("h_values"))
+            stacks += [sweep_stack(cfg, w, a, h) for w, a, h in grid]
+        for specs in stacks:
+            check_stack(specs, models)
+    except ValueError as exc:
+        raise ConfigError(f"bad guidance: {exc}") from exc
+    kinds = {s.kind for specs in stacks for s in specs}
+    if kinds & {"cfg", "interval_cfg"} and not models.get(main, {}).get("conditional", False):
+        raise ConfigError(f"cfg needs a conditional main model (got {main!r})")
+    if "classifier" in kinds and task == "fractal":
+        raise ConfigError("classifier guidance needs a mixture task (exact Bayes oracle)")
+
+
+_VALIDATOR = Draft202012Validator(SCHEMA)
 
 
 def validate_config(raw: dict) -> dict:
     """Schema check, defaults, then cross-field checks; returns the merged config."""
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation at {list(exc.absolute_path)}: {exc.message}") from exc
+    error = best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config schema violation at {list(error.absolute_path)}: {error.message}")
     cfg = _deep_merge(DEFAULTS, raw)
     _cross_field_check(cfg)
     return cfg

@@ -147,13 +147,18 @@ class LabeledPointSet:
                 raise ValueError(f"{path}: not a point-set CSV (header {header})")
             n = len(header) - 2
             pts, labs, regs = [], [], []
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
                 parts = line.split(",")
-                pts.append([float(v) for v in parts[:n]])
-                labs.append(int(parts[n]))
+                try:
+                    if len(parts) != n + 2:
+                        raise ValueError(f"{len(parts)} fields, expected {n + 2}")
+                    pts.append([float(v) for v in parts[:n]])
+                    labs.append(int(parts[n]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
                 regs.append(parts[n + 1])
         region = regs if any(regs) else None
         return cls(np.asarray(pts, dtype=float).reshape(len(labs), n), labs, region)

@@ -4,6 +4,7 @@ distances, weight-sweep curves, and 2D curvature-field tables."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -178,23 +179,24 @@ def gaussian_frechet(samples_a, samples_b) -> float:
     return float(diff @ diff + np.trace(cov_a) + np.trace(cov_b) - 2.0 * tr_sqrt)
 
 
+def sweep_grid(weights, *, alphas=None, h_values=None) -> list[tuple]:
+    """(weight, alpha, h) points in run order; an empty or None alphas/h_values
+    contributes a single None (the run's default)."""
+    weights = list(weights)
+    if len(weights) < 1:
+        raise ValueError("need at least one weight")
+    return list(itertools.product(weights, alphas or [None], h_values or [None]))
+
+
 def sweep(sample_fn, metric_fns: dict, weights, *, alphas=None, h_values=None) -> list[dict]:
     """Full sample + eval per parameter point at fixed seeds.
 
     sample_fn(weight, alpha, h) -> samples; each metric_fns[name](samples)
-    contributes a column. alphas/h_values expand the grid (None keeps the
-    run's defaults). Per-run failures propagate with the run id.
+    contributes a column. alphas/h_values expand the grid (see sweep_grid).
+    Per-run failures propagate with the run id.
     """
-    weights = list(weights)
-    if len(weights) < 1:
-        raise ValueError("need at least one weight")
-    grid = []
-    for w in weights:
-        for a in (alphas if alphas else [None]):
-            for h in (h_values if h_values else [None]):
-                grid.append((w, a, h))
     rows = []
-    for run_id, (w, a, h) in enumerate(grid):
+    for run_id, (w, a, h) in enumerate(sweep_grid(weights, alphas=alphas, h_values=h_values)):
         try:
             samples = sample_fn(w, a, h)
             row = {"weight": float(w)}
@@ -274,10 +276,6 @@ def curvature_field(g, points) -> list[dict]:
             row[f"clf{cid}_1"] = float(grad[1])
         rows.append(row)
     return rows
-
-
-def field_to_csv(rows: list[dict], path) -> None:
-    sweep_to_csv(rows, path)
 
 
 def make_grid(lo: float, hi: float, n: int) -> np.ndarray:

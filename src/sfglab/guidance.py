@@ -89,7 +89,6 @@ def sfg_step(eps_fn, x, sigma, state: SfgState):
     Accepts a single point (n,) or a batch (B, n) with batched state.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     v = state.v
     if v.shape != x.shape:
         raise ValueError(f"state.v shape {v.shape} does not match x shape {x.shape}")
@@ -101,30 +100,17 @@ def sfg_step(eps_fn, x, sigma, state: SfgState):
     gate = lam > 0  # Heaviside with H(0) = 0: zero curvature is no saddle evidence
     eps_out = eps_hat
     if state.w > 0 and np.any(gate):
-        eps_out = eps_hat.copy()
-        if single:
-            eps_out -= state.w * u
-        else:
-            eps_out[gate] -= state.w * u[gate]
+        eps_out = np.where(gate[..., None], eps_hat - state.w * u, eps_hat)
     shift = alpha * sigma if state.sigma_scaled_shift else alpha
-    u_shifted = u + shift[..., None] * v if not single else u + shift * v
-    norms = np.linalg.norm(u_shifted, axis=-1)
+    u_shifted = u + shift[..., None] * v
+    norms = np.linalg.norm(u_shifted, axis=-1)[..., None]
     degenerate = norms == 0.0
     if np.any(degenerate):
         warnings.warn("saddle-free step degenerate (||u|| = 0 after shift); "
                       "keeping previous perturbation vector", RuntimeWarning)
-        if single:
-            v_new = v
-            eps_out = eps_hat
-        else:
-            v_new = np.where(degenerate[..., None], v, u_shifted / np.where(degenerate, 1.0, norms)[..., None])
-            eps_out = eps_out.copy()
-            eps_out[degenerate] = eps_hat[degenerate]
-    else:
-        v_new = u_shifted / norms[..., None] if not single else u_shifted / norms
-    new_state = replace(state, v=v_new, alpha=alpha if not single else float(alpha),
-                        last_lambda=lam if not single else float(lam))
-    return eps_out, new_state
+        eps_out = np.where(degenerate, eps_hat, eps_out)
+    v_new = np.where(degenerate, v, u_shifted / np.where(degenerate, 1.0, norms))
+    return eps_out, replace(state, v=v_new, alpha=alpha, last_lambda=lam)
 
 
 def sfg_on_score(score_fn, x, sigma, state: SfgState):
@@ -149,11 +135,16 @@ def cfg(eps_cond, eps_uncond, w: float):
     return eps_cond + (w - 1.0) * (eps_cond - eps_uncond)
 
 
-def interval_cfg(eps_cond, eps_uncond, w: float, t: float, interval):
-    """cfg with weight w while t lies in [t_lo, t_hi], unguided outside."""
+def _ordered_interval(interval) -> tuple[float, float]:
     t_lo, t_hi = interval
     if not t_lo < t_hi:
         raise ValueError("interval must satisfy t_lo < t_hi")
+    return float(t_lo), float(t_hi)
+
+
+def interval_cfg(eps_cond, eps_uncond, w: float, t: float, interval):
+    """cfg with weight w while t lies in [t_lo, t_hi], unguided outside."""
+    t_lo, t_hi = _ordered_interval(interval)
     eps_cond, eps_uncond = _check_same_shape(eps_cond, eps_uncond)
     if t_lo <= t <= t_hi:
         return cfg(eps_cond, eps_uncond, w)
@@ -201,10 +192,7 @@ class GuidanceSpec:
         if (self.interval is not None) != (self.kind == "interval_cfg"):
             raise ValueError("interval is required exactly for interval_cfg")
         if self.interval is not None:
-            lo, hi = self.interval
-            if not lo < hi:
-                raise ValueError("interval must satisfy t_lo < t_hi")
-            object.__setattr__(self, "interval", (float(lo), float(hi)))
+            object.__setattr__(self, "interval", _ordered_interval(self.interval))
         if self.kind in ("cfg", "interval_cfg", "autoguidance"):
             if self.companion is None:
                 raise ValueError(f"{self.kind} requires a companion model")
@@ -235,7 +223,18 @@ class GuidanceSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GuidanceSpec":
-        kw = dict(d)
-        if "interval" in kw and kw["interval"] is not None:
-            kw["interval"] = tuple(kw["interval"])
-        return cls(**kw)
+        return cls(**d)
+
+
+def check_stack(specs, models) -> None:
+    """Rules for a whole guidance stack over a model table (any container of
+    model names): at most one saddle-free spec, it comes last, and every
+    companion names a model in the table."""
+    kinds = [s.kind for s in specs]
+    if kinds.count("sfg") > 1:
+        raise ValueError("at most one saddle-free spec per stack")
+    if "sfg" in kinds and kinds[-1] != "sfg":
+        raise ValueError("the saddle-free spec must come last in a stack")
+    for s in specs:
+        if s.companion is not None and s.companion not in models:
+            raise ValueError(f"missing companion {s.companion!r}; models are {sorted(models)}")

@@ -276,14 +276,6 @@ class ScoreModel:
         return dup
 
 
-def predict_eps(m, x, sigma, class_ids=None):
-    return m.predict_eps(x, sigma, class_ids)
-
-
-def predict_velocity(m, x, t, class_ids=None):
-    return m.predict_velocity(x, t, class_ids)
-
-
 def _lr_at(cfg: TrainConfig, batch: int) -> float:
     if batch < cfg.warmup_batches:
         return cfg.lr * (batch + 1) / cfg.warmup_batches
@@ -380,7 +372,7 @@ def esm_loss(m, g: oracle.SmoothedGmm, points, sigma: float) -> float:
         raise ValueError("sigma must be > 0")
     pts = points.points if isinstance(points, LabeledPointSet) else np.asarray(points, dtype=float)
     s_true = oracle.score(g, pts)
-    s_model = eps_to_score(predict_eps(m, pts, sigma), sigma)
+    s_model = eps_to_score(m.predict_eps(pts, sigma), sigma)
     diff = s_true - s_model
     return float(sigma * sigma * np.mean((diff * diff).sum(axis=1)))
 
@@ -435,7 +427,9 @@ class OracleModel:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         xb = x[None, :] if single else x
-        sig = float(np.asarray(sigma).reshape(-1)[0]) if np.ndim(sigma) else float(sigma)
+        if np.size(sigma) != 1:
+            raise ValueError(f"the oracle takes one sigma per call, got {np.size(sigma)}")
+        sig = float(np.asarray(sigma).item())
         out = -sig * self._score_at(xb, sig, class_ids)
         return out[0] if single else out
 
@@ -481,22 +475,36 @@ def save_checkpoint(model: ScoreModel, path, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[ScoreModel, dict]:
+    """Inverse of save_checkpoint. Anything but a complete checkpoint (bad
+    magic or version, unreadable header, short or surplus block bytes) raises
+    ValueError naming the file."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        data = fh.read()
+    try:
+        if data[:4] != CKPT_MAGIC:
+            raise ValueError(f"bad magic {data[:4]!r}")
+        version, hlen = struct.unpack_from("<II", data, 4)
         if version != CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+            raise ValueError(f"unsupported checkpoint version {version}")
+        pos = 12 + hlen
+        header = json.loads(data[12:pos].decode("utf-8"))
         model = ScoreModel(header["data_dim"], header["hidden"],
                            n_classes=header["n_classes"], param=header["param"],
                            emb_dim=header["emb_dim"], seed=header["seed"])
-        for block, meta in zip(model.parameter_blocks(), header["blocks"]):
-            shape = tuple(meta["shape"])
-            raw = fh.read(int(np.prod(shape)) * 4)
-            block[...] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(float)
+        blocks = model.parameter_blocks()
+        if len(header["blocks"]) != len(blocks):
+            raise ValueError(f"{len(header['blocks'])} parameter blocks, expected {len(blocks)}")
+        for block, meta in zip(blocks, header["blocks"]):
+            if tuple(meta["shape"]) != block.shape:
+                raise ValueError(f"block {meta['name']} shape {meta['shape']} != {list(block.shape)}")
+            if pos + 4 * block.size > len(data):
+                raise ValueError(f"block {meta['name']} truncated")
+            block[...] = np.frombuffer(data, dtype="<f4", count=block.size, offset=pos).reshape(block.shape)
+            pos += 4 * block.size
+        if pos != len(data):
+            raise ValueError(f"{len(data) - pos} trailing bytes after the last block")
         if header.get("train_config"):
             model.train_config = TrainConfig(**header["train_config"])
+    except (ValueError, KeyError, TypeError, struct.error) as exc:
+        raise ValueError(f"{path}: not a valid checkpoint: {exc}") from exc
     return model, header

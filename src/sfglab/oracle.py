@@ -154,76 +154,16 @@ class EigPair:
         object.__setattr__(self, "vector", v)
 
 
-def _jacobi_eigh(h: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
-    """Cyclic Jacobi rotations; adequate as a brute-force reference at n <= 512.
-
-    Sweeps until the off-diagonal Frobenius norm falls below tol relative to
-    the matrix norm (or max_sweeps).
-    """
-    a = np.array(h, dtype=float)
-    n = a.shape[0]
-    vecs = np.eye(n)
-    norm = np.linalg.norm(a)
-    threshold = tol * max(norm, 1.0)
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(a * a) - np.sum(np.diagonal(a) ** 2), 0.0))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                guard = 100.0 * abs(apq)
-                if abs(app) + guard == abs(app) and abs(aqq) + guard == abs(aqq):
-                    a[p, q] = 0.0  # negligible against the diagonal
-                    a[q, p] = 0.0
-                    continue
-                with np.errstate(over="ignore"):
-                    tau = (aqq - app) / (2.0 * apq)
-                if abs(tau) > 1e10:  # asymptotic rotation; tau*tau would overflow
-                    t = 0.5 / tau
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - s * vq
-                vecs[:, q] = s * vp + c * vq
-    return np.diagonal(a).copy(), vecs
-
-
-def full_spectrum(h: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100) -> list[EigPair]:
-    """All eigenpairs of a symmetric matrix, descending by eigenvalue."""
+def full_spectrum(h: np.ndarray) -> list[EigPair]:
+    """All eigenpairs of a symmetric matrix, descending by eigenvalue (LAPACK)."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix")
     asym = np.abs(h - h.T).max() if h.size else 0.0
     if asym > 1e-9 * (1.0 + np.abs(h).max()):
         raise ValueError(f"matrix asymmetric by {asym:g}")
-    vals, vecs = _jacobi_eigh(0.5 * (h + h.T), tol=tol, max_sweeps=max_sweeps)
-    order = np.argsort(vals)[::-1]
-    out = []
-    for i in order:
-        v = vecs[:, i]
-        out.append(EigPair(float(vals[i]), v / np.linalg.norm(v)))
-    return out
+    vals, vecs = np.linalg.eigh(0.5 * (h + h.T))
+    return [EigPair(float(vals[i]), vecs[:, i]) for i in reversed(range(len(vals)))]
 
 
 def classifier_grad(g: SmoothedGmm, x, class_id: int):

@@ -127,19 +127,12 @@ class GuidedProvider:
         specs = list(specs)
         if "main" not in models:
             raise ValueError("model table must contain 'main'")
-        sfg_specs = [s for s in specs if s.kind == "sfg"]
-        if len(sfg_specs) > 1:
-            raise ValueError("at most one saddle-free spec per stack")
-        if sfg_specs and specs[-1].kind != "sfg":
-            raise ValueError("the saddle-free spec must come last in a stack")
-        for s in specs:
-            if s.companion is not None and s.companion not in models:
-                raise ValueError(f"missing companion model {s.companion!r}")
-            if s.kind == "classifier" and gmm is None:
-                raise ValueError("classifier guidance needs the task mixture for the Bayes oracle")
+        gd.check_stack(specs, models)
+        if gmm is None and any(s.kind == "classifier" for s in specs):
+            raise ValueError("classifier guidance needs the task mixture for the Bayes oracle")
         self.models = models
         self.base_specs = [s for s in specs if s.kind != "sfg"]
-        self.sfg_spec = sfg_specs[0] if sfg_specs else None
+        self.sfg_spec = specs[-1] if specs and specs[-1].kind == "sfg" else None
         self.mode = mode
         self.gmm = gmm
         self.dim = models["main"].data_dim
@@ -247,11 +240,6 @@ class _FieldProvider:
 
     def corrector(self, x, level, cls, corr):
         return np.asarray(self.fn(x, level), dtype=float)
-
-
-def attach_guidance(models: dict, specs, *, mode: str = "eps", gmm: GmmSpec | None = None) -> GuidedProvider:
-    """Build the guided estimate closure for a guidance stack."""
-    return GuidedProvider(models, specs, mode=mode, gmm=gmm)
 
 
 def _as_provider(provider, dim):

@@ -18,7 +18,7 @@ from sfglab.evaluation import (coverage_entropy, curvature_field, esm_by_region,
 from sfglab.guidance import GuidanceSpec, sfg_init, sfg_step
 from sfglab.model import OracleModel, TrainConfig, train
 from sfglab.rng import derive_seed, generator
-from sfglab.sampler import attach_guidance, euler_flow_sample, flow_time_schedule, heun_sample, sigma_schedule
+from sfglab.sampler import GuidedProvider, euler_flow_sample, flow_time_schedule, heun_sample, sigma_schedule
 from sfglab.svg import field_svg
 
 
@@ -119,7 +119,7 @@ class TestCriterion4GateSoundness:
         om = OracleModel(GmmSpec([1.0], np.zeros((1, 2)), [1.0]))
         sch = sigma_schedule(50, 0.01, 20.0)
         n = 200  # 200 trajectories x 50 steps = 10^4 sampled states
-        guided = heun_sample(attach_guidance({"main": om}, [GuidanceSpec(kind="sfg", weight=3.0)]),
+        guided = heun_sample(GuidedProvider({"main": om}, [GuidanceSpec(kind="sfg", weight=3.0)]),
                              sch, n, seed=404)
         unguided = heun_sample(om.predict_eps, sch, n, seed=404, dim=2)
         n_states = guided.sfg_trace["gate"].size
@@ -149,8 +149,8 @@ class TestCriterion5CostContract:
                 return om.predict_velocity(x, t, class_ids)
 
         sch = flow_time_schedule(40, 0.01, 20.0)
-        provider = attach_guidance({"main": Counting()},
-                                   [GuidanceSpec(kind="sfg", weight=2.0)], mode="flow")
+        provider = GuidedProvider({"main": Counting()},
+                                  [GuidanceSpec(kind="sfg", weight=2.0)], mode="flow")
         euler_flow_sample(provider, sch, 8, seed=505)
         per_step = counter["n"] / sch.n_steps
         calls = []

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from jsonschema import Draft202012Validator
+
 from sfglab.cli import main
-from sfglab.config import ConfigError, config_hash, validate_config
+from sfglab.config import SCHEMA, ConfigError, config_hash, validate_config
 from sfglab.datasets import LabeledPointSet
+from sfglab.model import ScoreModel, save_checkpoint
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -33,7 +36,22 @@ def fractal_config(out, tiny=True):
     }
 
 
+# guidance that only the stack or spec rules reject; applied on top of a
+# fractal config with a companion model 'bad' and a valid sfg sweep
+REJECTED_GUIDANCE = {
+    "sfg_before_autoguidance": {"guidance": [{"kind": "sfg", "weight": 1.0},
+                                             {"kind": "autoguidance", "weight": 2.0, "companion": "bad"}]},
+    "two_sfg": {"guidance": [{"kind": "sfg", "weight": 1.0}, {"kind": "sfg", "weight": 2.0}]},
+    "negative_sfg_weight": {"guidance": [{"kind": "sfg", "weight": -1.0}]},
+    "autoguidance_sweep_below_one": {"sweep": {"kind": "autoguidance", "companion": "bad",
+                                               "weights": [0.5]}},
+}
+
+
 class TestConfigValidation:
+    def test_schema_is_valid_draft_2020_12(self):
+        Draft202012Validator.check_schema(SCHEMA)
+
     def test_schema_violation(self):
         with pytest.raises(ConfigError, match="schema"):
             validate_config({"task": "simplex", "seed": -1})
@@ -72,6 +90,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="mixture task"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("change", REJECTED_GUIDANCE.values(), ids=REJECTED_GUIDANCE.keys())
+    def test_guidance_rejected_at_load(self, tmp_path, capsys, change):
+        cfg = fractal_config(tmp_path / "out")
+        cfg["models"]["bad"] = {"hidden": [8], "conditional": True}
+        cfg["sweep"] = {"kind": "sfg", "weights": [1.0]}
+        cfg.update(change)
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+        path = write_config(tmp_path, cfg)
+        for command in ("sample", "sweep"):
+            assert main([command, "--config", path]) == 2
+            assert "config error" in capsys.readouterr().err
+
     def test_hash_stable_under_key_order(self):
         a = validate_config({"task": "simplex", "seed": 1,
                              "data": {"simplex": {"n_components": 2, "ambient_dim": 4, "scale": 0.2}}})
@@ -106,6 +137,21 @@ class TestExitCodes:
         p.write_text("{nope")
         assert main(["gen-data", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("artifact, command, corrupt", [
+        ("main.ckpt", "sample", lambda b: b[:300]),
+        ("main.ckpt", "sample", lambda b: b"NOPE" + b[4:]),
+        ("train.csv", "train", lambda b: b.replace(b",", b",abc,", 1)),
+    ], ids=["checkpoint_cut_to_300_bytes", "checkpoint_bad_magic", "csv_non_numeric_cell"])
+    def test_corrupt_artifact_is_4(self, tmp_path, capsys, artifact, command, corrupt):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, fractal_config(out))
+        assert main(["gen-data", "--config", path]) == 0
+        save_checkpoint(ScoreModel(2, [16], n_classes=2, seed=1), out / "main.ckpt")
+        target = out / artifact
+        target.write_bytes(corrupt(target.read_bytes()))
+        assert main([command, "--config", path]) == 4
+        assert str(target) in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_full_tiny_pipeline(self, tmp_path):
@@ -124,6 +170,16 @@ class TestPipeline:
         report = json.loads((out / "eval_report.json").read_text())
         assert 0.0 <= report["outlier_rate"] <= 1.0
         assert report["sfg_stats"] is not None
+
+    def test_relative_out_pipeline(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = fractal_config("run")
+        cfg["sample"]["tag"] = "tagged"  # eval must find samples_tagged.csv, not samples_sfg.csv
+        path = write_config(tmp_path, cfg)
+        for command in ("gen-data", "train", "sample", "eval"):
+            assert main([command, "--config", path]) == 0
+        report = json.loads((tmp_path / "run" / "eval_report.json").read_text())
+        assert report["outlier_rate"] is not None
 
     def test_gen_data_idempotent(self, tmp_path):
         out = tmp_path / "run"
@@ -262,13 +318,13 @@ class TestPlot:
 
     def test_field_plot(self, tmp_path):
         from sfglab.datasets import make_two_gaussian
-        from sfglab.evaluation import curvature_field, field_to_csv, make_grid
+        from sfglab.evaluation import curvature_field, make_grid, sweep_to_csv
         from sfglab.oracle import smooth
 
         rows = curvature_field(smooth(make_two_gaussian(4.0, 1.0, 2), 0.7071),
                                make_grid(-3, 3, 5))
         csv = tmp_path / "field.csv"
-        field_to_csv(rows, csv)
+        sweep_to_csv(rows, csv)
         out = tmp_path / "field.svg"
         assert main(["plot", "--kind", "field", "--inputs", str(csv), "--out", str(out)]) == 0
         assert "line" in out.read_text()

@@ -4,7 +4,7 @@ import pytest
 from sfglab.datasets import GmmSpec, LabeledPointSet, make_two_gaussian
 from sfglab.model import (OracleModel, ScoreModel, TrainConfig, TrainingDiverged,
                           eps_to_flow, eps_to_score, esm_loss, flow_to_eps,
-                          load_checkpoint, predict_eps, predict_velocity,
+                          load_checkpoint,
                           save_checkpoint, score_to_eps, train)
 from sfglab.oracle import smooth
 
@@ -258,6 +258,13 @@ class TestOracleModelConditional:
         expected = -0.5 * (spec.means[0] - 0) / v_eff
         assert np.allclose(eps0[0], expected)
 
+    def test_one_sigma_per_call(self):
+        om = OracleModel(make_two_gaussian(4.0, 1.0, 2))
+        x = np.ones((2, 2))
+        with pytest.raises(ValueError, match="one sigma"):
+            om.predict_eps(x, np.array([0.5, 1.0]))
+        assert np.array_equal(om.predict_eps(x, np.array([0.5])), om.predict_eps(x, 0.5))
+
     def test_mixed_class_batch(self):
         spec = make_two_gaussian(4.0, 1.0, 2)
         om = OracleModel(spec)
@@ -297,6 +304,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda b: b[:300], lambda b: b[:-4], lambda b: b + b"\0\0\0\0", lambda b: b[:4] + b"\2" + b[5:],
+    ], ids=["cut_in_header", "last_block_short", "trailing_bytes", "unknown_version"])
+    def test_incomplete_checkpoint_rejected(self, tmp_path, corrupt):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(ScoreModel(2, [8], n_classes=2, seed=28), p)
+        p.write_bytes(corrupt(p.read_bytes()))
+        with pytest.raises(ValueError, match="m.ckpt"):
+            load_checkpoint(p)
+
     def test_conditional_round_trip(self, tmp_path):
         m = ScoreModel(2, [8], n_classes=3, param="flow", seed=27)
         save_checkpoint(m, tmp_path / "c.ckpt")
@@ -313,6 +330,6 @@ def test_predict_helpers_dispatch():
     spec = make_two_gaussian(4.0, 1.0, 2)
     om = OracleModel(spec)
     x = np.zeros(2)
-    assert np.allclose(predict_eps(om, x, 0.5), om.predict_eps(x, 0.5))
-    assert np.allclose(predict_velocity(om, np.ones(2), 0.5),
+    assert np.allclose(om.predict_eps(x, 0.5), om.predict_eps(x, 0.5))
+    assert np.allclose(om.predict_velocity(np.ones(2), 0.5),
                        om.predict_velocity(np.ones(2), 0.5))

@@ -4,7 +4,7 @@ import pytest
 from sfglab.datasets import GmmSpec, make_two_gaussian
 from sfglab.guidance import GuidanceSpec
 from sfglab.model import OracleModel, ScoreModel
-from sfglab.sampler import (Schedule, attach_guidance, euler_flow_sample,
+from sfglab.sampler import (GuidedProvider, Schedule, euler_flow_sample,
                             flow_time_schedule, heun_sample, sigma_schedule)
 
 
@@ -153,8 +153,8 @@ class TestGuidedProviders:
         self.sch = sigma_schedule(30, 0.01, 10.0)
 
     def run(self, specs, n=64, seed=11, **kw):
-        provider = attach_guidance({"main": self.om, "uncond": self.om, "bad": self.om},
-                                   specs, gmm=self.spec)
+        provider = GuidedProvider({"main": self.om, "uncond": self.om, "bad": self.om},
+                                  specs, gmm=self.spec)
         return heun_sample(provider, self.sch, n, seed=seed, **kw)
 
     def test_none_passthrough_matches_bare_model(self):
@@ -186,7 +186,7 @@ class TestGuidedProviders:
 
     def test_sfg_gate_closed_task_is_bitwise_unguided(self):
         om = single_gaussian_oracle()
-        provider = attach_guidance({"main": om}, [GuidanceSpec(kind="sfg", weight=3.0)])
+        provider = GuidedProvider({"main": om}, [GuidanceSpec(kind="sfg", weight=3.0)])
         guided = heun_sample(provider, self.sch, 64, seed=12)
         base = heun_sample(om.predict_eps, self.sch, 64, seed=12, dim=2)
         assert np.array_equal(guided.points, base.points)
@@ -236,25 +236,25 @@ class TestGuidedProviders:
 
     def test_missing_companion_rejected(self):
         with pytest.raises(ValueError, match="missing companion"):
-            attach_guidance({"main": self.om},
-                            [GuidanceSpec(kind="cfg", weight=2.0, companion="uncond")])
+            GuidedProvider({"main": self.om},
+                           [GuidanceSpec(kind="cfg", weight=2.0, companion="uncond")])
 
     def test_sfg_must_be_last(self):
         with pytest.raises(ValueError, match="last"):
-            attach_guidance({"main": self.om, "bad": self.om},
-                            [GuidanceSpec(kind="sfg", weight=1.0),
-                             GuidanceSpec(kind="autoguidance", weight=2.0, companion="bad")])
+            GuidedProvider({"main": self.om, "bad": self.om},
+                           [GuidanceSpec(kind="sfg", weight=1.0),
+                            GuidanceSpec(kind="autoguidance", weight=2.0, companion="bad")])
 
     def test_stacked_ag_sfg_runs_and_differs(self):
         degraded = OracleModel(GmmSpec([1.0], np.zeros((1, 2)), [4.0]))
-        provider = attach_guidance(
+        provider = GuidedProvider(
             {"main": self.om, "bad": degraded},
             [GuidanceSpec(kind="autoguidance", weight=1.5, companion="bad"),
              GuidanceSpec(kind="sfg", weight=1.0)], gmm=self.spec)
         stacked = heun_sample(provider, self.sch, 32, seed=14)
         ag_only = heun_sample(
-            attach_guidance({"main": self.om, "bad": degraded},
-                            [GuidanceSpec(kind="autoguidance", weight=1.5, companion="bad")]),
+            GuidedProvider({"main": self.om, "bad": degraded},
+                           [GuidanceSpec(kind="autoguidance", weight=1.5, companion="bad")]),
             self.sch, 32, seed=14)
         assert not np.array_equal(stacked.points, ag_only.points)
         assert stacked.sfg_trace is not None
@@ -298,8 +298,8 @@ class TestCostContract:
                 return om.predict_velocity(x, t, class_ids)
 
         sch = flow_time_schedule(25, 0.01, 10.0)
-        provider = attach_guidance({"main": Counting()},
-                                   [GuidanceSpec(kind="sfg", weight=1.0)], mode="flow")
+        provider = GuidedProvider({"main": Counting()},
+                                  [GuidanceSpec(kind="sfg", weight=1.0)], mode="flow")
         euler_flow_sample(provider, sch, 4, seed=15)
         assert counter["n"] == 2 * sch.n_steps
 
@@ -317,7 +317,7 @@ class TestCostContract:
                     counter["n"] += 1
                     return om.predict_eps(x, sigma, class_ids)
 
-            provider = attach_guidance({"main": Counting()}, specs)
+            provider = GuidedProvider({"main": Counting()}, specs)
             heun_sample(provider, sigma_schedule(20, 0.01, 10.0), 4, seed=16)
             counts.append(counter["n"])
         n_steps = 20
@@ -329,7 +329,7 @@ class TestModelBackedSampling:
     def test_trained_model_runs_through_sampler(self):
         m = ScoreModel(2, [16], seed=17)
         sch = sigma_schedule(10, 0.05, 5.0)
-        trajs = heun_sample(attach_guidance({"main": m}, [GuidanceSpec(kind="none")]),
+        trajs = heun_sample(GuidedProvider({"main": m}, [GuidanceSpec(kind="none")]),
                             sch, 8, seed=18)
         assert trajs.points.shape == (8, 2)
         assert np.all(np.isfinite(trajs.points))
@@ -337,12 +337,12 @@ class TestModelBackedSampling:
     def test_flow_model_euler_sampling(self):
         m = ScoreModel(2, [16], param="flow", seed=19)
         sch = flow_time_schedule(10, 0.05, 5.0)
-        trajs = euler_flow_sample(attach_guidance({"main": m}, [GuidanceSpec(kind="none")],
-                                                  mode="flow"), sch, 8, seed=20)
+        trajs = euler_flow_sample(GuidedProvider({"main": m}, [GuidanceSpec(kind="none")],
+                                                 mode="flow"), sch, 8, seed=20)
         assert trajs.points.shape == (8, 2)
 
     def test_mode_schedule_mismatch_rejected(self):
         m = ScoreModel(2, [16], seed=21)
-        provider = attach_guidance({"main": m}, [GuidanceSpec(kind="none")], mode="eps")
+        provider = GuidedProvider({"main": m}, [GuidanceSpec(kind="none")], mode="eps")
         with pytest.raises(ValueError, match="does not fit"):
             euler_flow_sample(provider, flow_time_schedule(10), 4, seed=22)
