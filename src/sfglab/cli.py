@@ -25,7 +25,7 @@ from . import __version__, evaluation, svg
 from .config import (ConfigError, MissingArtifact, NumericFailure, config_hash, guidance_stack,
                      load_config, sweep_stack)
 from .datasets import (FractalSpec, LabeledPointSet, make_fractal, make_outlier_gmm,
-                       make_saddle_gmm, make_simplex_gmm, make_two_gaussian, sample_gmm)
+                       make_saddle_gmm, make_simplex_gmm, make_two_gaussian, read_csv, sample_gmm)
 from .model import (TrainConfig, TrainingDiverged, load_checkpoint, save_checkpoint, train)
 from .oracle import smooth
 from .rng import derive_seed, generator
@@ -95,22 +95,33 @@ def _read_points(path) -> LabeledPointSet:
         raise MissingArtifact(f"unreadable point set: {exc}") from exc
 
 
-def _read_csv_rows(path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            vals = line.split(",")
-            row = {}
-            for k, v in zip(header, vals):
-                try:
-                    row[k] = float(v)
-                except ValueError:
-                    row[k] = v
+def _number_or_text(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _read_table(path, columns) -> list[dict]:
+    """Rows of a CSV table to plot, each cell a float where it parses. Every
+    name in columns(header) must be a column whose cells all parse; a
+    malformed table is a MissingArtifact naming the file."""
+    records = read_csv(path)
+    header = next(records)
+    need = columns(header)
+    missing = [k for k in need if k not in header]
+    if missing:
+        raise MissingArtifact(f"unreadable table: {path}: no column {missing[0]!r}")
+    rows = []
+    try:
+        for lineno, fields in records:
+            row = {k: _number_or_text(v) for k, v in zip(header, fields)}
+            text = [k for k in need if isinstance(row[k], str)]
+            if text:
+                raise ValueError(f"{path}: line {lineno}: {text[0]} {row[text[0]]!r} is not a number")
             rows.append(row)
+    except ValueError as exc:
+        raise MissingArtifact(f"unreadable table: {exc}") from exc
     return rows
 
 
@@ -166,10 +177,8 @@ def cmd_train(cfg: dict) -> int:
             raise NumericFailure(f"training {name!r} diverged at batch {exc.batch} "
                                  f"(loss {exc.loss}); last good checkpoint saved") from exc
         save_checkpoint(model, out / f"{name}.ckpt")
-        with open(out / f"{name}_loss.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("batch,lr,loss\n")
-            for b, lr, loss in model.loss_history:
-                fh.write(f"{b},{lr:.9g},{loss:.9g}\n")
+        losses = [{"batch": b, "lr": lr, "loss": loss} for b, lr, loss in model.loss_history]
+        evaluation.sweep_to_csv(losses, out / f"{name}_loss.csv")
         print(f"train: {name} final loss {model.loss_history[-1][2]:.6g} -> {name}.ckpt")
     _write_manifest(out / "train_manifest.json", "train", cfg)
     return 0
@@ -209,17 +218,17 @@ def _class_ids_for(cfg: dict, model, n_samples: int):
     return int(choice)
 
 
-def _run_sampler(cfg: dict, provider, n_samples: int, class_ids, record_sfg=True):
+def _run_sampler(cfg: dict, provider, n_samples: int, class_ids):
     sch_cfg = cfg["schedule"]
     threads = cfg["threads"]
     chunk = cfg["sample"]["chunk_size"]
     if sch_cfg["kind"] == "sigma":
         sch = sigma_schedule(sch_cfg["n_steps"], sch_cfg["sigma_min"], sch_cfg["sigma_max"], sch_cfg["rho"])
         return heun_sample(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
-                           chunk_size=chunk, threads=threads, record_sfg=record_sfg), sch
+                           chunk_size=chunk, threads=threads), sch
     sch = flow_time_schedule(sch_cfg["n_steps"], sch_cfg["sigma_min"], sch_cfg["sigma_max"], sch_cfg["rho"])
     return euler_flow_sample(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
-                             chunk_size=chunk, threads=threads, record_sfg=record_sfg), sch
+                             chunk_size=chunk, threads=threads), sch
 
 
 def cmd_sample(cfg: dict) -> int:
@@ -236,14 +245,11 @@ def cmd_sample(cfg: dict) -> int:
     extra = {"tag": tag, "n_failed": trajs.n_failed, "n_samples": n_samples}
     if trajs.sfg_trace is not None:
         extra["sfg_stats"] = evaluation.sfg_stats(trajs.sfg_trace)
-        with open(out / f"sfg_trace_{tag}.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("step,level,gate_fraction,lambda_mean,lambda_min,lambda_max,alpha_mean\n")
-            lam = trajs.sfg_trace["lambda"]
-            gate = trajs.sfg_trace["gate"]
-            alpha = trajs.sfg_trace["alpha"]
-            for k in range(lam.shape[0]):
-                fh.write(f"{k},{sch.steps[k]:.9g},{gate[k].mean():.9g},{lam[k].mean():.9g},"
-                         f"{lam[k].min():.9g},{lam[k].max():.9g},{alpha[k].mean():.9g}\n")
+        lam, gate, alpha = (trajs.sfg_trace[k] for k in ("lambda", "gate", "alpha"))
+        evaluation.sweep_to_csv([{"step": k, "level": sch.steps[k], "gate_fraction": gate[k].mean(),
+                                  "lambda_mean": lam[k].mean(), "lambda_min": lam[k].min(),
+                                  "lambda_max": lam[k].max(), "alpha_mean": alpha[k].mean()}
+                                 for k in range(len(lam))], out / f"sfg_trace_{tag}.csv")
     _write_manifest(out / f"sample_manifest_{tag}.json", "sample", cfg, extra)
     print(f"sample: {n_samples - trajs.n_failed} ok ({trajs.n_failed} failed) -> samples_{tag}.csv")
     return 0
@@ -336,7 +342,7 @@ def cmd_sweep(cfg: dict) -> int:
 
     def sample_fn(weight, alpha, h):
         provider = provider_for(sweep_stack(cfg, weight, alpha, h))
-        trajs, _ = _run_sampler(cfg, provider, n_samples, class_ids, record_sfg=False)
+        trajs, _ = _run_sampler(cfg, provider, n_samples, class_ids)
         if trajs.n_failed == n_samples:
             raise NumericFailure("all trajectories became non-finite")
         return trajs.to_point_set()
@@ -372,18 +378,18 @@ def cmd_plot(args) -> int:
     elif args.kind == "field":
         if len(inputs) != 1:
             raise ConfigError("field plots take exactly one input table")
-        rows = _read_csv_rows(inputs[0])
-        doc = svg.field_svg(rows)
+        doc = svg.field_svg(_read_table(inputs[0], svg.field_columns))
     elif args.kind == "sweep":
         if len(inputs) != 1:
             raise ConfigError("sweep plots take exactly one input table")
-        rows = _read_csv_rows(inputs[0])
-        if rows and args.x not in rows[0]:
-            raise ConfigError(f"x column {args.x!r} not in {sorted(rows[0])}")
-        for y in args.y:
-            if rows and y not in rows[0]:
-                raise ConfigError(f"y column {y!r} not in {sorted(rows[0])}")
-        doc = svg.line_chart_svg(rows, args.x, args.y, group_key=args.group)
+
+        def plotted(header):
+            for axis, key in [("x", args.x), *(("y", y) for y in args.y)]:
+                if key not in header:
+                    raise ConfigError(f"{axis} column {key!r} not in {sorted(header)}")
+            return [args.x, *args.y]
+
+        doc = svg.line_chart_svg(_read_table(inputs[0], plotted), args.x, args.y, group_key=args.group)
     else:
         raise ConfigError(f"unknown plot kind {args.kind!r}")
     out = Path(args.out_file)

@@ -11,8 +11,6 @@ import numpy as np
 
 from .rng import generator
 
-REGIONS = ("mode", "saddle", "outlier")
-
 
 @dataclass(frozen=True)
 class GmmSpec:
@@ -73,10 +71,6 @@ class GmmSpec:
     def isotropic(self) -> bool:
         return self.covariances.ndim == 1
 
-    @property
-    def class_ids(self) -> np.ndarray:
-        return np.unique(self.labels)
-
 
 @dataclass(frozen=True)
 class FractalSpec:
@@ -101,6 +95,23 @@ class FractalSpec:
             raise ValueError("n_classes must be 1 (unconditional) or 2 (one per trunk child)")
         if self.depth == 1 and self.n_classes != 1:
             raise ValueError("a trunk-only fractal has a single class")
+
+
+def read_csv(path):
+    """Stream a comma-separated table: yield the header fields first, then
+    (line number, fields) per non-blank line. A line whose field count
+    differs from the header's raises ValueError naming file and line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        yield header
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise ValueError(f"{path}: line {lineno}: {len(fields)} fields, expected {len(header)}")
+            yield lineno, fields
 
 
 class LabeledPointSet:
@@ -141,25 +152,19 @@ class LabeledPointSet:
 
     @classmethod
     def from_csv(cls, path) -> "LabeledPointSet":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            if header[-2:] != ["label", "region"]:
-                raise ValueError(f"{path}: not a point-set CSV (header {header})")
-            n = len(header) - 2
-            pts, labs, regs = [], [], []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                try:
-                    if len(parts) != n + 2:
-                        raise ValueError(f"{len(parts)} fields, expected {n + 2}")
-                    pts.append([float(v) for v in parts[:n]])
-                    labs.append(int(parts[n]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-                regs.append(parts[n + 1])
+        records = read_csv(path)
+        header = next(records)
+        if header[-2:] != ["label", "region"]:
+            raise ValueError(f"{path}: not a point-set CSV (header {header})")
+        n = len(header) - 2
+        pts, labs, regs = [], [], []
+        for lineno, parts in records:
+            try:
+                pts.append([float(v) for v in parts[:n]])
+                labs.append(int(parts[n]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            regs.append(parts[n + 1])
         region = regs if any(regs) else None
         return cls(np.asarray(pts, dtype=float).reshape(len(labs), n), labs, region)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class EvalReport:
     outlier_rate: float | None = None
     coverage_entropy: float | None = None
     frechet: float | None = None
-    sweep_points: list = field(default_factory=list)
     sfg_stats: dict | None = None
 
     def __post_init__(self):
@@ -36,14 +35,7 @@ class EvalReport:
             raise ValueError("outlier_rate must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "esm_rows": self.esm_rows,
-            "outlier_rate": self.outlier_rate,
-            "coverage_entropy": self.coverage_entropy,
-            "frechet": self.frechet,
-            "sweep_points": self.sweep_points,
-            "sfg_stats": self.sfg_stats,
-        }
+        return asdict(self)
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -259,10 +251,11 @@ def curvature_field(g, points) -> list[dict]:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be a (G, 2) array")
     class_ids = sorted(np.unique(g.base.labels).tolist())[:2]
+    scores, hessians = score(g, pts), hessian(g, pts)
+    grads = {cid: classifier_grad(g, pts, cid) for cid in class_ids}
     rows = []
-    for p in pts:
-        s = score(g, p)
-        top = full_spectrum(hessian(g, p))[0]
+    for i, (p, s) in enumerate(zip(pts, scores)):
+        top = full_spectrum(hessians[i])[0]
         row = {
             "x0": float(p[0]), "x1": float(p[1]),
             "score0": float(s[0]), "score1": float(s[1]),
@@ -270,10 +263,9 @@ def curvature_field(g, points) -> list[dict]:
             "evec0": float(top.vector[0]), "evec1": float(top.vector[1]),
             "gate": int(top.value > 0),
         }
-        for cid in class_ids:
-            grad = classifier_grad(g, p, cid)
-            row[f"clf{cid}_0"] = float(grad[0])
-            row[f"clf{cid}_1"] = float(grad[1])
+        for cid, grad in grads.items():
+            row[f"clf{cid}_0"] = float(grad[i, 0])
+            row[f"clf{cid}_1"] = float(grad[i, 1])
         rows.append(row)
     return rows
 

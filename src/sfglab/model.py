@@ -57,6 +57,17 @@ def eps_to_flow(eps, x, t):
     return (np.asarray(eps, dtype=float) - np.asarray(x, dtype=float)) / (1.0 - t)
 
 
+def class_ids_per_row(class_ids, n_rows: int) -> np.ndarray:
+    """One class id per row: a scalar is repeated, anything else must have
+    shape (n_rows,)."""
+    ids = np.asarray(class_ids, dtype=int)
+    if ids.ndim == 0:
+        ids = np.full(n_rows, int(ids), dtype=int)
+    if ids.shape != (n_rows,):
+        raise ValueError("class_ids must be a scalar or one id per row")
+    return ids
+
+
 def _sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
@@ -106,11 +117,6 @@ class TrainConfig:
             raise ValueError("need 0 < sigma_min < sigma_max")
         if not (0.0 <= self.label_dropout < 1.0):
             raise ValueError("label_dropout must lie in [0, 1)")
-
-    def sigma_distribution(self) -> str:
-        if self.objective == "dsm":
-            return f"log_uniform({self.sigma_min:g}, {self.sigma_max:g})"
-        return "t_uniform(0, 1)"
 
 
 class TrainingDiverged(RuntimeError):
@@ -176,11 +182,7 @@ class ScoreModel:
         null = self.n_classes
         if class_ids is None:
             return np.full(n_rows, null, dtype=int)
-        ids = np.asarray(class_ids, dtype=int)
-        if ids.ndim == 0:
-            ids = np.full(n_rows, int(ids), dtype=int)
-        if ids.shape != (n_rows,):
-            raise ValueError("class_ids must be a scalar or one id per row")
+        ids = class_ids_per_row(class_ids, n_rows)
         if np.any(ids >= self.n_classes):
             raise ValueError(f"unknown class id in {np.unique(ids)}; model has {self.n_classes} classes")
         return np.where(ids < 0, null, ids)
@@ -212,14 +214,13 @@ class ScoreModel:
         return a
 
     def forward(self, x, level, class_ids=None) -> np.ndarray:
-        """Raw network output at the model's native noise-level coordinate."""
+        """Raw network output at the model's native noise-level coordinate;
+        x is a point (n,) or a batch (N, n), the output has its shape."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
+        xb = np.atleast_2d(x)
         lv = np.broadcast_to(np.asarray(level, dtype=float), (xb.shape[0],))
         ids = self._map_class_ids(xb.shape[0], class_ids)
-        out = self._forward(self._features(xb, lv, ids))
-        return out[0] if single else out
+        return self._forward(self._features(xb, lv, ids)).reshape(x.shape)
 
     def _backward(self, cache, ids, dout):
         pre, acts = cache
@@ -248,7 +249,7 @@ class ScoreModel:
         sigma = np.asarray(sigma, dtype=float)
         t = sigma / (1.0 + sigma)
         x = np.asarray(x, dtype=float)
-        tb = t[..., None] if x.ndim > 1 or t.ndim > 0 else t
+        tb = t[..., None]
         xf = (1.0 - tb) * x
         v = self.forward(xf, t, class_ids)
         return (1.0 - tb) * v + xf
@@ -259,7 +260,7 @@ class ScoreModel:
         if self.param == "flow":
             return self.forward(x, t, class_ids)
         x = np.asarray(x, dtype=float)
-        tb = t[..., None] if x.ndim > 1 or t.ndim > 0 else t
+        tb = t[..., None]
         sigma = t / (1.0 - t)
         x_diff = x / (1.0 - tb)
         eps = self.forward(x_diff, sigma, class_ids)
@@ -370,7 +371,7 @@ def esm_loss(m, g: oracle.SmoothedGmm, points, sigma: float) -> float:
     """Mean sigma^2 ||oracle score - model score||^2 over the points."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    pts = points.points if isinstance(points, LabeledPointSet) else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     s_true = oracle.score(g, pts)
     s_model = eps_to_score(m.predict_eps(pts, sigma), sigma)
     diff = s_true - s_model
@@ -412,9 +413,7 @@ class OracleModel:
     def _score_at(self, x: np.ndarray, sigma: float, ids) -> np.ndarray:
         if ids is None:
             return oracle.score(self._smooth(sigma), x)
-        ids = np.asarray(ids, dtype=int)
-        if ids.ndim == 0:
-            ids = np.full(x.shape[0], int(ids))
+        ids = class_ids_per_row(ids, x.shape[0])
         out = np.empty_like(x)
         for cid in np.unique(ids):
             rows = ids == cid
@@ -425,13 +424,10 @@ class OracleModel:
 
     def predict_eps(self, x, sigma, class_ids=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
         if np.size(sigma) != 1:
             raise ValueError(f"the oracle takes one sigma per call, got {np.size(sigma)}")
         sig = float(np.asarray(sigma).item())
-        out = -sig * self._score_at(xb, sig, class_ids)
-        return out[0] if single else out
+        return (-sig * self._score_at(np.atleast_2d(x), sig, class_ids)).reshape(x.shape)
 
     def predict_velocity(self, x, t, class_ids=None) -> np.ndarray:
         t = float(_check_flow_time(t))

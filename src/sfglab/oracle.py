@@ -118,7 +118,7 @@ def score(g: SmoothedGmm, x):
 
 
 def hessian(g: SmoothedGmm, x) -> np.ndarray:
-    """Exact log-density Hessian.
+    """Exact log-density Hessian, (n, n) for a point or (N, n, n) for a batch.
 
     With A_i the effective precision, s_i = A_i (mu_i - x) and responsibilities
     r_i, the Hessian is sum_i r_i (-A_i + s_i s_i^T) - s s^T where s is the
@@ -126,17 +126,15 @@ def hessian(g: SmoothedGmm, x) -> np.ndarray:
     precision.
     """
     xb, single = _as_batch(g, x)
-    if not single:
-        raise ValueError("hessian takes a single n-vector")
-    r = _responsibilities(_log_joint(g, xb))[0]  # (k,)
-    s_i = _component_scores(g, xb)[0]  # (k, n)
-    s = r @ s_i
-    h = np.einsum("k,ki,kj->ij", r, s_i, s_i) - np.outer(s, s)
+    r = _responsibilities(_log_joint(g, xb))  # (N, k)
+    s_i = _component_scores(g, xb)  # (N, k, n)
+    s = np.einsum("nk,nki->ni", r, s_i)
+    h = np.einsum("nk,nki,nkj->nij", r, s_i, s_i) - s[:, :, None] * s[:, None, :]
     if g.isotropic:
-        h -= (r / g._var).sum() * np.eye(g.dim)
+        h -= (r / g._var).sum(axis=1)[:, None, None] * np.eye(g.dim)
     else:
-        h -= np.einsum("k,kij->ij", r, g._inv)
-    return h
+        h -= np.einsum("nk,kij->nij", r, g._inv)
+    return h[0] if single else h
 
 
 @dataclass(frozen=True)
@@ -159,8 +157,8 @@ def full_spectrum(h: np.ndarray) -> list[EigPair]:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix")
-    asym = np.abs(h - h.T).max() if h.size else 0.0
-    if asym > 1e-9 * (1.0 + np.abs(h).max()):
+    asym = np.abs(h - h.T).max(initial=0.0)
+    if asym > 1e-9 * (1.0 + np.abs(h).max(initial=0.0)):
         raise ValueError(f"matrix asymmetric by {asym:g}")
     vals, vecs = np.linalg.eigh(0.5 * (h + h.T))
     return [EigPair(float(vals[i]), vecs[:, i]) for i in reversed(range(len(vals)))]

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import guidance as gd
 from .datasets import GmmSpec, LabeledPointSet
-from .model import eps_to_flow, flow_to_eps
+from .model import class_ids_per_row, eps_to_flow, flow_to_eps
 from .oracle import classifier_grad, smooth
 from .rng import derive_seed, generator
 
@@ -210,11 +210,7 @@ class GuidedProvider:
         # so the level plays the role of sigma in either mode.
         eps_hat, state = gd.sfg_step(eps_fn, x, level, state)
         corr = raw[0] - eps_hat  # m * w * u rows; exact +0.0 where the gate is closed
-        trace = {
-            "lambda": np.atleast_1d(np.asarray(state.last_lambda, dtype=float)).copy(),
-            "gate": np.atleast_1d(np.asarray(state.last_lambda) > 0).copy(),
-            "alpha": np.atleast_1d(np.asarray(state.alpha, dtype=float)).copy(),
-        }
+        trace = {"lambda": state.last_lambda, "gate": state.last_lambda > 0, "alpha": state.alpha}
         out = eps_to_flow(eps_hat, x, level) if self.mode == "flow" else eps_hat
         return out, state, corr, trace
 
@@ -248,17 +244,6 @@ def _as_provider(provider, dim):
     return _FieldProvider(provider, dim)
 
 
-def _resolve_class_ids(class_ids, n_samples):
-    if class_ids is None:
-        return None
-    ids = np.asarray(class_ids, dtype=int)
-    if ids.ndim == 0:
-        ids = np.full(n_samples, int(ids), dtype=int)
-    if ids.shape != (n_samples,):
-        raise ValueError("class_ids must be a scalar or one per trajectory")
-    return ids
-
-
 def _chunk_ranges(n, chunk_size):
     return [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
 
@@ -274,7 +259,7 @@ def _initial_latents(seed, n_samples, dim, scale, x0):
 
 
 def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, record_states,
-                record_sfg, chunk_size, threads, x0, dim, heun):
+                chunk_size, threads, x0, dim, heun):
     provider = _as_provider(provider, dim)
     if provider.dim is None:
         raise ValueError("pass dim= when sampling from a bare callable")
@@ -284,7 +269,7 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, record_states
     dim = provider.dim
     steps = schedule.steps
     n_steps = schedule.n_steps
-    ids_all = _resolve_class_ids(class_ids, n_samples)
+    ids_all = None if class_ids is None else class_ids_per_row(class_ids, n_samples)
     latents = _initial_latents(seed, n_samples, dim, steps[0], x0)
     traj_seeds = [derive_seed(seed, i) for i in range(n_samples)]
 
@@ -295,14 +280,12 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, record_states
         state = provider.init_state(traj_seeds[lo:hi])
         failed = np.zeros(hi - lo, dtype=bool)
         rec_states = [x.copy()] if record_states else None
-        lam_rows, gate_rows, alpha_rows = [], [], []
+        trace_rows = []
         for k in range(n_steps):
             s_cur, s_next = steps[k], steps[k + 1]
             d_cur, state, corr, trace = provider.predictor(x, s_cur, cls, state)
-            if trace is not None and record_sfg:
-                lam_rows.append(trace["lambda"])
-                gate_rows.append(trace["gate"])
-                alpha_rows.append(trace["alpha"])
+            if trace is not None:
+                trace_rows.append(trace)
             dt = s_next - s_cur
             x_new = x + dt * d_cur
             if heun and s_next > 0:
@@ -314,11 +297,7 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, record_states
             x = np.where(ok[:, None], x_new, x)
             if record_states:
                 rec_states.append(x.copy())
-        trace_out = None
-        if lam_rows:
-            trace_out = {"lambda": np.stack(lam_rows), "gate": np.stack(gate_rows),
-                         "alpha": np.stack(alpha_rows)}
-        return x, failed, trace_out, (np.stack(rec_states) if record_states else None)
+        return x, failed, trace_rows, (np.stack(rec_states) if record_states else None)
 
     bounds = _chunk_ranges(n_samples, chunk_size)
     if threads > 1 and len(bounds) > 1:
@@ -330,30 +309,30 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, record_states
     points = np.concatenate([r[0] for r in results])
     failed = np.concatenate([r[1] for r in results])
     trace = None
-    if results[0][2] is not None:
-        trace = {key: np.concatenate([r[2][key] for r in results], axis=1)
-                 for key in ("lambda", "gate", "alpha")}
+    if results[0][2]:  # per key, each chunk's (n_steps, rows) record side by side
+        trace = {key: np.concatenate([np.stack([row[key] for row in r[2]]) for r in results], axis=1)
+                 for key in results[0][2][0]}
     states = np.concatenate([r[3] for r in results], axis=1) if record_states else None
     return Trajectories(points, ids_all, failed, trace, states, steps.copy())
 
 
 def heun_sample(provider, schedule: Schedule, n_samples: int, seed: int, *,
-                class_ids=None, record_states=False, record_sfg=True,
-                chunk_size=256, threads=1, x0=None, dim=None) -> Trajectories:
+                class_ids=None, record_states=False, chunk_size=256, threads=1,
+                x0=None, dim=None) -> Trajectories:
     """2nd-order Heun over a sigma schedule (final step to sigma = 0 is Euler)."""
     if schedule.kind != "sigma":
         raise ValueError("heun_sample needs a sigma schedule")
     return _sample_ode(provider, schedule, n_samples, seed, class_ids=class_ids,
-                       record_states=record_states, record_sfg=record_sfg,
-                       chunk_size=chunk_size, threads=threads, x0=x0, dim=dim, heun=True)
+                       record_states=record_states, chunk_size=chunk_size, threads=threads,
+                       x0=x0, dim=dim, heun=True)
 
 
 def euler_flow_sample(provider, schedule: Schedule, n_samples: int, seed: int, *,
-                      class_ids=None, record_states=False, record_sfg=True,
-                      chunk_size=256, threads=1, x0=None, dim=None) -> Trajectories:
+                      class_ids=None, record_states=False, chunk_size=256, threads=1,
+                      x0=None, dim=None) -> Trajectories:
     """Explicit Euler x <- x + dt * v over a monotone flow-time schedule."""
     if schedule.kind != "flow_time":
         raise ValueError("euler_flow_sample needs a flow-time schedule")
     return _sample_ode(provider, schedule, n_samples, seed, class_ids=class_ids,
-                       record_states=record_states, record_sfg=record_sfg,
-                       chunk_size=chunk_size, threads=threads, x0=x0, dim=dim, heun=False)
+                       record_states=record_states, chunk_size=chunk_size, threads=threads,
+                       x0=x0, dim=dim, heun=False)

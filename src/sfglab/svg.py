@@ -121,6 +121,16 @@ def scatter_svg(point_sets, panel_size=280, margin=40, point_radius=1.6) -> str:
     return render(panels, margin + n * (panel_size + margin), panel_size + 2 * margin)
 
 
+def _classifier_keys(columns) -> list[str]:
+    return sorted({k.rsplit("_", 1)[0] for k in columns if k.startswith("clf")})
+
+
+def field_columns(header) -> list[str]:
+    """The columns field_svg reads from a curvature-field table with this header."""
+    return ["x0", "x1", "score0", "score1", "gate", "evec0", "evec1",
+            *(f"{ck}_{i}" for ck in _classifier_keys(header) for i in (0, 1))]
+
+
 def field_svg(rows, panel_size=420, margin=48, arrow_scale=0.25) -> str:
     """Quiver plot of a curvature-field table: marginal score (gray), the two
     Bayes-classifier gradients (blue/red), and positive-curvature eigenvector
@@ -143,7 +153,7 @@ def field_svg(rows, panel_size=420, margin=48, arrow_scale=0.25) -> str:
             dx, dy = dx / norm * cap, dy / norm * cap
         return dx * arrow_scale / max(arrow_scale, 0.25), dy * arrow_scale / max(arrow_scale, 0.25)
 
-    clf_keys = sorted({k[:4] for k in rows[0] if k.startswith("clf")})
+    clf_keys = _classifier_keys(rows[0])
     for r in rows:
         dx, dy = clipped(r["score0"] * arrow_scale, r["score1"] * arrow_scale)
         panel.arrow(r["x0"], r["x1"], dx, dy, "#777777", 0.8, 0.8)

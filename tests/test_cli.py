@@ -152,6 +152,18 @@ class TestExitCodes:
         assert main([command, "--config", path]) == 4
         assert str(target) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, table", [
+        ("sweep", "weight,frechet\n0,1.5\n1,abc\n"),
+        ("sweep", "weight,frechet\n0,1.5\n1\n"),
+        ("field", "x0,x1\n0,0\n1,1\n"),
+    ], ids=["sweep_non_numeric_y_cell", "sweep_one_field_row", "field_without_score_columns"])
+    def test_malformed_plot_table_is_4(self, tmp_path, capsys, kind, table):
+        csv = tmp_path / "table.csv"
+        csv.write_text(table)
+        rc = main(["plot", "--kind", kind, "--inputs", str(csv), "--out", str(tmp_path / "x.svg")])
+        assert rc == 4
+        assert str(csv) in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_full_tiny_pipeline(self, tmp_path):
@@ -316,6 +328,15 @@ class TestPlot:
                      "--x", "weight", "--y", "frechet"]) == 0
         assert "polyline" in out.read_text()
 
+    def test_sweep_plot_groups_by_text_column(self, tmp_path):
+        csv = tmp_path / "esm_rows.csv"
+        csv.write_text("esm,region,sigma,t\n0.1,mode,0.5,0.33\n0.2,mode,1,0.5\n"
+                       "0.4,saddle,0.5,0.33\n0.5,saddle,1,0.5\n")
+        out = tmp_path / "esm.svg"
+        assert main(["plot", "--kind", "sweep", "--inputs", str(csv), "--out", str(out),
+                     "--x", "sigma", "--y", "esm", "--group", "region"]) == 0
+        assert out.read_text().count("polyline") == 2
+
     def test_field_plot(self, tmp_path):
         from sfglab.datasets import make_two_gaussian
         from sfglab.evaluation import curvature_field, make_grid, sweep_to_csv
@@ -328,3 +349,18 @@ class TestPlot:
         out = tmp_path / "field.svg"
         assert main(["plot", "--kind", "field", "--inputs", str(csv), "--out", str(out)]) == 0
         assert "line" in out.read_text()
+
+    def test_field_plot_two_digit_class_ids(self, tmp_path):
+        from sfglab.datasets import GmmSpec
+        from sfglab.evaluation import curvature_field, make_grid, sweep_to_csv
+        from sfglab.oracle import smooth
+        from sfglab.svg import PALETTE
+
+        spec = GmmSpec([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]], [1.0, 1.0], labels=[10, 11])
+        rows = curvature_field(smooth(spec, 0.5), make_grid(-3, 3, 4))
+        csv = tmp_path / "field.csv"
+        sweep_to_csv(rows, csv)
+        out = tmp_path / "field.svg"
+        assert main(["plot", "--kind", "field", "--inputs", str(csv), "--out", str(out)]) == 0
+        body = out.read_text()
+        assert PALETTE[0] in body and PALETTE[1] in body  # one arrow colour per class

@@ -265,6 +265,11 @@ class TestOracleModelConditional:
             om.predict_eps(x, np.array([0.5, 1.0]))
         assert np.array_equal(om.predict_eps(x, np.array([0.5])), om.predict_eps(x, 0.5))
 
+    def test_wrong_length_class_ids_rejected(self):
+        om = OracleModel(make_two_gaussian(4.0, 1.0, 2))
+        with pytest.raises(ValueError, match="one id per row"):
+            om.predict_eps(np.zeros((3, 2)), 0.5, class_ids=[0, 1])
+
     def test_mixed_class_batch(self):
         spec = make_two_gaussian(4.0, 1.0, 2)
         om = OracleModel(spec)
@@ -327,9 +332,16 @@ class TestCheckpoint:
 
 
 def test_predict_helpers_dispatch():
-    spec = make_two_gaussian(4.0, 1.0, 2)
-    om = OracleModel(spec)
-    x = np.zeros(2)
-    assert np.allclose(om.predict_eps(x, 0.5), om.predict_eps(x, 0.5))
-    assert np.allclose(om.predict_velocity(np.ones(2), 0.5),
-                       om.predict_velocity(np.ones(2), 0.5))
+    # one array contract: a point (n,) gives row 0 of the same point as a (1, n) batch
+    models = [ScoreModel(2, [8], n_classes=2, param="eps", seed=30),
+              ScoreModel(2, [8], n_classes=2, param="flow", seed=31),
+              OracleModel(make_two_gaussian(4.0, 1.0, 2))]
+    x = np.array([0.3, -1.2])
+    for m in models:
+        for cls in (None, 1):
+            eps = m.predict_eps(x, 0.5, cls)
+            assert eps.shape == (2,)
+            assert np.array_equal(eps, m.predict_eps(x[None, :], 0.5, cls)[0])
+            vel = m.predict_velocity(x, 0.4, cls)
+            assert vel.shape == (2,)
+            assert np.array_equal(vel, m.predict_velocity(x[None, :], 0.4, cls)[0])

@@ -143,6 +143,20 @@ class TestHessian:
             lam_min = full_spectrum(hessian(g, x))[-1].value
             assert sig * sig * lam_min >= -1.0 - 1e-9
 
+    @pytest.mark.parametrize("full_cov_prob", [0.0, 1.0], ids=["isotropic", "full_covariance"])
+    def test_batch_rows_match_single_points(self, full_cov_prob):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            spec = random_mixture(rng, full_cov_prob=full_cov_prob)
+            g = smooth(spec, float(rng.random()))
+            xs = rng.standard_normal((6, spec.dim)) * 2
+            batch = hessian(g, xs)
+            assert batch.shape == (6, spec.dim, spec.dim)
+            for i, x in enumerate(xs):
+                single = hessian(g, x)
+                assert single.shape == (spec.dim, spec.dim)
+                assert np.allclose(batch[i], single, rtol=1e-12, atol=1e-12)
+
 
 class TestFullSpectrum:
     def test_diagonal(self):
@@ -175,6 +189,9 @@ class TestFullSpectrum:
         pairs = full_spectrum(a + a.T)
         vecs = np.stack([p.vector for p in pairs])
         assert np.abs(vecs @ vecs.T - np.eye(7)).max() < 1e-8
+
+    def test_empty_matrix_has_no_pairs(self):
+        assert full_spectrum(np.zeros((0, 0))) == []
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="asymmetric"):
