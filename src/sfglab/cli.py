@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,40 +21,16 @@ import numpy as np
 
 from . import __version__, evaluation, svg
 from .config import (ConfigError, MissingArtifact, NumericFailure, config_hash, guidance_stack,
-                     load_config, sweep_stack)
-from .datasets import (FractalSpec, LabeledPointSet, make_fractal, make_outlier_gmm,
-                       make_saddle_gmm, make_simplex_gmm, make_two_gaussian, read_csv, sample_gmm)
-from .model import (TrainConfig, TrainingDiverged, load_checkpoint, save_checkpoint, train)
+                     load_config, schedule, sweep_stack, task_specs, train_config)
+from .datasets import LabeledPointSet, read_csv, sample_gmm
+from .model import TrainingDiverged, load_checkpoint, save_checkpoint, train
 from .oracle import smooth
 from .rng import derive_seed, generator
-from .sampler import GuidedProvider, euler_flow_sample, flow_time_schedule, heun_sample, sigma_schedule
+from .sampler import GuidedProvider, euler_flow_sample, heun_sample
 
 
 # ---------------------------------------------------------------------------
 # task plumbing
-
-def task_specs(cfg: dict) -> dict:
-    """Instantiate the task's generative objects from the config."""
-    task = cfg["task"]
-    data = cfg["data"]
-    if task == "simplex":
-        s = data["simplex"]
-        base = make_simplex_gmm(s["n_components"], s["ambient_dim"], s["scale"])
-        return {"base": base, "saddle": make_saddle_gmm(base), "outlier": make_outlier_gmm(base)}
-    if task == "two_gaussian":
-        s = data["two_gaussian"]
-        return {"base": make_two_gaussian(s["separation"], s["base_variance"], s["ambient_dim"])}
-    s = dict(data["fractal"])
-    s.setdefault("n_classes", 2 if s["depth"] > 1 else 1)
-    return {"fractal": make_fractal(FractalSpec(**s))}
-
-
-def _train_config(cfg: dict, model_cfg: dict) -> TrainConfig:
-    merged = dict(cfg["train"])
-    merged.update(model_cfg.get("train", {}))
-    merged["seed"] = cfg["seed"]
-    return TrainConfig(**merged)
-
 
 def _ensure_out(cfg: dict) -> Path:
     out = Path(cfg["out"])
@@ -166,11 +140,9 @@ def cmd_train(cfg: dict) -> int:
         raise ConfigError("train needs a models section")
     for name in sorted(models):
         mcfg = models[name]
-        tcfg = _train_config(cfg, mcfg)
-        name_key = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "little")
-        tcfg = TrainConfig(**{**tcfg.__dict__, "seed": derive_seed(cfg["seed"], name_key)})
         try:
-            model = train(dataset, mcfg["hidden"], tcfg, conditional=mcfg.get("conditional", False))
+            model = train(dataset, mcfg["hidden"], train_config(cfg, name),
+                          conditional=mcfg.get("conditional", False))
         except TrainingDiverged as exc:
             if exc.last_good is not None:
                 save_checkpoint(exc.last_good, out / f"{name}_lastgood.ckpt")
@@ -209,26 +181,28 @@ def _guided_models(cfg: dict, out: Path, specs):
 
 
 def _class_ids_for(cfg: dict, model, n_samples: int):
+    """sample.class_id for every trajectory: None, one id (negative means
+    unconditional) or, for "random", one seeded draw per trajectory."""
     choice = cfg["sample"].get("class_id")
     if choice is None or not model.conditional:
         return None
     if choice == "random":
         return np.asarray([int(generator(derive_seed(cfg["seed"], i), 2).integers(model.n_classes))
                            for i in range(n_samples)])
-    return int(choice)
+    if choice >= model.n_classes:
+        raise ConfigError(f"sample.class_id {choice} is not a class of model "
+                          f"{cfg['sample']['model']!r}, which has {model.n_classes} classes")
+    return choice
 
 
 def _run_sampler(cfg: dict, provider, n_samples: int, class_ids):
-    sch_cfg = cfg["schedule"]
-    threads = cfg["threads"]
-    chunk = cfg["sample"]["chunk_size"]
-    if sch_cfg["kind"] == "sigma":
-        sch = sigma_schedule(sch_cfg["n_steps"], sch_cfg["sigma_min"], sch_cfg["sigma_max"], sch_cfg["rho"])
-        return heun_sample(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
-                           chunk_size=chunk, threads=threads), sch
-    sch = flow_time_schedule(sch_cfg["n_steps"], sch_cfg["sigma_min"], sch_cfg["sigma_max"], sch_cfg["rho"])
-    return euler_flow_sample(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
-                             chunk_size=chunk, threads=threads), sch
+    sch = schedule(cfg)
+    run = heun_sample if sch.kind == "sigma" else euler_flow_sample
+    trajs = run(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
+                chunk_size=cfg["sample"]["chunk_size"], threads=cfg["threads"])
+    if trajs.n_failed == n_samples:
+        raise NumericFailure("all trajectories became non-finite")
+    return trajs, sch
 
 
 def cmd_sample(cfg: dict) -> int:
@@ -238,8 +212,6 @@ def cmd_sample(cfg: dict) -> int:
     n_samples = cfg["sample"]["n_samples"]
     class_ids = _class_ids_for(cfg, main, n_samples)
     trajs, sch = _run_sampler(cfg, provider_for(specs), n_samples, class_ids)
-    if trajs.n_failed == n_samples:
-        raise NumericFailure("all trajectories became non-finite")
     tag = _sample_tag(cfg)
     trajs.to_point_set().to_csv(out / f"samples_{tag}.csv")
     extra = {"tag": tag, "n_failed": trajs.n_failed, "n_samples": n_samples}
@@ -343,16 +315,10 @@ def cmd_sweep(cfg: dict) -> int:
     def sample_fn(weight, alpha, h):
         provider = provider_for(sweep_stack(cfg, weight, alpha, h))
         trajs, _ = _run_sampler(cfg, provider, n_samples, class_ids)
-        if trajs.n_failed == n_samples:
-            raise NumericFailure("all trajectories became non-finite")
         return trajs.to_point_set()
 
-    metric_fns = {}
     available = _sample_metrics(cfg, task_specs(cfg))
-    for name in sw.get("metrics", ["frechet"]):
-        if name not in available:
-            raise ConfigError(f"unknown sweep metric {name!r}; have {sorted(available)}")
-        metric_fns[name] = available[name]
+    metric_fns = {name: available[name] for name in sw.get("metrics", ["frechet"])}
 
     rows = evaluation.sweep(sample_fn, metric_fns, sw["weights"],
                             alphas=sw.get("alphas"), h_values=sw.get("h_values"))
@@ -426,31 +392,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: dict, args) -> dict:
-    env_seed = os.environ.get("SFGLAB_SEED")
-    env_out = os.environ.get("SFGLAB_OUT")
-    env_threads = os.environ.get("SFGLAB_THREADS")
-    if env_seed is not None:
-        cfg["seed"] = int(env_seed)
-    if env_out is not None:
-        cfg["out"] = env_out
-    if env_threads is not None:
-        cfg["threads"] = int(env_threads)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out is not None:
-        cfg["out"] = args.out
-    if args.threads is not None:
-        cfg["threads"] = args.threads
-    return cfg
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "plot":
             return cmd_plot(args)
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config, {"seed": args.seed, "out": args.out, "threads": args.threads})
         dispatch = {
             "gen-data": cmd_gen_data,
             "train": cmd_train,

@@ -1,22 +1,27 @@
-"""Run configuration: JSON files checked against a published schema plus
-cross-field validation before any compute starts.
-
-The schema fixes shape and types. Guidance value rules live in
-guidance.GuidanceSpec (one spec) and guidance.check_stack (a stack); the
-cross-field check runs both on the guidance list and on every sweep point,
-so a config that loads never fails on guidance later."""
+"""Run configuration: JSON checked against a published schema, and the
+builders that turn a config into run objects (task_specs, train_config,
+schedule, guidance_stack, sweep_stack). The schema fixes shape and types;
+each value rule lives in the constructor that consumes the value. The
+commands call these builders, and loading calls all of them once, so a
+config that loads does not fail later on a value they check."""
 
 from __future__ import annotations
 
 import copy
 import hashlib
 import json
+import os
 
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match
 
+from .datasets import (FractalSpec, make_fractal, make_outlier_gmm, make_saddle_gmm,
+                       make_simplex_gmm, make_two_gaussian)
 from .evaluation import sweep_grid
 from .guidance import GUIDANCE_KINDS, GuidanceSpec, check_stack
+from .model import TrainConfig
+from .rng import derive_seed
+from .sampler import Schedule, flow_time_schedule, sigma_schedule
 
 
 class ConfigError(ValueError):
@@ -50,16 +55,16 @@ _GUIDANCE_SCHEMA = {
 _TRAIN_SCHEMA = {
     "type": "object",
     "properties": {
-        "batches": {"type": "integer", "minimum": 1},
+        "batches": {"type": "integer"},
         "batch_size": {"type": "integer", "minimum": 1},
         "warmup_batches": {"type": "integer", "minimum": 0},
-        "lr": {"type": "number", "exclusiveMinimum": 0},
+        "lr": {"type": "number"},
         "cosine_anneal": {"type": "boolean"},
         "weight_decay": {"type": "number", "minimum": 0},
-        "objective": {"enum": ["dsm", "flow_matching"]},
-        "sigma_min": {"type": "number", "exclusiveMinimum": 0},
-        "sigma_max": {"type": "number", "exclusiveMinimum": 0},
-        "label_dropout": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+        "objective": {"type": "string"},
+        "sigma_min": {"type": "number"},
+        "sigma_max": {"type": "number"},
+        "label_dropout": {"type": "number"},
     },
     "additionalProperties": False,
 }
@@ -80,9 +85,9 @@ SCHEMA = {
                 "simplex": {
                     "type": "object",
                     "properties": {
-                        "n_components": {"type": "integer", "minimum": 1},
-                        "ambient_dim": {"type": "integer", "minimum": 1},
-                        "scale": {"type": "number", "exclusiveMinimum": 0},
+                        "n_components": {"type": "integer"},
+                        "ambient_dim": {"type": "integer"},
+                        "scale": {"type": "number"},
                     },
                     "required": ["n_components", "ambient_dim", "scale"],
                     "additionalProperties": False,
@@ -90,9 +95,9 @@ SCHEMA = {
                 "two_gaussian": {
                     "type": "object",
                     "properties": {
-                        "separation": {"type": "number", "exclusiveMinimum": 0},
-                        "base_variance": {"type": "number", "exclusiveMinimum": 0},
-                        "ambient_dim": {"type": "integer", "minimum": 1},
+                        "separation": {"type": "number"},
+                        "base_variance": {"type": "number"},
+                        "ambient_dim": {"type": "integer"},
                     },
                     "required": ["separation", "base_variance", "ambient_dim"],
                     "additionalProperties": False,
@@ -100,11 +105,11 @@ SCHEMA = {
                 "fractal": {
                     "type": "object",
                     "properties": {
-                        "depth": {"type": "integer", "minimum": 1},
+                        "depth": {"type": "integer"},
                         "branch_angle": {"type": "number"},
-                        "shrink_ratio": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                        "jitter_sigma": {"type": "number", "minimum": 0},
-                        "n_classes": {"type": "integer", "minimum": 1, "maximum": 2},
+                        "shrink_ratio": {"type": "number"},
+                        "jitter_sigma": {"type": "number"},
+                        "n_classes": {"type": "integer"},
                     },
                     "required": ["depth", "branch_angle", "shrink_ratio", "jitter_sigma"],
                     "additionalProperties": False,
@@ -120,7 +125,6 @@ SCHEMA = {
                 "properties": {
                     "hidden": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
                     "conditional": {"type": "boolean"},
-                    "emb_dim": {"type": "integer", "minimum": 1},
                     "train": _TRAIN_SCHEMA,
                 },
                 "required": ["hidden"],
@@ -132,9 +136,9 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "kind": {"enum": ["sigma", "flow_time"]},
-                "n_steps": {"type": "integer", "minimum": 2},
-                "sigma_min": {"type": "number", "exclusiveMinimum": 0},
-                "sigma_max": {"type": "number", "exclusiveMinimum": 0},
+                "n_steps": {"type": "integer"},
+                "sigma_min": {"type": "number"},
+                "sigma_max": {"type": "number"},
                 "rho": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
@@ -144,7 +148,7 @@ SCHEMA = {
             "properties": {
                 "n_samples": {"type": "integer", "minimum": 1},
                 "model": {"type": "string"},
-                "class_id": {"type": ["integer", "string", "null"]},
+                "class_id": {"anyOf": [{"type": ["integer", "null"]}, {"const": "random"}]},
                 "chunk_size": {"type": "integer", "minimum": 1},
                 "tag": {"type": "string"},
             },
@@ -179,7 +183,8 @@ SCHEMA = {
                 "weights": {"type": "array", "items": {"type": "number"}, "minItems": 1},
                 "alphas": {"type": ["array", "null"], "items": {"type": "number"}},
                 "h_values": {"type": ["array", "null"], "items": {"type": "number"}},
-                "metrics": {"type": "array", "items": {"type": "string"}, "minItems": 1},
+                "metrics": {"type": "array", "items": {"enum": ["frechet", "outlier_rate", "coverage_entropy"]},
+                            "minItems": 1},
                 "companion": {"type": "string"},
                 "interval": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
             },
@@ -217,9 +222,40 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def task_specs(cfg: dict) -> dict:
+    """The task's generative objects: the simplex mixture ('base') with its
+    'saddle' and 'outlier' companions, the two-Gaussian mixture ('base'), or
+    the 'fractal'."""
+    task = cfg["task"]
+    s = cfg["data"][task]
+    if task == "simplex":
+        base = make_simplex_gmm(s["n_components"], s["ambient_dim"], s["scale"])
+        return {"base": base, "saddle": make_saddle_gmm(base), "outlier": make_outlier_gmm(base)}
+    if task == "two_gaussian":
+        return {"base": make_two_gaussian(s["separation"], s["base_variance"], s["ambient_dim"])}
+    s = {"n_classes": 2 if s["depth"] > 1 else 1, **s}
+    return {"fractal": make_fractal(FractalSpec(**s))}
+
+
+def train_config(cfg: dict, name: str) -> TrainConfig:
+    """Training settings of model `name`: the run's train section overridden
+    by the model's own, seeded from the run seed and a hash of the name."""
+    name_key = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "little")
+    return TrainConfig(**{**cfg["train"], **cfg["models"][name].get("train", {})},
+                       seed=derive_seed(cfg["seed"], name_key))
+
+
+def schedule(cfg: dict) -> Schedule:
+    """The sampling schedule: power-law sigmas, or the same spacing mapped to
+    flow time."""
+    s = cfg["schedule"]
+    make = sigma_schedule if s["kind"] == "sigma" else flow_time_schedule
+    return make(s["n_steps"], s["sigma_min"], s["sigma_max"], s["rho"])
+
+
 def guidance_stack(cfg: dict) -> list[GuidanceSpec]:
     """The run's guidance list as specs."""
-    return [GuidanceSpec.from_dict(d) for d in cfg["guidance"]]
+    return [GuidanceSpec(**d) for d in cfg["guidance"]]
 
 
 def sweep_stack(cfg: dict, weight, alpha=None, h=None) -> list[GuidanceSpec]:
@@ -247,15 +283,23 @@ def _cross_field_check(cfg: dict) -> None:
     if models and main not in models:
         raise ConfigError(f"sample.model {main!r} not among models {sorted(models)}")
     sw = cfg.get("sweep")
+    where = f"data.{task}"
     try:
+        task_specs(cfg)
+        for name in sorted(models):
+            where = f"train settings of model {name!r}"
+            train_config(cfg, name)
+        where = "schedule"
+        schedule(cfg)
+        where = "guidance"
         stacks = [guidance_stack(cfg)]
         if sw:
             grid = sweep_grid(sw["weights"], alphas=sw.get("alphas"), h_values=sw.get("h_values"))
             stacks += [sweep_stack(cfg, w, a, h) for w, a, h in grid]
         for specs in stacks:
             check_stack(specs, models)
-    except ValueError as exc:
-        raise ConfigError(f"bad guidance: {exc}") from exc
+    except (ValueError, ArithmeticError) as exc:  # e.g. a schedule whose rho overflows
+        raise ConfigError(f"bad {where}: {exc}") from exc
     kinds = {s.kind for specs in stacks for s in specs}
     if kinds & {"cfg", "interval_cfg"} and not models.get(main, {}).get("conditional", False):
         raise ConfigError(f"cfg needs a conditional main model (got {main!r})")
@@ -263,7 +307,10 @@ def _cross_field_check(cfg: dict) -> None:
         raise ConfigError("classifier guidance needs a mixture task (exact Bayes oracle)")
 
 
-_VALIDATOR = Draft202012Validator(SCHEMA)
+# JSON integers only: an integral float such as 7.0 is not an integer here
+_TYPES = Draft202012Validator.TYPE_CHECKER.redefine(
+    "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool))
+_VALIDATOR = validators.extend(Draft202012Validator, type_checker=_TYPES)(SCHEMA)
 
 
 def validate_config(raw: dict) -> dict:
@@ -276,14 +323,37 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
-def load_config(path) -> dict:
+_ENV = {"seed": "SFGLAB_SEED", "out": "SFGLAB_OUT", "threads": "SFGLAB_THREADS"}
+
+
+def _env_int(var: str) -> int:
+    try:
+        return int(os.environ[var])
+    except ValueError:
+        raise ConfigError(f"{var} must be an integer, got {os.environ[var]!r}") from None
+
+
+def _not_a_number(constant: str):
+    raise ConfigError(f"config is not valid JSON: {constant} is not a JSON number")
+
+
+def load_config(path, overrides=None) -> dict:
+    """Read, override and validate a run config. The SFGLAB_SEED/SFGLAB_OUT/
+    SFGLAB_THREADS environment variables override the file, and the non-None
+    entries of overrides (seed/out/threads, the CLI flags) override both;
+    the result is validated like the file itself."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_not_a_number)
     except FileNotFoundError as exc:
         raise MissingArtifact(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if isinstance(raw, dict):  # anything else fails the schema
+        for key, var in _ENV.items():
+            if var in os.environ:
+                raw[key] = os.environ[var] if key == "out" else _env_int(var)
+        raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
     return validate_config(raw)
 
 

@@ -129,6 +129,10 @@ class LabeledPointSet:
             region_tag = list(region_tag)
             if len(region_tag) != n:
                 raise ValueError("region tags must have length N")
+            for tag in set(region_tag):  # to_csv writes them as bare CSV fields
+                if "," in tag or tag != tag.strip() or len(tag.splitlines()) > 1:
+                    raise ValueError(f"region tag {tag!r} has a comma, a line break or "
+                                     "leading or trailing whitespace")
         self.region_tag = region_tag
 
     def __len__(self) -> int:
@@ -246,13 +250,13 @@ class Fractal:
         dirs = [np.array([0.0, 1.0])]
         lengths = [1.0]
         labels = [-1]  # trunk: resolved at sampling time
+        rots = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+                for a in (spec.branch_angle, -spec.branch_angle)]
         level_start = 0
         for level in range(1, spec.depth):
             next_start = len(starts)
             for i in range(level_start, next_start):
-                for j, sign in enumerate((+1.0, -1.0)):
-                    a = sign * spec.branch_angle
-                    rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+                for j, rot in enumerate(rots):
                     d = rot @ dirs[i]
                     length = lengths[i] * spec.shrink_ratio
                     starts.append(ends[i])

@@ -34,12 +34,9 @@ class EvalReport:
         if self.outlier_rate is not None and not (0.0 <= self.outlier_rate <= 1.0):
             raise ValueError("outlier_rate must lie in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

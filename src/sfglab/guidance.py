@@ -207,24 +207,6 @@ class GuidanceSpec:
         if self.h <= 0:
             raise ValueError("h must be > 0")
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "weight": self.weight}
-        if self.interval is not None:
-            out["interval"] = list(self.interval)
-        if self.companion is not None:
-            out["companion"] = self.companion
-        if self.classifier_class is not None:
-            out["classifier_class"] = self.classifier_class
-        if self.kind == "sfg":
-            out["alpha0"] = self.alpha0
-            out["h"] = self.h
-            out["sigma_scaled_shift"] = self.sigma_scaled_shift
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GuidanceSpec":
-        return cls(**d)
-
 
 def check_stack(specs, models) -> None:
     """Rules for a whole guidance stack over a model table (any container of

@@ -101,12 +101,11 @@ class Trajectories:
     def n_failed(self) -> int:
         return int(self.failed.sum())
 
-    def to_point_set(self, region=None) -> LabeledPointSet:
+    def to_point_set(self) -> LabeledPointSet:
         """Finite trajectories only; failed ones are excluded (count reported)."""
         ok = ~self.failed
         labels = self.labels[ok] if self.labels is not None else np.zeros(int(ok.sum()), dtype=int)
-        tags = [region] * int(ok.sum()) if region else None
-        return LabeledPointSet(self.points[ok], labels, tags)
+        return LabeledPointSet(self.points[ok], labels)
 
 
 class GuidedProvider:

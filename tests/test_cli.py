@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from sfglab.cli import main
-from sfglab.config import SCHEMA, ConfigError, config_hash, validate_config
+from sfglab.config import SCHEMA, ConfigError, _deep_merge, config_hash, load_config, validate_config
 from sfglab.datasets import LabeledPointSet
 from sfglab.model import ScoreModel, save_checkpoint
 
@@ -34,6 +35,41 @@ def fractal_config(out, tiny=True):
         "guidance": [{"kind": "sfg", "weight": 1.0}],
         "eval": {"frechet_reference_n": 64},
     }
+
+
+def simplex_config(out):
+    return {
+        "task": "simplex", "seed": 1, "out": str(out),
+        "data": {"n_train": 50, "n_test": 20,
+                 "simplex": {"n_components": 3, "ambient_dim": 4, "scale": 0.2}},
+        "models": {"main": {"hidden": [8]}},
+    }
+
+
+EXAMPLES = sorted((Path(__file__).parent.parent / "examples_config").glob("*.json"))
+
+# values that only a run object's constructor rejects, with the command that
+# consumes them: (base config, change, command)
+REJECTED_VALUES = {
+    "train_batches_below_warmup": (fractal_config, {"models": {"main": {"train": {"batches": 4}}}}, "train"),
+    "train_sigma_min_above_max": (fractal_config, {"train": {"sigma_min": 6.0, "sigma_max": 5.0}}, "train"),
+    "schedule_sigma_min_above_max": (fractal_config, {"schedule": {"sigma_min": 6.0, "sigma_max": 5.0}},
+                                     "sample"),
+    "schedule_rho_overflows": (fractal_config, {"schedule": {"rho": 0.001}}, "sample"),
+    "class_id_text": (fractal_config, {"sample": {"class_id": "abc"}}, "sample"),
+    "simplex_components_above_dim": (simplex_config, {"data": {"simplex": {"n_components": 5}}}, "gen-data"),
+    "fractal_trunk_with_two_classes": (fractal_config, {"data": {"fractal": {"depth": 1, "n_classes": 2}}},
+                                       "gen-data"),
+    "integral_float_seed": (fractal_config, {"seed": 3.0}, "gen-data"),
+}
+
+# overrides validated like the file: (environment, flags)
+REJECTED_OVERRIDES = {
+    "env_threads_not_integer": ({"SFGLAB_THREADS": "abc"}, []),
+    "env_seed_negative": ({"SFGLAB_SEED": "-1"}, []),
+    "flag_seed_negative": ({}, ["--seed", "-1"]),
+    "flag_threads_zero": ({}, ["--threads", "0"]),
+}
 
 
 # guidance that only the stack or spec rules reject; applied on top of a
@@ -103,6 +139,19 @@ class TestConfigValidation:
             assert main([command, "--config", path]) == 2
             assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("base, change, command", REJECTED_VALUES.values(), ids=REJECTED_VALUES.keys())
+    def test_value_rejected_at_load(self, tmp_path, capsys, base, change, command):
+        cfg = _deep_merge(base(tmp_path / "out"), change)
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=[p.name for p in EXAMPLES])
+    def test_example_config_loads(self, path):
+        cfg = load_config(path)
+        assert cfg["task"] in cfg["data"]
+
     def test_hash_stable_under_key_order(self):
         a = validate_config({"task": "simplex", "seed": 1,
                              "data": {"simplex": {"n_components": 2, "ambient_dim": 4, "scale": 0.2}}})
@@ -116,6 +165,32 @@ class TestExitCodes:
         path = write_config(tmp_path, {"task": "nope", "seed": 0})
         assert main(["gen-data", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_nan_is_not_json(self, tmp_path, capsys):
+        cfg = _deep_merge(simplex_config(tmp_path / "out"), {"data": {"simplex": {"scale": float("nan")}}})
+        assert main(["gen-data", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "NaN is not a JSON number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env, flags", REJECTED_OVERRIDES.values(), ids=REJECTED_OVERRIDES.keys())
+    def test_rejected_override_is_2(self, tmp_path, capsys, monkeypatch, env, flags):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        path = write_config(tmp_path, fractal_config(tmp_path / "out"))
+        assert main(["gen-data", "--config", path, *flags]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "sweep"])
+    def test_class_id_the_model_lacks_is_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        cfg = fractal_config(out)
+        cfg["sample"]["class_id"] = 7
+        cfg["sweep"] = {"kind": "sfg", "weights": [1.0]}
+        path = write_config(tmp_path, cfg)
+        out.mkdir()
+        save_checkpoint(ScoreModel(2, [16], n_classes=2, seed=1), out / "main.ckpt")
+        assert main([command, "--config", path]) == 2
+        assert "sample.class_id 7" in capsys.readouterr().err
 
     def test_missing_config_is_4(self, capsys):
         assert main(["train", "--config", "/definitely/not/here.json"]) == 4

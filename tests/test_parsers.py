@@ -1,5 +1,5 @@
-"""Property tests for the file parsers: checkpoints, point-set CSVs and the
-numeric tables the CLI plots."""
+"""Property tests for the file parsers: checkpoints, point-set CSVs, the
+numeric tables the CLI plots and run configs."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfglab.cli import _read_table
+from sfglab.config import (ConfigError, guidance_stack, schedule, task_specs, train_config,
+                           validate_config)
 from sfglab.datasets import LabeledPointSet
 from sfglab.evaluation import sweep_to_csv
 from sfglab.model import ScoreModel, load_checkpoint, save_checkpoint
@@ -48,9 +50,14 @@ def test_point_set_csv_round_trips_at_nine_digits(workdir, shape, data):
     points = np.array(data.draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
                                          min_size=n, max_size=n)), dtype=float).reshape(n, dim)
     labels = data.draw(st.lists(st.integers(-5, 2**31 - 1), min_size=n, max_size=n))
-    tags = data.draw(st.lists(st.sampled_from(["", "mode", "saddle_2"]), min_size=n, max_size=n))
+    tags = data.draw(st.lists(st.one_of(st.sampled_from(["", "mode", "saddle_2"]), st.text(max_size=4)),
+                              min_size=n, max_size=n))
+    try:
+        point_set = LabeledPointSet(points, labels, tags)
+    except ValueError:
+        return
     path = workdir / "points.csv"
-    LabeledPointSet(points, labels, tags).to_csv(path)
+    point_set.to_csv(path)
     back = LabeledPointSet.from_csv(path)
     assert np.array_equal(back.points, nine_digits(points))
     assert back.labels.tolist() == labels
@@ -68,3 +75,59 @@ def test_table_csv_round_trips_at_nine_digits(workdir, columns, data):
     assert len(back) == len(rows)
     for got, want in zip(back, rows):
         assert got == {k: float(f"{v:.9g}") for k, v in want.items()}
+
+
+# small values of each schema type, in and out of every range
+count = st.integers(-1, 6)
+number = st.one_of(st.integers(-1, 12), st.floats(-1.0, 12.0), st.sampled_from([1e-3, 0.5, 1e3]))
+TRAIN = {"batches": st.integers(-1, 40), "batch_size": count, "warmup_batches": st.integers(-1, 40),
+         "lr": number, "cosine_anneal": st.booleans(), "weight_decay": number,
+         "objective": st.sampled_from(["dsm", "flow_matching", "sgd"]),
+         "sigma_min": number, "sigma_max": number, "label_dropout": number}
+SCHEDULE = {"kind": st.sampled_from(["sigma", "flow_time"]), "n_steps": count,
+            "sigma_min": number, "sigma_max": number, "rho": number}
+DATA = {
+    "simplex": {"n_components": count, "ambient_dim": count, "scale": number},
+    "two_gaussian": {"separation": number, "base_variance": number, "ambient_dim": count},
+    "fractal": {"depth": count, "branch_angle": number, "shrink_ratio": number, "jitter_sigma": number,
+                "n_classes": count},
+}
+VALID_DATA = {"simplex": {"n_components": 3, "ambient_dim": 4, "scale": 0.2},
+              "two_gaussian": {"separation": 4.0, "base_variance": 1.0, "ambient_dim": 2},
+              "fractal": {"depth": 3, "branch_angle": 0.6, "shrink_ratio": 0.75, "jitter_sigma": 0.01}}
+
+
+def section(fields, valid, required=()):
+    """A config section: drawn key by key one time in three, else a valid
+    one, so that most examples get past the sections checked before it."""
+    drawn = st.fixed_dictionaries({k: fields[k] for k in required},
+                                  optional={k: v for k, v in fields.items() if k not in required})
+    return st.integers(0, 2).flatmap(lambda i: drawn if i == 0 else st.just(valid))
+
+
+@st.composite
+def run_configs(draw):
+    task = draw(st.sampled_from(sorted(DATA)))
+    required = [k for k in DATA[task] if k != "n_classes"]
+    return {
+        "task": task, "seed": 0,
+        "data": {task: draw(section(DATA[task], VALID_DATA[task], required))},
+        "models": {"main": {"hidden": [4], "train": draw(section(TRAIN, {}))}, "small": {"hidden": [2]}},
+        "train": draw(section(TRAIN, {})),
+        "schedule": draw(section(SCHEDULE, {})),
+        "sample": {"class_id": draw(st.one_of(st.none(), count, st.just("random"), st.text(max_size=3)))},
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=run_configs())
+def test_a_config_that_validates_builds_every_run_object(cfg):
+    try:
+        cfg = validate_config(cfg)
+    except ConfigError:
+        return
+    task_specs(cfg)
+    for name in cfg["models"]:
+        train_config(cfg, name)
+    schedule(cfg)
+    guidance_stack(cfg)
