@@ -51,15 +51,13 @@ from .guidance import (
     classifier_guidance,
     interval_cfg,
     sfg_init,
-    sfg_on_score,
     sfg_step,
 )
 from .sampler import (
     Schedule,
     Trajectories,
-    euler_flow_sample,
     flow_time_schedule,
-    heun_sample,
+    sample,
     sigma_schedule,
 )
 from .evaluation import (

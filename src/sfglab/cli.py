@@ -26,7 +26,7 @@ from .datasets import LabeledPointSet, read_csv, sample_gmm
 from .model import TrainingDiverged, load_checkpoint, save_checkpoint, train
 from .oracle import smooth
 from .rng import derive_seed, generator
-from .sampler import GuidedProvider, euler_flow_sample, heun_sample
+from .sampler import GuidedProvider, sample
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +197,8 @@ def _class_ids_for(cfg: dict, model, n_samples: int):
 
 def _run_sampler(cfg: dict, provider, n_samples: int, class_ids):
     sch = schedule(cfg)
-    run = heun_sample if sch.kind == "sigma" else euler_flow_sample
-    trajs = run(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
-                chunk_size=cfg["sample"]["chunk_size"], threads=cfg["threads"])
+    trajs = sample(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
+                   chunk_size=cfg["sample"]["chunk_size"], threads=cfg["threads"])
     if trajs.n_failed == n_samples:
         raise NumericFailure("all trajectories became non-finite")
     return trajs, sch
@@ -247,8 +246,15 @@ def _sample_metrics(cfg: dict, specs: dict) -> dict:
     # drawn on first use, so the reference is not held while the larger
     # outlier/coverage arrays of an earlier metric call are alive
     ref = functools.cache(draw)
+
+    def frechet(s):
+        if len(s) <= s.dim:  # failed trajectories can leave too few for a full-rank covariance
+            raise NumericFailure(f"{len(s)} finite samples are too few for the Frechet "
+                                 f"distance in {s.dim}-d")
+        return evaluation.gaussian_frechet(s, ref())
+
     return {
-        "frechet": lambda s: evaluation.gaussian_frechet(s, ref()),
+        "frechet": frechet,
         "outlier_rate": lambda s: evaluation.outlier_rate(s, manifold, threshold),
         "coverage_entropy": lambda s: evaluation.coverage_entropy(s, manifold),
     }
@@ -320,8 +326,13 @@ def cmd_sweep(cfg: dict) -> int:
     available = _sample_metrics(cfg, task_specs(cfg))
     metric_fns = {name: available[name] for name in sw.get("metrics", ["frechet"])}
 
-    rows = evaluation.sweep(sample_fn, metric_fns, sw["weights"],
-                            alphas=sw.get("alphas"), h_values=sw.get("h_values"))
+    try:
+        rows = evaluation.sweep(sample_fn, metric_fns, sw["weights"],
+                                alphas=sw.get("alphas"), h_values=sw.get("h_values"))
+    except RuntimeError as exc:  # names the failed run; a numeric cause still exits 3
+        if isinstance(exc.__cause__, NumericFailure):
+            raise NumericFailure(str(exc)) from exc
+        raise
     evaluation.sweep_to_csv(rows, out / "sweep.csv")
     _write_manifest(out / "sweep_manifest.json", "sweep", cfg, {"rows": len(rows)})
     print(f"sweep: {len(rows)} rows -> {out / 'sweep.csv'}")

@@ -46,7 +46,6 @@ _GUIDANCE_SCHEMA = {
         "classifier_class": {"type": "integer"},
         "alpha0": {"type": "number"},
         "h": {"type": "number"},
-        "sigma_scaled_shift": {"type": "boolean"},
     },
     "required": ["kind"],
     "additionalProperties": False,
@@ -268,9 +267,9 @@ def sweep_stack(cfg: dict, weight, alpha=None, h=None) -> list[GuidanceSpec]:
         kw["alpha0"] = float(alpha)
     if h is not None:
         kw["h"] = float(h)
-    if sw["kind"] == "classifier":
-        kw["classifier_class"] = cfg["guidance"][0].get("classifier_class", 0) \
-            if cfg.get("guidance") else 0
+    if sw["kind"] == "classifier":  # the class of the run's classifier spec, if it has one
+        kw["classifier_class"] = next((d["classifier_class"] for d in cfg["guidance"]
+                                       if d["kind"] == "classifier"), 0)
     return [GuidanceSpec(**kw)]
 
 
@@ -285,7 +284,7 @@ def _cross_field_check(cfg: dict) -> None:
     sw = cfg.get("sweep")
     where = f"data.{task}"
     try:
-        task_specs(cfg)
+        specs = task_specs(cfg)
         for name in sorted(models):
             where = f"train settings of model {name!r}"
             train_config(cfg, name)
@@ -296,11 +295,17 @@ def _cross_field_check(cfg: dict) -> None:
         if sw:
             grid = sweep_grid(sw["weights"], alphas=sw.get("alphas"), h_values=sw.get("h_values"))
             stacks += [sweep_stack(cfg, w, a, h) for w, a, h in grid]
-        for specs in stacks:
-            check_stack(specs, models)
+        for stack in stacks:
+            check_stack(stack, models)
     except (ValueError, ArithmeticError) as exc:  # e.g. a schedule whose rho overflows
         raise ConfigError(f"bad {where}: {exc}") from exc
-    kinds = {s.kind for specs in stacks for s in specs}
+    # every eval computes the Frechet distance, which needs a full-rank covariance
+    dim = 2 if task == "fractal" else specs["base"].dim  # the fractal lives in the plane
+    for section, key in (("sample", "n_samples"), ("eval", "frechet_reference_n")):
+        if cfg[section][key] <= dim:
+            raise ConfigError(f"{section}.{key} {cfg[section][key]} must exceed the data dimension "
+                              f"{dim} (the Frechet distance needs a full-rank covariance)")
+    kinds = {s.kind for stack in stacks for s in stack}
     if kinds & {"cfg", "interval_cfg"} and not models.get(main, {}).get("conditional", False):
         raise ConfigError(f"cfg needs a conditional main model (got {main!r})")
     if "classifier" in kinds and task == "fractal":

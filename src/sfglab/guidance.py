@@ -17,11 +17,10 @@ bitwise identical.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import eps_to_score, score_to_eps
 from .rng import generator
 
 GUIDANCE_KINDS = ("none", "classifier", "cfg", "interval_cfg", "autoguidance", "sfg")
@@ -29,80 +28,61 @@ GUIDANCE_KINDS = ("none", "classifier", "cfg", "interval_cfg", "autoguidance", "
 
 @dataclass(frozen=True)
 class SfgState:
-    """Per-trajectory carry for the saddle-free step.
-
-    v is the unit perturbation vector (shape (..., n) for batched
-    trajectories), alpha the non-decreasing shift, last_lambda the latest
-    top-eigenvalue estimate. sigma_scaled_shift selects the written form of
-    the warm-start shift (alpha * sigma * v); False uses alpha * v instead,
-    exposed for ablation.
+    """Per-trajectory carry for the saddle-free step: v the unit perturbation
+    vector (shape (n,), or (B, n) for a batch of trajectories), alpha the
+    non-decreasing shift and last_lambda the latest top-eigenvalue estimate.
+    The step's settings (weight, h, alpha0) live in the run's GuidanceSpec.
     """
 
     v: np.ndarray
     alpha: np.ndarray | float
     last_lambda: np.ndarray | float
-    h: float = 0.1
-    w: float = 0.0
-    sigma_scaled_shift: bool = True
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
-        norms = np.linalg.norm(v, axis=-1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-9):
             raise ValueError("perturbation vector must be unit norm within 1e-9")
-        if self.h <= 0:
-            raise ValueError("finite-difference step h must be > 0")
-        if self.w < 0:
-            raise ValueError("guidance weight must be >= 0")
-        if np.any(np.asarray(self.alpha) < 0):
-            raise ValueError("shift alpha must be >= 0")
         object.__setattr__(self, "v", v)
 
 
-def sfg_init(n: int, seed: int, alpha0: float = 1.0, h: float = 0.1, w: float = 0.0,
-             sigma_scaled_shift: bool = True) -> SfgState:
-    """Fresh state with v uniform on the unit sphere (normalized Gaussian)."""
+def _unit_vector(n: int, seed: int) -> np.ndarray:
+    v = generator(seed).standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def sfg_init(n: int, seed, spec: GuidanceSpec) -> SfgState:
+    """Fresh carry with alpha = spec.alpha0 and v uniform on the unit sphere
+    (a normalized Gaussian draw from generator(seed)). One seed gives a
+    (n,) state; a sequence of seeds gives a (B, n) state, one row per seed."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    v = generator(seed).standard_normal(n)
-    v /= np.linalg.norm(v)
-    return SfgState(v=v, alpha=float(alpha0), last_lambda=0.0, h=h, w=w,
-                    sigma_scaled_shift=sigma_scaled_shift)
+    v = _unit_vector(n, seed) if np.ndim(seed) == 0 else np.stack([_unit_vector(n, s) for s in seed])
+    rows = v.shape[:-1]
+    return SfgState(v=v, alpha=np.full(rows, float(spec.alpha0)), last_lambda=np.zeros(rows))
 
 
-def stack_states(states: list[SfgState]) -> SfgState:
-    """Combine per-trajectory states into one batched state."""
-    first = states[0]
-    return SfgState(
-        v=np.stack([s.v for s in states]),
-        alpha=np.asarray([s.alpha for s in states], dtype=float),
-        last_lambda=np.asarray([s.last_lambda for s in states], dtype=float),
-        h=first.h, w=first.w, sigma_scaled_shift=first.sigma_scaled_shift,
-    )
-
-
-def sfg_step(eps_fn, x, sigma, state: SfgState):
+def sfg_step(eps_fn, x, sigma, state: SfgState, spec: GuidanceSpec):
     """One guided noise estimate plus the updated power-iteration carry.
 
     Exactly two eps_fn evaluations: the base estimate and one probe at
-    x + h * sigma * v. Returns (eps_hat, state') without mutating state.
-    Accepts a single point (n,) or a batch (B, n) with batched state.
+    x + h * sigma * v, with h and the weight taken from spec. Returns
+    (eps_hat, state') without mutating state. Accepts a single point (n,)
+    or a batch (B, n) with batched state.
     """
     x = np.asarray(x, dtype=float)
     v = state.v
     if v.shape != x.shape:
         raise ValueError(f"state.v shape {v.shape} does not match x shape {x.shape}")
     eps_hat = np.asarray(eps_fn(x), dtype=float)
-    probe = np.asarray(eps_fn(x + state.h * sigma * v), dtype=float)
-    u = (eps_hat - probe) / state.h
+    probe = np.asarray(eps_fn(x + spec.h * sigma * v), dtype=float)
+    u = (eps_hat - probe) / spec.h
     lam = np.sum(u * v, axis=-1)
     alpha = np.maximum(np.asarray(state.alpha, dtype=float), -lam)
     gate = lam > 0  # Heaviside with H(0) = 0: zero curvature is no saddle evidence
     eps_out = eps_hat
-    if state.w > 0 and np.any(gate):
-        eps_out = np.where(gate[..., None], eps_hat - state.w * u, eps_hat)
-    shift = alpha * sigma if state.sigma_scaled_shift else alpha
-    u_shifted = u + shift[..., None] * v
+    if spec.weight > 0 and np.any(gate):
+        eps_out = np.where(gate[..., None], eps_hat - spec.weight * u, eps_hat)
+    u_shifted = u + (alpha * sigma)[..., None] * v
     norms = np.linalg.norm(u_shifted, axis=-1)[..., None]
     degenerate = norms == 0.0
     if np.any(degenerate):
@@ -110,13 +90,7 @@ def sfg_step(eps_fn, x, sigma, state: SfgState):
                       "keeping previous perturbation vector", RuntimeWarning)
         eps_out = np.where(degenerate, eps_hat, eps_out)
     v_new = np.where(degenerate, v, u_shifted / np.where(degenerate, 1.0, norms))
-    return eps_out, replace(state, v=v_new, alpha=alpha, last_lambda=lam)
-
-
-def sfg_on_score(score_fn, x, sigma, state: SfgState):
-    """Score-space wrapper: algebraically equivalent to the eps-space step."""
-    eps_hat, new_state = sfg_step(lambda z: score_to_eps(score_fn(z), sigma), x, sigma, state)
-    return eps_to_score(eps_hat, sigma), new_state
+    return eps_out, SfgState(v=v_new, alpha=alpha, last_lambda=lam)
 
 
 def _check_same_shape(a, b):
@@ -174,7 +148,8 @@ class GuidanceSpec:
     companion names the second model (cfg's unconditional branch or the
     autoguidance degraded model) in the run's model table. interval is
     required exactly for interval_cfg, classifier_class for classifier.
-    alpha0/h/sigma_scaled_shift configure the saddle-free state.
+    For sfg, weight, alpha0 (the initial shift) and h (the probe step) are
+    the step's settings; SfgState holds only the per-trajectory carry.
     """
 
     kind: str
@@ -184,7 +159,6 @@ class GuidanceSpec:
     classifier_class: int | None = None
     alpha0: float = 1.0
     h: float = 0.1
-    sigma_scaled_shift: bool = True
 
     def __post_init__(self):
         if self.kind not in GUIDANCE_KINDS:

@@ -1,9 +1,10 @@
 """Deterministic ODE samplers with a per-step guidance hook.
 
-heun_sample integrates the probability-flow dynamics dx/dsigma = eps(x, sigma)
-(denoiser form D = x - sigma * eps) with the 2nd-order Heun predictor/corrector
-and a plain Euler step into sigma = 0. euler_flow_sample integrates
-x' = v(x, t) over a monotone flow-time schedule.
+sample() follows the schedule: over a sigma schedule it integrates the
+probability-flow dynamics dx/dsigma = eps(x, sigma) (denoiser form
+D = x - sigma * eps) with the 2nd-order Heun predictor/corrector and a plain
+Euler step into sigma = 0; over a flow-time schedule it integrates
+x' = v(x, t) with explicit Euler.
 
 Trajectories are independent given per-trajectory seeds derived from the
 master seed (see rng.derive_seed). Work is partitioned into fixed-size chunks
@@ -184,11 +185,7 @@ class GuidedProvider:
     def init_state(self, traj_seeds) -> gd.SfgState | None:
         if self.sfg_spec is None:
             return None
-        s = self.sfg_spec
-        states = [gd.sfg_init(self.dim, derive_seed(ts, 1), alpha0=s.alpha0, h=s.h,
-                              w=s.weight, sigma_scaled_shift=s.sigma_scaled_shift)
-                  for ts in traj_seeds]
-        return gd.stack_states(states)
+        return gd.sfg_init(self.dim, [derive_seed(ts, 1) for ts in traj_seeds], self.sfg_spec)
 
     def predictor(self, x, level, cls, state):
         """Guided estimate in the sampler's native space, plus state, the
@@ -207,7 +204,7 @@ class GuidedProvider:
         # In flow coordinates the probe h * t * v matches h * sigma * v in
         # diffusion coordinates (x_t = (1 - t) x_diff with t = (1 - t) sigma),
         # so the level plays the role of sigma in either mode.
-        eps_hat, state = gd.sfg_step(eps_fn, x, level, state)
+        eps_hat, state = gd.sfg_step(eps_fn, x, level, state, self.sfg_spec)
         corr = raw[0] - eps_hat  # m * w * u rows; exact +0.0 where the gate is closed
         trace = {"lambda": state.last_lambda, "gate": state.last_lambda > 0, "alpha": state.alpha}
         out = eps_to_flow(eps_hat, x, level) if self.mode == "flow" else eps_hat
@@ -290,10 +287,8 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, record_states
             if heun and s_next > 0:
                 d_prime = provider.corrector(x_new, s_next, cls, corr)
                 x_new = x + dt * 0.5 * (d_cur + d_prime)
-            ok = np.isfinite(x_new).all(axis=1) & ~failed
-            bad = ~np.isfinite(x_new).all(axis=1) & ~failed
-            failed |= bad
-            x = np.where(ok[:, None], x_new, x)
+            failed |= ~np.isfinite(x_new).all(axis=1)
+            x = np.where(failed[:, None], x, x_new)
             if record_states:
                 rec_states.append(x.copy())
         return x, failed, trace_rows, (np.stack(rec_states) if record_states else None)
@@ -315,23 +310,11 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, record_states
     return Trajectories(points, ids_all, failed, trace, states, steps.copy())
 
 
-def heun_sample(provider, schedule: Schedule, n_samples: int, seed: int, *,
-                class_ids=None, record_states=False, chunk_size=256, threads=1,
-                x0=None, dim=None) -> Trajectories:
-    """2nd-order Heun over a sigma schedule (final step to sigma = 0 is Euler)."""
-    if schedule.kind != "sigma":
-        raise ValueError("heun_sample needs a sigma schedule")
+def sample(provider, schedule: Schedule, n_samples: int, seed: int, *,
+           class_ids=None, record_states=False, chunk_size=256, threads=1,
+           x0=None, dim=None) -> Trajectories:
+    """Heun over a sigma schedule (the final step to sigma = 0 is Euler),
+    explicit Euler x <- x + dt * v over a flow-time schedule."""
     return _sample_ode(provider, schedule, n_samples, seed, class_ids=class_ids,
                        record_states=record_states, chunk_size=chunk_size, threads=threads,
-                       x0=x0, dim=dim, heun=True)
-
-
-def euler_flow_sample(provider, schedule: Schedule, n_samples: int, seed: int, *,
-                      class_ids=None, record_states=False, chunk_size=256, threads=1,
-                      x0=None, dim=None) -> Trajectories:
-    """Explicit Euler x <- x + dt * v over a monotone flow-time schedule."""
-    if schedule.kind != "flow_time":
-        raise ValueError("euler_flow_sample needs a flow-time schedule")
-    return _sample_ode(provider, schedule, n_samples, seed, class_ids=class_ids,
-                       record_states=record_states, chunk_size=chunk_size, threads=threads,
-                       x0=x0, dim=dim, heun=False)
+                       x0=x0, dim=dim, heun=schedule.kind == "sigma")

@@ -18,7 +18,7 @@ from sfglab.evaluation import (coverage_entropy, curvature_field, esm_by_region,
 from sfglab.guidance import GuidanceSpec, sfg_init, sfg_step
 from sfglab.model import OracleModel, TrainConfig, train
 from sfglab.rng import derive_seed, generator
-from sfglab.sampler import GuidedProvider, euler_flow_sample, flow_time_schedule, heun_sample, sigma_schedule
+from sfglab.sampler import GuidedProvider, flow_time_schedule, sample, sigma_schedule
 from sfglab.svg import field_svg
 
 
@@ -101,10 +101,11 @@ class TestCriterion3PowerIterationFidelity:
         sigma = 0.5
         lam_max = sf.full_spectrum(sf.hessian(sf.smooth(spec, sigma), np.zeros(2)))[0].value
         target = sigma * sigma * lam_max
-        state = sfg_init(2, seed=303, alpha0=1.0, h=0.01, w=0.0)
+        gspec = GuidanceSpec(kind="sfg", weight=0.0, alpha0=1.0, h=0.01)
+        state = sfg_init(2, 303, gspec)
         x = np.zeros(2)
         for _ in range(25):
-            _, state = sfg_step(lambda z: om.predict_eps(z, sigma), x, sigma, state)
+            _, state = sfg_step(lambda z: om.predict_eps(z, sigma), x, sigma, state, gspec)
         err = abs(float(state.last_lambda) - target)
         align = abs(float(state.v[0]))
         elapsed = time.time() - start
@@ -119,9 +120,9 @@ class TestCriterion4GateSoundness:
         om = OracleModel(GmmSpec([1.0], np.zeros((1, 2)), [1.0]))
         sch = sigma_schedule(50, 0.01, 20.0)
         n = 200  # 200 trajectories x 50 steps = 10^4 sampled states
-        guided = heun_sample(GuidedProvider({"main": om}, [GuidanceSpec(kind="sfg", weight=3.0)]),
-                             sch, n, seed=404)
-        unguided = heun_sample(om.predict_eps, sch, n, seed=404, dim=2)
+        guided = sample(GuidedProvider({"main": om}, [GuidanceSpec(kind="sfg", weight=3.0)]),
+                        sch, n, seed=404)
+        unguided = sample(om.predict_eps, sch, n, seed=404, dim=2)
         n_states = guided.sfg_trace["gate"].size
         fires = int(guided.sfg_trace["gate"].sum())
         bitwise = bool(np.array_equal(guided.points, unguided.points))
@@ -151,11 +152,12 @@ class TestCriterion5CostContract:
         sch = flow_time_schedule(40, 0.01, 20.0)
         provider = GuidedProvider({"main": Counting()},
                                   [GuidanceSpec(kind="sfg", weight=2.0)], mode="flow")
-        euler_flow_sample(provider, sch, 8, seed=505)
+        sample(provider, sch, 8, seed=505)
         per_step = counter["n"] / sch.n_steps
         calls = []
-        st = sfg_init(2, seed=506, w=1.0)
-        sfg_step(lambda z: (calls.append(1), om.predict_eps(z, 0.5))[1], np.zeros(2), 0.5, st)
+        gspec = GuidanceSpec(kind="sfg", weight=1.0)
+        st = sfg_init(2, 506, gspec)
+        sfg_step(lambda z: (calls.append(1), om.predict_eps(z, 0.5))[1], np.zeros(2), 0.5, st, gspec)
         ok = per_step == 2.0 and len(calls) == 2
         report(5, ok, f"{per_step:g} evaluations per guided sampling step (== 2), "
                       f"single step used {len(calls)} (== 2)")
@@ -209,12 +211,12 @@ class TestCriterion10DeterminismAndConversions:
         finals = {}
         for n in (40, 80, 160):
             sch = sigma_schedule(n, 0.05, 10.0)
-            finals[n] = heun_sample(om.predict_eps, sch, 2, seed=708, dim=2, x0=x0).points
+            finals[n] = sample(om.predict_eps, sch, 2, seed=708, dim=2, x0=x0).points
         e1 = np.linalg.norm(finals[40] - finals[160])
         e2 = np.linalg.norm(finals[80] - finals[160])
         ratio = e1 / e2
         sch = sigma_schedule(100, 0.002, 10.0)
-        final = heun_sample(om.predict_eps, sch, 2, seed=708, dim=2, x0=x0).points
+        final = sample(om.predict_eps, sch, 2, seed=708, dim=2, x0=x0).points
         analytic = x0 * np.sqrt(v / (v + sch.steps[0] ** 2))
         rel = float(np.abs(final - analytic).max() / np.abs(analytic).max())
         ok = 2.8 < ratio < 6.0 and rel < 1e-3

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,9 +7,12 @@ import pytest
 
 from jsonschema import Draft202012Validator
 
+from sfglab import cli
 from sfglab.cli import main
-from sfglab.config import SCHEMA, ConfigError, _deep_merge, config_hash, load_config, validate_config
+from sfglab.config import (SCHEMA, ConfigError, _deep_merge, config_hash, load_config, sweep_stack,
+                           validate_config)
 from sfglab.datasets import LabeledPointSet
+from sfglab.guidance import GuidanceSpec
 from sfglab.model import ScoreModel, save_checkpoint
 
 
@@ -88,6 +92,10 @@ class TestConfigValidation:
     def test_schema_is_valid_draft_2020_12(self):
         Draft202012Validator.check_schema(SCHEMA)
 
+    def test_guidance_schema_keys_are_the_spec_fields(self):
+        keys = SCHEMA["properties"]["guidance"]["items"]["properties"]
+        assert set(keys) == {f.name for f in dataclasses.fields(GuidanceSpec)}
+
     def test_schema_violation(self):
         with pytest.raises(ConfigError, match="schema"):
             validate_config({"task": "simplex", "seed": -1})
@@ -125,6 +133,19 @@ class TestConfigValidation:
         cfg["guidance"] = [{"kind": "classifier", "weight": 1.0, "classifier_class": 0}]
         with pytest.raises(ConfigError, match="mixture task"):
             validate_config(cfg)
+
+    def test_classifier_sweep_takes_the_run_classifier_class(self):
+        cfg = validate_config({
+            "task": "two_gaussian", "seed": 0,
+            "data": {"two_gaussian": {"separation": 4.0, "base_variance": 1.0, "ambient_dim": 2}},
+            "models": {"main": {"hidden": [8]}, "bad": {"hidden": [8]}},
+            "guidance": [{"kind": "autoguidance", "weight": 2.0, "companion": "bad"},
+                         {"kind": "classifier", "weight": 1.0, "classifier_class": 1}],
+            "sweep": {"kind": "classifier", "weights": [0.0, 2.0]},
+        })
+        assert [s.classifier_class for s in sweep_stack(cfg, 2.0)] == [1]
+        cfg["guidance"] = cfg["guidance"][:1]  # no classifier spec: class 0
+        assert [s.classifier_class for s in sweep_stack(cfg, 2.0)] == [0]
 
     @pytest.mark.parametrize("change", REJECTED_GUIDANCE.values(), ids=REJECTED_GUIDANCE.keys())
     def test_guidance_rejected_at_load(self, tmp_path, capsys, change):
@@ -191,6 +212,38 @@ class TestExitCodes:
         save_checkpoint(ScoreModel(2, [16], n_classes=2, seed=1), out / "main.ckpt")
         assert main([command, "--config", path]) == 2
         assert "sample.class_id 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, change", [
+        ("sample.n_samples", {"sample": {"n_samples": 3}}),
+        ("eval.frechet_reference_n", {"eval": {"frechet_reference_n": 4}}),
+    ], ids=["n_samples", "frechet_reference_n"])
+    def test_too_few_frechet_samples_is_2(self, tmp_path, capsys, field, change):
+        # the simplex here is 4-d: the Frechet covariance needs at least 5 points
+        cfg = _deep_merge(simplex_config(tmp_path / "out"), change)
+        with pytest.raises(ConfigError, match=field):
+            validate_config(cfg)
+        assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_too_few_finite_samples_is_3(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        cfg = fractal_config(out)
+        cfg["sweep"] = {"kind": "sfg", "weights": [1.0], "metrics": ["frechet"]}
+        path = write_config(tmp_path, cfg)
+        assert main(["gen-data", "--config", path]) == 0
+        assert main(["train", "--config", path]) == 0
+        real_sample = cli.sample
+
+        def two_finite(*args, **kwargs):  # failed trajectories leave 2 samples in 2-d
+            trajs = real_sample(*args, **kwargs)
+            trajs.failed[2:] = True
+            return trajs
+
+        monkeypatch.setattr(cli, "sample", two_finite)
+        assert main(["sample", "--config", path]) == 0
+        for command in ("eval", "sweep"):
+            assert main([command, "--config", path]) == 3
+            assert "too few for the Frechet distance" in capsys.readouterr().err
 
     def test_missing_config_is_4(self, capsys):
         assert main(["train", "--config", "/definitely/not/here.json"]) == 4

@@ -3,8 +3,7 @@ import pytest
 
 from sfglab.datasets import GmmSpec, make_two_gaussian
 from sfglab.guidance import (GuidanceSpec, SfgState, autoguidance, cfg,
-                             classifier_guidance, interval_cfg, sfg_init,
-                             sfg_on_score, sfg_step)
+                             classifier_guidance, interval_cfg, sfg_init, sfg_step)
 from sfglab.model import OracleModel
 from sfglab.oracle import classifier_grad, full_spectrum, hessian, score, smooth
 from sfglab.rng import derive_seed
@@ -15,29 +14,33 @@ def single_gaussian_eps(variance=1.0):
     return OracleModel(spec)
 
 
+def sfg_spec(weight=0.0, **kw):
+    return GuidanceSpec(kind="sfg", weight=weight, **kw)
+
+
 class TestSfgInit:
     def test_unit_norm(self):
-        st = sfg_init(64, seed=0)
+        st = sfg_init(64, 0, sfg_spec())
         assert abs(np.linalg.norm(st.v) - 1.0) < 1e-12
 
     def test_seed_determinism(self):
-        assert np.array_equal(sfg_init(16, seed=3).v, sfg_init(16, seed=3).v)
-        assert not np.array_equal(sfg_init(16, seed=3).v, sfg_init(16, seed=4).v)
+        assert np.array_equal(sfg_init(16, 3, sfg_spec()).v, sfg_init(16, 3, sfg_spec()).v)
+        assert not np.array_equal(sfg_init(16, 3, sfg_spec()).v, sfg_init(16, 4, sfg_spec()).v)
 
     def test_sphere_uniformity_coordinate_means(self):
         # each coordinate of a uniform unit vector has mean 0, variance 1/n
         n, trials = 8, 10000
-        vs = np.stack([sfg_init(n, seed=derive_seed(1, i)).v for i in range(trials)])
+        vs = np.stack([sfg_init(n, derive_seed(1, i), sfg_spec()).v for i in range(trials)])
         band = 3.0 * np.sqrt(1.0 / n / trials)
         assert np.abs(vs.mean(axis=0)).max() < band
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sfg_init(0, seed=0)
+            sfg_init(0, 0, sfg_spec())
         with pytest.raises(ValueError):
-            sfg_init(4, seed=0, h=0.0)
+            sfg_init(4, 0, sfg_spec(h=0.0))
         with pytest.raises(ValueError):
-            sfg_init(4, seed=0, w=-1.0)
+            sfg_init(4, 0, sfg_spec(weight=-1.0))
 
 
 class TestSfgStep:
@@ -46,9 +49,10 @@ class TestSfgStep:
         om = single_gaussian_eps()
         sigma = 0.7
         eps_fn = lambda z: om.predict_eps(z, sigma)
-        st = sfg_init(2, seed=1, w=2.0)
+        gspec = sfg_spec(weight=2.0)
+        st = sfg_init(2, 1, gspec)
         x = np.array([0.3, -1.2])
-        eps_hat, st = sfg_step(eps_fn, x, sigma, st)
+        eps_hat, st = sfg_step(eps_fn, x, sigma, st, gspec)
         expected_lam = -sigma**2 / (1 + sigma**2)
         assert abs(st.last_lambda - expected_lam) < 1e-12
         assert np.array_equal(eps_hat, eps_fn(x))  # gate closed: untouched
@@ -58,10 +62,11 @@ class TestSfgStep:
         om = OracleModel(spec)
         sigma = 0.5
         eps_fn = lambda z: om.predict_eps(z, sigma)
-        st = sfg_init(2, seed=2, w=0.0)
+        gspec = sfg_spec(weight=0.0)
+        st = sfg_init(2, 2, gspec)
         x = np.zeros(2)
         for _ in range(8):  # let the carry align with the saddle direction
-            eps_hat, st = sfg_step(eps_fn, x, sigma, st)
+            eps_hat, st = sfg_step(eps_fn, x, sigma, st, gspec)
             assert np.array_equal(eps_hat, eps_fn(x))
         assert st.last_lambda > 0  # saddle point: estimate positive even at w=0
 
@@ -74,10 +79,11 @@ class TestSfgStep:
         lam_max = full_spectrum(hessian(g, np.zeros(2)))[0].value
         target = sigma**2 * lam_max
         eps_fn = lambda z: om.predict_eps(z, sigma)
-        st = sfg_init(2, seed=3, alpha0=1.0, h=0.01, w=0.0)
+        gspec = sfg_spec(alpha0=1.0, h=0.01, weight=0.0)
+        st = sfg_init(2, 3, gspec)
         x = np.zeros(2)
         for _ in range(25):
-            _, st = sfg_step(eps_fn, x, sigma, st)
+            _, st = sfg_step(eps_fn, x, sigma, st, gspec)
         assert abs(st.last_lambda - target) <= 1e-3 * (1 + abs(target))
         assert abs(st.v[0]) > 0.999
 
@@ -103,9 +109,10 @@ class TestSfgStep:
             def eps_fn(z):
                 return -sigma * (s0 + h_mat @ (z - x0))
 
-            st = sfg_init(n, seed=int(rng.integers(1 << 30)), alpha0=1.0, h=0.05, w=0.0)
+            gspec = sfg_spec(alpha0=1.0, h=0.05, weight=0.0)
+            st = sfg_init(n, int(rng.integers(1 << 30)), gspec)
             for _ in range(50):
-                _, st = sfg_step(eps_fn, x0, sigma, st)
+                _, st = sfg_step(eps_fn, x0, sigma, st, gspec)
             vals = sigma**2 * np.array([p.value for p in full_spectrum(h_mat)])
             shifted = vals + float(st.alpha) * sigma
             if len(vals) < 2 or abs(shifted[0]) == 0:
@@ -121,12 +128,13 @@ class TestSfgStep:
         om = single_gaussian_eps(0.3)
         sigma = 1.5
         eps_fn = lambda z: om.predict_eps(z, sigma)
-        st = sfg_init(2, seed=5, alpha0=0.0, w=1.0)
+        gspec = sfg_spec(alpha0=0.0, weight=1.0)
+        st = sfg_init(2, 5, gspec)
         rng = np.random.default_rng(6)
         prev_alpha = 0.0
         for _ in range(20):
             x = rng.standard_normal(2)
-            _, st = sfg_step(eps_fn, x, sigma, st)
+            _, st = sfg_step(eps_fn, x, sigma, st, gspec)
             assert st.alpha >= prev_alpha - 1e-15
             assert st.last_lambda + st.alpha >= -1e-12
             prev_alpha = st.alpha
@@ -136,13 +144,14 @@ class TestSfgStep:
         # everywhere, so the gate must stay closed at every sampled state
         om = single_gaussian_eps()
         rng = np.random.default_rng(7)
-        st = sfg_init(2, seed=8, w=3.0)
+        gspec = sfg_spec(weight=3.0)
+        st = sfg_init(2, 8, gspec)
         for _ in range(1000):
             sigma = float(rng.random() * 2 + 0.05)
             x = rng.standard_normal(2) * 3
             eps_fn = lambda z: om.predict_eps(z, sigma)
             base = eps_fn(x)
-            eps_hat, st = sfg_step(eps_fn, x, sigma, st)
+            eps_hat, st = sfg_step(eps_fn, x, sigma, st, gspec)
             assert st.last_lambda < 0
             assert np.array_equal(eps_hat, base)
 
@@ -157,7 +166,7 @@ class TestSfgStep:
         target = sigma**2 * (hessian(g, x) @ v)
         errs = []
         for h in (0.2, 0.1, 0.05, 0.025):
-            st = SfgState(v=v, alpha=1.0, last_lambda=0.0, h=h, w=0.0)
+            st = SfgState(v=v, alpha=1.0, last_lambda=0.0)
             eps_fn = lambda z: om.predict_eps(z, sigma)
             eps_hat = eps_fn(x)
             probe = eps_fn(x + h * sigma * v)
@@ -176,18 +185,20 @@ class TestSfgStep:
             calls.append(1)
             return om.predict_eps(z, 0.5)
 
-        st = sfg_init(2, seed=9, w=1.0)
-        sfg_step(eps_fn, np.zeros(2), 0.5, st)
+        gspec = sfg_spec(weight=1.0)
+        st = sfg_init(2, 9, gspec)
+        sfg_step(eps_fn, np.zeros(2), 0.5, st, gspec)
         assert len(calls) == 2
 
     def test_degenerate_direction_keeps_previous_vector(self):
         def eps_fn(z):
             return np.zeros_like(z)
 
-        st = sfg_init(3, seed=10, alpha0=0.0, w=2.0)
+        gspec = sfg_spec(alpha0=0.0, weight=2.0)
+        st = sfg_init(3, 10, gspec)
         v_before = st.v.copy()
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            eps_hat, st2 = sfg_step(eps_fn, np.ones(3), 0.5, st)
+            eps_hat, st2 = sfg_step(eps_fn, np.ones(3), 0.5, st, gspec)
         assert np.array_equal(st2.v, v_before)
         assert np.array_equal(eps_hat, np.zeros(3))
 
@@ -196,53 +207,16 @@ class TestSfgStep:
         om = OracleModel(spec)
         sigma = 0.5
         eps_fn = lambda z: om.predict_eps(z, sigma)
-        from sfglab.guidance import stack_states
-
-        singles = [sfg_init(2, seed=s, w=1.5) for s in (1, 2, 3)]
-        batch = stack_states(singles)
+        gspec = sfg_spec(1.5)
+        singles = [sfg_init(2, s, gspec) for s in (1, 2, 3)]
+        batch = sfg_init(2, (1, 2, 3), gspec)
         xs = np.array([[0.0, 0.0], [0.5, 0.1], [-2.0, 0.4]])
-        eps_b, batch2 = sfg_step(eps_fn, xs, sigma, batch)
+        eps_b, batch2 = sfg_step(eps_fn, xs, sigma, batch, gspec)
         for i, st in enumerate(singles):
-            eps_s, st2 = sfg_step(eps_fn, xs[i], sigma, st)
+            eps_s, st2 = sfg_step(eps_fn, xs[i], sigma, st, gspec)
             assert np.allclose(eps_b[i], eps_s, rtol=1e-14, atol=0)
             assert np.allclose(batch2.v[i], st2.v, rtol=1e-14, atol=0)
             assert np.isclose(batch2.last_lambda[i], st2.last_lambda)
-
-    def test_unit_shift_ablation_flag(self):
-        om = single_gaussian_eps()
-        sigma = 0.5
-        eps_fn = lambda z: om.predict_eps(z, sigma)
-        st_sig = sfg_init(2, seed=11, alpha0=1.0, w=0.0)
-        st_unit = sfg_init(2, seed=11, alpha0=1.0, w=0.0, sigma_scaled_shift=False)
-        _, a = sfg_step(eps_fn, np.ones(2), sigma, st_sig)
-        _, b = sfg_step(eps_fn, np.ones(2), sigma, st_unit)
-        assert not np.array_equal(a.v, b.v)  # carries rotate differently
-        assert np.isclose(a.last_lambda, b.last_lambda)  # estimate unaffected
-
-
-class TestSfgOnScore:
-    def test_matches_eps_space_path(self):
-        spec = make_two_gaussian(4.0, 1.0, 2)
-        om = OracleModel(spec)
-        sigma = 0.5
-        g = smooth(spec, sigma)
-        score_fn = lambda z: score(g, z)
-        eps_fn = lambda z: om.predict_eps(z, sigma)
-        st = sfg_init(2, seed=12, w=2.0)
-        s_hat, st_a = sfg_on_score(score_fn, np.zeros(2), sigma, st)
-        eps_hat, st_b = sfg_step(eps_fn, np.zeros(2), sigma, st)
-        assert np.allclose(s_hat, -eps_hat / sigma, rtol=1e-12)
-        assert np.allclose(st_a.v, st_b.v, rtol=1e-12)
-
-    def test_zero_weight_identity(self):
-        om = single_gaussian_eps()
-        sigma = 0.8
-        g = smooth(om.spec, sigma)
-        score_fn = lambda z: score(g, z)
-        st = sfg_init(2, seed=13, w=0.0)
-        x = np.array([0.5, 0.5])
-        s_hat, _ = sfg_on_score(score_fn, x, sigma, st)
-        assert np.allclose(s_hat, score_fn(x), rtol=1e-12)
 
 
 class TestLinearCombinations:

@@ -4,8 +4,7 @@ import pytest
 from sfglab.datasets import GmmSpec, make_two_gaussian
 from sfglab.guidance import GuidanceSpec
 from sfglab.model import OracleModel, ScoreModel
-from sfglab.sampler import (GuidedProvider, Schedule, euler_flow_sample,
-                            flow_time_schedule, heun_sample, sigma_schedule)
+from sfglab.sampler import GuidedProvider, Schedule, flow_time_schedule, sample, sigma_schedule
 
 
 def single_gaussian_oracle(variance=1.0, dim=2):
@@ -55,15 +54,15 @@ class TestSchedules:
 class TestHeun:
     def test_zero_eps_keeps_latents(self):
         sch = sigma_schedule(20, 0.01, 5.0)
-        trajs = heun_sample(lambda x, s: np.zeros_like(x), sch, 16, seed=1, dim=3)
-        ref = heun_sample(lambda x, s: np.zeros_like(x), sch, 16, seed=1, dim=3,
-                          record_states=True)
+        trajs = sample(lambda x, s: np.zeros_like(x), sch, 16, seed=1, dim=3)
+        ref = sample(lambda x, s: np.zeros_like(x), sch, 16, seed=1, dim=3,
+                     record_states=True)
         assert np.array_equal(trajs.points, ref.states[0])
 
     def test_single_gaussian_samples_match_target(self):
         om = single_gaussian_oracle()
         sch = sigma_schedule(100, 0.002, 80.0)
-        trajs = heun_sample(om.predict_eps, sch, 10_000, seed=2, dim=2)
+        trajs = sample(om.predict_eps, sch, 10_000, seed=2, dim=2)
         from sfglab.evaluation import gaussian_frechet
         ref = np.random.default_rng(3).standard_normal((10_000, 2))
         assert gaussian_frechet(trajs.points, ref) < 0.01
@@ -74,7 +73,7 @@ class TestHeun:
         om = single_gaussian_oracle(v)
         sch = sigma_schedule(100, 0.002, 10.0)
         x0 = np.array([[1.3, -0.4], [0.2, 2.0]])
-        trajs = heun_sample(om.predict_eps, sch, 2, seed=4, dim=2, x0=x0)
+        trajs = sample(om.predict_eps, sch, 2, seed=4, dim=2, x0=x0)
         expected = x0 * np.sqrt(v / (v + sch.steps[0] ** 2))
         rel = np.abs(trajs.points - expected) / np.abs(expected)
         assert rel.max() < 1e-3
@@ -86,7 +85,7 @@ class TestHeun:
         finals = {}
         for n in (40, 80, 160):
             sch = sigma_schedule(n, 0.05, 10.0)
-            finals[n] = heun_sample(om.predict_eps, sch, 1, seed=5, dim=2, x0=x0).points
+            finals[n] = sample(om.predict_eps, sch, 1, seed=5, dim=2, x0=x0).points
         e1 = np.linalg.norm(finals[40] - finals[160])
         e2 = np.linalg.norm(finals[80] - finals[160])
         assert 2.8 < e1 / e2 < 6.0  # ~4x shrink per halving: order 2
@@ -98,7 +97,7 @@ class TestHeun:
             return out
 
         sch = sigma_schedule(5, 0.1, 2.0)
-        trajs = heun_sample(exploding, sch, 32, seed=6, dim=2)
+        trajs = sample(exploding, sch, 32, seed=6, dim=2)
         assert 0 < trajs.n_failed < 32
         pts = trajs.to_point_set()
         assert len(pts) == 32 - trajs.n_failed
@@ -107,18 +106,18 @@ class TestHeun:
     def test_determinism_and_thread_invariance(self):
         om = single_gaussian_oracle()
         sch = sigma_schedule(20, 0.01, 10.0)
-        a = heun_sample(om.predict_eps, sch, 70, seed=7, dim=2, chunk_size=16, threads=1)
-        b = heun_sample(om.predict_eps, sch, 70, seed=7, dim=2, chunk_size=16, threads=4)
+        a = sample(om.predict_eps, sch, 70, seed=7, dim=2, chunk_size=16, threads=1)
+        b = sample(om.predict_eps, sch, 70, seed=7, dim=2, chunk_size=16, threads=4)
         assert np.array_equal(a.points, b.points)
-        c = heun_sample(om.predict_eps, sch, 70, seed=7, dim=2, chunk_size=16, threads=1)
+        c = sample(om.predict_eps, sch, 70, seed=7, dim=2, chunk_size=16, threads=1)
         assert np.array_equal(a.points, c.points)
 
 
 class TestEulerFlow:
     def test_zero_velocity_constant(self):
         sch = flow_time_schedule(10)
-        trajs = euler_flow_sample(lambda x, t: np.zeros_like(x), sch, 8, seed=8, dim=2,
-                                  record_states=True)
+        trajs = sample(lambda x, t: np.zeros_like(x), sch, 8, seed=8, dim=2,
+                       record_states=True)
         assert np.array_equal(trajs.points, trajs.states[0])
 
     def test_straight_line_field_reaches_target(self):
@@ -133,14 +132,14 @@ class TestEulerFlow:
         steps = np.linspace(0.0, t_end, 400)
         sch = Schedule("flow_time", steps)
         x0 = np.array([[5.0, 5.0]])
-        trajs = euler_flow_sample(field, sch, 1, seed=9, dim=2, x0=x0)
+        trajs = sample(field, sch, 1, seed=9, dim=2, x0=x0)
         exact_gap = np.linalg.norm(x0[0] - target) * (1.0 - t_end)
         assert np.linalg.norm(trajs.points[0] - target) < 1.5 * exact_gap
 
     def test_oracle_flow_generation(self):
         om = single_gaussian_oracle()
         sch = flow_time_schedule(100, 0.002, 80.0)
-        trajs = euler_flow_sample(om.predict_velocity, sch, 4000, seed=10, dim=2)
+        trajs = sample(om.predict_velocity, sch, 4000, seed=10, dim=2)
         pts = trajs.points
         assert np.abs(pts.mean(axis=0)).max() < 0.1
         assert np.abs(np.cov(pts, rowvar=False) - np.eye(2)).max() < 0.12
@@ -155,11 +154,11 @@ class TestGuidedProviders:
     def run(self, specs, n=64, seed=11, **kw):
         provider = GuidedProvider({"main": self.om, "uncond": self.om, "bad": self.om},
                                   specs, gmm=self.spec)
-        return heun_sample(provider, self.sch, n, seed=seed, **kw)
+        return sample(provider, self.sch, n, seed=seed, **kw)
 
     def test_none_passthrough_matches_bare_model(self):
         guided = self.run([GuidanceSpec(kind="none")])
-        bare = heun_sample(self.om.predict_eps, self.sch, 64, seed=11, dim=2)
+        bare = sample(self.om.predict_eps, self.sch, 64, seed=11, dim=2)
         assert np.array_equal(guided.points, bare.points)
 
     def test_cfg_identity_weight_bitwise(self):
@@ -187,8 +186,8 @@ class TestGuidedProviders:
     def test_sfg_gate_closed_task_is_bitwise_unguided(self):
         om = single_gaussian_oracle()
         provider = GuidedProvider({"main": om}, [GuidanceSpec(kind="sfg", weight=3.0)])
-        guided = heun_sample(provider, self.sch, 64, seed=12)
-        base = heun_sample(om.predict_eps, self.sch, 64, seed=12, dim=2)
+        guided = sample(provider, self.sch, 64, seed=12)
+        base = sample(om.predict_eps, self.sch, 64, seed=12, dim=2)
         assert np.array_equal(guided.points, base.points)
         assert not guided.sfg_trace["gate"].any()
 
@@ -200,21 +199,23 @@ class TestGuidedProviders:
         # monotone alpha along every trajectory
         assert np.all(np.diff(trace["alpha"], axis=0) >= -1e-15)
 
-    def test_sfg_manual_state_threading_matches_sampler(self):
+    @pytest.mark.parametrize("h, alpha0", [(0.1, 1.0), (0.03, 2.5)], ids=["default", "nondefault"])
+    def test_sfg_manual_state_threading_matches_sampler(self, h, alpha0):
         # re-run the integrator by hand with sfg_step to confirm the state
-        # carry v_i = u_{i-1}/||u_{i-1}|| is exactly what the sampler does
-        from sfglab.guidance import sfg_step, stack_states, sfg_init
+        # carry v_i = u_{i-1}/||u_{i-1}|| is exactly what the sampler does,
+        # with the spec's h and alpha0 reaching the step
+        from sfglab.guidance import SfgState, sfg_init, sfg_step
         from sfglab.rng import derive_seed, generator
 
-        spec = GuidanceSpec(kind="sfg", weight=2.0, alpha0=1.0, h=0.1)
+        spec = GuidanceSpec(kind="sfg", weight=2.0, alpha0=alpha0, h=h)
         n, seed = 8, 13
         guided = self.run([spec], n=n, seed=seed)
 
         steps = self.sch.steps
         seeds = [derive_seed(seed, i) for i in range(n)]
         x = np.stack([generator(s, 0).standard_normal(2) for s in seeds]) * steps[0]
-        state = stack_states([sfg_init(2, derive_seed(s, 1), alpha0=1.0, h=0.1, w=2.0)
-                              for s in seeds])
+        v = np.stack([sfg_init(2, derive_seed(s, 1), spec).v for s in seeds])
+        state = SfgState(v=v, alpha=np.full(n, alpha0), last_lambda=np.zeros(n))
         for k in range(len(steps) - 1):
             s_cur, s_next = steps[k], steps[k + 1]
             raw = []
@@ -223,7 +224,7 @@ class TestGuidedProviders:
                 raw.append(self.om.predict_eps(z, s_cur))
                 return raw[-1]
 
-            d_cur, state = sfg_step(eps_fn, x, s_cur, state)
+            d_cur, state = sfg_step(eps_fn, x, s_cur, state, spec)
             corr = raw[0] - d_cur
             x_new = x + (s_next - s_cur) * d_cur
             if s_next > 0:
@@ -251,8 +252,8 @@ class TestGuidedProviders:
             {"main": self.om, "bad": degraded},
             [GuidanceSpec(kind="autoguidance", weight=1.5, companion="bad"),
              GuidanceSpec(kind="sfg", weight=1.0)], gmm=self.spec)
-        stacked = heun_sample(provider, self.sch, 32, seed=14)
-        ag_only = heun_sample(
+        stacked = sample(provider, self.sch, 32, seed=14)
+        ag_only = sample(
             GuidedProvider({"main": self.om, "bad": degraded},
                            [GuidanceSpec(kind="autoguidance", weight=1.5, companion="bad")]),
             self.sch, 32, seed=14)
@@ -300,7 +301,7 @@ class TestCostContract:
         sch = flow_time_schedule(25, 0.01, 10.0)
         provider = GuidedProvider({"main": Counting()},
                                   [GuidanceSpec(kind="sfg", weight=1.0)], mode="flow")
-        euler_flow_sample(provider, sch, 4, seed=15)
+        sample(provider, sch, 4, seed=15)
         assert counter["n"] == 2 * sch.n_steps
 
     def test_sfg_heun_adds_one_eval_over_unguided(self):
@@ -318,7 +319,7 @@ class TestCostContract:
                     return om.predict_eps(x, sigma, class_ids)
 
             provider = GuidedProvider({"main": Counting()}, specs)
-            heun_sample(provider, sigma_schedule(20, 0.01, 10.0), 4, seed=16)
+            sample(provider, sigma_schedule(20, 0.01, 10.0), 4, seed=16)
             counts.append(counter["n"])
         n_steps = 20
         assert counts[0] == 2 * n_steps - 1  # heun: predictor + corrector, last step euler
@@ -329,20 +330,20 @@ class TestModelBackedSampling:
     def test_trained_model_runs_through_sampler(self):
         m = ScoreModel(2, [16], seed=17)
         sch = sigma_schedule(10, 0.05, 5.0)
-        trajs = heun_sample(GuidedProvider({"main": m}, [GuidanceSpec(kind="none")]),
-                            sch, 8, seed=18)
+        trajs = sample(GuidedProvider({"main": m}, [GuidanceSpec(kind="none")]),
+                       sch, 8, seed=18)
         assert trajs.points.shape == (8, 2)
         assert np.all(np.isfinite(trajs.points))
 
     def test_flow_model_euler_sampling(self):
         m = ScoreModel(2, [16], param="flow", seed=19)
         sch = flow_time_schedule(10, 0.05, 5.0)
-        trajs = euler_flow_sample(GuidedProvider({"main": m}, [GuidanceSpec(kind="none")],
-                                                 mode="flow"), sch, 8, seed=20)
+        trajs = sample(GuidedProvider({"main": m}, [GuidanceSpec(kind="none")],
+                                      mode="flow"), sch, 8, seed=20)
         assert trajs.points.shape == (8, 2)
 
     def test_mode_schedule_mismatch_rejected(self):
         m = ScoreModel(2, [16], seed=21)
         provider = GuidedProvider({"main": m}, [GuidanceSpec(kind="none")], mode="eps")
         with pytest.raises(ValueError, match="does not fit"):
-            euler_flow_sample(provider, flow_time_schedule(10), 4, seed=22)
+            sample(provider, flow_time_schedule(10), 4, seed=22)
