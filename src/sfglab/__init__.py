@@ -49,7 +49,6 @@ from .guidance import (
     autoguidance,
     cfg,
     classifier_guidance,
-    interval_cfg,
     sfg_init,
     sfg_step,
 )
@@ -67,5 +66,4 @@ from .evaluation import (
     esm_by_region,
     gaussian_frechet,
     outlier_rate,
-    sweep,
 )

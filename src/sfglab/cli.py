@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, evaluation, svg
 from .config import (ConfigError, MissingArtifact, NumericFailure, config_hash, guidance_stack,
-                     load_config, schedule, sweep_stack, task_specs, train_config)
+                     load_config, schedule, sweep_points, task_specs, train_config)
 from .datasets import LabeledPointSet, read_csv, sample_gmm
 from .model import TrainingDiverged, load_checkpoint, save_checkpoint, train
 from .oracle import smooth
@@ -169,17 +169,6 @@ def _load_models(out: Path, names) -> dict:
     return table
 
 
-def _guided_models(cfg: dict, out: Path, specs):
-    """Load sample.model (as 'main') plus the companions of specs; returns the
-    main model and a GuidedProvider factory for stacks over that table."""
-    main = cfg["sample"]["model"]
-    table = _load_models(out, sorted({main} | {s.companion for s in specs if s.companion}))
-    table["main"] = table[main]
-    mode = "eps" if cfg["schedule"]["kind"] == "sigma" else "flow"
-    gmm = task_specs(cfg).get("base")
-    return table["main"], lambda stack: GuidedProvider(table, stack, mode=mode, gmm=gmm)
-
-
 def _class_ids_for(cfg: dict, model, n_samples: int):
     """sample.class_id for every trajectory: None, one id (negative means
     unconditional) or, for "random", one seeded draw per trajectory."""
@@ -195,22 +184,35 @@ def _class_ids_for(cfg: dict, model, n_samples: int):
     return choice
 
 
-def _run_sampler(cfg: dict, provider, n_samples: int, class_ids):
+def _stack_sampler(cfg: dict, out: Path, specs):
+    """Load sample.model (as 'main') plus the companions of specs; returns
+    run(stack) -> (Trajectories, Schedule), which samples one guidance stack
+    over that model table with the run's seed, schedule and class ids."""
+    main = cfg["sample"]["model"]
+    table = _load_models(out, sorted({main} | {s.companion for s in specs if s.companion}))
+    table["main"] = table[main]
+    mode = "eps" if cfg["schedule"]["kind"] == "sigma" else "flow"
+    gmm = task_specs(cfg).get("base")
+    n_samples = cfg["sample"]["n_samples"]
+    class_ids = _class_ids_for(cfg, table["main"], n_samples)
     sch = schedule(cfg)
-    trajs = sample(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
-                   chunk_size=cfg["sample"]["chunk_size"], threads=cfg["threads"])
-    if trajs.n_failed == n_samples:
-        raise NumericFailure("all trajectories became non-finite")
-    return trajs, sch
+
+    def run(stack):
+        provider = GuidedProvider(table, stack, mode=mode, gmm=gmm)
+        trajs = sample(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
+                       chunk_size=cfg["sample"]["chunk_size"], threads=cfg["threads"])
+        if trajs.n_failed == n_samples:
+            raise NumericFailure("all trajectories became non-finite")
+        return trajs, sch
+
+    return run
 
 
 def cmd_sample(cfg: dict) -> int:
     out = _ensure_out(cfg)
     specs = guidance_stack(cfg)
-    main, provider_for = _guided_models(cfg, out, specs)
+    trajs, sch = _stack_sampler(cfg, out, specs)(specs)
     n_samples = cfg["sample"]["n_samples"]
-    class_ids = _class_ids_for(cfg, main, n_samples)
-    trajs, sch = _run_sampler(cfg, provider_for(specs), n_samples, class_ids)
     tag = _sample_tag(cfg)
     trajs.to_point_set().to_csv(out / f"samples_{tag}.csv")
     extra = {"tag": tag, "n_failed": trajs.n_failed, "n_samples": n_samples}
@@ -230,6 +232,15 @@ def _default_sigmas() -> list:
     return list(np.geomspace(0.02, 10.0, 12))
 
 
+def _frechet_sized(s: LabeledPointSet) -> LabeledPointSet:
+    """s, if it has enough points for the Frechet distance's full-rank
+    covariance; failed trajectories or an empty samples file can leave too few."""
+    if len(s) <= s.dim:
+        raise NumericFailure(f"{len(s)} finite samples are too few for the Frechet "
+                             f"distance in {s.dim}-d")
+    return s
+
+
 def _sample_metrics(cfg: dict, specs: dict) -> dict:
     """Sample-set metrics against the task's exact reference: Frechet distance
     to a seeded reference draw, outlier rate and coverage entropy."""
@@ -247,14 +258,8 @@ def _sample_metrics(cfg: dict, specs: dict) -> dict:
     # outlier/coverage arrays of an earlier metric call are alive
     ref = functools.cache(draw)
 
-    def frechet(s):
-        if len(s) <= s.dim:  # failed trajectories can leave too few for a full-rank covariance
-            raise NumericFailure(f"{len(s)} finite samples are too few for the Frechet "
-                                 f"distance in {s.dim}-d")
-        return evaluation.gaussian_frechet(s, ref())
-
     return {
-        "frechet": frechet,
+        "frechet": lambda s: evaluation.gaussian_frechet(_frechet_sized(s), ref()),
         "outlier_rate": lambda s: evaluation.outlier_rate(s, manifold, threshold),
         "coverage_entropy": lambda s: evaluation.coverage_entropy(s, manifold),
     }
@@ -282,7 +287,7 @@ def cmd_eval(cfg: dict) -> int:
     if ecfg.get("samples_file") and not spath.exists():
         raise MissingArtifact(f"samples file {spath} not found")
     if spath.exists():
-        samples = _read_points(spath)
+        samples = _frechet_sized(_read_points(spath))  # every eval computes the Frechet distance
         metrics = _sample_metrics(cfg, specs)
         report.outlier_rate = metrics["outlier_rate"](samples)
         report.coverage_entropy = metrics["coverage_entropy"](samples)
@@ -311,28 +316,20 @@ def cmd_eval(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     out = _ensure_out(cfg)
-    sw = cfg.get("sweep")
-    if not sw:
+    if not cfg.get("sweep"):
         raise ConfigError("sweep needs a sweep section")
-    main, provider_for = _guided_models(cfg, out, sweep_stack(cfg, sw["weights"][0]))
-    n_samples = cfg["sample"]["n_samples"]
-    class_ids = _class_ids_for(cfg, main, n_samples)
-
-    def sample_fn(weight, alpha, h):
-        provider = provider_for(sweep_stack(cfg, weight, alpha, h))
-        trajs, _ = _run_sampler(cfg, provider, n_samples, class_ids)
-        return trajs.to_point_set()
-
+    points = sweep_points(cfg)
+    run = _stack_sampler(cfg, out, [s for _, stack in points for s in stack])
     available = _sample_metrics(cfg, task_specs(cfg))
-    metric_fns = {name: available[name] for name in sw.get("metrics", ["frechet"])}
-
-    try:
-        rows = evaluation.sweep(sample_fn, metric_fns, sw["weights"],
-                                alphas=sw.get("alphas"), h_values=sw.get("h_values"))
-    except RuntimeError as exc:  # names the failed run; a numeric cause still exits 3
-        if isinstance(exc.__cause__, NumericFailure):
-            raise NumericFailure(str(exc)) from exc
-        raise
+    metrics = {name: available[name] for name in cfg["sweep"].get("metrics", ["frechet"])}
+    rows = []
+    for run_id, (row, stack) in enumerate(points):
+        try:
+            samples = run(stack)[0].to_point_set()
+            rows.append({**row, **{name: float(fn(samples)) for name, fn in metrics.items()}})
+        except NumericFailure as exc:
+            labels = ", ".join(f"{key}={value:g}" for key, value in row.items())
+            raise NumericFailure(f"sweep run {run_id} ({labels}) failed: {exc}") from exc
     evaluation.sweep_to_csv(rows, out / "sweep.csv")
     _write_manifest(out / "sweep_manifest.json", "sweep", cfg, {"rows": len(rows)})
     print(f"sweep: {len(rows)} rows -> {out / 'sweep.csv'}")

@@ -1,6 +1,6 @@
 """Run configuration: JSON checked against a published schema, and the
 builders that turn a config into run objects (task_specs, train_config,
-schedule, guidance_stack, sweep_stack). The schema fixes shape and types;
+schedule, guidance_stack, sweep_points). The schema fixes shape and types;
 each value rule lives in the constructor that consumes the value. The
 commands call these builders, and loading calls all of them once, so a
 config that loads does not fail later on a value they check."""
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import json
 import os
 
@@ -17,7 +18,6 @@ from jsonschema.exceptions import best_match
 
 from .datasets import (FractalSpec, make_fractal, make_outlier_gmm, make_saddle_gmm,
                        make_simplex_gmm, make_two_gaussian)
-from .evaluation import sweep_grid
 from .guidance import GUIDANCE_KINDS, GuidanceSpec, check_stack
 from .model import TrainConfig
 from .rng import derive_seed
@@ -257,20 +257,26 @@ def guidance_stack(cfg: dict) -> list[GuidanceSpec]:
     return [GuidanceSpec(**d) for d in cfg["guidance"]]
 
 
-def sweep_stack(cfg: dict, weight, alpha=None, h=None) -> list[GuidanceSpec]:
-    """The one-spec guidance stack of one sweep point (alpha/h None keep the
-    spec defaults)."""
+def sweep_points(cfg: dict) -> list[tuple[dict, list[GuidanceSpec]]]:
+    """One (sweep.csv row labels, one-spec guidance stack) per grid point, in
+    run order: weights outermost, then alphas, then h_values. alpha and h label
+    the row, and set the spec's alpha0 and h, only when the sweep lists them."""
     sw = cfg["sweep"]
-    kw = {"kind": sw["kind"], "weight": float(weight)}
-    kw.update({key: sw[key] for key in ("companion", "interval") if key in sw})
-    if alpha is not None:
-        kw["alpha0"] = float(alpha)
-    if h is not None:
-        kw["h"] = float(h)
+    fixed = {key: sw[key] for key in ("kind", "companion", "interval") if key in sw}
     if sw["kind"] == "classifier":  # the class of the run's classifier spec, if it has one
-        kw["classifier_class"] = next((d["classifier_class"] for d in cfg["guidance"]
-                                       if d["kind"] == "classifier"), 0)
-    return [GuidanceSpec(**kw)]
+        fixed["classifier_class"] = next((d["classifier_class"] for d in cfg["guidance"]
+                                          if d["kind"] == "classifier"), 0)
+    points = []
+    grid = itertools.product(sw["weights"], sw.get("alphas") or [None], sw.get("h_values") or [None])
+    for w, a, h in grid:
+        row = {"weight": float(w)}
+        spec = dict(fixed, weight=float(w))
+        if a is not None:
+            row["alpha"] = spec["alpha0"] = float(a)
+        if h is not None:
+            row["h"] = spec["h"] = float(h)
+        points.append((row, [GuidanceSpec(**spec)]))
+    return points
 
 
 def _cross_field_check(cfg: dict) -> None:
@@ -281,7 +287,6 @@ def _cross_field_check(cfg: dict) -> None:
     main = cfg["sample"]["model"]
     if models and main not in models:
         raise ConfigError(f"sample.model {main!r} not among models {sorted(models)}")
-    sw = cfg.get("sweep")
     where = f"data.{task}"
     try:
         specs = task_specs(cfg)
@@ -292,9 +297,8 @@ def _cross_field_check(cfg: dict) -> None:
         schedule(cfg)
         where = "guidance"
         stacks = [guidance_stack(cfg)]
-        if sw:
-            grid = sweep_grid(sw["weights"], alphas=sw.get("alphas"), h_values=sw.get("h_values"))
-            stacks += [sweep_stack(cfg, w, a, h) for w, a, h in grid]
+        if cfg.get("sweep"):
+            stacks += [stack for _, stack in sweep_points(cfg)]
         for stack in stacks:
             check_stack(stack, models)
     except (ValueError, ArithmeticError) as exc:  # e.g. a schedule whose rho overflows

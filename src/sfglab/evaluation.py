@@ -1,10 +1,9 @@
 """Quantitative harness: region-partitioned score-matching losses, outlier
 and coverage metrics for manifold tasks, raw-coordinate Gaussian Frechet
-distances, weight-sweep curves, and 2D curvature-field tables."""
+distances, 2D curvature-field tables, and the CSV writer for tables."""
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -166,39 +165,6 @@ def gaussian_frechet(samples_a, samples_b) -> float:
     tr_sqrt = np.sqrt(np.clip(vals, 0.0, None)).sum()
     diff = mu_a - mu_b
     return float(diff @ diff + np.trace(cov_a) + np.trace(cov_b) - 2.0 * tr_sqrt)
-
-
-def sweep_grid(weights, *, alphas=None, h_values=None) -> list[tuple]:
-    """(weight, alpha, h) points in run order; an empty or None alphas/h_values
-    contributes a single None (the run's default)."""
-    weights = list(weights)
-    if len(weights) < 1:
-        raise ValueError("need at least one weight")
-    return list(itertools.product(weights, alphas or [None], h_values or [None]))
-
-
-def sweep(sample_fn, metric_fns: dict, weights, *, alphas=None, h_values=None) -> list[dict]:
-    """Full sample + eval per parameter point at fixed seeds.
-
-    sample_fn(weight, alpha, h) -> samples; each metric_fns[name](samples)
-    contributes a column. alphas/h_values expand the grid (see sweep_grid).
-    Per-run failures propagate with the run id.
-    """
-    rows = []
-    for run_id, (w, a, h) in enumerate(sweep_grid(weights, alphas=alphas, h_values=h_values)):
-        try:
-            samples = sample_fn(w, a, h)
-            row = {"weight": float(w)}
-            if a is not None:
-                row["alpha"] = float(a)
-            if h is not None:
-                row["h"] = float(h)
-            for name, fn in metric_fns.items():
-                row[name] = float(fn(samples))
-        except Exception as exc:
-            raise RuntimeError(f"sweep run {run_id} (weight={w}, alpha={a}, h={h}) failed: {exc}") from exc
-        rows.append(row)
-    return rows
 
 
 def sweep_to_csv(rows: list[dict], path) -> None:

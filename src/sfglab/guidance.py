@@ -109,22 +109,6 @@ def cfg(eps_cond, eps_uncond, w: float):
     return eps_cond + (w - 1.0) * (eps_cond - eps_uncond)
 
 
-def _ordered_interval(interval) -> tuple[float, float]:
-    t_lo, t_hi = interval
-    if not t_lo < t_hi:
-        raise ValueError("interval must satisfy t_lo < t_hi")
-    return float(t_lo), float(t_hi)
-
-
-def interval_cfg(eps_cond, eps_uncond, w: float, t: float, interval):
-    """cfg with weight w while t lies in [t_lo, t_hi], unguided outside."""
-    t_lo, t_hi = _ordered_interval(interval)
-    eps_cond, eps_uncond = _check_same_shape(eps_cond, eps_uncond)
-    if t_lo <= t <= t_hi:
-        return cfg(eps_cond, eps_uncond, w)
-    return eps_cond
-
-
 def autoguidance(eps_main, eps_bad, w: float):
     """Extrapolate away from a degraded companion model's estimate."""
     eps_main, eps_bad = _check_same_shape(eps_main, eps_bad)
@@ -166,7 +150,10 @@ class GuidanceSpec:
         if (self.interval is not None) != (self.kind == "interval_cfg"):
             raise ValueError("interval is required exactly for interval_cfg")
         if self.interval is not None:
-            object.__setattr__(self, "interval", _ordered_interval(self.interval))
+            t_lo, t_hi = self.interval
+            if not t_lo < t_hi:
+                raise ValueError("interval must satisfy t_lo < t_hi")
+            object.__setattr__(self, "interval", (float(t_lo), float(t_hi)))
         if self.kind in ("cfg", "interval_cfg", "autoguidance"):
             if self.companion is None:
                 raise ValueError(f"{self.kind} requires a companion model")

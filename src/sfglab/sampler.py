@@ -89,14 +89,12 @@ def flow_time_schedule(n_steps: int, sigma_min: float = 0.002, sigma_max: float 
 
 @dataclass
 class Trajectories:
-    """Final states of a batch of trajectories plus optional per-step records."""
+    """Final states of a batch of trajectories plus, under SFG, the per-step trace."""
 
     points: np.ndarray
     labels: np.ndarray | None
     failed: np.ndarray
     sfg_trace: dict | None = None
-    states: np.ndarray | None = None
-    steps: np.ndarray | None = None
 
     @property
     def n_failed(self) -> int:
@@ -122,8 +120,6 @@ class GuidedProvider:
     def __init__(self, models: dict, specs, *, mode: str = "eps", gmm: GmmSpec | None = None):
         if mode not in ("eps", "flow"):
             raise ValueError(f"unknown provider mode {mode!r}")
-        if isinstance(specs, gd.GuidanceSpec):
-            specs = [specs]
         specs = list(specs)
         if "main" not in models:
             raise ValueError("model table must contain 'main'")
@@ -158,11 +154,9 @@ class GuidedProvider:
         for s in self.base_specs:
             if s.kind == "none":
                 continue
-            if s.kind == "cfg":
-                eps = gd.cfg(eps, self._model_eps(s.companion, x, level, None), s.weight)
-            elif s.kind == "interval_cfg":
-                eps = gd.interval_cfg(eps, self._model_eps(s.companion, x, level, None),
-                                      s.weight, self._flow_time_of(level), s.interval)
+            if s.kind in ("cfg", "interval_cfg"):
+                if s.interval is None or s.interval[0] <= self._flow_time_of(level) <= s.interval[1]:
+                    eps = gd.cfg(eps, self._model_eps(s.companion, x, level, None), s.weight)
             elif s.kind == "autoguidance":
                 eps = gd.autoguidance(eps, self._model_eps(s.companion, x, level, cls), s.weight)
             elif s.kind == "classifier":
@@ -254,8 +248,8 @@ def _initial_latents(seed, n_samples, dim, scale, x0):
     return np.stack(rows) * scale
 
 
-def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, record_states,
-                chunk_size, threads, x0, dim, heun):
+def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, threads,
+                x0, dim, heun):
     provider = _as_provider(provider, dim)
     if provider.dim is None:
         raise ValueError("pass dim= when sampling from a bare callable")
@@ -275,7 +269,6 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, record_states
         cls = ids_all[lo:hi] if ids_all is not None else None
         state = provider.init_state(traj_seeds[lo:hi])
         failed = np.zeros(hi - lo, dtype=bool)
-        rec_states = [x.copy()] if record_states else None
         trace_rows = []
         for k in range(n_steps):
             s_cur, s_next = steps[k], steps[k + 1]
@@ -289,9 +282,7 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, record_states
                 x_new = x + dt * 0.5 * (d_cur + d_prime)
             failed |= ~np.isfinite(x_new).all(axis=1)
             x = np.where(failed[:, None], x, x_new)
-            if record_states:
-                rec_states.append(x.copy())
-        return x, failed, trace_rows, (np.stack(rec_states) if record_states else None)
+        return x, failed, trace_rows
 
     bounds = _chunk_ranges(n_samples, chunk_size)
     if threads > 1 and len(bounds) > 1:
@@ -306,15 +297,13 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, record_states
     if results[0][2]:  # per key, each chunk's (n_steps, rows) record side by side
         trace = {key: np.concatenate([np.stack([row[key] for row in r[2]]) for r in results], axis=1)
                  for key in results[0][2][0]}
-    states = np.concatenate([r[3] for r in results], axis=1) if record_states else None
-    return Trajectories(points, ids_all, failed, trace, states, steps.copy())
+    return Trajectories(points, ids_all, failed, trace)
 
 
 def sample(provider, schedule: Schedule, n_samples: int, seed: int, *,
-           class_ids=None, record_states=False, chunk_size=256, threads=1,
-           x0=None, dim=None) -> Trajectories:
+           class_ids=None, chunk_size=256, threads=1, x0=None, dim=None) -> Trajectories:
     """Heun over a sigma schedule (the final step to sigma = 0 is Euler),
     explicit Euler x <- x + dt * v over a flow-time schedule."""
     return _sample_ode(provider, schedule, n_samples, seed, class_ids=class_ids,
-                       record_states=record_states, chunk_size=chunk_size, threads=threads,
-                       x0=x0, dim=dim, heun=schedule.kind == "sigma")
+                       chunk_size=chunk_size, threads=threads, x0=x0, dim=dim,
+                       heun=schedule.kind == "sigma")

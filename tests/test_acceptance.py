@@ -14,7 +14,7 @@ import pytest
 import sfglab as sf
 from sfglab.datasets import FractalSpec, GmmSpec, LabeledPointSet, make_fractal, sample_gmm
 from sfglab.evaluation import (coverage_entropy, curvature_field, esm_by_region,
-                               gaussian_frechet, make_grid, outlier_rate, sweep)
+                               gaussian_frechet, make_grid, outlier_rate)
 from sfglab.guidance import GuidanceSpec, sfg_init, sfg_step
 from sfglab.model import OracleModel, TrainConfig, train
 from sfglab.rng import derive_seed, generator

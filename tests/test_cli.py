@@ -9,7 +9,7 @@ from jsonschema import Draft202012Validator
 
 from sfglab import cli
 from sfglab.cli import main
-from sfglab.config import (SCHEMA, ConfigError, _deep_merge, config_hash, load_config, sweep_stack,
+from sfglab.config import (SCHEMA, ConfigError, _deep_merge, config_hash, load_config, sweep_points,
                            validate_config)
 from sfglab.datasets import LabeledPointSet
 from sfglab.guidance import GuidanceSpec
@@ -76,7 +76,7 @@ REJECTED_OVERRIDES = {
 }
 
 
-# guidance that only the stack or spec rules reject; applied on top of a
+# guidance that the schema, stack or spec rules reject; applied on top of a
 # fractal config with a companion model 'bad' and a valid sfg sweep
 REJECTED_GUIDANCE = {
     "sfg_before_autoguidance": {"guidance": [{"kind": "sfg", "weight": 1.0},
@@ -85,6 +85,7 @@ REJECTED_GUIDANCE = {
     "negative_sfg_weight": {"guidance": [{"kind": "sfg", "weight": -1.0}]},
     "autoguidance_sweep_below_one": {"sweep": {"kind": "autoguidance", "companion": "bad",
                                                "weights": [0.5]}},
+    "sweep_without_weights": {"sweep": {"kind": "sfg", "weights": []}},
 }
 
 
@@ -134,6 +135,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="mixture task"):
             validate_config(cfg)
 
+    def test_sweep_points_in_run_order(self):
+        def points(guidance=(), **sweep):
+            return sweep_points({"guidance": list(guidance), "sweep": sweep})
+
+        grid = points(kind="sfg", weights=[0, 2], alphas=[1, 2.5], h_values=[0.05])
+        assert grid == [({"weight": w, "alpha": a, "h": 0.05},
+                         [GuidanceSpec(kind="sfg", weight=w, alpha0=a, h=0.05)])
+                        for w in (0.0, 2.0) for a in (1.0, 2.5)]
+        assert [list(row) for row, _ in grid] == [["weight", "alpha", "h"]] * 4  # sweep.csv columns
+        assert points(kind="sfg", weights=[1.5], h_values=[0.2]) == [
+            ({"weight": 1.5, "h": 0.2}, [GuidanceSpec(kind="sfg", weight=1.5, h=0.2)])]
+        assert points(kind="interval_cfg", companion="u", interval=[0.1, 0.8], weights=[3]) == [
+            ({"weight": 3.0}, [GuidanceSpec(kind="interval_cfg", weight=3.0, companion="u",
+                                            interval=(0.1, 0.8))])]
+
     def test_classifier_sweep_takes_the_run_classifier_class(self):
         cfg = validate_config({
             "task": "two_gaussian", "seed": 0,
@@ -143,9 +159,9 @@ class TestConfigValidation:
                          {"kind": "classifier", "weight": 1.0, "classifier_class": 1}],
             "sweep": {"kind": "classifier", "weights": [0.0, 2.0]},
         })
-        assert [s.classifier_class for s in sweep_stack(cfg, 2.0)] == [1]
+        assert [s.classifier_class for _, stack in sweep_points(cfg) for s in stack] == [1, 1]
         cfg["guidance"] = cfg["guidance"][:1]  # no classifier spec: class 0
-        assert [s.classifier_class for s in sweep_stack(cfg, 2.0)] == [0]
+        assert [s.classifier_class for _, stack in sweep_points(cfg) for s in stack] == [0, 0]
 
     @pytest.mark.parametrize("change", REJECTED_GUIDANCE.values(), ids=REJECTED_GUIDANCE.keys())
     def test_guidance_rejected_at_load(self, tmp_path, capsys, change):
@@ -244,6 +260,16 @@ class TestExitCodes:
         for command in ("eval", "sweep"):
             assert main([command, "--config", path]) == 3
             assert "too few for the Frechet distance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_rows", [0, 2])
+    def test_samples_file_too_small_for_frechet_is_3(self, tmp_path, capsys, n_rows):
+        out = tmp_path / "out"
+        cfg = fractal_config(out)
+        cfg["eval"]["samples_file"] = "few.csv"
+        out.mkdir()
+        LabeledPointSet(np.zeros((n_rows, 2)), np.zeros(n_rows, dtype=int)).to_csv(out / "few.csv")
+        assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 3
+        assert f"{n_rows} finite samples are too few for the Frechet distance" in capsys.readouterr().err
 
     def test_missing_config_is_4(self, capsys):
         assert main(["train", "--config", "/definitely/not/here.json"]) == 4
@@ -402,6 +428,45 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "weight,outlier_rate,coverage_entropy"
         assert len(lines) == 3
+
+
+    def test_failed_run_is_3_and_named(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        cfg = fractal_config(out)
+        cfg["sweep"] = {"kind": "sfg", "weights": [0.0, 2.0], "metrics": ["outlier_rate"]}
+        path = write_config(tmp_path, cfg)
+        out.mkdir()
+        save_checkpoint(ScoreModel(2, [16], n_classes=2, seed=1), out / "main.ckpt")
+        real_sample = cli.sample
+
+        def fails_at_weight_2(provider, *args, **kwargs):
+            trajs = real_sample(provider, *args, **kwargs)
+            if provider.sfg_spec.weight == 2.0:
+                trajs.failed[:] = True
+            return trajs
+
+        monkeypatch.setattr(cli, "sample", fails_at_weight_2)
+        assert main(["sweep", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "sweep run 1 (weight=2) failed: all trajectories became non-finite" in err
+        assert not (out / "sweep.csv").exists()
+
+    def test_unguided_row_matches_eval_of_the_unguided_sample(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = fractal_config(out)
+        cfg["guidance"] = [{"kind": "none"}]
+        cfg["eval"]["outlier_threshold"] = 10.0  # some of the barely trained model's samples lie farther
+        cfg["sweep"] = {"kind": "sfg", "weights": [0.0, 2.0],
+                        "metrics": ["frechet", "outlier_rate", "coverage_entropy"]}
+        path = write_config(tmp_path, cfg)
+        for command in ("gen-data", "train", "sample", "eval", "sweep"):
+            assert main([command, "--config", path]) == 0
+        report = json.loads((out / "eval_report.json").read_text())
+        header, first = (out / "sweep.csv").read_text().splitlines()[:2]
+        row = dict(zip(header.split(","), map(float, first.split(","))))
+        assert row["weight"] == 0.0 and 0.0 < report["outlier_rate"] < 1.0
+        for key in ("frechet", "outlier_rate", "coverage_entropy"):  # eval reads the 9-digit CSV
+            assert row[key] == pytest.approx(report[key], rel=1e-6)
 
 
 class TestPlot:

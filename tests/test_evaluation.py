@@ -6,7 +6,7 @@ from sfglab.datasets import (FractalSpec, GmmSpec, LabeledPointSet, make_fractal
                              make_two_gaussian, sample_gmm)
 from sfglab.evaluation import (EvalReport, coverage_entropy, curvature_field,
                                esm_by_region, gaussian_frechet, make_grid,
-                               outlier_rate, sfg_stats, sweep)
+                               outlier_rate, sfg_stats)
 from sfglab.model import OracleModel
 from sfglab.oracle import smooth
 
@@ -157,42 +157,6 @@ class TestGaussianFrechet:
             gaussian_frechet(np.zeros((5, 2)), np.zeros((5, 3)))
         with pytest.raises(ValueError, match="more samples"):
             gaussian_frechet(np.zeros((2, 2)), np.zeros((5, 2)))
-
-
-class TestSweep:
-    def test_identity_weight_equals_baseline(self):
-        calls = []
-
-        def sample_fn(w, alpha, h):
-            calls.append(w)
-            rng = np.random.default_rng(9)  # same samples every run
-            return rng.standard_normal((50, 2)) * (1 + 0.1 * abs(w - 1))
-
-        ref = np.random.default_rng(9).standard_normal((50, 2))
-        metric = {"frechet": lambda s: gaussian_frechet(s, ref)}
-        rows = sweep(sample_fn, metric, [1.0])
-        assert len(rows) == 1
-        assert rows[0]["weight"] == 1.0
-        assert rows[0]["frechet"] < 1e-8
-
-    def test_grid_expansion(self):
-        rows = sweep(lambda w, a, h: np.random.default_rng(0).standard_normal((30, 2)),
-                     {"n": lambda s: len(s)}, [0.0, 1.0], alphas=[1, 2], h_values=[0.1])
-        assert len(rows) == 4
-        assert {(r["weight"], r["alpha"]) for r in rows} == {(0, 1), (0, 2), (1, 1), (1, 2)}
-
-    def test_failure_carries_run_id(self):
-        def sample_fn(w, a, h):
-            if w > 1:
-                raise RuntimeError("boom")
-            return np.random.default_rng(0).standard_normal((30, 2))
-
-        with pytest.raises(RuntimeError, match="sweep run 1 .*weight=2"):
-            sweep(sample_fn, {"n": lambda s: len(s)}, [1, 2])
-
-    def test_needs_weights(self):
-        with pytest.raises(ValueError):
-            sweep(lambda w, a, h: None, {}, [])
 
 
 class TestCurvatureField:

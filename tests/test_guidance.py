@@ -3,7 +3,7 @@ import pytest
 
 from sfglab.datasets import GmmSpec, make_two_gaussian
 from sfglab.guidance import (GuidanceSpec, SfgState, autoguidance, cfg,
-                             classifier_guidance, interval_cfg, sfg_init, sfg_step)
+                             classifier_guidance, sfg_init, sfg_step)
 from sfglab.model import OracleModel
 from sfglab.oracle import classifier_grad, full_spectrum, hessian, score, smooth
 from sfglab.rng import derive_seed
@@ -236,23 +236,6 @@ class TestLinearCombinations:
         with pytest.raises(ValueError, match="shapes"):
             cfg(np.zeros(2), np.zeros(3), 2.0)
 
-    def test_interval_gating(self):
-        a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        inside = interval_cfg(a, b, 7.0, 0.5, (0.1, 0.8))
-        outside = interval_cfg(a, b, 7.0, 0.9, (0.1, 0.8))
-        assert np.allclose(inside, cfg(a, b, 7.0))
-        assert outside is a
-
-    def test_interval_full_equals_cfg(self):
-        rng = np.random.default_rng(14)
-        a, b = rng.standard_normal(3), rng.standard_normal(3)
-        for t in (0.0, 0.3, 0.99):
-            assert np.array_equal(interval_cfg(a, b, 4.0, t, (0.0, 1.0)), cfg(a, b, 4.0))
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError, match="t_lo < t_hi"):
-            interval_cfg(np.zeros(2), np.zeros(2), 2.0, 0.5, (0.8, 0.1))
-
     def test_autoguidance_identities(self):
         a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0])
         assert autoguidance(a, b, 1.0) is a
@@ -299,6 +282,10 @@ class TestGuidanceSpec:
     def test_classifier_needs_class(self):
         with pytest.raises(ValueError, match="classifier_class"):
             GuidanceSpec(kind="classifier", weight=1.0)
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValueError, match="t_lo < t_hi"):
+            GuidanceSpec(kind="interval_cfg", weight=2.0, companion="u", interval=(0.8, 0.1))
 
     def test_list_interval_stored_as_tuple(self):
         spec = GuidanceSpec(kind="interval_cfg", weight=7.0, companion="uncond", interval=[0.1, 0.8])

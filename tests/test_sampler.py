@@ -54,10 +54,9 @@ class TestSchedules:
 class TestHeun:
     def test_zero_eps_keeps_latents(self):
         sch = sigma_schedule(20, 0.01, 5.0)
-        trajs = sample(lambda x, s: np.zeros_like(x), sch, 16, seed=1, dim=3)
-        ref = sample(lambda x, s: np.zeros_like(x), sch, 16, seed=1, dim=3,
-                     record_states=True)
-        assert np.array_equal(trajs.points, ref.states[0])
+        x0 = 5.0 * np.random.default_rng(1).standard_normal((16, 3))
+        trajs = sample(lambda x, s: np.zeros_like(x), sch, 16, seed=1, dim=3, x0=x0)
+        assert np.array_equal(trajs.points, x0)
 
     def test_single_gaussian_samples_match_target(self):
         om = single_gaussian_oracle()
@@ -116,9 +115,9 @@ class TestHeun:
 class TestEulerFlow:
     def test_zero_velocity_constant(self):
         sch = flow_time_schedule(10)
-        trajs = sample(lambda x, t: np.zeros_like(x), sch, 8, seed=8, dim=2,
-                       record_states=True)
-        assert np.array_equal(trajs.points, trajs.states[0])
+        x0 = np.random.default_rng(8).standard_normal((8, 2))
+        trajs = sample(lambda x, t: np.zeros_like(x), sch, 8, seed=8, dim=2, x0=x0)
+        assert np.array_equal(trajs.points, x0)
 
     def test_straight_line_field_reaches_target(self):
         # v(x, t) = (target - x) / (1 - t): the exact solution contracts the
@@ -267,6 +266,21 @@ class TestGuidedProviders:
                         n=300, class_ids=1)
         assert strong.points.var(axis=0).sum() < weak.points.var(axis=0).sum()
 
+    def test_interval_cfg_covering_every_level_is_bitwise_cfg(self):
+        full = self.run([GuidanceSpec(kind="cfg", weight=3.0, companion="uncond")], class_ids=1)
+        part = self.run([GuidanceSpec(kind="interval_cfg", weight=3.0, companion="uncond",
+                                      interval=(0.0, 1.0))], class_ids=1)
+        assert np.array_equal(part.points, full.points)
+
+    def test_interval_cfg_covering_no_level_is_bitwise_unguided(self):
+        # the schedule's flow times sigma / (1 + sigma) stay at or below 10 / 11
+        none = self.run([GuidanceSpec(kind="none")], class_ids=1)
+        part = self.run([GuidanceSpec(kind="interval_cfg", weight=3.0, companion="uncond",
+                                      interval=(0.95, 0.99))], class_ids=1)
+        full = self.run([GuidanceSpec(kind="cfg", weight=3.0, companion="uncond")], class_ids=1)
+        assert np.array_equal(part.points, none.points)
+        assert not np.array_equal(full.points, none.points)
+
     def test_interval_cfg_moderates_the_cfg_overshoot(self):
         # strong CFG overshoots past the class mean along +e1; restricting the
         # guidance to the (0.1, 0.8) interval moderates the bias
@@ -324,6 +338,31 @@ class TestCostContract:
         n_steps = 20
         assert counts[0] == 2 * n_steps - 1  # heun: predictor + corrector, last step euler
         assert counts[1] == counts[0] + n_steps  # sfg probe adds exactly one per step
+
+
+    def test_interval_cfg_calls_its_companion_only_inside_the_interval(self):
+        om = OracleModel(make_two_gaussian(4.0, 1.0, 2))
+        levels_seen = []
+
+        class Counting:
+            data_dim = 2
+            param = "eps"
+
+            def predict_eps(self, x, sigma, class_ids=None):
+                levels_seen.append(sigma)
+                return om.predict_eps(x, sigma, class_ids)
+
+        sch = sigma_schedule(10, 0.01, 10.0)
+        provider = GuidedProvider({"main": om, "uncond": Counting()},
+                                  [GuidanceSpec(kind="interval_cfg", weight=3.0, companion="uncond",
+                                                interval=(0.3, 0.6))])
+        sample(provider, sch, 4, seed=17, class_ids=1)
+        # Heun evaluates a predictor at every level but 0 and a corrector at
+        # every level after the first but 0
+        levels = [*sch.steps[:-1], *sch.steps[1:-1]]
+        inside = [s for s in levels if 0.3 <= s / (1.0 + s) <= 0.6]
+        assert 0 < len(inside) < len(levels)
+        assert sorted(levels_seen) == sorted(inside)
 
 
 class TestModelBackedSampling:
