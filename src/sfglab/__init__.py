@@ -20,7 +20,6 @@ from .datasets import (
     sample_gmm,
 )
 from .oracle import (
-    EigPair,
     SmoothedGmm,
     classifier_grad,
     classify_region,

@@ -228,10 +228,6 @@ def cmd_sample(cfg: dict) -> int:
     return 0
 
 
-def _default_sigmas() -> list:
-    return list(np.geomspace(0.02, 10.0, 12))
-
-
 def _frechet_sized(s: LabeledPointSet) -> LabeledPointSet:
     """s, if it has enough points for the Frechet distance's full-rank
     covariance; failed trajectories or an empty samples file can leave too few."""
@@ -243,7 +239,8 @@ def _frechet_sized(s: LabeledPointSet) -> LabeledPointSet:
 
 def _sample_metrics(cfg: dict, specs: dict) -> dict:
     """Sample-set metrics against the task's exact reference: Frechet distance
-    to a seeded reference draw, outlier rate and coverage entropy."""
+    to a seeded reference draw, outlier rate and coverage entropy. Each returns
+    a finite float or raises NumericFailure naming the metric."""
     ecfg = cfg["eval"]
     n, seed = ecfg["frechet_reference_n"], derive_seed(cfg["seed"], 999)
     if cfg["task"] == "fractal":
@@ -258,29 +255,37 @@ def _sample_metrics(cfg: dict, specs: dict) -> dict:
     # outlier/coverage arrays of an earlier metric call are alive
     ref = functools.cache(draw)
 
-    return {
+    def finite(name, fn):
+        def metric(s) -> float:
+            value = float(fn(s))
+            if not np.isfinite(value):
+                raise NumericFailure(f"metric {name} is {value}, not a finite number")
+            return value
+        return metric
+
+    return {name: finite(name, fn) for name, fn in {
         "frechet": lambda s: evaluation.gaussian_frechet(_frechet_sized(s), ref()),
         "outlier_rate": lambda s: evaluation.outlier_rate(s, manifold, threshold),
         "coverage_entropy": lambda s: evaluation.coverage_entropy(s, manifold),
-    }
+    }.items()}
 
 
 def cmd_eval(cfg: dict) -> int:
     out = _ensure_out(cfg)
     specs = task_specs(cfg)
     ecfg = cfg["eval"]
-    report = evaluation.EvalReport()
+    report = {}
     tables = {}
 
     name = cfg["sample"]["model"]
     if cfg["task"] == "simplex" and (out / f"{name}.ckpt").exists():
         model = _load_models(out, [name])[name]
         region_specs = {"mode": specs["base"], "saddle": specs["saddle"], "outlier": specs["outlier"]}
-        sigmas = ecfg.get("sigmas") or _default_sigmas()
-        report.esm_rows = evaluation.esm_by_region(model, region_specs, sigmas,
-                                                   ecfg["n_per_region"], cfg["seed"])
-        evaluation.sweep_to_csv(report.esm_rows, out / "esm_rows.csv")
-        tables["esm_rows.csv"] = len(report.esm_rows)
+        sigmas = ecfg.get("sigmas") or list(np.geomspace(0.02, 10.0, 12))
+        rows = evaluation.esm_by_region(model, region_specs, sigmas, ecfg["n_per_region"], cfg["seed"])
+        evaluation.sweep_to_csv(rows, out / "esm_rows.csv")
+        tables["esm_rows.csv"] = len(rows)
+        report["esm_rows"] = rows
 
     # a relative samples_file is relative to out; an absolute one replaces it
     spath = out / (ecfg.get("samples_file") or f"samples_{_sample_tag(cfg)}.csv")
@@ -289,13 +294,11 @@ def cmd_eval(cfg: dict) -> int:
     if spath.exists():
         samples = _frechet_sized(_read_points(spath))  # every eval computes the Frechet distance
         metrics = _sample_metrics(cfg, specs)
-        report.outlier_rate = metrics["outlier_rate"](samples)
-        report.coverage_entropy = metrics["coverage_entropy"](samples)
-        report.frechet = metrics["frechet"](samples)
+        for key in ("outlier_rate", "coverage_entropy", "frechet"):
+            report[key] = metrics[key](samples)
         manifest = out / f"sample_manifest_{spath.stem.replace('samples_', '')}.json"
         if manifest.exists():
-            stats = json.loads(manifest.read_text()).get("extra", {}).get("sfg_stats")
-            report.sfg_stats = stats
+            report["sfg_stats"] = json.loads(manifest.read_text()).get("extra", {}).get("sfg_stats")
 
     if cfg["task"] == "two_gaussian" and "field" in ecfg:
         fcfg = ecfg["field"]
@@ -308,7 +311,7 @@ def cmd_eval(cfg: dict) -> int:
             evaluation.sweep_to_csv(rows, out / fname)
             tables[fname] = len(rows)
 
-    report.to_json(out / "eval_report.json")
+    evaluation.EvalReport(**report).to_json(out / "eval_report.json")
     _write_manifest(out / "eval_manifest.json", "eval", cfg, {"tables": tables})
     print(f"eval: report -> {out / 'eval_report.json'}")
     return 0
@@ -326,7 +329,7 @@ def cmd_sweep(cfg: dict) -> int:
     for run_id, (row, stack) in enumerate(points):
         try:
             samples = run(stack)[0].to_point_set()
-            rows.append({**row, **{name: float(fn(samples)) for name, fn in metrics.items()}})
+            rows.append({**row, **{name: fn(samples) for name, fn in metrics.items()}})
         except NumericFailure as exc:
             labels = ", ".join(f"{key}={value:g}" for key, value in row.items())
             raise NumericFailure(f"sweep run {run_id} ({labels}) failed: {exc}") from exc

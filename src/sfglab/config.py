@@ -260,8 +260,11 @@ def guidance_stack(cfg: dict) -> list[GuidanceSpec]:
 def sweep_points(cfg: dict) -> list[tuple[dict, list[GuidanceSpec]]]:
     """One (sweep.csv row labels, one-spec guidance stack) per grid point, in
     run order: weights outermost, then alphas, then h_values. alpha and h label
-    the row, and set the spec's alpha0 and h, only when the sweep lists them."""
+    the row, and set the spec's alpha0 and h, only when an sfg sweep lists them."""
     sw = cfg["sweep"]
+    for key in ("alphas", "h_values"):
+        if sw.get(key) and sw["kind"] != "sfg":
+            raise ValueError(f"sweep.{key} applies only to an sfg sweep, not {sw['kind']!r}")
     fixed = {key: sw[key] for key in ("kind", "companion", "interval") if key in sw}
     if sw["kind"] == "classifier":  # the class of the run's classifier spec, if it has one
         fixed["classifier_class"] = next((d["classifier_class"] for d in cfg["guidance"]

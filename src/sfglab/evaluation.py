@@ -214,22 +214,18 @@ def curvature_field(g, points) -> list[dict]:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be a (G, 2) array")
     class_ids = sorted(np.unique(g.base.labels).tolist())[:2]
-    scores, hessians = score(g, pts), hessian(g, pts)
+    vals, vecs = full_spectrum(hessian(g, pts))
     grads = {cid: classifier_grad(g, pts, cid) for cid in class_ids}
     rows = []
-    for i, (p, s) in enumerate(zip(pts, scores)):
-        top = full_spectrum(hessians[i])[0]
-        row = {
+    for i, (p, s, lam, v) in enumerate(zip(pts, score(g, pts), vals[:, 0], vecs[:, :, 0])):
+        rows.append({
             "x0": float(p[0]), "x1": float(p[1]),
             "score0": float(s[0]), "score1": float(s[1]),
-            "lambda_max": float(top.value),
-            "evec0": float(top.vector[0]), "evec1": float(top.vector[1]),
-            "gate": int(top.value > 0),
-        }
-        for cid, grad in grads.items():
-            row[f"clf{cid}_0"] = float(grad[i, 0])
-            row[f"clf{cid}_1"] = float(grad[i, 1])
-        rows.append(row)
+            "lambda_max": float(lam),
+            "evec0": float(v[0]), "evec1": float(v[1]),
+            "gate": int(lam > 0),
+            **{f"clf{cid}_{j}": float(grad[i, j]) for cid, grad in grads.items() for j in (0, 1)},
+        })
     return rows
 
 

@@ -137,31 +137,24 @@ def hessian(g: SmoothedGmm, x) -> np.ndarray:
     return h[0] if single else h
 
 
-@dataclass(frozen=True)
-class EigPair:
-    """One eigenvalue with its unit eigenvector."""
-
-    value: float
-    vector: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float)
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"eigenvector norm {norm} deviates from 1 by > 1e-9")
-        object.__setattr__(self, "vector", v)
-
-
-def full_spectrum(h: np.ndarray) -> list[EigPair]:
-    """All eigenpairs of a symmetric matrix, descending by eigenvalue (LAPACK)."""
+def full_spectrum(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric matrix (n, n) or of each matrix of a stack
+    (N, n, n), descending by eigenvalue (LAPACK): values (n,)/(N, n) and unit
+    eigenvectors as columns (n, n)/(N, n, n), so the top pair is vals[..., 0]
+    with vecs[..., :, 0]."""
     h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("expected a square matrix")
-    asym = np.abs(h - h.T).max(initial=0.0)
-    if asym > 1e-9 * (1.0 + np.abs(h).max(initial=0.0)):
-        raise ValueError(f"matrix asymmetric by {asym:g}")
-    vals, vecs = np.linalg.eigh(0.5 * (h + h.T))
-    return [EigPair(float(vals[i]), vecs[:, i]) for i in reversed(range(len(vals)))]
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    ht = np.swapaxes(h, -1, -2)
+    asym = np.abs(h - ht).max(axis=(-2, -1), initial=0.0)
+    bad = asym > 1e-9 * (1.0 + np.abs(h).max(axis=(-2, -1), initial=0.0))
+    if bad.any():
+        raise ValueError(f"matrix asymmetric by {asym[bad].max():g}")
+    vals, vecs = np.linalg.eigh(0.5 * (h + ht))
+    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
+    if (np.abs(np.linalg.norm(vecs, axis=-2) - 1.0) > 1e-9).any():
+        raise ValueError("an eigenvector norm deviates from 1 by > 1e-9")
+    return vals, vecs
 
 
 def classifier_grad(g: SmoothedGmm, x, class_id: int):
@@ -183,21 +176,16 @@ def classifier_grad(g: SmoothedGmm, x, class_id: int):
     return out[0] if single else out
 
 
-def default_grad_tol(dim: int) -> float:
-    """Scale-aware zero test for the mode check."""
-    return 1e-6 * np.sqrt(dim)
-
-
-def classify_region(g: SmoothedGmm, x, grad_tol: float | None = None) -> str:
+def classify_region(g: SmoothedGmm, x, grad_tol: float | None = None) -> str | np.ndarray:
     """'saddle_region' iff the top Hessian eigenvalue is positive; 'mode' iff
-    the score is (near) zero and the top eigenvalue negative; else 'other'."""
+    the score is (near) zero and the top eigenvalue negative; else 'other'.
+    One label for a point (n,), an array of N labels for a batch (N, n)."""
     if grad_tol is None:
-        grad_tol = default_grad_tol(g.dim)
+        grad_tol = 1e-6 * np.sqrt(g.dim)  # scale-aware zero test for the mode check
     if grad_tol <= 0:
         raise ValueError("grad_tol must be positive")
-    lam_max = full_spectrum(hessian(g, x))[0].value
-    if lam_max > 0:
-        return "saddle_region"
-    if np.linalg.norm(score(g, x)) < grad_tol and lam_max < 0:
-        return "mode"
-    return "other"
+    xb, single = _as_batch(g, x)
+    lam_max = full_spectrum(hessian(g, xb))[0][:, 0]
+    stationary = np.linalg.norm(score(g, xb), axis=1) < grad_tol
+    labels = np.where(lam_max > 0, "saddle_region", np.where(stationary & (lam_max < 0), "mode", "other"))
+    return str(labels[0]) if single else labels

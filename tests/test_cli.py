@@ -86,6 +86,8 @@ REJECTED_GUIDANCE = {
     "autoguidance_sweep_below_one": {"sweep": {"kind": "autoguidance", "companion": "bad",
                                                "weights": [0.5]}},
     "sweep_without_weights": {"sweep": {"kind": "sfg", "weights": []}},
+    "alphas_on_autoguidance_sweep": {"sweep": {"kind": "autoguidance", "companion": "bad", "weights": [2.0],
+                                               "alphas": [1.0, 2.0], "h_values": [0.05, 0.1]}},
 }
 
 
@@ -261,6 +263,30 @@ class TestExitCodes:
             assert main([command, "--config", path]) == 3
             assert "too few for the Frechet distance" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_metric_is_3(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        cfg = fractal_config(out)
+        cfg["sweep"] = {"kind": "sfg", "weights": [1.0], "metrics": ["frechet"]}
+        path = write_config(tmp_path, cfg)
+        assert main(["gen-data", "--config", path]) == 0
+        assert main(["train", "--config", path]) == 0
+        real_sample = cli.sample
+
+        def huge(*args, **kwargs):  # finite points whose covariance overflows
+            trajs = real_sample(*args, **kwargs)
+            trajs.points *= 1e160
+            return trajs
+
+        monkeypatch.setattr(cli, "sample", huge)
+        assert main(["sample", "--config", path]) == 0
+        for command in ("eval", "sweep"):
+            assert main([command, "--config", path]) == 3
+            err = capsys.readouterr().err
+            assert "metric frechet is" in err and "not a finite number" in err
+        assert not (out / "eval_report.json").exists()
+        assert not (out / "sweep.csv").exists()
+
     @pytest.mark.parametrize("n_rows", [0, 2])
     def test_samples_file_too_small_for_frechet_is_3(self, tmp_path, capsys, n_rows):
         out = tmp_path / "out"
@@ -398,6 +424,29 @@ class TestPipeline:
             assert (out / name).exists()
         mode = LabeledPointSet.from_csv(out / "test_mode.csv")
         assert mode.region_tag == ["mode"] * 20
+
+    def test_simplex_eval_esm_rows_and_metrics(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = _deep_merge(simplex_config(out), {
+            "data": {"simplex": {"n_components": 3, "ambient_dim": 3}},
+            "train": {"batches": 20, "batch_size": 32, "warmup_batches": 5},
+            "schedule": {"n_steps": 8, "sigma_min": 0.02, "sigma_max": 5.0},
+            "sample": {"n_samples": 32},
+            "eval": {"n_per_region": 16, "frechet_reference_n": 64},  # no eval.sigmas: the 12 defaults
+        })
+        path = write_config(tmp_path, cfg)
+        for command in ("gen-data", "train", "sample", "eval"):
+            assert main([command, "--config", path]) == 0
+        header, *lines = (out / "esm_rows.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert len(rows) == 3 * 12
+        assert sorted({r["region"] for r in rows}) == ["mode", "outlier", "saddle"]
+        assert all(np.isfinite(float(r["esm"])) for r in rows)
+        report = json.loads((out / "eval_report.json").read_text())
+        assert len(report["esm_rows"]) == 3 * 12
+        assert np.isfinite(report["frechet"])
+        assert 0.0 <= report["outlier_rate"] <= 1.0
+        assert 0.0 <= report["coverage_entropy"] <= np.log(3) + 1e-12
 
     def test_two_gaussian_eval_field_tables(self, tmp_path):
         out = tmp_path / "run"

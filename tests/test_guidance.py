@@ -76,7 +76,7 @@ class TestSfgStep:
         om = OracleModel(spec)
         sigma = 0.5
         g = smooth(spec, sigma)
-        lam_max = full_spectrum(hessian(g, np.zeros(2)))[0].value
+        lam_max = full_spectrum(hessian(g, np.zeros(2)))[0][0]
         target = sigma**2 * lam_max
         eps_fn = lambda z: om.predict_eps(z, sigma)
         gspec = sfg_spec(alpha0=1.0, h=0.01, weight=0.0)
@@ -113,7 +113,7 @@ class TestSfgStep:
             st = sfg_init(n, int(rng.integers(1 << 30)), gspec)
             for _ in range(50):
                 _, st = sfg_step(eps_fn, x0, sigma, st, gspec)
-            vals = sigma**2 * np.array([p.value for p in full_spectrum(h_mat)])
+            vals = sigma**2 * full_spectrum(h_mat)[0]
             shifted = vals + float(st.alpha) * sigma
             if len(vals) < 2 or abs(shifted[0]) == 0:
                 continue

@@ -112,10 +112,10 @@ class TestHessian:
         # second derivative at 0 is -1/s^2 + mu^2/s^4 = 3 for mu=2, s=1.
         g = smooth(make_two_gaussian(4.0, 1.0, 2), 0.0)
         h = hessian(g, np.zeros(2))
-        pairs = full_spectrum(h)
-        assert np.isclose(pairs[0].value, 3.0)
-        assert np.isclose(pairs[1].value, -1.0)
-        assert abs(abs(pairs[0].vector[0]) - 1.0) < 1e-9
+        vals, vecs = full_spectrum(h)
+        assert np.isclose(vals[0], 3.0)
+        assert np.isclose(vals[1], -1.0)
+        assert abs(abs(vecs[0, 0]) - 1.0) < 1e-9
 
     def test_matches_score_jacobian(self):
         rng = np.random.default_rng(2)
@@ -140,7 +140,7 @@ class TestHessian:
             sig = float(rng.random() * 3 + 0.02)
             g = smooth(spec, sig)
             x = rng.standard_normal(spec.dim) * 4
-            lam_min = full_spectrum(hessian(g, x))[-1].value
+            lam_min = full_spectrum(hessian(g, x))[0][-1]
             assert sig * sig * lam_min >= -1.0 - 1e-9
 
     @pytest.mark.parametrize("full_cov_prob", [0.0, 1.0], ids=["isotropic", "full_covariance"])
@@ -160,18 +160,18 @@ class TestHessian:
 
 class TestFullSpectrum:
     def test_diagonal(self):
-        pairs = full_spectrum(np.diag([3.0, -1.0]))
-        assert [p.value for p in pairs] == [3.0, -1.0]
-        assert abs(abs(pairs[0].vector[0]) - 1) < 1e-12
-        assert abs(abs(pairs[1].vector[1]) - 1) < 1e-12
+        vals, vecs = full_spectrum(np.diag([3.0, -1.0]))
+        assert vals.tolist() == [3.0, -1.0]
+        assert abs(abs(vecs[0, 0]) - 1) < 1e-12
+        assert abs(abs(vecs[1, 1]) - 1) < 1e-12
 
     def test_similarity_invariance(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((6, 6))
         h = a + a.T
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        vals_h = [p.value for p in full_spectrum(h)]
-        vals_q = [p.value for p in full_spectrum(q @ h @ q.T)]
+        vals_h = full_spectrum(h)[0]
+        vals_q = full_spectrum(q @ h @ q.T)[0]
         assert np.allclose(vals_h, vals_q, atol=1e-9)
 
     def test_reconstruction(self):
@@ -179,31 +179,45 @@ class TestFullSpectrum:
         for n in (2, 5, 17):
             a = rng.standard_normal((n, n))
             h = a + a.T
-            pairs = full_spectrum(h)
-            recon = sum(p.value * np.outer(p.vector, p.vector) for p in pairs)
+            vals, vecs = full_spectrum(h)
+            recon = sum(lam * np.outer(v, v) for lam, v in zip(vals, vecs.T))
             assert np.linalg.norm(recon - h) < 1e-8
 
     def test_orthonormal_vectors(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((7, 7))
-        pairs = full_spectrum(a + a.T)
-        vecs = np.stack([p.vector for p in pairs])
-        assert np.abs(vecs @ vecs.T - np.eye(7)).max() < 1e-8
+        vecs = full_spectrum(a + a.T)[1]
+        assert np.abs(vecs.T @ vecs - np.eye(7)).max() < 1e-8
 
     def test_empty_matrix_has_no_pairs(self):
-        assert full_spectrum(np.zeros((0, 0))) == []
+        vals, vecs = full_spectrum(np.zeros((0, 0)))
+        assert vals.shape == (0,) and vecs.shape == (0, 0)
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="asymmetric"):
-            full_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        asym = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for h in (asym, np.stack([np.eye(2), asym, np.eye(2)])):  # alone and inside a stack
+            with pytest.raises(ValueError, match="asymmetric"):
+                full_spectrum(h)
 
     def test_matches_lapack(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((12, 12))
         h = a + a.T
-        mine = np.array([p.value for p in full_spectrum(h)])
+        mine = full_spectrum(h)[0]
         ref = np.sort(np.linalg.eigvalsh(h))[::-1]
         assert np.abs(mine - ref).max() < 1e-9
+
+    def test_stack_rows_match_single_matrices(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 5):
+            a = rng.standard_normal((9, n, n))
+            stack = a + np.swapaxes(a, 1, 2)
+            vals, vecs = full_spectrum(stack)
+            assert vals.shape == (9, n) and vecs.shape == (9, n, n)
+            for i, h in enumerate(stack):
+                single_vals, single_vecs = full_spectrum(h)
+                assert np.array_equal(vals[i], single_vals)
+                assert np.array_equal(vecs[i], single_vecs)
 
 
 class TestClassifierGrad:
@@ -284,3 +298,17 @@ class TestClassifyRegion:
         g = smooth(GmmSpec([1.0], np.zeros((1, 2)), [1.0]), 0.0)
         with pytest.raises(ValueError):
             classify_region(g, np.zeros(2), grad_tol=0.0)
+
+    @pytest.mark.parametrize("full_cov_prob", [0.0, 1.0], ids=["isotropic", "full_covariance"])
+    def test_batch_labels_match_single_points(self, full_cov_prob):
+        rng = np.random.default_rng(13)
+        seen = set()
+        for _ in range(12):
+            spec = random_mixture(rng, full_cov_prob=full_cov_prob)
+            g = smooth(spec, float(rng.random()))
+            xs = np.vstack([rng.standard_normal((8, spec.dim)) * 2, spec.means])
+            labels = classify_region(g, xs)
+            assert labels.shape == (len(xs),)
+            assert labels.tolist() == [classify_region(g, x) for x in xs]
+            seen.update(labels.tolist())
+        assert seen == {"saddle_region", "mode", "other"}

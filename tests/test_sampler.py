@@ -4,6 +4,7 @@ import pytest
 from sfglab.datasets import GmmSpec, make_two_gaussian
 from sfglab.guidance import GuidanceSpec
 from sfglab.model import OracleModel, ScoreModel
+from sfglab.oracle import classifier_grad, smooth
 from sfglab.sampler import GuidedProvider, Schedule, flow_time_schedule, sample, sigma_schedule
 
 
@@ -181,6 +182,19 @@ class TestGuidedProviders:
         guided = self.run([GuidanceSpec(kind="classifier", weight=0.0, classifier_class=0)],
                           class_ids=0)
         assert np.array_equal(base.points, guided.points)
+
+    def test_classifier_guidance_shifts_eps_by_the_bayes_gradient(self):
+        spec = GuidanceSpec(kind="classifier", weight=2.0, classifier_class=0)
+        eps_mode = GuidedProvider({"main": self.om}, [spec], gmm=self.spec)
+        flow_mode = GuidedProvider({"main": self.om}, [spec], mode="flow", gmm=self.spec)
+        x = np.random.default_rng(16).standard_normal((6, 2)) * 2
+        for sigma in (0.2, 1.0, 5.0):
+            expected = (self.om.predict_eps(x, sigma)
+                        - sigma * 2.0 * classifier_grad(smooth(self.spec, sigma), x, 0))
+            tol = 1e-9 * np.abs(expected).max()
+            assert np.abs(eps_mode.base_eps(x, sigma, None) - expected).max() <= tol
+            t = sigma / (1.0 + sigma)  # the same level in flow time, with x_t = (1 - t) x
+            assert np.abs(flow_mode.base_eps((1.0 - t) * x, t, None) - expected).max() <= tol
 
     def test_sfg_gate_closed_task_is_bitwise_unguided(self):
         om = single_gaussian_oracle()
