@@ -114,7 +114,9 @@ def coverage_entropy(samples, modes) -> float:
     """Shannon entropy (nats) of nearest-mode assignments.
 
     modes is a (M, n) array of reference points, a GmmSpec (its means), or a
-    Fractal (its segments).
+    Fractal (its segments). NaN when a point has no finite distance to any
+    mode (a non-finite point, or distances that overflow), because its
+    nearest mode is undefined.
     """
     pts = _points_of(samples)
     if isinstance(modes, GmmSpec):
@@ -126,11 +128,13 @@ def coverage_entropy(samples, modes) -> float:
         if refs.ndim != 2 or len(refs) < 1:
             raise ValueError("need at least one reference mode")
         dists = np.linalg.norm(pts[:, None, :] - refs[None, :, :], axis=2)
+    if not np.isfinite(dists).any(axis=1).all():
+        return float("nan")
     assign = dists.argmin(axis=1)
     counts = np.bincount(assign, minlength=dists.shape[1]).astype(float)
     p = counts / counts.sum()
     nz = p > 0
-    return float(-(p[nz] * np.log(p[nz])).sum())
+    return float(0.0 - (p[nz] * np.log(p[nz])).sum())  # one mode gives +0.0, not -0.0
 
 
 def _sym_sqrt(mat: np.ndarray, tol: float) -> np.ndarray:

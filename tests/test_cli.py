@@ -280,10 +280,11 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "sample", huge)
         assert main(["sample", "--config", path]) == 0
-        for command in ("eval", "sweep"):
+        # eval computes coverage_entropy before frechet; the sweep asks for frechet only
+        for command, metric in (("eval", "coverage_entropy"), ("sweep", "frechet")):
             assert main([command, "--config", path]) == 3
             err = capsys.readouterr().err
-            assert "metric frechet is" in err and "not a finite number" in err
+            assert f"metric {metric} is" in err and "not a finite number" in err
         assert not (out / "eval_report.json").exists()
         assert not (out / "sweep.csv").exists()
 
@@ -296,6 +297,20 @@ class TestExitCodes:
         LabeledPointSet(np.zeros((n_rows, 2)), np.zeros(n_rows, dtype=int)).to_csv(out / "few.csv")
         assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 3
         assert f"{n_rows} finite samples are too few for the Frechet distance" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_samples_without_a_nearest_mode_is_3(self, tmp_path, capsys):
+        # finite samples so large that every distance to a mode overflows
+        out = tmp_path / "out"
+        cfg = {"task": "two_gaussian", "seed": 1, "out": str(out),
+               "data": {"two_gaussian": {"separation": 4.0, "base_variance": 1.0, "ambient_dim": 2}},
+               "eval": {"samples_file": "huge.csv", "frechet_reference_n": 64}}
+        out.mkdir()
+        points = np.random.default_rng(2).standard_normal((50, 2)) * 1e160
+        LabeledPointSet(points, np.zeros(50, dtype=int)).to_csv(out / "huge.csv")
+        assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 3
+        assert "metric coverage_entropy is nan, not a finite number" in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
 
     def test_missing_config_is_4(self, capsys):
         assert main(["train", "--config", "/definitely/not/here.json"]) == 4

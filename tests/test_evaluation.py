@@ -95,7 +95,8 @@ class TestCoverageEntropy:
     def test_single_mode_zero(self):
         pts = np.random.default_rng(3).standard_normal((100, 2)) * 0.1
         modes = np.array([[0.0, 0.0], [10.0, 10.0]])
-        assert coverage_entropy(pts, modes) == 0.0
+        ent = coverage_entropy(pts, modes)
+        assert ent == 0.0 and np.copysign(1.0, ent) == 1.0  # +0.0, not -0.0
 
     def test_uniform_assignment_is_log_k(self):
         k = 5
@@ -119,6 +120,15 @@ class TestCoverageEntropy:
         frac = make_fractal(FractalSpec(4, np.pi / 5, 0.7, 0.01, n_classes=2))
         ent_f = coverage_entropy(frac.sample(500, seed=6), frac)
         assert 0 < ent_f <= np.log(frac.n_segments)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_no_finite_distance_is_nan(self):
+        # 1e160 makes every distance inf, so no point has a nearest mode
+        spec = make_two_gaussian(8.0, 1.0, 2)
+        huge = sample_gmm(spec, 50, seed=1).points * 1e160
+        assert np.isnan(coverage_entropy(huge, spec))
+        assert outlier_rate(huge, spec, threshold=4.0) == 1.0  # inf is an outlier
+        assert np.isnan(coverage_entropy(np.array([[0.1, 0.0], [np.nan, 0.0]]), spec))
 
 
 class TestGaussianFrechet:

@@ -3,7 +3,7 @@ import pytest
 
 from sfglab.datasets import GmmSpec, LabeledPointSet, make_two_gaussian
 from sfglab.model import (OracleModel, ScoreModel, TrainConfig, TrainingDiverged,
-                          eps_to_flow, eps_to_score, esm_loss, flow_to_eps,
+                          _sigmoid, eps_to_flow, eps_to_score, esm_loss, flow_to_eps,
                           load_checkpoint,
                           save_checkpoint, score_to_eps, train)
 from sfglab.oracle import smooth
@@ -55,7 +55,45 @@ class TestConversions:
         assert np.allclose(eps_to_flow(eps, x, 0.4), v, rtol=1e-12)
 
 
+def masked_sigmoid(z):
+    """Reference: 1 / (1 + exp(-z)) on z >= 0 and exp(z) / (1 + exp(z)) below,
+    so neither branch overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_masked_reference(self):
+        edges = [0.0, 1e-300, -1e-300, 1.0, -1.0, 36.0, -36.0, 745.0, -745.0, 1e300, -1e300]
+        z = np.concatenate([edges, np.random.default_rng(11).standard_normal(4000) * 30])
+        z = z.reshape(-1, 1)
+        with np.errstate(all="raise"):
+            s = _sigmoid(z)
+        with np.errstate(under="ignore"):
+            ref = masked_sigmoid(z)
+        assert s.shape == z.shape
+        assert np.abs(s - ref).max() <= 4.5e-16
+        assert np.all((s >= 0.0) & (s <= 1.0))
+        assert s[0, 0] == 0.5
+
+
 class TestForward:
+    def test_cached_forward_matches_plain_forward(self):
+        m = ScoreModel(3, [16, 8], n_classes=2, seed=13)
+        rng = np.random.default_rng(14)
+        ids = m._map_class_ids(6, np.array([0, 1, -1, 0, 1, -1]))
+        feats = m._features(rng.standard_normal((6, 3)), np.full(6, 0.6), ids)
+        out, (pre, sig, acts) = m._forward(feats, want_cache=True)
+        assert out.tobytes() == m._forward(feats).tobytes()
+        assert len(pre) == len(sig) == 2 and len(acts) == 3
+        for z, s, a in zip(pre, sig, acts[1:]):
+            assert s.tobytes() == _sigmoid(z).tobytes()
+            assert a.tobytes() == (z * s).tobytes()
+
     def test_zero_weights_zero_output(self):
         m = ScoreModel(3, [16, 16], seed=1)
         for w in m.weights:
