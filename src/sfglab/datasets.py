@@ -143,16 +143,18 @@ class LabeledPointSet:
         return self.points.shape[1]
 
     def to_csv(self, path) -> None:
-        """Write `x0,...,x{n-1},label,region` rows, floats at 9 significant digits."""
+        """Write `x0,...,x{n-1},label,region` rows, floats at 9 significant digits.
+
+        Each row is one `%`-format of a per-file template, streamed to the
+        file, so no list of every line is held."""
         n = self.dim
         header = ",".join([f"x{i}" for i in range(n)] + ["label", "region"])
-        lines = [header]
-        regions = self.region_tag if self.region_tag is not None else [""] * len(self)
-        for row, lab, reg in zip(self.points, self.labels, regions):
-            coords = ",".join(f"{v:.9g}" for v in row)
-            lines.append(f"{coords},{lab},{reg}")
+        line = ",".join(["%.9g"] * n) + ",%d,%s\n"
+        regions = self.region_tag if self.region_tag is not None else itertools.repeat("")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header + "\n")
+            fh.writelines(line % (*row.tolist(), lab, reg)
+                          for row, lab, reg in zip(self.points, self.labels.tolist(), regions))
 
     @classmethod
     def from_csv(cls, path) -> "LabeledPointSet":
@@ -161,16 +163,16 @@ class LabeledPointSet:
         if header[-2:] != ["label", "region"]:
             raise ValueError(f"{path}: not a point-set CSV (header {header})")
         n = len(header) - 2
-        pts, labs, regs = [], [], []
+        flat, labs, regs = [], [], []
         for lineno, parts in records:
             try:
-                pts.append([float(v) for v in parts[:n]])
+                flat.extend(map(float, parts[:n]))
                 labs.append(int(parts[n]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             regs.append(parts[n + 1])
         region = regs if any(regs) else None
-        return cls(np.asarray(pts, dtype=float).reshape(len(labs), n), labs, region)
+        return cls(np.array(flat, dtype=float).reshape(len(labs), n), labs, region)
 
 
 def make_simplex_gmm(n_components: int, ambient_dim: int, scale: float) -> GmmSpec:

@@ -119,6 +119,8 @@ def coverage_entropy(samples, modes) -> float:
     nearest mode is undefined.
     """
     pts = _points_of(samples)
+    if len(pts) == 0:
+        raise ValueError("empty sample set")
     if isinstance(modes, GmmSpec):
         dists = np.linalg.norm(pts[:, None, :] - modes.means[None, :, :], axis=2)
     elif isinstance(modes, Fractal):
@@ -172,24 +174,20 @@ def gaussian_frechet(samples_a, samples_b) -> float:
 
 
 def sweep_to_csv(rows: list[dict], path) -> None:
-    keys = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
+    """Write dict rows as CSV: columns in first-seen order, numbers at 9
+    significant digits, strings bare, missing keys and None as empty cells."""
+    keys = list(dict.fromkeys(k for row in rows for k in row))
 
     def cell(v):
         if v is None:
             return ""
         if isinstance(v, str):
             return v
-        return f"{v:.9g}"
+        return "%.9g" % v
 
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(",".join(cell(row.get(k)) for k in keys))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(keys) + "\n")
+        fh.writelines(",".join([cell(row.get(k)) for k in keys]) + "\n" for row in rows)
 
 
 def sfg_stats(trace: dict) -> dict:

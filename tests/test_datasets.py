@@ -226,3 +226,75 @@ class TestCsv:
         ps.to_csv(p1)
         LabeledPointSet.from_csv(p1).to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def reference_csv_bytes(ps):
+    """The per-value f-string writer that `to_csv` replaced: its bytes are the
+    point-set format."""
+    header = ",".join([f"x{i}" for i in range(ps.dim)] + ["label", "region"])
+    lines = [header]
+    regions = ps.region_tag if ps.region_tag is not None else [""] * len(ps)
+    for row, lab, reg in zip(ps.points, ps.labels, regions):
+        coords = ",".join(f"{v:.9g}" for v in row)
+        lines.append(f"{coords},{lab},{reg}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+EDGE_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
+               1.7976931348623157e308, 1e16, 123456789.5]
+
+
+def _edge_sets():
+    rng = np.random.default_rng(11)
+    edge = np.array(EDGE_VALUES)
+    wide = rng.standard_normal((6, 256)) * 10.0 ** rng.integers(-12, 12, (6, 256))
+    wide[0, :10] = edge
+    return {
+        "edge_values": LabeledPointSet(edge.reshape(5, 2), [-5, 2**31 - 1, 0, 3, 1],
+                                       ["mode", "", "saddle", "", "outlier"]),
+        "no_region": LabeledPointSet(edge.reshape(2, 5), [0, -5], None),
+        "empty_regions": LabeledPointSet(edge.reshape(2, 5), [1, 2], ["", ""]),
+        "zero_rows": LabeledPointSet(np.zeros((0, 3)), np.zeros(0, dtype=int)),
+        "one_column": LabeledPointSet(edge.reshape(10, 1), np.arange(10) - 5,
+                                      ["mode"] * 5 + [""] * 5),
+        "256_columns": LabeledPointSet(wide, [2**31 - 1, -5, 0, 1, 2, 3], ["saddle"] * 6),
+    }
+
+
+class TestCsvFormat:
+    @pytest.mark.parametrize("name", sorted(_edge_sets()))
+    def test_to_csv_bytes_match_reference_writer(self, tmp_path, name):
+        ps = _edge_sets()[name]
+        path = tmp_path / "pts.csv"
+        ps.to_csv(path)
+        assert path.read_bytes() == reference_csv_bytes(ps)
+
+    def test_from_csv_is_per_cell_float_bit_for_bit(self, tmp_path):
+        rows = [["1_0", " 2.5", "3.25 ", "-0"],
+                ["nan", "-inf", "1e-320", "4.9e-324"],
+                ["0.1", "1E5", "+7", "1.7976931348623157e308"]]
+        path = tmp_path / "pts.csv"
+        path.write_text("x0,x1,x2,x3,label,region\n"
+                        + "".join(",".join(r) + f", {i} ,tag\n" for i, r in enumerate(rows)))
+        back = LabeledPointSet.from_csv(path)
+        want = np.array([[float(c) for c in r] for r in rows])
+        assert back.points.shape == (3, 4)
+        assert back.points.tobytes() == want.tobytes()
+        assert back.labels.tolist() == [0, 1, 2]
+
+    def test_zero_rows_read_back_with_their_width(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        LabeledPointSet(np.zeros((0, 3)), np.zeros(0, dtype=int)).to_csv(path)
+        assert LabeledPointSet.from_csv(path).points.shape == (0, 3)
+
+    @pytest.mark.parametrize("body, message", [
+        ("0.5,1.5,0,\n0.5,abc,1,\n", "line 3: could not convert string to float: 'abc'"),
+        ("0.5,1.5,1.5,\n", "line 2: invalid literal for int() with base 10: '1.5'"),
+        ("0.5,1.5,0,\n0.5,1.5,0,\n0.5,0,\n", "line 4: 3 fields, expected 4"),
+    ])
+    def test_bad_rows_name_their_line(self, tmp_path, body, message):
+        path = tmp_path / "pts.csv"
+        path.write_text("x0,x1,label,region\n" + body)
+        with pytest.raises(ValueError) as info:
+            LabeledPointSet.from_csv(path)
+        assert str(info.value) == f"{path}: {message}"

@@ -6,7 +6,7 @@ from sfglab.datasets import (FractalSpec, GmmSpec, LabeledPointSet, make_fractal
                              make_two_gaussian, sample_gmm)
 from sfglab.evaluation import (EvalReport, coverage_entropy, curvature_field,
                                esm_by_region, gaussian_frechet, make_grid,
-                               outlier_rate, sfg_stats)
+                               outlier_rate, sfg_stats, sweep_to_csv)
 from sfglab.model import OracleModel
 from sfglab.oracle import smooth
 
@@ -130,6 +130,12 @@ class TestCoverageEntropy:
         assert outlier_rate(huge, spec, threshold=4.0) == 1.0  # inf is an outlier
         assert np.isnan(coverage_entropy(np.array([[0.1, 0.0], [np.nan, 0.0]]), spec))
 
+    def test_empty_sample_set_rejected(self):
+        spec = make_two_gaussian(8.0, 1.0, 2)
+        for modes in (spec, spec.means):
+            with pytest.raises(ValueError, match="empty sample set"):
+                coverage_entropy(np.zeros((0, 2)), modes)
+
 
 class TestGaussianFrechet:
     def test_identical_sets_zero(self):
@@ -228,3 +234,43 @@ class TestReportAndStats:
         import json
         loaded = json.loads((tmp_path / "r.json").read_text())
         assert loaded["outlier_rate"] == 0.1
+
+
+def reference_table_bytes(rows):
+    """The writer that `sweep_to_csv` replaced: its bytes are the table format."""
+    keys = []
+    for row in rows:
+        for k in row:
+            if k not in keys:
+                keys.append(k)
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, str):
+            return v
+        return f"{v:.9g}"
+
+    lines = [",".join(keys)] + [",".join(cell(row.get(k)) for k in keys) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestSweepToCsv:
+    @pytest.mark.parametrize("rows", [
+        [],
+        [{"w": 1.5, "name": "sfg", "n": 3}],
+        [{"w": np.float64(0.1), "ok": True, "big": 2**60, "k": np.int64(-5)},
+         {"w": -0.0, "extra": None, "k": 7},
+         {"extra": "tag", "w": np.nan, "big": np.inf, "ok": False},
+         {"w": 5e-324, "k": 1e16, "name": ""}],
+    ], ids=["no_rows", "one_row", "mixed"])
+    def test_bytes_match_reference_writer(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        sweep_to_csv(rows, path)
+        assert path.read_bytes() == reference_table_bytes(rows)
+
+    def test_curvature_field_table_bytes(self, tmp_path):
+        rows = curvature_field(smooth(make_two_gaussian(4.0, 1.0, 2), 0.7), make_grid(-3, 3, 6))
+        path = tmp_path / "field.csv"
+        sweep_to_csv(rows, path)
+        assert path.read_bytes() == reference_table_bytes(rows)
