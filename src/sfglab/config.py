@@ -1,9 +1,11 @@
 """Run configuration: JSON checked against a published schema, and the
 builders that turn a config into run objects (task_specs, train_config,
-schedule, guidance_stack, sweep_points). The schema fixes shape and types;
-each value rule lives in the constructor that consumes the value. The
-commands call these builders, and loading calls all of them once, so a
-config that loads does not fail later on a value they check."""
+schedule, guidance_stack, sweep_points). The schema is a Draft 2020-12
+document, checked by a small built-in checker for the keywords it uses; it
+fixes shape and types. Each value rule lives in the constructor that
+consumes the value. The commands call these builders, and loading calls all
+of them once, so a config that loads does not fail later on a value they
+check."""
 
 from __future__ import annotations
 
@@ -11,10 +13,8 @@ import copy
 import hashlib
 import itertools
 import json
+import numbers
 import os
-
-from jsonschema import Draft202012Validator, validators
-from jsonschema.exceptions import best_match
 
 from .datasets import (FractalSpec, make_fractal, make_outlier_gmm, make_saddle_gmm,
                        make_simplex_gmm, make_two_gaussian)
@@ -319,17 +319,78 @@ def _cross_field_check(cfg: dict) -> None:
         raise ConfigError("classifier guidance needs a mixture task (exact Bayes oracle)")
 
 
-# JSON integers only: an integral float such as 7.0 is not an integer here
-_TYPES = Draft202012Validator.TYPE_CHECKER.redefine(
-    "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool))
-_VALIDATOR = validators.extend(Draft202012Validator, type_checker=_TYPES)(SCHEMA)
+# The Draft 2020-12 keywords _violations implements: exactly those SCHEMA uses.
+KEYWORDS = frozenset({"type", "enum", "const", "properties", "required", "additionalProperties",
+                      "minProperties", "items", "minItems", "maxItems", "minimum", "exclusiveMinimum",
+                      "anyOf"})
+# JSON integers only: an integral float such as 7.0 is not an integer, and a
+# bool is neither an integer nor a number
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality for enum and const: true is not 1."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _violations(value, schema: dict, path: tuple):
+    """Yield (path, message) for each keyword of schema that value breaks,
+    descending into properties, additionalProperties, items and anyOf."""
+    if "type" in schema:
+        names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if not any(_TYPES[t](value) for t in names):
+            yield path, f"{value!r} is not of type {', '.join(map(repr, names))}"
+    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if "const" in schema and not _equal(value, schema["const"]):
+        yield path, f"{schema['const']!r} was expected"
+    if "anyOf" in schema and not any(next(_violations(value, s, path), None) is None
+                                     for s in schema["anyOf"]):
+        yield path, f"{value!r} is not valid under any of the given schemas"
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        if "minProperties" in schema and len(value) < schema["minProperties"]:
+            yield path, f"{value!r} has fewer than {schema['minProperties']} properties"
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            if key in props:
+                yield from _violations(item, props[key], (*path, key))
+            elif extra is False:
+                yield path, f"additional property {key!r} is not allowed"
+            elif extra is not True:
+                yield from _violations(item, extra, (*path, key))
+    elif isinstance(value, list):
+        if "minItems" in schema and len(value) < schema["minItems"]:
+            yield path, f"{value!r} has fewer than {schema['minItems']} items"
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            yield path, f"{value!r} has more than {schema['maxItems']} items"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                yield from _violations(item, schema["items"], (*path, i))
+    elif _TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            yield path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            yield path, f"{value!r} is not above the exclusive minimum of {schema['exclusiveMinimum']!r}"
 
 
 def validate_config(raw: dict) -> dict:
-    """Schema check, defaults, then cross-field checks; returns the merged config."""
-    error = best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"config schema violation at {list(error.absolute_path)}: {error.message}")
+    """Schema check, defaults, then cross-field checks; returns the merged
+    config. A schema violation names the shallowest path that breaks SCHEMA."""
+    found = min(_violations(raw, SCHEMA, ()), key=lambda v: len(v[0]), default=None)
+    if found is not None:
+        raise ConfigError(f"config schema violation at {list(found[0])}: {found[1]}")
     cfg = _deep_merge(DEFAULTS, raw)
     _cross_field_check(cfg)
     return cfg

@@ -121,6 +121,8 @@ class LabeledPointSet:
         self.points = np.asarray(points, dtype=float)
         if self.points.ndim != 2:
             raise ValueError("points must be a (N, n) array")
+        if self.points.shape[1] == 0:  # to_csv could write such rows but from_csv not read them
+            raise ValueError("points need at least one coordinate")
         self.labels = np.asarray(labels, dtype=int)
         n = self.points.shape[0]
         if self.labels.shape != (n,):

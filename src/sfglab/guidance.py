@@ -4,10 +4,15 @@ The saddle-free step maintains a warm-started shifted power-iteration
 estimate of the most positive log-density curvature via two model
 evaluations (a base call plus one finite-difference probe) and, when the
 curvature estimate is positive, subtracts the gated curvature direction from
-the noise estimate. The probe step is h * sigma * v, so lambda estimates the
-sigma^2-scaled Hessian eigenvalue, whose most negative value is >= -1 for
-any Gaussian-smoothed density; a shift alpha >= 1 therefore keeps the
-iteration pointed at the most positive eigenvalue.
+the noise estimate. The probe step is h * sigma * v, so the probe difference
+is u ~ sigma^2 H v and lambda estimates a sigma^2-scaled Hessian eigenvalue;
+for any Gaussian-smoothed density sigma^2 H >= -I. The next v is u plus the
+shift alpha * sigma * v, so each step multiplies v by sigma^2 H +
+alpha * sigma * I. That matrix is positive semi-definite, which keeps the
+iteration pointed at the most positive eigenvalue, only when
+alpha * sigma >= 1; at mid and low sigma the most negative eigenvalue can
+win instead. Whether a shift of alpha tracks better is open (ROADMAP.md,
+open item 2).
 
 Identity weights short-circuit (cfg/autoguidance at w = 1, the saddle-free
 and classifier updates at w = 0) so guided and unguided sampling paths stay

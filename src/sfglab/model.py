@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -68,13 +69,13 @@ def class_ids_per_row(class_ids, n_rows: int) -> np.ndarray:
     return ids
 
 
-def _sigmoid(z):
+def _sigmoid(z, out=None):
     """Logistic sigmoid in the branch-free form 0.5 * (1 + tanh(z / 2)),
-    written in place into one new array. It lies in [0, 1] for every z but
-    NaN and cannot overflow. Its error against 1 / (1 + exp(-z)) is absolute,
-    at most about 2.2e-16; for z <= -38, where the exact value is below
-    3.2e-17, it returns 0."""
-    s = np.multiply(z, 0.5)
+    written in place into out, or into one new array. It lies in [0, 1] for
+    every z but NaN and cannot overflow. Its error against 1 / (1 + exp(-z))
+    is absolute, at most about 2.2e-16; for z <= -38, where the exact value
+    is below 3.2e-17, it returns 0."""
+    s = np.multiply(z, 0.5, out=out)
     np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
@@ -155,6 +156,7 @@ class ScoreModel:
             self.class_emb = None
         self.loss_history: list[tuple[int, float, float]] = []
         self.train_config: TrainConfig | None = None
+        self._local = threading.local()  # per-thread inference buffers
 
     @property
     def conditional(self) -> bool:
@@ -190,21 +192,41 @@ class ScoreModel:
             parts.append(self.class_emb[ids])
         return np.concatenate(parts, axis=1)
 
+    def _buffers(self, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """This thread's (z, s) buffers of every hidden layer for a batch of
+        rows, kept while the batch size repeats. They are views of three
+        arrays: z alternates between two, so a layer's input is never its
+        output, and s shares the third."""
+        local = self._local
+        if getattr(local, "rows", None) != rows:
+            flat = [np.empty(rows * max(self.hidden, default=0)) for _ in range(3)]
+            local.rows = rows
+            local.bufs = [(flat[i % 2][:rows * h].reshape(rows, h), flat[2][:rows * h].reshape(rows, h))
+                          for i, h in enumerate(self.hidden)]
+        return local.bufs
+
     def _forward(self, feats: np.ndarray, want_cache: bool = False):
         """Network output for a feature batch. With want_cache, also return
         (pre, sig, acts): each hidden layer's pre-activation z and its
-        sigmoid s (the SiLU is z * s), and the input of every layer."""
+        sigmoid s (the SiLU is z * s), and the input of every layer. Without
+        it the hidden layers are computed in place in this thread's buffers,
+        so a sampling step allocates no (rows, width) temporaries that the C
+        allocator would return to the system and fault in again."""
         a = feats
         pre, sig, acts = [], [], [feats]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = a @ w.T
+        bufs = [(None, None)] * len(self.hidden) if want_cache else self._buffers(feats.shape[0])
+        for w, b, (z_buf, s_buf) in zip(self.weights[:-1], self.biases[:-1], bufs):
+            z = np.matmul(a, w.T, out=z_buf)
             z += b
-            s = _sigmoid(z)
-            a = z * s
+            s = _sigmoid(z, out=s_buf)
             if want_cache:
+                a = z * s
                 pre.append(z)
                 sig.append(s)
                 acts.append(a)
+            else:
+                z *= s
+                a = z
         out = a @ self.weights[-1].T
         out += self.biases[-1]
         if want_cache:
@@ -394,36 +416,31 @@ class OracleModel:
         self.spec = spec
         self.data_dim = spec.dim
         self.param = "eps"
-        self._smoothed: dict[float, oracle.SmoothedGmm] = {}
-        self._subs: dict[int, GmmSpec] = {}
+        self._smoothed: dict[tuple[int, float], oracle.SmoothedGmm] = {}
 
-    def _smooth(self, sigma: float) -> oracle.SmoothedGmm:
-        key = float(sigma)
+    def _smooth(self, class_id: int, sigma: float) -> oracle.SmoothedGmm:
+        """The mixture (class_id -1) or its class_id sub-mixture, smoothed
+        to sigma; built once per (class_id, sigma)."""
+        key = (class_id, float(sigma))
         if key not in self._smoothed:
-            self._smoothed[key] = oracle.smooth(self.spec, key)
+            spec = self.spec
+            if class_id >= 0:
+                mask = spec.labels == class_id
+                if not mask.any():
+                    raise ValueError(f"unknown class id {class_id}")
+                w = spec.weights[mask]
+                spec = GmmSpec(w / w.sum(), spec.means[mask], spec.covariances[mask], spec.labels[mask])
+            self._smoothed[key] = oracle.smooth(spec, key[1])
         return self._smoothed[key]
-
-    def _sub_spec(self, class_id: int) -> GmmSpec:
-        if class_id not in self._subs:
-            mask = self.spec.labels == class_id
-            if not mask.any():
-                raise ValueError(f"unknown class id {class_id}")
-            w = self.spec.weights[mask]
-            covs = self.spec.covariances[mask]
-            self._subs[class_id] = GmmSpec(w / w.sum(), self.spec.means[mask], covs,
-                                           self.spec.labels[mask])
-        return self._subs[class_id]
 
     def _score_at(self, x: np.ndarray, sigma: float, ids) -> np.ndarray:
         if ids is None:
-            return oracle.score(self._smooth(sigma), x)
+            return oracle.score(self._smooth(-1, sigma), x)
         ids = class_ids_per_row(ids, x.shape[0])
         out = np.empty_like(x)
         for cid in np.unique(ids):
             rows = ids == cid
-            spec = self.spec if cid < 0 else self._sub_spec(int(cid))
-            g = oracle.smooth(spec, sigma) if cid >= 0 else self._smooth(sigma)
-            out[rows] = oracle.score(g, x[rows])
+            out[rows] = oracle.score(self._smooth(max(int(cid), -1), sigma), x[rows])
         return out
 
     def predict_eps(self, x, sigma, class_ids=None) -> np.ndarray:

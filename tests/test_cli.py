@@ -1,5 +1,10 @@
+import copy
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +14,8 @@ from jsonschema import Draft202012Validator
 
 from sfglab import cli
 from sfglab.cli import main
-from sfglab.config import (SCHEMA, ConfigError, _deep_merge, config_hash, load_config, sweep_points,
-                           validate_config)
+from sfglab.config import (KEYWORDS, SCHEMA, ConfigError, _deep_merge, config_hash, load_config,
+                           sweep_points, validate_config)
 from sfglab.datasets import LabeledPointSet
 from sfglab.guidance import GuidanceSpec
 from sfglab.model import ScoreModel, save_checkpoint
@@ -91,9 +96,57 @@ REJECTED_GUIDANCE = {
 }
 
 
+def schema_keywords(schema):
+    """Every keyword of schema and of the sub-schemas it holds."""
+    yield from schema
+    subs = [*schema.get("properties", {}).values(), *schema.get("anyOf", ())]
+    subs += [schema[k] for k in ("additionalProperties", "items") if isinstance(schema.get(k), dict)]
+    for sub in subs:
+        yield from schema_keywords(sub)
+
+
+# (config change, the path the checker names), one per keyword it implements
+SCHEMA_VIOLATIONS = {
+    "type_integral_float": ({"seed": 7.0}, ["seed"]),
+    "type_bool_not_integer": ({"seed": True}, ["seed"]),
+    "type_bool_not_number": ({"data": {"simplex": {"scale": True}}}, ["data", "simplex", "scale"]),
+    "type_list": ({"sweep": {"kind": "sfg", "weights": [1.0], "alphas": "x"}}, ["sweep", "alphas"]),
+    "enum": ({"task": "nope"}, ["task"]),
+    "anyOf_const": ({"sample": {"class_id": "Random"}}, ["sample", "class_id"]),
+    "required": ({"data": {"two_gaussian": {"separation": 4.0}}}, ["data", "two_gaussian"]),
+    "additionalProperties_false": ({"bogus": 1}, []),
+    "additionalProperties_schema": ({"models": {"extra": {"hidden": 8}}}, ["models", "extra", "hidden"]),
+    "minProperties": ({"models": {}}, ["models"]),
+    "items": ({"models": {"main": {"hidden": [8, 0]}}}, ["models", "main", "hidden", 1]),
+    "minItems": ({"models": {"main": {"hidden": []}}}, ["models", "main", "hidden"]),
+    "maxItems": ({"guidance": [{"kind": "none", "interval": [0, 1, 2]}]}, ["guidance", 0, "interval"]),
+    "minimum": ({"threads": 0}, ["threads"]),
+    "exclusiveMinimum": ({"schedule": {"rho": 0}}, ["schedule", "rho"]),
+}
+
+
 class TestConfigValidation:
     def test_schema_is_valid_draft_2020_12(self):
         Draft202012Validator.check_schema(SCHEMA)
+
+    def test_checker_implements_exactly_the_schema_keywords(self):
+        assert set(schema_keywords(SCHEMA)) - {"$schema"} == KEYWORDS
+        edited = copy.deepcopy(SCHEMA)  # a keyword added deep down is seen
+        edited["properties"]["models"]["additionalProperties"]["properties"]["hidden"]["items"]["maximum"] = 9
+        assert "maximum" in set(schema_keywords(edited))
+
+    @pytest.mark.parametrize("change, path", SCHEMA_VIOLATIONS.values(), ids=SCHEMA_VIOLATIONS.keys())
+    def test_schema_violation_names_the_path(self, change, path):
+        cfg = _deep_merge({"task": "simplex", "seed": 1,
+                           "data": {"simplex": {"n_components": 3, "ambient_dim": 4, "scale": 0.2}}}, change)
+        with pytest.raises(ConfigError, match=re.escape(f"config schema violation at {path}: ")):
+            validate_config(cfg)
+
+    def test_cli_import_leaves_jsonschema_out(self):
+        src = str(Path(__file__).parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, sfglab.cli; assert 'jsonschema' not in sys.modules, 'jsonschema imported'"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_guidance_schema_keys_are_the_spec_fields(self):
         keys = SCHEMA["properties"]["guidance"]["items"]["properties"]

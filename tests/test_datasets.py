@@ -219,6 +219,11 @@ class TestCsv:
         assert np.array_equal(back.labels, ps.labels)
         assert back.region_tag == ps.region_tag
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_zero_width_points_rejected(self, n):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            LabeledPointSet(np.zeros((n, 0)), np.zeros(n, dtype=int))
+
     def test_write_is_stable_at_nine_digits(self, tmp_path):
         rng = np.random.default_rng(4)
         ps = LabeledPointSet(rng.standard_normal((25, 2)), np.zeros(25, dtype=int))

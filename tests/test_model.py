@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from sfglab.model import (OracleModel, ScoreModel, TrainConfig, TrainingDiverged
                           _sigmoid, eps_to_flow, eps_to_score, esm_loss, flow_to_eps,
                           load_checkpoint,
                           save_checkpoint, score_to_eps, train)
+from sfglab import oracle
 from sfglab.oracle import smooth
 
 
@@ -93,6 +97,29 @@ class TestForward:
         for z, s, a in zip(pre, sig, acts[1:]):
             assert s.tobytes() == _sigmoid(z).tobytes()
             assert a.tobytes() == (z * s).tobytes()
+
+    def test_plain_forward_buffers_are_per_thread(self):
+        # the plain forward reuses per-thread buffers: threads that share a
+        # model still get the cached forward's bytes, also when the batch
+        # size changes, and no output is overwritten by a later call
+        m = ScoreModel(2, [64, 64], seed=3)
+        rng = np.random.default_rng(4)
+        feats = [rng.standard_normal((n, 6)) for n in (400, 400, 400, 400, 7)]
+        want = [m._forward(f, want_cache=True)[0].tobytes() for f in feats]
+        orders = [[(k + shift) % 4 for k in range(40)] + [4, shift] for shift in range(4)]
+
+        def run(order):
+            return [m._forward(feats[j]) for j in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = [f.result(timeout=120) for f in [pool.submit(run, order) for order in orders]]
+        finally:
+            sys.setswitchinterval(interval)
+        for order, outs in zip(orders, results):
+            assert [out.tobytes() for out in outs] == [want[j] for j in order]
 
     def test_zero_weights_zero_output(self):
         m = ScoreModel(3, [16, 16], seed=1)
@@ -307,6 +334,27 @@ class TestOracleModelConditional:
         om = OracleModel(make_two_gaussian(4.0, 1.0, 2))
         with pytest.raises(ValueError, match="one id per row"):
             om.predict_eps(np.zeros((3, 2)), 0.5, class_ids=[0, 1])
+
+    def test_smoothing_cached_per_class_and_sigma(self, monkeypatch):
+        spec = make_two_gaussian(4.0, 1.0, 2)
+        x = np.random.default_rng(0).standard_normal((6, 2))
+        ids = np.array([0, 1, -1, 0, -5, 1])
+        subs = {c: GmmSpec([1.0], spec.means[[c]], spec.covariances[[c]], [c]) for c in (0, 1)}
+        want = np.empty_like(x)  # each class smoothed afresh, as before the cache
+        for c in np.unique(ids):
+            g = smooth(subs[c] if c >= 0 else spec, 0.5)
+            want[ids == c] = -0.5 * oracle.score(g, x[ids == c])
+        calls = []
+        real_smooth = oracle.smooth
+        monkeypatch.setattr(oracle, "smooth", lambda *a: calls.append(a[1:]) or real_smooth(*a))
+        om = OracleModel(spec)
+        outs = [om.predict_eps(x, 0.5, ids) for _ in range(3)] + [om.predict_eps(x, 0.5)]
+        assert sorted(calls) == [(0.5,)] * 3  # class 0, class 1 and the full mixture, once each
+        for out in outs[:3]:
+            assert np.array_equal(out, want)
+        assert np.array_equal(outs[3], -0.5 * oracle.score(smooth(spec, 0.5), x))
+        om.predict_eps(x, 0.25, 0)
+        assert len(calls) == 4
 
     def test_mixed_class_batch(self):
         spec = make_two_gaussian(4.0, 1.0, 2)

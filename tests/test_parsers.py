@@ -1,14 +1,21 @@
 """Property tests for the file parsers: checkpoints, point-set CSVs, the
 numeric tables the CLI plots and run configs."""
 
+import copy
+import json
+from functools import reduce
+from operator import getitem
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator, validators
 
 from sfglab.cli import _read_table
-from sfglab.config import (ConfigError, guidance_stack, schedule, task_specs, train_config,
-                           validate_config)
+from sfglab.config import (SCHEMA, ConfigError, _violations, guidance_stack, schedule, task_specs,
+                           train_config, validate_config)
 from sfglab.datasets import LabeledPointSet
 from sfglab.evaluation import sweep_to_csv
 from sfglab.model import ScoreModel, load_checkpoint, save_checkpoint
@@ -131,3 +138,64 @@ def test_a_config_that_validates_builds_every_run_object(cfg):
         train_config(cfg, name)
     schedule(cfg)
     guidance_stack(cfg)
+
+
+# the reference for the built-in schema checker: jsonschema with the same
+# integer rule (an integral float such as 7.0 is not an integer)
+_INTEGERS = Draft202012Validator.TYPE_CHECKER.redefine(
+    "integer", lambda checker, v: isinstance(v, int) and not isinstance(v, bool))
+REFERENCE = validators.extend(Draft202012Validator, type_checker=_INTEGERS)(SCHEMA)
+
+
+def assert_checker_matches_jsonschema(cfg):
+    """Same verdict, and a violation at the same instance paths."""
+    want = {tuple(error.absolute_path) for error in REFERENCE.iter_errors(cfg)}
+    assert {path for path, _ in _violations(cfg, SCHEMA, ())} == want, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=run_configs())
+def test_schema_checker_matches_jsonschema_on_run_configs(cfg):
+    assert_checker_matches_jsonschema(cfg)
+
+
+EXAMPLE_CONFIGS = [json.loads(path.read_text()) for path in
+                   sorted((Path(__file__).parent.parent / "examples_config").glob("*.json"))]
+OTHER_TYPES = [7.0, True, None, "x", []]
+
+
+def nodes(value, path=()):
+    """(path, value) of value and of everything nested in it."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from nodes(item, (*path, key))
+
+
+@st.composite
+def mutated_examples(draw):
+    """An example config with one to three edits: a key or item deleted, an
+    unknown key added, or a value swapped for one of another type."""
+    cfg = copy.deepcopy(draw(st.sampled_from(EXAMPLE_CONFIGS)))
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(cfg, dict):
+            break
+        edit = draw(st.sampled_from(["delete", "add", "swap"]))
+        path, value = draw(st.sampled_from([(p, v) for p, v in nodes(cfg)
+                                            if isinstance(v, dict) or edit != "add"]))
+        if edit == "add":
+            value["unknown_key"] = 1
+        elif not path:  # the whole config
+            cfg = {} if edit == "delete" else copy.deepcopy(draw(st.sampled_from(OTHER_TYPES)))
+        elif edit == "delete":
+            del reduce(getitem, path[:-1], cfg)[path[-1]]
+        else:
+            reduce(getitem, path[:-1], cfg)[path[-1]] = copy.deepcopy(draw(st.sampled_from(OTHER_TYPES)))
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=mutated_examples())
+def test_schema_checker_matches_jsonschema_on_mutated_examples(cfg):
+    assert_checker_matches_jsonschema(cfg)
+
