@@ -1,18 +1,19 @@
 """sfglab: a guidance laboratory for score-based generative models.
 
-Everything runs on analytically tractable toy densities (Gaussian mixtures
-and a branching fractal manifold) where log densities, scores, Hessians and
-saddle regions are available in closed form, so every guidance strategy can
-be checked against exact oracles.
+Every task is an exact Gaussian mixture (a simplex, two Gaussians, and a
+branching fractal built from thin anisotropic components), so log densities,
+scores, Hessians, Bayes-classifier gradients and saddle regions are available
+in closed form and every guidance strategy can be checked against exact
+oracles.
 """
 
 __version__ = "0.1.0"
 
 from .datasets import (
+    Fractal,
     FractalSpec,
     GmmSpec,
     LabeledPointSet,
-    make_fractal,
     make_outlier_gmm,
     make_saddle_gmm,
     make_simplex_gmm,

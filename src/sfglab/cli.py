@@ -108,22 +108,16 @@ def cmd_gen_data(cfg: dict) -> int:
     seed = cfg["seed"]
     n_train = cfg["data"]["n_train"]
     n_test = cfg["data"]["n_test"]
-    files = {}
-    if cfg["task"] == "fractal":
-        train_set = specs["fractal"].sample(n_train, derive_seed(seed, 100))
-        train_set.to_csv(out / "train.csv")
-        files["train.csv"] = len(train_set)
-    else:
-        train_set = sample_gmm(specs["base"], n_train, derive_seed(seed, 100))
-        train_set.to_csv(out / "train.csv")
-        files["train.csv"] = len(train_set)
-        if cfg["task"] == "simplex":
-            for i, region in enumerate(("mode", "saddle", "outlier")):
-                spec = specs["base"] if region == "mode" else specs[region]
-                pts = sample_gmm(spec, n_test, derive_seed(seed, 101 + i))
-                tagged = LabeledPointSet(pts.points, pts.labels, [region] * len(pts))
-                tagged.to_csv(out / f"test_{region}.csv")
-                files[f"test_{region}.csv"] = len(tagged)
+    train_set = sample_gmm(specs["base"], n_train, derive_seed(seed, 100))
+    train_set.to_csv(out / "train.csv")
+    files = {"train.csv": len(train_set)}
+    if cfg["task"] == "simplex":
+        for i, region in enumerate(("mode", "saddle", "outlier")):
+            spec = specs["base"] if region == "mode" else specs[region]
+            pts = sample_gmm(spec, n_test, derive_seed(seed, 101 + i))
+            tagged = LabeledPointSet(pts.points, pts.labels, [region] * len(pts))
+            tagged.to_csv(out / f"test_{region}.csv")
+            files[f"test_{region}.csv"] = len(tagged)
     _write_manifest(out / "gen_data_manifest.json", "gen-data", cfg, {"files": files})
     print(f"gen-data: wrote {sorted(files)} to {out}")
     return 0
@@ -192,7 +186,7 @@ def _stack_sampler(cfg: dict, out: Path, specs):
     table = _load_models(out, sorted({main} | {s.companion for s in specs if s.companion}))
     table["main"] = table[main]
     mode = "eps" if cfg["schedule"]["kind"] == "sigma" else "flow"
-    gmm = task_specs(cfg).get("base")
+    gmm = task_specs(cfg)["base"]
     n_samples = cfg["sample"]["n_samples"]
     class_ids = _class_ids_for(cfg, table["main"], n_samples)
     sch = schedule(cfg)
@@ -238,22 +232,16 @@ def _frechet_sized(s: LabeledPointSet) -> LabeledPointSet:
 
 
 def _sample_metrics(cfg: dict, specs: dict) -> dict:
-    """Sample-set metrics against the task's exact reference: Frechet distance
-    to a seeded reference draw, outlier rate and coverage entropy. Each returns
-    a finite float or raises NumericFailure naming the metric."""
+    """Sample-set metrics against the task mixture: Frechet distance to a
+    seeded reference draw, outlier rate (Mahalanobis distance to the nearest
+    component, default threshold 4) and coverage entropy. Each returns a
+    finite float or raises NumericFailure naming the metric."""
     ecfg = cfg["eval"]
+    base, threshold = specs["base"], ecfg["outlier_threshold"] or 4.0
     n, seed = ecfg["frechet_reference_n"], derive_seed(cfg["seed"], 999)
-    if cfg["task"] == "fractal":
-        manifold = specs["fractal"]
-        draw = lambda: manifold.sample(n, seed).points
-        threshold = ecfg["outlier_threshold"] or 3.0 * manifold.spec.jitter_sigma
-    else:
-        manifold = specs["base"]
-        draw = lambda: sample_gmm(manifold, n, seed).points
-        threshold = ecfg["outlier_threshold"] or 4.0
     # drawn on first use, so the reference is not held while the larger
     # outlier/coverage arrays of an earlier metric call are alive
-    ref = functools.cache(draw)
+    ref = functools.cache(lambda: sample_gmm(base, n, seed).points)
 
     def finite(name, fn):
         def metric(s) -> float:
@@ -265,8 +253,8 @@ def _sample_metrics(cfg: dict, specs: dict) -> dict:
 
     return {name: finite(name, fn) for name, fn in {
         "frechet": lambda s: evaluation.gaussian_frechet(_frechet_sized(s), ref()),
-        "outlier_rate": lambda s: evaluation.outlier_rate(s, manifold, threshold),
-        "coverage_entropy": lambda s: evaluation.coverage_entropy(s, manifold),
+        "outlier_rate": lambda s: evaluation.outlier_rate(s, base, threshold),
+        "coverage_entropy": lambda s: evaluation.coverage_entropy(s, base),
     }.items()}
 
 

@@ -16,8 +16,8 @@ import json
 import numbers
 import os
 
-from .datasets import (FractalSpec, make_fractal, make_outlier_gmm, make_saddle_gmm,
-                       make_simplex_gmm, make_two_gaussian)
+from .datasets import (Fractal, FractalSpec, make_outlier_gmm, make_saddle_gmm, make_simplex_gmm,
+                       make_two_gaussian)
 from .guidance import GUIDANCE_KINDS, GuidanceSpec, check_stack
 from .model import TrainConfig
 from .rng import derive_seed
@@ -222,9 +222,10 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def task_specs(cfg: dict) -> dict:
-    """The task's generative objects: the simplex mixture ('base') with its
-    'saddle' and 'outlier' companions, the two-Gaussian mixture ('base'), or
-    the 'fractal'."""
+    """The task's exact mixtures: 'base', the training density of every task
+    (the simplex mixture, the two-Gaussian mixture or the fractal's
+    moment-matched mixture), plus the simplex's 'saddle' and 'outlier'
+    companions."""
     task = cfg["task"]
     s = cfg["data"][task]
     if task == "simplex":
@@ -233,7 +234,7 @@ def task_specs(cfg: dict) -> dict:
     if task == "two_gaussian":
         return {"base": make_two_gaussian(s["separation"], s["base_variance"], s["ambient_dim"])}
     s = {"n_classes": 2 if s["depth"] > 1 else 1, **s}
-    return {"fractal": make_fractal(FractalSpec(**s))}
+    return {"base": Fractal(FractalSpec(**s)).gmm}
 
 
 def train_config(cfg: dict, name: str) -> TrainConfig:
@@ -307,7 +308,7 @@ def _cross_field_check(cfg: dict) -> None:
     except (ValueError, ArithmeticError) as exc:  # e.g. a schedule whose rho overflows
         raise ConfigError(f"bad {where}: {exc}") from exc
     # every eval computes the Frechet distance, which needs a full-rank covariance
-    dim = 2 if task == "fractal" else specs["base"].dim  # the fractal lives in the plane
+    dim = specs["base"].dim
     for section, key in (("sample", "n_samples"), ("eval", "frechet_reference_n")):
         if cfg[section][key] <= dim:
             raise ConfigError(f"{section}.{key} {cfg[section][key]} must exceed the data dimension "
@@ -315,8 +316,6 @@ def _cross_field_check(cfg: dict) -> None:
     kinds = {s.kind for stack in stacks for s in stack}
     if kinds & {"cfg", "interval_cfg"} and not models.get(main, {}).get("conditional", False):
         raise ConfigError(f"cfg needs a conditional main model (got {main!r})")
-    if "classifier" in kinds and task == "fractal":
-        raise ConfigError("classifier guidance needs a mixture task (exact Bayes oracle)")
 
 
 # The Draft 2020-12 keywords _violations implements: exactly those SCHEMA uses.

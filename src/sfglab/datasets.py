@@ -1,6 +1,6 @@
-"""Toy data regimes: a simplex Gaussian mixture with saddle and outlier
-companion mixtures, a two-Gaussian separation task, and a branching fractal
-manifold with labeled samples."""
+"""Toy data regimes, each an exact Gaussian mixture: a simplex mixture with
+saddle and outlier companion mixtures, a two-Gaussian separation task, and a
+branching fractal whose segments are thin anisotropic components."""
 
 from __future__ import annotations
 
@@ -45,9 +45,9 @@ class GmmSpec:
             asym = np.abs(c - np.swapaxes(c, 1, 2)).max()
             if asym > 1e-12:
                 raise ValueError(f"covariances asymmetric by {asym:g} (> 1e-12)")
-            for i in range(k):
-                if np.linalg.eigvalsh(c[i]).min() <= 0:
-                    raise ValueError(f"covariance {i} is not positive definite")
+            bad = np.flatnonzero(np.linalg.eigvalsh(c).min(axis=1) <= 0)
+            if bad.size:
+                raise ValueError(f"covariance {bad[0]} is not positive definite")
         else:
             raise ValueError(f"covariances shape {c.shape} incompatible with {k} components in {n}-d")
         lab = self.labels
@@ -87,8 +87,8 @@ class FractalSpec:
             raise ValueError("depth must be an integer >= 1")
         if not (0.0 < self.shrink_ratio < 1.0):
             raise ValueError("shrink_ratio must lie strictly inside (0, 1)")
-        if not np.isfinite(self.jitter_sigma) or self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be finite and >= 0")
+        if not np.isfinite(self.jitter_sigma) or self.jitter_sigma <= 0:
+            raise ValueError("jitter_sigma must be finite and > 0: a zero-width segment has no density")
         if not np.isfinite(self.branch_angle):
             raise ValueError("branch_angle must be finite")
         if self.n_classes not in (1, 2):
@@ -237,76 +237,63 @@ def make_two_gaussian(separation: float, base_variance: float, ambient_dim: int)
 
 
 class Fractal:
-    """Deterministic 2D binary-tree fractal with a length-weighted sampler.
+    """Deterministic 2D binary-tree fractal as an exact Gaussian mixture.
 
     Trunk runs from the origin to (0, 1); every segment spawns two children
     rotated by +-branch_angle and scaled by shrink_ratio, for ``depth`` levels
     (2**depth - 1 segments total). Segment class is the index of its level-1
     ancestor: 0 for the +angle child of the trunk, 1 for the -angle child.
-    Trunk samples have no level-1 ancestor and get a fair coin flip when two
-    classes are in play.
+
+    ``gmm`` has one anisotropic Gaussian per segment with the first two
+    moments of a uniform point on the segment plus N(0, jitter^2 I): mean at
+    the midpoint, covariance (L^2/12) u u^T + jitter^2 I for length L and
+    unit direction u, weight proportional to L, and the segment's class.
+    With two classes the trunk is two half-weight components at one mean,
+    labeled 0 and 1, so a trunk point's class is a fair coin flip.
     """
 
     def __init__(self, spec: FractalSpec):
         self.spec = spec
-        starts = [np.zeros(2)]
-        ends = [np.array([0.0, 1.0])]
-        dirs = [np.array([0.0, 1.0])]
-        lengths = [1.0]
-        labels = [-1]  # trunk: resolved at sampling time
-        rots = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-                for a in (spec.branch_angle, -spec.branch_angle)]
-        level_start = 0
+        rots = np.array([[[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]
+                         for a in (spec.branch_angle, -spec.branch_angle)])
+        # one level at a time, in heap order: segment i has children 2i+1 (+angle) and 2i+2
+        starts, dirs, lengths = [np.zeros((1, 2))], [np.array([[0.0, 1.0]])], [np.ones(1)]
+        labels = [np.array([-1])]  # the trunk, which both classes share
         for level in range(1, spec.depth):
-            next_start = len(starts)
-            for i in range(level_start, next_start):
-                for j, rot in enumerate(rots):
-                    d = rot @ dirs[i]
-                    length = lengths[i] * spec.shrink_ratio
-                    starts.append(ends[i])
-                    ends.append(ends[i] + length * d)
-                    dirs.append(d)
-                    lengths.append(length)
-                    labels.append(j if level == 1 else labels[i])
-            level_start = next_start
-        self.starts = np.stack(starts)
-        self.ends = np.stack(ends)
-        self.lengths = np.asarray(lengths)
-        self.seg_labels = np.asarray(labels)
+            starts.append(np.repeat(starts[-1] + lengths[-1][:, None] * dirs[-1], 2, axis=0))
+            dirs.append(np.einsum("rij,mj->mri", rots, dirs[-1]).reshape(-1, 2))
+            lengths.append(np.repeat(lengths[-1] * spec.shrink_ratio, 2))
+            labels.append(np.array([0, 1]) if level == 1 else np.repeat(labels[-1], 2))
+        u = np.concatenate(dirs)
+        self.starts = np.concatenate(starts)
+        self.lengths = np.concatenate(lengths)
+        self.ends = self.starts + self.lengths[:, None] * u
+        cov = ((self.lengths**2 / 12.0)[:, None, None] * u[:, :, None] * u[:, None, :]
+               + spec.jitter_sigma**2 * np.eye(2))
+        weights = self.lengths / self.lengths.sum()
+        mids = 0.5 * (self.starts + self.ends)
+        if spec.n_classes == 1:
+            self.gmm = GmmSpec(weights, mids, cov, np.zeros(self.n_segments, dtype=int))
+        else:  # the trunk, segment 0, as two half-weight components
+            comps = np.r_[0, np.arange(self.n_segments)]
+            weights = np.r_[weights[0] / 2, weights[0] / 2, weights[1:]]
+            self.gmm = GmmSpec(weights, mids[comps], cov[comps], np.r_[0, 1, np.concatenate(labels)[1:]])
 
     @property
     def n_segments(self) -> int:
         return len(self.lengths)
 
     def sample(self, n: int, seed: int) -> LabeledPointSet:
-        """Uniform point on a length-weighted segment plus isotropic jitter."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        rng = generator(seed)
-        p = self.lengths / self.lengths.sum()
-        idx = rng.choice(self.n_segments, size=n, p=p)
-        t = rng.random(n)
-        pts = self.starts[idx] + t[:, None] * (self.ends[idx] - self.starts[idx])
-        if self.spec.jitter_sigma > 0:
-            pts = pts + self.spec.jitter_sigma * rng.standard_normal((n, 2))
-        labels = self.seg_labels[idx].copy()
-        trunk = labels < 0
-        if trunk.any():
-            if self.spec.n_classes == 2:
-                labels[trunk] = rng.integers(0, 2, size=int(trunk.sum()))
-            else:
-                labels[trunk] = 0
-        if self.spec.n_classes == 1:
-            labels[:] = 0
-        return LabeledPointSet(pts, labels)
-
-
-def make_fractal(spec: FractalSpec) -> Fractal:
-    return Fractal(spec)
+        """n labeled points drawn from ``gmm``."""
+        return sample_gmm(self.gmm, n, seed)
 
 
 def sample_gmm(spec: GmmSpec, n: int, seed: int) -> LabeledPointSet:
-    """Ancestral sampling: component by weight, then the component Gaussian."""
+    """Ancestral sampling: component by weight, then the component Gaussian.
+
+    Full covariances take one batched Cholesky factorization; a stable sort
+    then groups the draws by component, so each component transforms one
+    contiguous block of its draws, in row order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = generator(seed)
@@ -315,10 +302,13 @@ def sample_gmm(spec: GmmSpec, n: int, seed: int) -> LabeledPointSet:
     if spec.isotropic:
         pts = spec.means[comps] + eps * np.sqrt(spec.covariances[comps])[:, None]
     else:
+        chol = np.linalg.cholesky(spec.covariances)
+        order = np.argsort(comps, kind="stable")
+        bounds = np.r_[0, np.cumsum(np.bincount(comps, minlength=spec.n_components))]
+        grouped = eps[order]
+        for j in np.flatnonzero(np.diff(bounds)):
+            rows = slice(bounds[j], bounds[j + 1])
+            grouped[rows] = spec.means[j] + grouped[rows] @ chol[j].T
         pts = np.empty((n, spec.dim))
-        for j in range(spec.n_components):
-            rows = comps == j
-            if rows.any():
-                chol = np.linalg.cholesky(spec.covariances[j])
-                pts[rows] = spec.means[j] + eps[rows] @ chol.T
+        pts[order] = grouped
     return LabeledPointSet(pts, spec.labels[comps])

@@ -1,5 +1,5 @@
 """Quantitative harness: region-partitioned score-matching losses, outlier
-and coverage metrics for manifold tasks, raw-coordinate Gaussian Frechet
+and coverage metrics against a task mixture, raw-coordinate Gaussian Frechet
 distances, 2D curvature-field tables, and the CSV writer for tables."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .datasets import Fractal, GmmSpec, LabeledPointSet, sample_gmm
+from .datasets import GmmSpec, LabeledPointSet, sample_gmm
 from .model import esm_loss
 from .oracle import classifier_grad, full_spectrum, hessian, score, smooth
 from .rng import derive_seed, generator
@@ -75,61 +75,42 @@ def _points_of(samples) -> np.ndarray:
     return np.asarray(samples, dtype=float)
 
 
-def _segment_distances(points: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Distance of every point to every segment, shape (N, S)."""
-    d = ends - starts  # (S, 2)
-    len2 = (d * d).sum(axis=1)
-    rel = points[:, None, :] - starts[None, :, :]  # (N, S, 2)
-    t = np.clip((rel * d[None, :, :]).sum(axis=2) / len2[None, :], 0.0, 1.0)
-    proj = starts[None, :, :] + t[:, :, None] * d[None, :, :]
-    return np.linalg.norm(points[:, None, :] - proj, axis=2)
+def _nearest_mahalanobis(points: np.ndarray, spec: GmmSpec) -> np.ndarray:
+    """Mahalanobis distance of every point to its nearest component, shape (N,)."""
+    diff = points[:, None, :] - spec.means[None, :, :]
+    if spec.isotropic:
+        maha2 = (diff * diff).sum(axis=2) / spec.covariances[None, :]
+    else:
+        maha2 = np.einsum("nki,kij,nkj->nk", diff, np.linalg.inv(spec.covariances), diff)
+    return np.sqrt(maha2.min(axis=1))
 
 
-def _manifold_distance(points: np.ndarray, manifold) -> np.ndarray:
-    if isinstance(manifold, Fractal):
-        return _segment_distances(points, manifold.starts, manifold.ends).min(axis=1)
-    if isinstance(manifold, GmmSpec):
-        diff = points[:, None, :] - manifold.means[None, :, :]
-        if manifold.isotropic:
-            maha2 = (diff * diff).sum(axis=2) / manifold.covariances[None, :]
-        else:
-            inv = np.linalg.inv(manifold.covariances)
-            maha2 = np.einsum("nki,kij,nkj->nk", diff, inv, diff)
-        return np.sqrt(maha2.min(axis=1))
-    raise TypeError(f"unsupported manifold type {type(manifold)!r}")
-
-
-def outlier_rate(samples, manifold, threshold: float) -> float:
-    """Fraction of samples farther than threshold from the manifold
-    (segment distance for fractals, component Mahalanobis distance for GMMs)."""
+def outlier_rate(samples, spec: GmmSpec, threshold: float) -> float:
+    """Fraction of samples whose Mahalanobis distance to the nearest
+    component of the mixture exceeds threshold."""
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
     pts = _points_of(samples)
     if len(pts) == 0:
         raise ValueError("empty sample set")
-    return float(np.mean(_manifold_distance(pts, manifold) > threshold))
+    return float(np.mean(_nearest_mahalanobis(pts, spec) > threshold))
 
 
 def coverage_entropy(samples, modes) -> float:
     """Shannon entropy (nats) of nearest-mode assignments.
 
-    modes is a (M, n) array of reference points, a GmmSpec (its means), or a
-    Fractal (its segments). NaN when a point has no finite distance to any
-    mode (a non-finite point, or distances that overflow), because its
-    nearest mode is undefined.
+    modes is a (M, n) array of reference points or a GmmSpec (its means;
+    components that share a mean count as one mode, the first). NaN when a
+    point has no finite distance to any mode (a non-finite point, or
+    distances that overflow), because its nearest mode is undefined.
     """
     pts = _points_of(samples)
     if len(pts) == 0:
         raise ValueError("empty sample set")
-    if isinstance(modes, GmmSpec):
-        dists = np.linalg.norm(pts[:, None, :] - modes.means[None, :, :], axis=2)
-    elif isinstance(modes, Fractal):
-        dists = _segment_distances(pts, modes.starts, modes.ends)
-    else:
-        refs = np.asarray(modes, dtype=float)
-        if refs.ndim != 2 or len(refs) < 1:
-            raise ValueError("need at least one reference mode")
-        dists = np.linalg.norm(pts[:, None, :] - refs[None, :, :], axis=2)
+    refs = modes.means if isinstance(modes, GmmSpec) else np.asarray(modes, dtype=float)
+    if refs.ndim != 2 or len(refs) < 1:
+        raise ValueError("need at least one reference mode")
+    dists = np.linalg.norm(pts[:, None, :] - refs[None, :, :], axis=2)
     if not np.isfinite(dists).any(axis=1).all():
         return float("nan")
     assign = dists.argmin(axis=1)

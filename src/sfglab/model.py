@@ -460,7 +460,7 @@ class OracleModel:
         return (eps - x) / (1.0 - t)
 
 
-def save_checkpoint(model: ScoreModel, path, extra: dict | None = None) -> None:
+def save_checkpoint(model: ScoreModel, path) -> None:
     """Binary checkpoint: magic, version, JSON header, float32 LE blocks."""
     blocks = model.parameter_blocks()
     names = []
@@ -479,8 +479,6 @@ def save_checkpoint(model: ScoreModel, path, extra: dict | None = None) -> None:
         "train_config": asdict(model.train_config) if model.train_config else None,
         "blocks": [{"name": n, "shape": list(b.shape)} for n, b in zip(names, blocks)],
     }
-    if extra:
-        header["extra"] = extra
     hb = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sfglab as sf
-from sfglab.datasets import FractalSpec, GmmSpec, LabeledPointSet, make_fractal, sample_gmm
+from sfglab.datasets import FractalSpec, GmmSpec, LabeledPointSet, sample_gmm
 from sfglab.evaluation import (coverage_entropy, curvature_field, esm_by_region,
                                gaussian_frechet, make_grid, outlier_rate)
 from sfglab.guidance import GuidanceSpec, sfg_init, sfg_step

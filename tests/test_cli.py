@@ -12,11 +12,11 @@ import pytest
 
 from jsonschema import Draft202012Validator
 
-from sfglab import cli
+from sfglab import cli, evaluation
 from sfglab.cli import main
 from sfglab.config import (KEYWORDS, SCHEMA, ConfigError, _deep_merge, config_hash, load_config,
-                           sweep_points, validate_config)
-from sfglab.datasets import LabeledPointSet
+                           sweep_points, task_specs, validate_config)
+from sfglab.datasets import LabeledPointSet, sample_gmm
 from sfglab.guidance import GuidanceSpec
 from sfglab.model import ScoreModel, save_checkpoint
 
@@ -70,6 +70,7 @@ REJECTED_VALUES = {
     "fractal_trunk_with_two_classes": (fractal_config, {"data": {"fractal": {"depth": 1, "n_classes": 2}}},
                                        "gen-data"),
     "integral_float_seed": (fractal_config, {"seed": 3.0}, "gen-data"),
+    "fractal_zero_jitter": (fractal_config, {"data": {"fractal": {"jitter_sigma": 0.0}}}, "gen-data"),
 }
 
 # overrides validated like the file: (environment, flags)
@@ -184,11 +185,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="conditional"):
             validate_config(cfg)
 
-    def test_classifier_not_on_fractal(self):
-        cfg = fractal_config("x")
-        cfg["guidance"] = [{"kind": "classifier", "weight": 1.0, "classifier_class": 0}]
-        with pytest.raises(ConfigError, match="mixture task"):
-            validate_config(cfg)
+    def test_classifier_guidance_runs_on_fractal(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = fractal_config(out)
+        cfg["guidance"] = [{"kind": "classifier", "weight": 1.0, "classifier_class": 1}]
+        path = write_config(tmp_path, cfg)
+        out.mkdir()
+        save_checkpoint(ScoreModel(2, [16], n_classes=2, seed=1), out / "main.ckpt")
+        assert main(["sample", "--config", path]) == 0
+        samples = LabeledPointSet.from_csv(out / "samples_classifier.csv")
+        assert len(samples) == 12 and np.isfinite(samples.points).all()
 
     def test_sweep_points_in_run_order(self):
         def points(guidance=(), **sweep):
@@ -479,6 +485,22 @@ class TestPipeline:
         assert main(["sample", "--config", path, "--threads", "3"]) == 0
         assert (out / "samples_sfg.csv").read_bytes() == one
 
+    def test_fractal_eval_scores_against_the_mixture(self, tmp_path):
+        out = tmp_path / "run"
+        path = write_config(tmp_path, fractal_config(out))
+        base = task_specs(load_config(path))["base"]
+        draws = sample_gmm(base, 400, seed=2)
+        noise = 0.03 * np.random.default_rng(3).standard_normal(draws.points.shape)
+        out.mkdir()
+        LabeledPointSet(draws.points + noise, draws.labels).to_csv(out / "samples_sfg.csv")
+        samples = LabeledPointSet.from_csv(out / "samples_sfg.csv")
+        assert main(["eval", "--config", path]) == 0
+        report = json.loads((out / "eval_report.json").read_text())
+        # default threshold: Mahalanobis distance 4 to the nearest component
+        rates = [evaluation.outlier_rate(samples, base, t) for t in (3.0, 4.0, 5.0)]
+        assert rates[0] > report["outlier_rate"] == rates[1] > rates[2]
+        assert report["coverage_entropy"] == evaluation.coverage_entropy(samples, base)
+
     def test_simplex_gen_data_files(self, tmp_path):
         out = tmp_path / "run"
         cfg = {
@@ -572,7 +594,8 @@ class TestSweepCommand:
         out = tmp_path / "run"
         cfg = fractal_config(out)
         cfg["guidance"] = [{"kind": "none"}]
-        cfg["eval"]["outlier_threshold"] = 10.0  # some of the barely trained model's samples lie farther
+        # Mahalanobis units: half of the barely trained model's samples lie farther
+        cfg["eval"]["outlier_threshold"] = 1000.0
         cfg["sweep"] = {"kind": "sfg", "weights": [0.0, 2.0],
                         "metrics": ["frechet", "outlier_rate", "coverage_entropy"]}
         path = write_config(tmp_path, cfg)

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from sfglab.datasets import (FractalSpec, GmmSpec, LabeledPointSet, make_fractal,
+from sfglab.datasets import (Fractal, FractalSpec, GmmSpec, LabeledPointSet,
                              make_outlier_gmm, make_saddle_gmm, make_simplex_gmm,
                              make_two_gaussian, sample_gmm)
 from sfglab.oracle import score, smooth
+from sfglab.rng import generator
 
 SQRT2 = np.sqrt(2.0)
 
@@ -117,38 +118,66 @@ class TestTwoGaussian:
 
 class TestFractal:
     def test_trunk_only(self):
-        frac = make_fractal(FractalSpec(1, np.pi / 5, 0.75, 0.0, n_classes=1))
+        frac = Fractal(FractalSpec(1, np.pi / 5, 0.75, 0.01, n_classes=1))
+        assert np.array_equal(frac.gmm.means, [[0.0, 0.5]])
+        assert np.allclose(frac.gmm.covariances, [np.diag([1e-4, 1 / 12 + 1e-4])], rtol=1e-14, atol=0)
         pts = frac.sample(200, seed=1)
-        assert np.abs(pts.points[:, 0]).max() < 1e-12
-        assert pts.points[:, 1].min() >= -1e-12 and pts.points[:, 1].max() <= 1 + 1e-12
+        assert np.abs(pts.points[:, 0]).max() < 0.05
         assert set(pts.labels) == {0}
 
     def test_segment_count(self):
         for depth in (1, 2, 5, 8):
-            frac = make_fractal(FractalSpec(depth, np.pi / 5, 0.75, 0.005,
-                                            n_classes=1 if depth == 1 else 2))
+            classes = 1 if depth == 1 else 2
+            frac = Fractal(FractalSpec(depth, np.pi / 5, 0.75, 0.005, n_classes=classes))
             assert frac.n_segments == 2**depth - 1
+            assert frac.gmm.n_components == frac.n_segments + classes - 1  # the trunk once per class
 
     def test_default_task_builds(self):
-        frac = make_fractal(FractalSpec(8, np.pi / 5, 0.75, 0.005))
+        frac = Fractal(FractalSpec(8, np.pi / 5, 0.75, 0.005))
         pts = frac.sample(500, seed=3)
         assert set(np.unique(pts.labels)) <= {0, 1}
         assert len(pts) == 500
 
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
-            FractalSpec(0, np.pi / 5, 0.75, 0.0)
+            FractalSpec(0, np.pi / 5, 0.75, 0.01)
 
-    def test_jitter_free_samples_lie_on_segments(self):
-        frac = make_fractal(FractalSpec(6, np.pi / 4, 0.7, 0.0))
-        pts = frac.sample(400, seed=9).points
+    def test_zero_jitter_rejected(self):
+        for jitter in (0.0, -0.01, np.inf):
+            with pytest.raises(ValueError, match="jitter_sigma"):
+                FractalSpec(6, np.pi / 4, 0.7, jitter)
+
+    @pytest.mark.parametrize("n_classes", [1, 2])
+    def test_mixture_has_the_moments_of_each_jittered_segment(self, n_classes):
+        a, r, j = np.pi / 4, 0.7, 0.02
+        frac = Fractal(FractalSpec(4, a, r, j, n_classes=n_classes))
+        # the tree: a unit trunk up from the origin; segment i > 0 starts at the end
+        # of its parent (i - 1) // 2, turned by +a (odd i) or -a and shrunk by r
         d = frac.ends - frac.starts
-        len2 = (d * d).sum(axis=1)
-        rel = pts[:, None, :] - frac.starts[None, :, :]
-        t = np.clip((rel * d[None]).sum(axis=2) / len2[None], 0, 1)
-        proj = frac.starts[None] + t[:, :, None] * d[None]
-        mind = np.linalg.norm(pts[:, None, :] - proj, axis=2).min(axis=1)
-        assert mind.max() < 1e-9
+        length = np.linalg.norm(d, axis=1)
+        parent = (np.arange(1, 15) - 1) // 2
+        assert np.array_equal(frac.starts[0], [0, 0]) and np.array_equal(frac.ends[0], [0, 1])
+        assert np.allclose(frac.starts[1:], frac.ends[parent], rtol=0, atol=1e-15)
+        assert np.allclose(length[1:], r * length[parent], rtol=1e-14, atol=0)
+        cross = d[parent, 0] * d[1:, 1] - d[parent, 1] * d[1:, 0]
+        turn = np.arctan2(cross, (d[parent] * d[1:]).sum(axis=1))
+        assert np.allclose(turn, np.tile([a, -a], 7), rtol=0, atol=1e-14)
+        # a uniform point on start + t d plus N(0, j^2 I): mean start + d / 2,
+        # covariance d d^T / 12 + j^2 I, weight proportional to |d|
+        means = frac.starts + d / 2
+        covs = d[:, :, None] * d[:, None, :] / 12 + j * j * np.eye(2)
+        weights = length / length.sum()
+        classes = np.r_[-1, 0, 1, 0, 0, 1, 1, [0] * 4, [1] * 4]  # level-1 ancestor; -1 the trunk
+        g = frac.gmm
+        if n_classes == 1:
+            rows, labels, share = np.arange(15), np.zeros(15), np.ones(15)
+        else:  # the trunk once per class at half its weight
+            rows, labels = np.r_[0, np.arange(15)], np.r_[0, 1, classes[1:]]
+            share = np.r_[0.5, 0.5, [1] * 14]
+        assert np.allclose(g.weights, weights[rows] * share, rtol=1e-14, atol=0)
+        assert np.allclose(g.means, means[rows], rtol=1e-14, atol=1e-15)
+        assert np.allclose(g.covariances, covs[rows], rtol=1e-13, atol=1e-16)
+        assert np.array_equal(g.labels, labels)
 
 
 class TestSampleGmm:
@@ -176,6 +205,25 @@ class TestSampleGmm:
         stat = ((counts - expected) ** 2 / expected).sum()
         assert stat < 37.698  # 0.999 quantile of chi2(15): p > 0.001
 
+    @pytest.mark.parametrize("spec", [
+        Fractal(FractalSpec(6, np.pi / 5, 0.75, 0.005)).gmm,
+        GmmSpec([0.3, 0.0, 0.7], np.arange(9.0).reshape(3, 3),
+                np.stack([np.eye(3) + 0.5 * np.ones((3, 3)) * s for s in (0.1, 1.0, 2.0)])),
+    ], ids=["fractal", "empty_component"])
+    def test_full_covariance_sampling_matches_the_mask_loop(self, spec):
+        # the reference: one boolean mask and one Cholesky factor per component
+        rng = generator(8)
+        comps = rng.choice(spec.n_components, size=3000, p=spec.weights)
+        eps = rng.standard_normal((3000, spec.dim))
+        pts = np.empty((3000, spec.dim))
+        for j in range(spec.n_components):
+            rows = comps == j
+            if rows.any():
+                pts[rows] = spec.means[j] + eps[rows] @ np.linalg.cholesky(spec.covariances[j]).T
+        got = sample_gmm(spec, 3000, seed=8)
+        assert got.points.tobytes() == pts.tobytes()
+        assert np.array_equal(got.labels, spec.labels[comps])
+
     def test_full_covariance_sampling(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((2, 2))
@@ -199,6 +247,9 @@ class TestValidation:
         cov = np.array([[[1.0, 0.0], [0.0, -1.0]]])
         with pytest.raises(ValueError, match="positive definite"):
             GmmSpec([1.0], np.zeros((1, 2)), cov)
+        covs = np.stack([np.eye(2), np.diag([1.0, 0.0]), -np.eye(2)])
+        with pytest.raises(ValueError, match="covariance 1 is not positive definite"):
+            GmmSpec(np.full(3, 1 / 3), np.zeros((3, 2)), covs)
 
     def test_labels_length(self):
         with pytest.raises(ValueError, match="per component"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sfglab.datasets import (FractalSpec, GmmSpec, LabeledPointSet, make_fractal,
+from sfglab.datasets import (Fractal, FractalSpec, GmmSpec, LabeledPointSet,
                              make_outlier_gmm, make_saddle_gmm, make_simplex_gmm,
                              make_two_gaussian, sample_gmm)
 from sfglab.evaluation import (EvalReport, coverage_entropy, curvature_field,
@@ -63,20 +63,21 @@ class TestEsmByRegion:
 
 class TestOutlierRate:
     def test_on_manifold_samples_score_zero(self):
-        frac = make_fractal(FractalSpec(5, np.pi / 5, 0.75, 0.0, n_classes=2))
-        pts = frac.sample(200, seed=1)
-        assert outlier_rate(pts, frac, threshold=0.01) == 0.0
+        frac = Fractal(FractalSpec(5, np.pi / 5, 0.75, 0.01, n_classes=2))
+        pts = frac.sample(2000, seed=1)  # nearest-component distance <= own: P(> 6) <= exp(-18)
+        assert outlier_rate(pts, frac.gmm, threshold=6.0) == 0.0
 
     def test_far_points_score_one(self):
-        frac = make_fractal(FractalSpec(3, np.pi / 5, 0.75, 0.0, n_classes=2))
+        frac = Fractal(FractalSpec(3, np.pi / 5, 0.75, 0.01, n_classes=2))
         pts = LabeledPointSet(np.full((10, 2), 50.0), np.zeros(10, dtype=int))
-        assert outlier_rate(pts, frac, threshold=1.0) == 1.0
+        assert outlier_rate(pts, frac.gmm, threshold=4.0) == 1.0
 
     def test_monotone_in_threshold(self):
-        frac = make_fractal(FractalSpec(5, np.pi / 5, 0.75, 0.02, n_classes=2))
+        frac = Fractal(FractalSpec(5, np.pi / 5, 0.75, 0.02, n_classes=2))
         pts = frac.sample(500, seed=2)
-        rates = [outlier_rate(pts, frac, th) for th in (0.01, 0.03, 0.1, 0.5)]
+        rates = [outlier_rate(pts, frac.gmm, th) for th in (0.25, 0.5, 1.0, 2.0, 4.0)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
+        assert rates[0] > 0.5 and rates[-1] < 0.01
 
     def test_gmm_mahalanobis_distance(self):
         spec = make_two_gaussian(8.0, 1.0, 2)
@@ -117,9 +118,13 @@ class TestCoverageEntropy:
         pts = sample_gmm(spec, 400, seed=5)
         ent = coverage_entropy(pts, spec)
         assert np.log(2) - 0.05 < ent <= np.log(2)
-        frac = make_fractal(FractalSpec(4, np.pi / 5, 0.7, 0.01, n_classes=2))
-        ent_f = coverage_entropy(frac.sample(500, seed=6), frac)
+        frac = Fractal(FractalSpec(4, np.pi / 5, 0.7, 0.01, n_classes=2))
+        pts_f = frac.sample(500, seed=6)
+        ent_f = coverage_entropy(pts_f, frac.gmm)
         assert 0 < ent_f <= np.log(frac.n_segments)
+        # the trunk's two components share a mean and count as one mode
+        distinct = np.unique(frac.gmm.means, axis=0)
+        assert ent_f == pytest.approx(coverage_entropy(pts_f, distinct), abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_no_finite_distance_is_nan(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sfglab.datasets import GmmSpec, make_simplex_gmm, make_two_gaussian
+from sfglab.datasets import Fractal, FractalSpec, GmmSpec, make_simplex_gmm, make_two_gaussian
 from sfglab.oracle import (classifier_grad, classify_region, full_spectrum, hessian,
                            log_density, score, smooth)
 
@@ -98,6 +98,20 @@ class TestScore:
             x = rng.standard_normal(spec.dim) * 2
             fd = fd_gradient(lambda y: log_density(g, y), x)
             assert np.abs(score(g, x) - fd).max() < 1e-5
+
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.5])
+    def test_fractal_mixture_matches_finite_difference(self, sigma):
+        # thin components: precisions up to 1 / jitter^2 = 1e4
+        frac = Fractal(FractalSpec(5, np.pi / 5, 0.75, 0.01))
+        g = smooth(frac.gmm, sigma)
+        xs = np.concatenate([frac.sample(20, seed=2).points, [[0.0, 0.5], [3.0, -2.0]]])
+        for x in xs:
+            fd = fd_gradient(lambda y: log_density(g, y), x, h=1e-6)
+            s = score(g, x)
+            assert np.abs(s - fd).max() < 1e-4 * max(1.0, np.abs(s).max())
+        for class_id in (0, 1):
+            assert np.isfinite(classifier_grad(g, xs, class_id)).all()
 
 
 class TestHessian:
