@@ -26,7 +26,7 @@ from .datasets import LabeledPointSet, read_csv, sample_gmm
 from .model import TrainingDiverged, load_checkpoint, save_checkpoint, train
 from .oracle import smooth
 from .rng import derive_seed, generator
-from .sampler import GuidedProvider, sample
+from .sampler import GuidedProvider, initial_latents, sample
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,9 @@ def _class_ids_for(cfg: dict, model, n_samples: int):
 def _stack_sampler(cfg: dict, out: Path, specs):
     """Load sample.model (as 'main') plus the companions of specs; returns
     run(stack) -> (Trajectories, Schedule), which samples one guidance stack
-    over that model table with the run's seed, schedule and class ids."""
+    over that model table with the run's seed, schedule, class ids and start
+    latents. The latents depend on none of the stack, so they are drawn once
+    for every stack run samples."""
     main = cfg["sample"]["model"]
     table = _load_models(out, sorted({main} | {s.companion for s in specs if s.companion}))
     table["main"] = table[main]
@@ -190,11 +192,12 @@ def _stack_sampler(cfg: dict, out: Path, specs):
     n_samples = cfg["sample"]["n_samples"]
     class_ids = _class_ids_for(cfg, table["main"], n_samples)
     sch = schedule(cfg)
+    x0 = initial_latents(cfg["seed"], n_samples, table["main"].data_dim, sch.steps[0])
 
     def run(stack):
         provider = GuidedProvider(table, stack, mode=mode, gmm=gmm)
         trajs = sample(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
-                       chunk_size=cfg["sample"]["chunk_size"], threads=cfg["threads"])
+                       chunk_size=cfg["sample"]["chunk_size"], threads=cfg["threads"], x0=x0)
         if trajs.n_failed == n_samples:
             raise NumericFailure("all trajectories became non-finite")
         return trajs, sch
@@ -267,10 +270,11 @@ def cmd_eval(cfg: dict) -> int:
 
     name = cfg["sample"]["model"]
     if cfg["task"] == "simplex" and (out / f"{name}.ckpt").exists():
-        model = _load_models(out, [name])[name]
         region_specs = {"mode": specs["base"], "saddle": specs["saddle"], "outlier": specs["outlier"]}
         sigmas = ecfg.get("sigmas") or list(np.geomspace(0.02, 10.0, 12))
-        rows = evaluation.esm_by_region(model, region_specs, sigmas, ecfg["n_per_region"], cfg["seed"])
+        # the model and its inference buffers are freed before the larger sample metrics run
+        rows = evaluation.esm_by_region(_load_models(out, [name])[name], region_specs, sigmas,
+                                        ecfg["n_per_region"], cfg["seed"])
         evaluation.sweep_to_csv(rows, out / "esm_rows.csv")
         tables["esm_rows.csv"] = len(rows)
         report["esm_rows"] = rows

@@ -307,6 +307,12 @@ def _cross_field_check(cfg: dict) -> None:
             check_stack(stack, models)
     except (ValueError, ArithmeticError) as exc:  # e.g. a schedule whose rho overflows
         raise ConfigError(f"bad {where}: {exc}") from exc
+    # the Bayes classifier of classifier guidance conditions on a label of the task mixture
+    labels = sorted(set(specs["base"].labels.tolist()))
+    for spec in (s for stack in stacks for s in stack if s.kind == "classifier"):
+        if spec.classifier_class not in labels:
+            raise ConfigError(f"classifier_class {spec.classifier_class} is not a label of the "
+                              f"{task} task; its labels are {labels}")
     # every eval computes the Frechet distance, which needs a full-rank covariance
     dim = specs["base"].dim
     for section, key in (("sample", "n_samples"), ("eval", "frechet_reference_n")):

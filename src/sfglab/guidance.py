@@ -106,12 +106,21 @@ def _check_same_shape(a, b):
     return a, b
 
 
+def _extrapolate(good, weak, w: float):
+    """good + (w - 1)(good - weak), built in place in one new array; each
+    operation has the operands of that expression, so the bytes match."""
+    out = np.subtract(good, weak)
+    out *= w - 1.0
+    out += good
+    return out
+
+
 def cfg(eps_cond, eps_uncond, w: float):
     """eps_cond + (w - 1)(eps_cond - eps_uncond); w = 1 returns eps_cond as is."""
     eps_cond, eps_uncond = _check_same_shape(eps_cond, eps_uncond)
     if w == 1.0:
         return eps_cond
-    return eps_cond + (w - 1.0) * (eps_cond - eps_uncond)
+    return _extrapolate(eps_cond, eps_uncond, w)
 
 
 def autoguidance(eps_main, eps_bad, w: float):
@@ -119,7 +128,7 @@ def autoguidance(eps_main, eps_bad, w: float):
     eps_main, eps_bad = _check_same_shape(eps_main, eps_bad)
     if w == 1.0:
         return eps_main
-    return eps_main + (w - 1.0) * (eps_main - eps_bad)
+    return _extrapolate(eps_main, eps_bad, w)
 
 
 def classifier_guidance(score, classifier_grad, w: float):

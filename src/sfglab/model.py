@@ -129,7 +129,8 @@ class ScoreModel:
     """MLP predicting noise ("eps") or flow velocity ("flow").
 
     Input layout: [x, sin(c), cos(c), sin(c/2), cos(c/2), class embedding?]
-    where c = log(sigma) for eps models and c = t for flow models.
+    where c = log(sigma) for eps models and c = t for flow models (built by
+    _features).
     """
 
     def __init__(self, data_dim: int, hidden, *, n_classes: int | None = None,
@@ -180,41 +181,52 @@ class ScoreModel:
         if class_ids is None:
             return np.full(n_rows, null, dtype=int)
         ids = class_ids_per_row(class_ids, n_rows)
-        if np.any(ids >= self.n_classes):
+        if n_rows and ids.max() >= self.n_classes:
             raise ValueError(f"unknown class id in {np.unique(ids)}; model has {self.n_classes} classes")
         return np.where(ids < 0, null, ids)
 
-    def _features(self, x: np.ndarray, level: np.ndarray, ids: np.ndarray | None) -> np.ndarray:
+    def _features(self, x: np.ndarray, level, ids: np.ndarray | None, out: np.ndarray | None = None):
+        """Input features of a batch x (N, n) with mapped class ids: written
+        into out, an (N, in_dim) array, or into a new one. level is one value
+        or one per row; a single level stays a scalar, so log, sin and cos
+        run once per call, not once per row."""
+        d = x.shape[1]
+        feats = np.empty((x.shape[0], self.weights[0].shape[1])) if out is None else out
+        feats[:, :d] = x
         c = np.log(level) if self.param == "eps" else level
-        four = np.stack([np.sin(c), np.cos(c), np.sin(0.5 * c), np.cos(0.5 * c)], axis=1)
-        parts = [x, four]
+        for j, f in enumerate((np.sin(c), np.cos(c), np.sin(0.5 * c), np.cos(0.5 * c))):
+            feats[:, d + j] = f
         if ids is not None:
-            parts.append(self.class_emb[ids])
-        return np.concatenate(parts, axis=1)
+            np.take(self.class_emb, ids, axis=0, out=feats[:, d + 4:])
+        return feats
 
-    def _buffers(self, rows: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """This thread's (z, s) buffers of every hidden layer for a batch of
-        rows, kept while the batch size repeats. They are views of three
-        arrays: z alternates between two, so a layer's input is never its
-        output, and s shares the third."""
+    def _buffers(self, rows: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """This thread's inference buffers for a batch of rows, kept while
+        the batch size repeats: the (rows, in_dim) input features that
+        forward fills, and the (z, s) pair of every hidden layer. The pairs
+        are views of three arrays: z alternates between two, so a layer's
+        input is never its output, and s shares the third."""
         local = self._local
         if getattr(local, "rows", None) != rows:
             flat = [np.empty(rows * max(self.hidden, default=0)) for _ in range(3)]
             local.rows = rows
+            local.feats = np.empty((rows, self.weights[0].shape[1]))
             local.bufs = [(flat[i % 2][:rows * h].reshape(rows, h), flat[2][:rows * h].reshape(rows, h))
                           for i, h in enumerate(self.hidden)]
-        return local.bufs
+        return local.feats, local.bufs
 
     def _forward(self, feats: np.ndarray, want_cache: bool = False):
         """Network output for a feature batch. With want_cache, also return
         (pre, sig, acts): each hidden layer's pre-activation z and its
         sigmoid s (the SiLU is z * s), and the input of every layer. Without
-        it the hidden layers are computed in place in this thread's buffers,
-        so a sampling step allocates no (rows, width) temporaries that the C
-        allocator would return to the system and fault in again."""
+        it the hidden layers are computed in place in this thread's buffers
+        (see _buffers), so a sampling step allocates no (rows, width)
+        temporaries that the C allocator would return to the system and
+        fault in again. feats may be this thread's feature buffer; it is
+        only read."""
         a = feats
         pre, sig, acts = [], [], [feats]
-        bufs = [(None, None)] * len(self.hidden) if want_cache else self._buffers(feats.shape[0])
+        bufs = [(None, None)] * len(self.hidden) if want_cache else self._buffers(feats.shape[0])[1]
         for w, b, (z_buf, s_buf) in zip(self.weights[:-1], self.biases[:-1], bufs):
             z = np.matmul(a, w.T, out=z_buf)
             z += b
@@ -235,12 +247,22 @@ class ScoreModel:
 
     def forward(self, x, level, class_ids=None) -> np.ndarray:
         """Raw network output at the model's native noise-level coordinate;
-        x is a point (n,) or a batch (N, n), the output has its shape."""
+        x is a point (n,) or a batch (N, n), the output has its shape; level
+        is one value or one per row.
+
+        The features are written into this thread's (rows, in_dim) feature
+        buffer (see _buffers), which the next call on this thread reuses;
+        training builds its features in new arrays."""
         x = np.asarray(x, dtype=float)
         xb = np.atleast_2d(x)
-        lv = np.broadcast_to(np.asarray(level, dtype=float), (xb.shape[0],))
-        ids = self._map_class_ids(xb.shape[0], class_ids)
-        return self._forward(self._features(xb, lv, ids)).reshape(x.shape)
+        if xb.ndim != 2 or xb.shape[1] != self.data_dim:
+            raise ValueError(f"x must have shape ({self.data_dim},) or (N, {self.data_dim}), got {x.shape}")
+        rows = xb.shape[0]
+        lv = np.asarray(level, dtype=float)
+        if lv.ndim:
+            lv = np.broadcast_to(lv, (rows,))
+        ids = self._map_class_ids(rows, class_ids)
+        return self._forward(self._features(xb, lv, ids, out=self._buffers(rows)[0])).reshape(x.shape)
 
     def _backward(self, cache, ids, dout):
         pre, sig, acts = cache
@@ -268,7 +290,8 @@ class ScoreModel:
 
     def predict_eps(self, x, sigma, class_ids=None) -> np.ndarray:
         """Noise estimate at the diffusion-scale point x and noise level sigma."""
-        if np.any(np.asarray(sigma) <= 0):
+        nonpositive = sigma <= 0 if np.ndim(sigma) == 0 else np.any(np.asarray(sigma) <= 0)
+        if nonpositive:
             raise ValueError("sigma must be > 0")
         if self.param == "eps":
             return self.forward(x, sigma, class_ids)

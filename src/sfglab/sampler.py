@@ -9,7 +9,16 @@ x' = v(x, t) with explicit Euler.
 Trajectories are independent given per-trajectory seeds derived from the
 master seed (see rng.derive_seed). Work is partitioned into fixed-size chunks
 regardless of thread count, so outputs are bitwise identical for any
---threads value and assemble in trajectory order.
+--threads value and assemble in trajectory order. The start latents come
+from initial_latents, or from x0 when runs that share seed, sample count and
+schedule (the points of a sweep) draw them once.
+
+Chunks on different threads may share a model. Each ScoreModel evaluation
+writes its input features and hidden activations into buffers private to the
+calling thread (ScoreModel._buffers), kept while the chunk's row count
+repeats, so a step allocates little and no two threads write one buffer.
+The chunk loop still holds the interpreter lock between numpy calls, so on
+the small 2-d models a second thread gains little (README, --threads).
 
 Saddle-free guidance under Heun updates its power-iteration carry once per
 step at the predictor point; the corrector slope reuses the predictor's gated
@@ -238,12 +247,11 @@ def _chunk_ranges(n, chunk_size):
     return [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
 
 
-def _initial_latents(seed, n_samples, dim, scale, x0):
-    if x0 is not None:
-        x0 = np.array(x0, dtype=float)
-        if x0.shape != (n_samples, dim):
-            raise ValueError(f"x0 must have shape ({n_samples}, {dim})")
-        return x0
+def initial_latents(seed, n_samples: int, dim: int, scale: float) -> np.ndarray:
+    """The (n_samples, dim) start points sample() draws when it gets no x0:
+    row i is scale times a standard normal draw from generator(derive_seed(seed, i), 0).
+    Runs that share the seed, sample count and schedule can draw them once
+    and pass them to each run as x0."""
     rows = [generator(derive_seed(seed, i), 0).standard_normal(dim) for i in range(n_samples)]
     return np.stack(rows) * scale
 
@@ -260,7 +268,12 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, t
     steps = schedule.steps
     n_steps = schedule.n_steps
     ids_all = None if class_ids is None else class_ids_per_row(class_ids, n_samples)
-    latents = _initial_latents(seed, n_samples, dim, steps[0], x0)
+    if x0 is None:
+        latents = initial_latents(seed, n_samples, dim, steps[0])
+    else:
+        latents = np.asarray(x0, dtype=float)  # only read: each chunk copies its rows
+        if latents.shape != (n_samples, dim):
+            raise ValueError(f"x0 must have shape ({n_samples}, {dim})")
     traj_seeds = [derive_seed(seed, i) for i in range(n_samples)]
 
     def run_chunk(bounds):

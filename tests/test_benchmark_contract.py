@@ -1,8 +1,10 @@
 """What the benchmark in perfbench/ needs from sfglab: every workload config
-loads, and the tracing layer finds every function it wraps and puts each
-one back. A source change that would break the benchmark fails here first.
-Only reads perfbench/."""
+loads, the tracing layer finds every function it wraps and puts each one
+back, and a threaded sample run keeps the guided-evaluation cost and runs on
+more than one thread. A source change that would break the benchmark fails
+here first. Only reads perfbench/."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -13,9 +15,10 @@ sys.path.insert(0, str(BENCH))
 
 import instrument  # noqa: E402
 from tracer import Tracer  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, forwards_per_eval, guided_evals  # noqa: E402
 
 from sfglab import cli, config, datasets, sampler  # noqa: E402
+from sfglab.model import ScoreModel, save_checkpoint  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -42,3 +45,34 @@ def test_install_wraps_every_name_and_restore_puts_the_originals_back():
         assert patcher.restore() == []
     for key, (owner, attr) in wrapped.items():
         assert vars(owner)[attr] is before[key], f"{key} not restored"
+
+
+def test_threaded_sampling_keeps_the_cost_contract(tmp_path):
+    # the fractal workload's sample command in small: autoguidance + sfg over
+    # two conditional models, 4 chunks, --threads 2
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = WORKLOADS["fractal2d-autoguide-sfg"].config(1, str(out))
+    cfg["data"]["n_train"] = 200
+    cfg["models"] = {"main": {"hidden": [16, 16], "conditional": True},
+                     "bad": {"hidden": [8], "conditional": True}}
+    cfg["schedule"]["n_steps"] = 6
+    cfg["sample"].update(n_samples=32, chunk_size=8)
+    cfg["eval"]["frechet_reference_n"] = 64
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for name, mcfg in cfg["models"].items():
+        save_checkpoint(ScoreModel(2, mcfg["hidden"], n_classes=2, seed=len(name)), out / f"{name}.ckpt")
+
+    tracer = Tracer()
+    patcher = instrument.install(tracer)
+    try:
+        assert cli.main(["sample", "--config", str(path), "--threads", "2"]) == 0
+    finally:
+        assert patcher.restore() == []
+    (run,) = instrument.sampler_runs(tracer)
+    assert run["command"] == "cli.sample" and run["chunks"] == 4
+    assert len(run["threads"]) > 1, "provider calls ran on one thread with --threads 2"
+    stack = WORKLOADS["fractal2d-autoguide-sfg"].sample_stack
+    evals = guided_evals(stack, run["n_steps"], run["heun"]) * run["chunks"]
+    assert (run["evals"], run["forwards"]) == (evals, evals * forwards_per_eval(stack))

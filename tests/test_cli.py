@@ -224,6 +224,21 @@ class TestConfigValidation:
         cfg["guidance"] = cfg["guidance"][:1]  # no classifier spec: class 0
         assert [s.classifier_class for _, stack in sweep_points(cfg) for s in stack] == [0, 0]
 
+    @pytest.mark.parametrize("sweep", [None, {"kind": "classifier", "weights": [0.0, 2.0]}],
+                             ids=["guidance", "guidance_and_sweep"])
+    def test_classifier_class_must_be_a_task_label(self, tmp_path, capsys, sweep):
+        cfg = fractal_config(tmp_path / "out")
+        cfg["guidance"] = [{"kind": "classifier", "weight": 1.0, "classifier_class": 5}]
+        if sweep:
+            cfg["sweep"] = sweep
+        message = "classifier_class 5 is not a label of the fractal task; its labels are [0, 1]"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config(cfg)
+        path = write_config(tmp_path, cfg)
+        for command in ("sample", "sweep"):
+            assert main([command, "--config", path]) == 2
+            assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("change", REJECTED_GUIDANCE.values(), ids=REJECTED_GUIDANCE.keys())
     def test_guidance_rejected_at_load(self, tmp_path, capsys, change):
         cfg = fractal_config(tmp_path / "out")
@@ -568,6 +583,36 @@ class TestSweepCommand:
         assert lines[0] == "weight,outlier_rate,coverage_entropy"
         assert len(lines) == 3
 
+
+    def test_shared_latents_give_the_separately_drawn_sweep(self, tmp_path, monkeypatch):
+        # the sweep draws the start latents once for all its points; sampling
+        # each point from its own draw writes the same sweep.csv
+        out = tmp_path / "run"
+        cfg = fractal_config(out)
+        cfg["models"]["bad"] = {"hidden": [8], "conditional": True}
+        cfg["sweep"] = {"kind": "autoguidance", "companion": "bad", "weights": [1.0, 2.0, 3.0],
+                        "metrics": ["frechet", "outlier_rate", "coverage_entropy"]}
+        path = write_config(tmp_path, cfg)
+        assert main(["gen-data", "--config", path]) == 0
+        assert main(["train", "--config", path]) == 0
+        real_sample = cli.sample
+        starts = []
+
+        def shared(*args, x0=None, **kwargs):
+            starts.append(x0)
+            return real_sample(*args, x0=x0, **kwargs)
+
+        def own_draw(*args, x0=None, **kwargs):
+            return real_sample(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample", shared)
+        assert main(["sweep", "--config", path]) == 0
+        table = (out / "sweep.csv").read_bytes()
+        assert len(starts) == 3 and starts[0] is not None and all(x is starts[0] for x in starts)
+        monkeypatch.setattr(cli, "sample", own_draw)
+        assert main(["sweep", "--config", path]) == 0
+        assert (out / "sweep.csv").read_bytes() == table
+        assert len(table.splitlines()) == 4
 
     def test_failed_run_is_3_and_named(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "run"

@@ -242,6 +242,20 @@ class TestLinearCombinations:
         assert np.array_equal(autoguidance(a, a.copy(), 2.0), a)
         assert np.allclose(autoguidance(a, b, 2.0), 2 * a - b)
 
+    def test_extrapolation_matches_the_out_of_place_expression(self):
+        # cfg and autoguidance build their result in place; the bytes are
+        # those of eps + (w - 1) * (eps - other)
+        rng = np.random.default_rng(31)
+        for shape in ((), (3,), (64, 2), (300, 5)):
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+            b = rng.standard_normal(shape)
+            a_before, b_before = np.copy(a), np.copy(b)
+            for w in (1.5, 2.0, 3.7, 1e6):
+                want = a + (w - 1.0) * (a - b)
+                assert np.array_equal(cfg(a, b, w), want)
+                assert np.array_equal(autoguidance(a, b, w), want)
+            assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
     def test_classifier_guidance(self):
         s, g = np.array([1.0, 0.0]), np.array([0.0, 2.0])
         assert classifier_guidance(s, g, 0.0) is s

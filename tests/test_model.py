@@ -1,4 +1,5 @@
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -85,6 +86,15 @@ class TestSigmoid:
         assert s[0, 0] == 0.5
 
 
+def reference_features(m, x, level, ids):
+    """The model's input layout built out of place from one level per row."""
+    c = np.log(level) if m.param == "eps" else level
+    parts = [x, np.stack([np.sin(c), np.cos(c), np.sin(0.5 * c), np.cos(0.5 * c)], axis=1)]
+    if ids is not None:
+        parts.append(m.class_emb[ids])
+    return np.concatenate(parts, axis=1)
+
+
 class TestForward:
     def test_cached_forward_matches_plain_forward(self):
         m = ScoreModel(3, [16, 8], n_classes=2, seed=13)
@@ -120,6 +130,67 @@ class TestForward:
             sys.setswitchinterval(interval)
         for order, outs in zip(orders, results):
             assert [out.tobytes() for out in outs] == [want[j] for j in order]
+
+    @pytest.mark.parametrize("param", ["eps", "flow"])
+    @pytest.mark.parametrize("n_classes", [None, 3])
+    def test_buffered_forward_matches_built_features(self, param, n_classes):
+        # forward fills this thread's feature buffer, with a single level kept
+        # a scalar: the bytes of _forward(_features(...)) with one level per
+        # row, whose features are those of the out-of-place layout
+        m = ScoreModel(3, [16, 8], n_classes=n_classes, param=param, seed=21)
+        rng = np.random.default_rng(22)
+        for rows in (1, 7, 64, 300):
+            x = rng.standard_normal((rows, 3))
+            ids = None if n_classes is None else rng.integers(-1, 3, rows)
+            mapped = m._map_class_ids(rows, ids)
+            for level in (0.002, 0.37, 0.9, np.float64(0.61), rng.uniform(0.01, 0.99, rows)):
+                per_row = np.broadcast_to(level, (rows,))
+                feats = m._features(x, per_row, mapped)
+                assert feats.tobytes() == reference_features(m, x, per_row, mapped).tobytes()
+                assert m.forward(x, level, ids).tobytes() == m._forward(feats).tobytes()
+            one_id = None if ids is None else ids[0]
+            assert m.forward(x[0], 0.37, one_id).tobytes() == m.forward(x[:1], 0.37, one_id).tobytes()
+
+    def test_feature_buffers_are_per_thread(self):
+        # four threads (more than cores) run batches of equal and of
+        # different row counts side by side; each fills its own feature
+        # buffer, so every result equals the serial one
+        m = ScoreModel(2, [32, 32], n_classes=2, seed=23)
+        rng = np.random.default_rng(24)
+        batches = [(rng.standard_normal((n, 2)), rng.integers(-1, 2, n), 0.1 + 0.15 * k)
+                   for k, n in enumerate((64, 7, 64, 7, 300, 1))]
+        serial = [m.forward(x, level, ids).tobytes() for x, ids, level in batches]
+        orders = [[(k + shift) % 6 for k in range(60)] for shift in range(4)]
+
+        def run(order):
+            return [m.forward(x, level, ids) for x, ids, level in (batches[j] for j in order)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(run, order) for order in orders]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for order, outs in zip(orders, results):
+            assert [out.tobytes() for out in outs] == [serial[j] for j in order]
+
+    def test_per_call_checks_raise(self):
+        m = ScoreModel(2, [8], n_classes=2, seed=25)
+        x = np.ones((4, 2))
+        for sigma in (0.0, -1.0, np.float64(0.0), np.array([0.5, 0.5, 0.0, 0.5])):
+            with pytest.raises(ValueError, match="sigma must be > 0"):
+                m.predict_eps(x, sigma, 0)
+        with pytest.raises(ValueError, match="unknown class"):
+            m.predict_eps(x, 0.5, np.array([0, 1, 2, 0]))
+        with pytest.raises(ValueError, match="one id per row"):
+            m.predict_eps(x, 0.5, np.array([0, 1]))
+        for bad_x in (np.ones((4, 1)), np.ones((4, 3)), np.ones((2, 4, 2))):
+            with pytest.raises(ValueError, match="x must have shape"):
+                m.forward(bad_x, 0.5, 0)
+        with pytest.raises(ValueError):
+            m.forward(x, np.full(3, 0.5), 0)  # one level per row, or one level
 
     def test_zero_weights_zero_output(self):
         m = ScoreModel(3, [16, 16], seed=1)
