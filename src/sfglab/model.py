@@ -8,11 +8,19 @@ the same network serves the unconditional branch.
 
 Flow convention: x_t = (1 - t) x0 + t eps with t = 0 at the data end and
 t = 1 at pure noise, so eps = (1 - t) v + x and sigma(t) = t / (1 - t).
+
+A model's parameters are one flat float64 vector in checkpoint order; the
+weight, bias and embedding arrays are views of it. A training batch runs
+allocation-free: the cached forward pass, backprop and the Adam step with
+decoupled weight decay write into buffers and into views of one flat
+gradient vector, and each keeps the operands and order of the out-of-place
+expressions, so trained parameters and checkpoints are unchanged bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import threading
 from dataclasses import asdict, dataclass
@@ -25,6 +33,9 @@ from .rng import generator
 
 CKPT_MAGIC = b"SFGM"
 CKPT_VERSION = 1
+# Elements per pass of the in-place Adam step: the parameter, gradient and
+# moment slices of one pass and its two scratch chunks stay in cache.
+ADAM_CHUNK = 16384
 
 
 def eps_to_score(eps, sigma):
@@ -107,6 +118,8 @@ class TrainConfig:
             raise ValueError("batches must be >= warmup_batches")
         if self.batches < 1:
             raise ValueError("batches must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.objective not in ("dsm", "flow_matching"):
             raise ValueError(f"unknown objective {self.objective!r}")
         if not (0 < self.sigma_min < self.sigma_max):
@@ -135,6 +148,28 @@ class ScoreModel:
 
     def __init__(self, data_dim: int, hidden, *, n_classes: int | None = None,
                  param: str = "eps", emb_dim: int = 8, seed: int = 0):
+        self._allocate(data_dim, hidden, n_classes, param, emb_dim, seed)
+        rng = generator(seed, 0xC0DE)
+        for w, b in zip(self.weights, self.biases):
+            rng.standard_normal(out=w)
+            w *= np.sqrt(2.0 / w.shape[1])
+            b.fill(0.0)
+        if self.class_emb is not None:
+            rng.standard_normal(out=self.class_emb)
+            self.class_emb *= 0.1
+
+    @classmethod
+    def _empty(cls, data_dim, hidden, n_classes, param, emb_dim, seed) -> "ScoreModel":
+        """A model whose parameter vector is allocated but not written, for
+        callers that fill all of it (copy, load_checkpoint)."""
+        model = cls.__new__(cls)
+        model._allocate(data_dim, hidden, n_classes, param, emb_dim, seed)
+        return model
+
+    def _allocate(self, data_dim, hidden, n_classes, param, emb_dim, seed):
+        """Set the architecture and allocate the flat parameter vector params
+        in checkpoint order: w0, b0, w1, b1, ..., class_emb. weights, biases
+        and class_emb are views of it."""
         if param not in ("eps", "flow"):
             raise ValueError(f"unknown parameterization {param!r}")
         self.data_dim = int(data_dim)
@@ -145,32 +180,39 @@ class ScoreModel:
         self.seed = int(seed)
         in_dim = self.data_dim + 4 + (self.emb_dim if self.n_classes else 0)
         widths = [in_dim] + self.hidden + [self.data_dim]
-        rng = generator(seed, 0xC0DE)
-        self.weights = [
-            rng.standard_normal((widths[i + 1], widths[i])) * np.sqrt(2.0 / widths[i])
-            for i in range(len(widths) - 1)
-        ]
-        self.biases = [np.zeros(widths[i + 1]) for i in range(len(widths) - 1)]
+        self._layout = []  # (name, shape) per block
+        for i in range(len(widths) - 1):
+            self._layout += [(f"w{i}", (widths[i + 1], widths[i])), (f"b{i}", (widths[i + 1],))]
         if self.n_classes:
-            self.class_emb = rng.standard_normal((self.n_classes + 1, self.emb_dim)) * 0.1
-        else:
-            self.class_emb = None
+            self._layout.append(("class_emb", (self.n_classes + 1, self.emb_dim)))
+        self.params = np.empty(sum(math.prod(shape) for _, shape in self._layout))
+        blocks = self._blocks(self.params)
+        n_layers = len(widths) - 1
+        self.weights = blocks[0:2 * n_layers:2]
+        self.biases = blocks[1:2 * n_layers:2]
+        self.class_emb = blocks[-1] if self.n_classes else None
         self.loss_history: list[tuple[int, float, float]] = []
         self.train_config: TrainConfig | None = None
-        self._local = threading.local()  # per-thread inference buffers
+        self._local = threading.local()  # per-thread inference and training buffers
+
+    def _blocks(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of a flat vector laid out like params, one per parameter
+        block in checkpoint order."""
+        views, pos = [], 0
+        for _, shape in self._layout:
+            size = math.prod(shape)
+            views.append(flat[pos:pos + size].reshape(shape))
+            pos += size
+        return views
 
     @property
     def conditional(self) -> bool:
         return self.class_emb is not None
 
     def parameter_blocks(self) -> list[np.ndarray]:
-        """Live parameter arrays in declaration (= checkpoint) order."""
-        blocks = []
-        for w, b in zip(self.weights, self.biases):
-            blocks.extend([w, b])
-        if self.class_emb is not None:
-            blocks.append(self.class_emb)
-        return blocks
+        """Live parameter arrays in declaration (= checkpoint) order: views
+        of params."""
+        return self._blocks(self.params)
 
     def _map_class_ids(self, n_rows: int, class_ids) -> np.ndarray | None:
         if not self.conditional:
@@ -215,31 +257,60 @@ class ScoreModel:
                           for i, h in enumerate(self.hidden)]
         return local.feats, local.bufs
 
+    def _train_buffers(self, rows: int) -> dict:
+        """This thread's training buffers for a batch of rows, kept while the
+        batch size repeats: per hidden layer its pre-activation z, sigmoid s
+        and output z * s (the cache backprop reads), the network output, and
+        for backprop per hidden layer the SiLU derivative and the delta (views
+        of three arrays; the deltas alternate between two, as in _buffers),
+        and the input-feature gradient of a conditional model; _backward adds
+        the block views of the gradient vector it last filled. train() drops
+        them, so a trained model carries none."""
+        local = self._local
+        bufs = getattr(local, "train", None)
+        if bufs is None or bufs["rows"] != rows:
+            flat = [np.empty(rows * max(self.hidden, default=0)) for _ in range(3)]
+            bufs = local.train = {
+                "rows": rows,
+                "pre": [np.empty((rows, h)) for h in self.hidden],
+                "sig": [np.empty((rows, h)) for h in self.hidden],
+                "act": [np.empty((rows, h)) for h in self.hidden],
+                "out": np.empty((rows, self.data_dim)),
+                "dsilu": [flat[2][:rows * h].reshape(rows, h) for h in self.hidden],
+                "delta": [flat[i % 2][:rows * h].reshape(rows, h) for i, h in enumerate(self.hidden)],
+                "dfeat": np.empty((rows, self.weights[0].shape[1])) if self.conditional else None,
+            }
+        return bufs
+
     def _forward(self, feats: np.ndarray, want_cache: bool = False):
         """Network output for a feature batch. With want_cache, also return
         (pre, sig, acts): each hidden layer's pre-activation z and its
-        sigmoid s (the SiLU is z * s), and the input of every layer. Without
-        it the hidden layers are computed in place in this thread's buffers
-        (see _buffers), so a sampling step allocates no (rows, width)
-        temporaries that the C allocator would return to the system and
-        fault in again. feats may be this thread's feature buffer; it is
-        only read."""
+        sigmoid s (the SiLU is z * s), and the input of every layer; these
+        and the output are this thread's training buffers (see
+        _train_buffers), which the next cached call overwrites. Without it
+        the hidden layers are computed in place in this thread's buffers
+        (see _buffers) and the output is a new array, so a sampling step
+        allocates no (rows, width) temporaries that the C allocator would
+        return to the system and fault in again. feats may be this thread's
+        feature buffer; it is only read."""
+        rows = feats.shape[0]
+        if want_cache:
+            bufs = self._train_buffers(rows)
+            pre, sig, acts = bufs["pre"], bufs["sig"], [feats, *bufs["act"]]
+            layers, out = zip(pre, sig, acts[1:]), bufs["out"]
+        else:
+            layers, out = self._buffers(rows)[1], None
         a = feats
-        pre, sig, acts = [], [], [feats]
-        bufs = [(None, None)] * len(self.hidden) if want_cache else self._buffers(feats.shape[0])[1]
-        for w, b, (z_buf, s_buf) in zip(self.weights[:-1], self.biases[:-1], bufs):
-            z = np.matmul(a, w.T, out=z_buf)
+        for w, b, layer in zip(self.weights[:-1], self.biases[:-1], layers):
+            z = np.matmul(a, w.T, out=layer[0])
             z += b
-            s = _sigmoid(z, out=s_buf)
+            s = _sigmoid(z, out=layer[1])
             if want_cache:
-                a = z * s
-                pre.append(z)
-                sig.append(s)
-                acts.append(a)
+                a = np.multiply(z, s, out=layer[2])
             else:
                 z *= s
                 a = z
-        out = a @ self.weights[-1].T
+        out = np.matmul(a, self.weights[-1].T, out=out)
         out += self.biases[-1]
         if want_cache:
             return out, (pre, sig, acts)
@@ -264,29 +335,35 @@ class ScoreModel:
         ids = self._map_class_ids(rows, class_ids)
         return self._forward(self._features(xb, lv, ids, out=self._buffers(rows)[0])).reshape(x.shape)
 
-    def _backward(self, cache, ids, dout):
+    def _backward(self, cache, ids, dout, out: np.ndarray | None = None) -> np.ndarray:
+        """Gradient of a loss whose output gradient is dout, for the cache of
+        _forward(feats, want_cache=True) and the mapped class ids: written
+        into out, a flat vector laid out like params, or into a new one. The
+        SiLU derivatives and deltas go into this thread's training buffers."""
         pre, sig, acts = cache
-        n_layers = len(self.weights)
-        grads_w = [None] * n_layers
-        grads_b = [None] * n_layers
+        grad = np.empty_like(self.params) if out is None else out
+        bufs = self._train_buffers(dout.shape[0])
+        if bufs.get("grad") is not grad:  # block views of the vector the last call filled
+            bufs["grad"], bufs["grad_blocks"] = grad, self._blocks(grad)
+        blocks = bufs["grad_blocks"]
         delta = dout
-        for i in range(n_layers - 1, -1, -1):
-            grads_w[i] = delta.T @ acts[i]
-            grads_b[i] = delta.sum(axis=0)
+        for i in range(len(self.weights) - 1, -1, -1):
+            np.matmul(delta.T, acts[i], out=blocks[2 * i])
+            np.add.reduce(delta, axis=0, out=blocks[2 * i + 1])  # delta.sum(axis=0)
             if i > 0:
                 # SiLU derivative s * (1 + z * (1 - s)) from the cached sigmoid
-                dsilu = 1.0 - sig[i - 1]
+                dsilu = np.subtract(1.0, sig[i - 1], out=bufs["dsilu"][i - 1])
                 dsilu *= pre[i - 1]
                 dsilu += 1.0
                 dsilu *= sig[i - 1]
-                delta = delta @ self.weights[i]
+                delta = np.matmul(delta, self.weights[i], out=bufs["delta"][i - 1])
                 delta *= dsilu
-        grad_emb = None
         if self.class_emb is not None:
-            dfeat = delta @ self.weights[0]
-            grad_emb = np.zeros_like(self.class_emb)
+            dfeat = np.matmul(delta, self.weights[0], out=bufs["dfeat"])
+            grad_emb = blocks[-1]
+            grad_emb.fill(0.0)
             np.add.at(grad_emb, ids, dfeat[:, -self.emb_dim:])
-        return grads_w, grads_b, grad_emb
+        return grad
 
     def predict_eps(self, x, sigma, class_ids=None) -> np.ndarray:
         """Noise estimate at the diffusion-scale point x and noise level sigma."""
@@ -316,12 +393,11 @@ class ScoreModel:
         return (eps - x) / (1.0 - tb)
 
     def copy(self) -> "ScoreModel":
-        dup = ScoreModel(self.data_dim, self.hidden, n_classes=self.n_classes,
-                         param=self.param, emb_dim=self.emb_dim, seed=self.seed)
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
-        if self.class_emb is not None:
-            dup.class_emb = self.class_emb.copy()
+        """A model with this architecture, parameters and train_config that
+        shares no memory with this one."""
+        dup = ScoreModel._empty(self.data_dim, self.hidden, self.n_classes, self.param,
+                                self.emb_dim, self.seed)
+        dup.params[...] = self.params
         dup.train_config = self.train_config
         return dup
 
@@ -336,13 +412,79 @@ def _lr_at(cfg: TrainConfig, batch: int) -> float:
     return cfg.lr * 0.5 * (1.0 + np.cos(np.pi * frac))
 
 
+class _AdamW:
+    """Adam (arXiv:1412.6980) with decoupled weight decay (arXiv:1711.05101)
+    on a model's flat parameter vector, in place. One pass per ADAM_CHUNK
+    elements with two scratch chunks computes, element by element,
+
+        m = beta1 m + (1 - beta1) g
+        v = beta2 v + (1 - beta2) g g
+        p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        p -= lr wd p    (weights and class embedding only, after the update)
+
+    with the operands and order of these expressions, so a step gives the
+    same bits as the same expressions evaluated block by block."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, model: ScoreModel, weight_decay: float):
+        self.params = model.params
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        n = self.params.size
+        self.scratch = (np.empty(min(n, ADAM_CHUNK)), np.empty(min(n, ADAM_CHUNK)))
+        self.weight_decay = weight_decay
+        decayed, pos = [], 0
+        for name, shape in model._layout:
+            size = math.prod(shape)
+            if weight_decay > 0 and not name.startswith("b"):  # weights and class_emb
+                decayed.append((pos, pos + size))
+            pos += size
+        # per chunk: (lo, hi, decayed spans relative to lo)
+        self.chunks = []
+        for lo in range(0, n, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, n)
+            spans = [(max(a, lo) - lo, min(b, hi) - lo) for a, b in decayed if a < hi and b > lo]
+            self.chunks.append((lo, hi, spans))
+
+    def step(self, grad: np.ndarray, lr: float, t: int) -> None:
+        """Update the parameters in place with gradient grad at learning rate
+        lr; t is the 1-based step count."""
+        beta1, beta2 = self.beta1, self.beta2
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        decay = lr * self.weight_decay
+        for lo, hi, spans in self.chunks:
+            p, g, m, v = self.params[lo:hi], grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            a, c = self.scratch[0][:hi - lo], self.scratch[1][:hi - lo]
+            m *= beta1
+            m += np.multiply(1.0 - beta1, g, out=a)
+            v *= beta2
+            np.multiply(1.0 - beta2, g, out=a)
+            a *= g
+            v += a
+            np.divide(m, bc1, out=a)
+            np.multiply(lr, a, out=a)
+            np.divide(v, bc2, out=c)
+            np.sqrt(c, out=c)
+            c += self.eps
+            a /= c
+            p -= a
+            for s0, s1 in spans:
+                w = p[s0:s1]
+                w -= np.multiply(decay, w, out=a[s0:s1])
+
+
 def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bool = False,
           snapshot_every: int = 200) -> ScoreModel:
     """Minimize E||eps - eps_theta(x + sigma eps)||^2 (dsm) or the matching
     flow objective with adaptive-moment updates and decoupled weight decay.
 
     Deterministic given cfg.seed. Raises TrainingDiverged (carrying the last
-    snapshot) if the loss goes non-finite or above 1e6.
+    snapshot) if the loss goes non-finite or above 1e6. A batch allocates no
+    matrix: inputs, targets, loss terms, activations, deltas, the gradient
+    and the Adam scratch live in buffers made once per run; only per-row
+    vectors (levels, class ids) are new each batch.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -352,10 +494,11 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
     model = ScoreModel(points.shape[1], hidden, n_classes=n_classes, param=param, seed=cfg.seed)
     model.train_config = cfg
 
-    blocks = model.parameter_blocks()
-    m_state = [np.zeros_like(p) for p in blocks]
-    v_state = [np.zeros_like(p) for p in blocks]
-    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    adam = _AdamW(model, cfg.weight_decay)
+    grad = np.empty_like(model.params)
+    rows = cfg.batch_size
+    x0, noise, xin, flow_target, sq = (np.empty((rows, points.shape[1])) for _ in range(5))
+    feats = np.empty((rows, model.weights[0].shape[1]))
 
     rng = generator(cfg.seed, 0xBA7C)
     log_smin, log_smax = np.log(cfg.sigma_min), np.log(cfg.sigma_max)
@@ -364,55 +507,42 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
 
     for b in range(cfg.batches):
         lr = _lr_at(cfg, b)
-        idx = rng.integers(0, len(points), size=cfg.batch_size)
-        x0 = points[idx]
-        noise = rng.standard_normal(x0.shape)
+        idx = rng.integers(0, len(points), size=rows)
+        np.take(points, idx, axis=0, out=x0)
+        rng.standard_normal(out=noise)
         if cfg.objective == "dsm":
-            level = np.exp(rng.uniform(log_smin, log_smax, size=cfg.batch_size))
-            xin = x0 + level[:, None] * noise
+            level = np.exp(rng.uniform(log_smin, log_smax, size=rows))
+            np.multiply(level[:, None], noise, out=xin)
+            xin += x0
             target = noise
         else:
-            level = rng.random(cfg.batch_size)
-            xin = (1.0 - level)[:, None] * x0 + level[:, None] * noise
-            target = noise - x0
+            level = rng.random(rows)
+            np.multiply((1.0 - level)[:, None], x0, out=xin)
+            xin += np.multiply(level[:, None], noise, out=flow_target)
+            target = np.subtract(noise, x0, out=flow_target)
         if conditional:
             ids = dataset.labels[idx].copy()
             if cfg.label_dropout > 0:
-                ids[rng.random(cfg.batch_size) < cfg.label_dropout] = -1
+                ids[rng.random(rows) < cfg.label_dropout] = -1
         else:
             ids = None
-        mapped = model._map_class_ids(cfg.batch_size, ids)
-        feats = model._features(xin, level, mapped)
+        mapped = model._map_class_ids(rows, ids)
+        model._features(xin, level, mapped, out=feats)
         out, cache = model._forward(feats, want_cache=True)
-        residual = out - target
+        residual = np.subtract(out, target, out=out)
         with np.errstate(over="ignore"):  # divergence guard below owns this case
-            loss = float((residual * residual).sum() / cfg.batch_size)
+            loss = float(np.multiply(residual, residual, out=sq).sum() / rows)
         if not np.isfinite(loss) or loss > 1e6:
             raise TrainingDiverged(b, loss, last_good)
-        gw, gb, gemb = model._backward(cache, mapped, 2.0 * residual / cfg.batch_size)
-        grads = []
-        for i in range(len(gw)):
-            grads.extend([gw[i], gb[i]])
-        if gemb is not None:
-            grads.append(gemb)
-        t_step = b + 1
-        bc1 = 1.0 - beta1**t_step
-        bc2 = 1.0 - beta2**t_step
-        for p, g, ms, vs in zip(blocks, grads, m_state, v_state):
-            ms *= beta1
-            ms += (1.0 - beta1) * g
-            vs *= beta2
-            vs += (1.0 - beta2) * g * g
-            p -= lr * (ms / bc1) / (np.sqrt(vs / bc2) + adam_eps)
-        if cfg.weight_decay > 0:
-            for w in model.weights:
-                w -= lr * cfg.weight_decay * w
-            if model.class_emb is not None:
-                model.class_emb -= lr * cfg.weight_decay * model.class_emb
+        dout = np.multiply(2.0, residual, out=sq)
+        dout /= rows
+        model._backward(cache, mapped, dout, out=grad)
+        adam.step(grad, lr, b + 1)
         history.append((b, lr, loss))
         if snapshot_every and (b + 1) % snapshot_every == 0:
             last_good = model.copy()
     model.loss_history = history
+    model._local = threading.local()  # drop the training buffers
     return model
 
 
@@ -484,13 +614,8 @@ class OracleModel:
 
 
 def save_checkpoint(model: ScoreModel, path) -> None:
-    """Binary checkpoint: magic, version, JSON header, float32 LE blocks."""
-    blocks = model.parameter_blocks()
-    names = []
-    for i in range(len(model.weights)):
-        names.extend([f"w{i}", f"b{i}"])
-    if model.class_emb is not None:
-        names.append("class_emb")
+    """Binary checkpoint: magic, version, JSON header, then the parameter
+    vector as float32 LE, block by block in checkpoint order."""
     header = {
         "data_dim": model.data_dim,
         "hidden": model.hidden,
@@ -500,7 +625,7 @@ def save_checkpoint(model: ScoreModel, path) -> None:
         "activation": "silu",
         "seed": model.seed,
         "train_config": asdict(model.train_config) if model.train_config else None,
-        "blocks": [{"name": n, "shape": list(b.shape)} for n, b in zip(names, blocks)],
+        "blocks": [{"name": name, "shape": list(shape)} for name, shape in model._layout],
     }
     hb = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -508,8 +633,7 @@ def save_checkpoint(model: ScoreModel, path) -> None:
         fh.write(struct.pack("<I", CKPT_VERSION))
         fh.write(struct.pack("<I", len(hb)))
         fh.write(hb)
-        for b in blocks:
-            fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
+        fh.write(model.params.astype("<f4"))
 
 
 def load_checkpoint(path) -> tuple[ScoreModel, dict]:
@@ -526,21 +650,20 @@ def load_checkpoint(path) -> tuple[ScoreModel, dict]:
             raise ValueError(f"unsupported checkpoint version {version}")
         pos = 12 + hlen
         header = json.loads(data[12:pos].decode("utf-8"))
-        model = ScoreModel(header["data_dim"], header["hidden"],
-                           n_classes=header["n_classes"], param=header["param"],
-                           emb_dim=header["emb_dim"], seed=header["seed"])
-        blocks = model.parameter_blocks()
-        if len(header["blocks"]) != len(blocks):
-            raise ValueError(f"{len(header['blocks'])} parameter blocks, expected {len(blocks)}")
-        for block, meta in zip(blocks, header["blocks"]):
-            if tuple(meta["shape"]) != block.shape:
-                raise ValueError(f"block {meta['name']} shape {meta['shape']} != {list(block.shape)}")
-            if pos + 4 * block.size > len(data):
+        model = ScoreModel._empty(header["data_dim"], header["hidden"], header["n_classes"],
+                                  header["param"], header["emb_dim"], header["seed"])
+        if len(header["blocks"]) != len(model._layout):
+            raise ValueError(f"{len(header['blocks'])} parameter blocks, expected {len(model._layout)}")
+        end = pos
+        for (_, shape), meta in zip(model._layout, header["blocks"]):
+            if tuple(meta["shape"]) != shape:
+                raise ValueError(f"block {meta['name']} shape {meta['shape']} != {list(shape)}")
+            end += 4 * math.prod(shape)
+            if end > len(data):
                 raise ValueError(f"block {meta['name']} truncated")
-            block[...] = np.frombuffer(data, dtype="<f4", count=block.size, offset=pos).reshape(block.shape)
-            pos += 4 * block.size
-        if pos != len(data):
-            raise ValueError(f"{len(data) - pos} trailing bytes after the last block")
+        if end != len(data):
+            raise ValueError(f"{len(data) - end} trailing bytes after the last block")
+        model.params[...] = np.frombuffer(data, dtype="<f4", count=model.params.size, offset=pos)
         if header.get("train_config"):
             model.train_config = TrainConfig(**header["train_config"])
     except (ValueError, KeyError, TypeError, struct.error) as exc:

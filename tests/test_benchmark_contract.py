@@ -47,6 +47,36 @@ def test_install_wraps_every_name_and_restore_puts_the_originals_back():
         assert vars(owner)[attr] is before[key], f"{key} not restored"
 
 
+def test_training_fires_one_forward_and_one_backward_span_per_batch(tmp_path):
+    # the train command in small over two models: the traced training seams
+    # (model.train, the cached forward, backprop, the sigmoid) must see every
+    # batch, or perfbench's span-coverage check fails
+    out = tmp_path / "out"
+    cfg = WORKLOADS["fractal2d-autoguide-sfg"].config(1, str(out))
+    cfg["data"]["n_train"] = 200
+    cfg["models"] = {"main": {"hidden": [16, 16], "conditional": True},
+                     "bad": {"hidden": [8], "conditional": True,
+                             "train": {"batches": 4, "warmup_batches": 1}}}
+    cfg["train"].update(batches=6, warmup_batches=2, batch_size=16)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["gen-data", "--config", str(path)]) == 0
+
+    tracer = Tracer()
+    patcher = instrument.install(tracer)
+    try:
+        assert cli.main(["train", "--config", str(path)]) == 0
+    finally:
+        assert patcher.restore() == []
+    counts = instrument.span_counts(tracer)
+    batches = {name: config.train_config(cfg, name).batches for name in cfg["models"]}
+    assert batches == {"main": 6, "bad": 4}
+    assert counts.get("model.train") == 2
+    assert counts.get("model.fwd_train") == counts.get("model.bwd") == sum(batches.values())
+    assert counts.get("model.sigmoid") == sum(batches[name] * len(cfg["models"][name]["hidden"])
+                                              for name in batches)
+
+
 def test_threaded_sampling_keeps_the_cost_contract(tmp_path):
     # the fractal workload's sample command in small: autoguidance + sfg over
     # two conditional models, 4 chunks, --threads 2

@@ -1,16 +1,21 @@
+import json
+import struct
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from sfglab.datasets import GmmSpec, LabeledPointSet, make_two_gaussian
-from sfglab.model import (OracleModel, ScoreModel, TrainConfig, TrainingDiverged,
-                          _sigmoid, eps_to_flow, eps_to_score, esm_loss, flow_to_eps,
-                          load_checkpoint,
+from sfglab.model import (ADAM_CHUNK, CKPT_MAGIC, CKPT_VERSION, OracleModel, ScoreModel,
+                          TrainConfig, TrainingDiverged, _lr_at, _sigmoid, eps_to_flow,
+                          eps_to_score, esm_loss, flow_to_eps, load_checkpoint,
                           save_checkpoint, score_to_eps, train)
 from sfglab import oracle
+from sfglab.rng import generator
 from sfglab.oracle import smooth
 
 
@@ -86,13 +91,173 @@ class TestSigmoid:
         assert s[0, 0] == 0.5
 
 
-def reference_features(m, x, level, ids):
-    """The model's input layout built out of place from one level per row."""
+def reference_features(m, x, level, ids, class_emb=None):
+    """The model's input layout built out of place from one level per row,
+    with the embedding rows of class_emb (default: the model's)."""
     c = np.log(level) if m.param == "eps" else level
     parts = [x, np.stack([np.sin(c), np.cos(c), np.sin(0.5 * c), np.cos(0.5 * c)], axis=1)]
     if ids is not None:
-        parts.append(m.class_emb[ids])
+        parts.append((m.class_emb if class_emb is None else class_emb)[ids])
     return np.concatenate(parts, axis=1)
+
+
+def reference_forward(weights, biases, feats):
+    """Out-of-place forward pass: output and (pre, sig, acts) as fresh arrays."""
+    a = feats
+    pre, sig, acts = [], [], [feats]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        z = a @ w.T
+        z += b
+        s = _sigmoid(z)
+        a = z * s
+        pre.append(z)
+        sig.append(s)
+        acts.append(a)
+    out = a @ weights[-1].T
+    out += biases[-1]
+    return out, (pre, sig, acts)
+
+
+def reference_backward(weights, class_emb, cache, ids, dout):
+    """Out-of-place backprop: per-layer weight and bias gradients and the
+    embedding gradient as fresh arrays."""
+    pre, sig, acts = cache
+    n_layers = len(weights)
+    grads_w = [None] * n_layers
+    grads_b = [None] * n_layers
+    delta = dout
+    for i in range(n_layers - 1, -1, -1):
+        grads_w[i] = delta.T @ acts[i]
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            dsilu = 1.0 - sig[i - 1]
+            dsilu *= pre[i - 1]
+            dsilu += 1.0
+            dsilu *= sig[i - 1]
+            delta = delta @ weights[i]
+            delta *= dsilu
+    grad_emb = None
+    if class_emb is not None:
+        dfeat = delta @ weights[0]
+        grad_emb = np.zeros_like(class_emb)
+        np.add.at(grad_emb, ids, dfeat[:, -class_emb.shape[1]:])
+    return grads_w, grads_b, grad_emb
+
+
+def reference_train(dataset, hidden, cfg, conditional=False):
+    """The out-of-place training loop: per-block initialisation, forward,
+    backward, Adam and weight decay on separate arrays, each batch building
+    fresh temporaries. Returns the parameter blocks in checkpoint order and
+    the loss history."""
+    points = dataset.points
+    n_classes = int(dataset.labels.max()) + 1 if conditional else None
+    param = "eps" if cfg.objective == "dsm" else "flow"
+    shell = ScoreModel(points.shape[1], hidden, n_classes=n_classes, param=param, seed=cfg.seed)
+    widths = [shell.weights[0].shape[1]] + list(hidden) + [points.shape[1]]
+    init = generator(cfg.seed, 0xC0DE)
+    weights = [init.standard_normal((widths[i + 1], widths[i])) * np.sqrt(2.0 / widths[i])
+               for i in range(len(widths) - 1)]
+    biases = [np.zeros(widths[i + 1]) for i in range(len(widths) - 1)]
+    class_emb = init.standard_normal((n_classes + 1, shell.emb_dim)) * 0.1 if conditional else None
+    blocks = []
+    for w, b in zip(weights, biases):
+        blocks.extend([w, b])
+    if class_emb is not None:
+        blocks.append(class_emb)
+    m_state = [np.zeros_like(p) for p in blocks]
+    v_state = [np.zeros_like(p) for p in blocks]
+    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    rng = generator(cfg.seed, 0xBA7C)
+    log_smin, log_smax = np.log(cfg.sigma_min), np.log(cfg.sigma_max)
+    history = []
+    for b in range(cfg.batches):
+        lr = _lr_at(cfg, b)
+        idx = rng.integers(0, len(points), size=cfg.batch_size)
+        x0 = points[idx]
+        noise = rng.standard_normal(x0.shape)
+        if cfg.objective == "dsm":
+            level = np.exp(rng.uniform(log_smin, log_smax, size=cfg.batch_size))
+            xin = x0 + level[:, None] * noise
+            target = noise
+        else:
+            level = rng.random(cfg.batch_size)
+            xin = (1.0 - level)[:, None] * x0 + level[:, None] * noise
+            target = noise - x0
+        if conditional:
+            ids = dataset.labels[idx].copy()
+            if cfg.label_dropout > 0:
+                ids[rng.random(cfg.batch_size) < cfg.label_dropout] = -1
+        else:
+            ids = None
+        mapped = shell._map_class_ids(cfg.batch_size, ids)
+        feats = reference_features(shell, xin, level, mapped, class_emb)
+        out, cache = reference_forward(weights, biases, feats)
+        residual = out - target
+        loss = float((residual * residual).sum() / cfg.batch_size)
+        gw, gb, gemb = reference_backward(weights, class_emb, cache, mapped,
+                                          2.0 * residual / cfg.batch_size)
+        grads = []
+        for i in range(len(gw)):
+            grads.extend([gw[i], gb[i]])
+        if gemb is not None:
+            grads.append(gemb)
+        bc1 = 1.0 - beta1**(b + 1)
+        bc2 = 1.0 - beta2**(b + 1)
+        for p, g, ms, vs in zip(blocks, grads, m_state, v_state):
+            ms *= beta1
+            ms += (1.0 - beta1) * g
+            vs *= beta2
+            vs += (1.0 - beta2) * g * g
+            p -= lr * (ms / bc1) / (np.sqrt(vs / bc2) + adam_eps)
+        if cfg.weight_decay > 0:
+            for w in weights:
+                w -= lr * cfg.weight_decay * w
+            if class_emb is not None:
+                class_emb -= lr * cfg.weight_decay * class_emb
+        history.append((b, lr, loss))
+    return blocks, history
+
+
+def reference_save_checkpoint(model, path):
+    """The checkpoint writer block by block: header, then each block as
+    float32 LE in checkpoint order."""
+    blocks = model.parameter_blocks()
+    names = []
+    for i in range(len(model.weights)):
+        names.extend([f"w{i}", f"b{i}"])
+    if model.class_emb is not None:
+        names.append("class_emb")
+    header = {
+        "data_dim": model.data_dim, "hidden": model.hidden, "n_classes": model.n_classes,
+        "emb_dim": model.emb_dim, "param": model.param, "activation": "silu", "seed": model.seed,
+        "train_config": asdict(model.train_config) if model.train_config else None,
+        "blocks": [{"name": n, "shape": list(b.shape)} for n, b in zip(names, blocks)],
+    }
+    hb = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(hb)) + hb)
+        for b in blocks:
+            fh.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
+
+
+def arrays_held(obj, seen=None):
+    """Every ndarray reachable from obj through attributes (including its
+    thread-local buffers), lists, tuples and dicts."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        items = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        items = list(obj)
+    elif isinstance(obj, (ScoreModel, threading.local)):
+        items = list(vars(obj).values())
+    else:
+        return []
+    return [a for item in items for a in arrays_held(item, seen)]
 
 
 class TestForward:
@@ -237,11 +402,7 @@ class TestGradients:
 
         feats = m._features(x, level, ids)
         out, cache = m._forward(feats, want_cache=True)
-        gw, gb, gemb = m._backward(cache, ids, 2.0 * (out - target) / 4)
-        grads = []
-        for i in range(len(gw)):
-            grads.extend([gw[i], gb[i]])
-        grads.append(gemb)
+        grads = m._blocks(m._backward(cache, ids, 2.0 * (out - target) / 4))
         blocks = m.parameter_blocks()
         checked = 0
         step = 1e-6
@@ -279,10 +440,16 @@ class TestTraining:
         assert all(np.isfinite(losses))
 
     def test_divergence_guard(self):
+        # the overflowing loss is the guard's case: no RuntimeWarning escapes
+        # the errstate scope around it
         data = LabeledPointSet(np.full((32, 2), 1e200), np.zeros(32, dtype=int))
-        cfg = TrainConfig(batches=20, batch_size=8, warmup_batches=1, lr=1e-3, seed=2)
-        with pytest.raises(TrainingDiverged):
-            train(data, [8], cfg)
+        for objective in ("dsm", "flow_matching"):
+            cfg = TrainConfig(batches=20, batch_size=8, warmup_batches=1, lr=1e-3, seed=2,
+                              objective=objective)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(TrainingDiverged):
+                    train(data, [8], cfg)
 
     def test_empty_dataset_rejected(self):
         data = LabeledPointSet(np.zeros((0, 2)), np.zeros(0, dtype=int))
@@ -296,6 +463,38 @@ class TestTraining:
             TrainConfig(batches=10, warmup_batches=20)
         with pytest.raises(ValueError):
             TrainConfig(objective="who knows")
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batches=3, warmup_batches=1, batch_size=0)
+
+    # (dim, hidden, conditional, objective, weight_decay, label_dropout, batch_size);
+    # the [128, 128] nets have more parameters than ADAM_CHUNK, the others fewer
+    @pytest.mark.parametrize("dim, hidden, conditional, objective, weight_decay, label_dropout, batch_size", [
+        (2, [8], False, "dsm", 1e-5, 0.0, 7),
+        (3, [16, 16], False, "flow_matching", 0.0, 0.0, 33),
+        (2, [32], True, "dsm", 1e-5, 0.0, 16),
+        (2, [128, 128], True, "flow_matching", 1e-5, 0.1, 1),
+        (3, [128, 128], True, "dsm", 0.0, 0.1, 9),
+        (2, [128, 128], False, "dsm", 1e-5, 0.0, 5),
+    ], ids=["eps-small-odd", "flow-wd0", "eps-cond", "flow-cond-big-bs1", "eps-cond-big-wd0",
+            "eps-big"])
+    def test_step_matches_out_of_place_reference(self, dim, hidden, conditional, objective,
+                                                 weight_decay, label_dropout, batch_size):
+        rng = np.random.default_rng(40)
+        data = LabeledPointSet(rng.standard_normal((50, dim)), rng.integers(0, 3, 50))
+        cfg = TrainConfig(batches=25, batch_size=batch_size, warmup_batches=3, lr=3e-3, seed=41,
+                          objective=objective, weight_decay=weight_decay, label_dropout=label_dropout)
+        m = train(data, hidden, cfg, conditional=conditional)
+        assert (m.params.size > ADAM_CHUNK) == (hidden == [128, 128])
+        blocks, history = reference_train(data, hidden, cfg, conditional)
+        assert [b.tobytes() for b in m.parameter_blocks()] == [b.tobytes() for b in blocks]
+        assert m.loss_history == history
+
+    def test_trained_model_holds_no_training_buffers(self):
+        data = gaussian_dataset(100, 2, seed=42)
+        cfg = TrainConfig(batches=5, batch_size=16, warmup_batches=1, seed=43)
+        m = train(data, [16, 16], cfg, conditional=False)
+        held = arrays_held(m)
+        assert held and all(np.shares_memory(a, m.params) for a in held)
 
     def test_trained_single_gaussian_matches_optimal_denoiser(self):
         # optimal denoiser for N(0, I): eps(x, sigma) = sigma x / (1 + sigma^2)
@@ -325,6 +524,43 @@ class TestTraining:
         nullb = m.predict_eps(x, 0.5, None)
         assert np.linalg.norm(cond0 - cond1) > 0.1
         assert np.linalg.norm(cond0 - nullb) > 0.01
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("n_classes", [None, 3])
+    def test_blocks_are_views_of_one_vector(self, n_classes):
+        m = ScoreModel(3, [16, 8], n_classes=n_classes, seed=44)
+        blocks = m.parameter_blocks()
+        assert len(blocks) == 6 + (n_classes is not None)
+        for b in blocks:
+            assert b.base is m.params and b.flags.c_contiguous
+        assert np.concatenate([b.ravel() for b in blocks]).tobytes() == m.params.tobytes()
+        m.params[:] = np.arange(m.params.size)
+        assert m.weights[0][0, 1] == 1.0 and m.biases[-1][-1] == m.params.size - 1 - (
+            0 if n_classes is None else m.class_emb.size)
+
+    def test_copy_shares_no_memory(self):
+        m = ScoreModel(2, [8], n_classes=2, seed=45)
+        dup = m.copy()
+        assert dup.params.tobytes() == m.params.tobytes()
+        assert not np.shares_memory(dup.params, m.params)
+        for a in arrays_held(dup):
+            assert np.shares_memory(a, dup.params) and not np.shares_memory(a, m.params)
+
+    def test_last_good_shares_no_memory_with_the_live_model(self, monkeypatch):
+        copies = []
+        real_copy = ScoreModel.copy
+        monkeypatch.setattr(ScoreModel, "copy", lambda self: copies.append((self, real_copy(self))) or copies[-1][1])
+        rng = np.random.default_rng(46)
+        data = LabeledPointSet(rng.standard_normal((64, 2)) * 100, np.zeros(64, dtype=int))
+        cfg = TrainConfig(batches=20, batch_size=8, warmup_batches=0, lr=10.0, seed=3, cosine_anneal=False)
+        with pytest.raises(TrainingDiverged) as info:
+            train(data, [8], cfg, snapshot_every=1)
+        live, snapshot = copies[-1]
+        assert info.value.last_good is snapshot
+        held = arrays_held(snapshot)
+        assert held and all(np.shares_memory(a, snapshot.params) for a in held)
+        assert not np.shares_memory(snapshot.params, live.params)
 
 
 class TestFlowObjective:
@@ -460,6 +696,21 @@ class TestCheckpoint:
         save_checkpoint(m, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("n_classes", [None, 3])
+    def test_bytes_match_the_per_block_writer(self, tmp_path, n_classes):
+        data = gaussian_dataset(60, 3, seed=47)
+        cfg = TrainConfig(batches=4, batch_size=8, warmup_batches=1, seed=48)
+        trained = train(LabeledPointSet(data.points, np.arange(60) % 3), [16, 8], cfg,
+                        conditional=n_classes is not None)
+        for m in (ScoreModel(3, [16, 8], n_classes=n_classes, param="flow", seed=49), trained):
+            save_checkpoint(m, tmp_path / "a.ckpt")
+            reference_save_checkpoint(m, tmp_path / "b.ckpt")
+            assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+            loaded, _ = load_checkpoint(tmp_path / "a.ckpt")
+            assert loaded.params.dtype == np.float64
+            save_checkpoint(loaded, tmp_path / "c.ckpt")
+            assert (tmp_path / "c.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
+
     def test_magic_checked(self, tmp_path):
         p = tmp_path / "bad.ckpt"
         p.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -468,7 +719,9 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("corrupt", [
         lambda b: b[:300], lambda b: b[:-4], lambda b: b + b"\0\0\0\0", lambda b: b[:4] + b"\2" + b[5:],
-    ], ids=["cut_in_header", "last_block_short", "trailing_bytes", "unknown_version"])
+        lambda b: b[:-4 * 83], lambda b: b[:-4 * 162], lambda b: b + b"\0",
+    ], ids=["cut_in_header", "last_block_short", "trailing_bytes", "unknown_version",
+            "cut_in_first_block", "no_parameters", "one_surplus_byte"])
     def test_incomplete_checkpoint_rejected(self, tmp_path, corrupt):
         p = tmp_path / "m.ckpt"
         save_checkpoint(ScoreModel(2, [8], n_classes=2, seed=28), p)
