@@ -65,7 +65,7 @@ def _sample_tag(cfg: dict) -> str:
 def _read_points(path) -> LabeledPointSet:
     try:
         return LabeledPointSet.from_csv(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise MissingArtifact(f"unreadable point set: {exc}") from exc
 
 
@@ -79,9 +79,12 @@ def _number_or_text(cell: str):
 def _read_table(path, columns) -> list[dict]:
     """Rows of a CSV table to plot, each cell a float where it parses. Every
     name in columns(header) must be a column whose cells all parse; a
-    malformed table is a MissingArtifact naming the file."""
+    malformed or unreadable table is a MissingArtifact naming the file."""
     records = read_csv(path)
-    header = next(records)
+    try:
+        header = next(records)
+    except (OSError, ValueError) as exc:
+        raise MissingArtifact(f"unreadable table: {exc}") from exc
     need = columns(header)
     missing = [k for k in need if k not in header]
     if missing:
@@ -94,9 +97,21 @@ def _read_table(path, columns) -> list[dict]:
             if text:
                 raise ValueError(f"{path}: line {lineno}: {text[0]} {row[text[0]]!r} is not a number")
             rows.append(row)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise MissingArtifact(f"unreadable table: {exc}") from exc
     return rows
+
+
+def _sfg_stats_of(manifest: Path):
+    """The sfg_stats a sample manifest records, or None; a manifest that is
+    unreadable or not a JSON object is a MissingArtifact naming the file."""
+    try:
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise MissingArtifact(f"unreadable sample manifest {manifest}: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("extra", {}), dict):
+        raise MissingArtifact(f"unreadable sample manifest {manifest}: not a manifest object")
+    return doc.get("extra", {}).get("sfg_stats")
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +173,7 @@ def _load_models(out: Path, names) -> dict:
             raise MissingArtifact(f"checkpoint {path} not found; run train first")
         try:
             table[name], _ = load_checkpoint(path)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise MissingArtifact(f"unreadable checkpoint: {exc}") from exc
     return table
 
@@ -290,7 +305,7 @@ def cmd_eval(cfg: dict) -> int:
             report[key] = metrics[key](samples)
         manifest = out / f"sample_manifest_{spath.stem.replace('samples_', '')}.json"
         if manifest.exists():
-            report["sfg_stats"] = json.loads(manifest.read_text()).get("extra", {}).get("sfg_stats")
+            report["sfg_stats"] = _sfg_stats_of(manifest)
 
     if cfg["task"] == "two_gaussian" and "field" in ecfg:
         fcfg = ecfg["field"]
@@ -298,10 +313,10 @@ def cmd_eval(cfg: dict) -> int:
                                     fcfg.get("grid_n", 21))
         for var in fcfg.get("variances", [4.0, 2.0, 0.5]):
             g = smooth(specs["base"], float(np.sqrt(var)))
-            rows = evaluation.curvature_field(g, grid)
+            field = evaluation.curvature_field(g, grid)
             fname = f"field_var{var:g}.csv"
-            evaluation.sweep_to_csv(rows, out / fname)
-            tables[fname] = len(rows)
+            evaluation.sweep_to_csv(field, out / fname)
+            tables[fname] = len(grid)
 
     evaluation.EvalReport(**report).to_json(out / "eval_report.json")
     _write_manifest(out / "eval_manifest.json", "eval", cfg, {"tables": tables})
@@ -347,7 +362,7 @@ def cmd_plot(args) -> int:
     elif args.kind == "field":
         if len(inputs) != 1:
             raise ConfigError("field plots take exactly one input table")
-        doc = svg.field_svg(_read_table(inputs[0], svg.field_columns))
+        doc = svg.field_svg(evaluation.table_columns(_read_table(inputs[0], svg.field_columns)))
     elif args.kind == "sweep":
         if len(inputs) != 1:
             raise ConfigError("sweep plots take exactly one input table")

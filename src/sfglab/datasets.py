@@ -5,11 +5,15 @@ branching fractal whose segments are thin anisotropic components."""
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import generator
+
+WRITE_BLOCK_CELLS = 1 << 14  # cells per `%`-format in LabeledPointSet.to_csv
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -147,29 +151,64 @@ class LabeledPointSet:
     def to_csv(self, path) -> None:
         """Write `x0,...,x{n-1},label,region` rows, floats at 9 significant digits.
 
-        Each row is one `%`-format of a per-file template, streamed to the
-        file, so no list of every line is held."""
-        n = self.dim
+        Rows go out in blocks of at most about 16k cells: a block's cells are
+        copied into one object array and written with one `%`-format of the
+        per-row template repeated, so no list of every line is held."""
+        n, size = self.dim, len(self)
         header = ",".join([f"x{i}" for i in range(n)] + ["label", "region"])
         line = ",".join(["%.9g"] * n) + ",%d,%s\n"
-        regions = self.region_tag if self.region_tag is not None else itertools.repeat("")
+        block = max(1, WRITE_BLOCK_CELLS // (n + 2))
+        cells = np.empty((min(block, size), n + 2), dtype=object)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            fh.writelines(line % (*row.tolist(), lab, reg)
-                          for row, lab, reg in zip(self.points, self.labels.tolist(), regions))
+            for start in range(0, size, block):
+                rows = cells[:min(block, size - start)]
+                rows[:, :n] = self.points[start:start + block]
+                rows[:, n] = self.labels[start:start + block]
+                rows[:, n + 1] = "" if self.region_tag is None else self.region_tag[start:start + block]
+                fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "LabeledPointSet":
+        """Read a `to_csv` file: each coordinate is the value `float()` gives
+        for its cell, each label the one `int()` gives.
+
+        One `np.loadtxt` call parses the body; its structured dtype enforces
+        the field count on every line. When it raises, the per-line reader
+        runs instead: it takes the cells Python parses and numpy does not
+        (`1_0`, full-width digits), or raises ValueError naming the file and line."""
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            if header[-2:] != ["label", "region"]:
+                raise ValueError(f"{path}: not a point-set CSV (header {header})")
+            n = len(header) - 2
+            dtype = [("x", np.float64, (n,)), ("label", np.int64), ("region", object)]
+            try:
+                with warnings.catch_warnings():  # a body without lines is a set of no points
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    rec = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            except ValueError:
+                return cls._from_lines(path, n)
+        regs = rec["region"].tolist()
+        if any(regs):  # the line reader strips each line, so a tag loses trailing whitespace
+            regs = [r.rstrip() for r in regs]
+        # a C-contiguous copy: a strided record view can take matmul off its BLAS path
+        return cls(np.ascontiguousarray(rec["x"]), np.ascontiguousarray(rec["label"]),
+                   regs if any(regs) else None)
+
+    @classmethod
+    def _from_lines(cls, path, n: int) -> "LabeledPointSet":
+        """The per-line reader: `float()` and `int()` per cell."""
         records = read_csv(path)
-        header = next(records)
-        if header[-2:] != ["label", "region"]:
-            raise ValueError(f"{path}: not a point-set CSV (header {header})")
-        n = len(header) - 2
+        next(records)
         flat, labs, regs = [], [], []
         for lineno, parts in records:
             try:
                 flat.extend(map(float, parts[:n]))
-                labs.append(int(parts[n]))
+                lab = int(parts[n])
+                if not INT64_MIN <= lab <= INT64_MAX:
+                    raise ValueError(f"label {lab} is outside the int64 range")
+                labs.append(lab)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             regs.append(parts[n + 1])

@@ -5,6 +5,7 @@ distances, 2D curvature-field tables, and the CSV writer for tables."""
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -154,21 +155,42 @@ def gaussian_frechet(samples_a, samples_b) -> float:
     return float(diff @ diff + np.trace(cov_a) + np.trace(cov_b) - 2.0 * tr_sqrt)
 
 
-def sweep_to_csv(rows: list[dict], path) -> None:
-    """Write dict rows as CSV: columns in first-seen order, numbers at 9
-    significant digits, strings bare, missing keys and None as empty cells."""
-    keys = list(dict.fromkeys(k for row in rows for k in row))
+def table_columns(table) -> dict:
+    """A table as columns. A mapping of column name to values passes
+    through; dict rows become one list per key, in first-seen order, with
+    None where a row lacks the key."""
+    if isinstance(table, Mapping):
+        return dict(table)
+    keys = dict.fromkeys(k for row in table for k in row)
+    return {k: [row.get(k) for row in table] for k in keys}
 
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, str):
-            return v
-        return "%.9g" % v
 
+def _csv_column(values) -> tuple[str, list]:
+    """(printf conversion, cells) of one column: `%.9g` over the numbers of
+    a numeric column, `%s` over pre-formatted cells where a column holds a
+    string or None (bare, and empty)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        return "%.9g", values.tolist()
+    values = list(values)
+    if not any(v is None or isinstance(v, str) for v in values):
+        return "%.9g", values
+    return "%s", ["" if v is None else v if isinstance(v, str) else "%.9g" % v for v in values]
+
+
+def sweep_to_csv(table, path) -> None:
+    """Write a table as CSV: a mapping of column name to equal-length values,
+    or dict rows (columns in first-seen order, a missing key is an empty
+    cell). Numbers at 9 significant digits, strings bare, None empty; each
+    line is one `%`-format of a per-table template."""
+    cols = table_columns(table)
+    formats, cells = zip(*map(_csv_column, cols.values())) if cols else ((), ())
+    if len({len(c) for c in cells}) > 1:
+        raise ValueError(f"table columns differ in length: {sorted({len(c) for c in cells})}")
+    line = ",".join(formats) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(keys) + "\n")
-        fh.writelines(",".join([cell(row.get(k)) for k in keys]) + "\n" for row in rows)
+        fh.write(",".join(cols) + "\n")
+        # rows without a key are empty lines; an empty mapping has no rows
+        fh.writelines(line % row for row in (zip(*cells) if cells else [()] * len(table)))
 
 
 def sfg_stats(trace: dict) -> dict:
@@ -188,9 +210,11 @@ def sfg_stats(trace: dict) -> dict:
     }
 
 
-def curvature_field(g, points) -> list[dict]:
-    """Per grid point of a 2D smoothed mixture: marginal score, Bayes-classifier
-    gradients for both classes, the top Hessian eigenpair, and the gate flag."""
+def curvature_field(g, points) -> dict[str, np.ndarray]:
+    """Per grid point of a 2D smoothed mixture, as columns of length G: the
+    point (`x0`, `x1`), the marginal score, the top Hessian eigenpair
+    (`lambda_max`, `evec0`, `evec1`), the gate flag and the Bayes-classifier
+    gradient of each of the first two classes (`clf{id}_0`, `clf{id}_1`)."""
     if g.dim != 2:
         raise ValueError("curvature_field needs a 2D mixture")
     pts = np.asarray(points, dtype=float)
@@ -198,18 +222,15 @@ def curvature_field(g, points) -> list[dict]:
         raise ValueError("points must be a (G, 2) array")
     class_ids = sorted(np.unique(g.base.labels).tolist())[:2]
     vals, vecs = full_spectrum(hessian(g, pts))
-    grads = {cid: classifier_grad(g, pts, cid) for cid in class_ids}
-    rows = []
-    for i, (p, s, lam, v) in enumerate(zip(pts, score(g, pts), vals[:, 0], vecs[:, :, 0])):
-        rows.append({
-            "x0": float(p[0]), "x1": float(p[1]),
-            "score0": float(s[0]), "score1": float(s[1]),
-            "lambda_max": float(lam),
-            "evec0": float(v[0]), "evec1": float(v[1]),
-            "gate": int(lam > 0),
-            **{f"clf{cid}_{j}": float(grad[i, j]) for cid, grad in grads.items() for j in (0, 1)},
-        })
-    return rows
+    s = score(g, pts)
+    lam = vals[:, 0]
+    cols = {"x0": pts[:, 0], "x1": pts[:, 1], "score0": s[:, 0], "score1": s[:, 1],
+            "lambda_max": lam, "evec0": vecs[:, 0, 0], "evec1": vecs[:, 1, 0],
+            "gate": (lam > 0).astype(int)}
+    for cid in class_ids:
+        grad = classifier_grad(g, pts, cid)
+        cols[f"clf{cid}_0"], cols[f"clf{cid}_1"] = grad[:, 0], grad[:, 1]
+    return cols
 
 
 def make_grid(lo: float, hi: float, n: int) -> np.ndarray:

@@ -131,15 +131,17 @@ def field_columns(header) -> list[str]:
             *(f"{ck}_{i}" for ck in _classifier_keys(header) for i in (0, 1))]
 
 
-def field_svg(rows, panel_size=420, margin=48, arrow_scale=0.25) -> str:
-    """Quiver plot of a curvature-field table: marginal score (gray), the two
+def field_svg(columns, panel_size=420, margin=48, arrow_scale=0.25) -> str:
+    """Quiver plot of a curvature-field table, given as columns (see
+    evaluation.curvature_field): marginal score (gray), the two
     Bayes-classifier gradients (blue/red), and positive-curvature eigenvector
     segments (green) where the gate is on."""
-    if not rows:
+    col = {k: v.tolist() if isinstance(v, np.ndarray) else list(v) for k, v in columns.items()}
+    if not col.get("x0"):
         return render([Panel(margin, margin, panel_size, panel_size, (-1, 1, -1, 1), "field")],
                       panel_size + 2 * margin, panel_size + 2 * margin)
-    xs = np.asarray([r["x0"] for r in rows])
-    ys = np.asarray([r["x1"] for r in rows])
+    xs = np.asarray(col["x0"], dtype=float)
+    ys = np.asarray(col["x1"], dtype=float)
     pad = 0.05 * max(np.ptp(xs), np.ptp(ys), 1e-9)
     bounds = (float(xs.min() - pad), float(xs.max() + pad),
               float(ys.min() - pad), float(ys.max() + pad))
@@ -153,19 +155,18 @@ def field_svg(rows, panel_size=420, margin=48, arrow_scale=0.25) -> str:
             dx, dy = dx / norm * cap, dy / norm * cap
         return dx * arrow_scale / max(arrow_scale, 0.25), dy * arrow_scale / max(arrow_scale, 0.25)
 
-    clf_keys = _classifier_keys(rows[0])
-    for r in rows:
-        dx, dy = clipped(r["score0"] * arrow_scale, r["score1"] * arrow_scale)
-        panel.arrow(r["x0"], r["x1"], dx, dy, "#777777", 0.8, 0.8)
-        for j, ck in enumerate(clf_keys):
-            dx, dy = clipped(r[f"{ck}_0"] * arrow_scale, r[f"{ck}_1"] * arrow_scale)
-            panel.arrow(r["x0"], r["x1"], dx, dy, PALETTE[j % len(PALETTE)], 0.8, 0.65)
-    for r in rows:
-        if r["gate"]:
-            half = 0.45 * spacing
-            panel.line(r["x0"] - half * r["evec0"], r["x1"] - half * r["evec1"],
-                       r["x0"] + half * r["evec0"], r["x1"] + half * r["evec1"],
-                       "#2ca02c", 2.0, 0.9)
+    x0, x1 = col["x0"], col["x1"]
+    arrows = [(col["score0"], col["score1"], "#777777", 0.8)]
+    arrows += [(col[f"{ck}_0"], col[f"{ck}_1"], PALETTE[j % len(PALETTE)], 0.65)
+               for j, ck in enumerate(_classifier_keys(col))]
+    for i in range(len(x0)):
+        for u, v, color, opacity in arrows:
+            dx, dy = clipped(u[i] * arrow_scale, v[i] * arrow_scale)
+            panel.arrow(x0[i], x1[i], dx, dy, color, 0.8, opacity)
+    half = 0.45 * spacing
+    for x, y, gate, e0, e1 in zip(x0, x1, col["gate"], col["evec0"], col["evec1"]):
+        if gate:
+            panel.line(x - half * e0, y - half * e1, x + half * e0, y + half * e1, "#2ca02c", 2.0, 0.9)
     return render([panel], panel_size + 2 * margin, panel_size + 2 * margin)
 
 

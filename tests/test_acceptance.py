@@ -172,11 +172,11 @@ class TestCriterion9FieldStudy:
         svgs = {}
         for var in (4.0, 2.0, 0.5):
             g = sf.smooth(spec, float(np.sqrt(var)))
-            rows = curvature_field(g, grid)
-            mid_row = curvature_field(g, midpoint)[0]
-            aligned = all(abs(r["evec0"]) > 0.99 for r in rows if r["gate"])
-            checks.append((var, mid_row["lambda_max"], aligned))
-            svgs[var] = field_svg(rows)
+            field = curvature_field(g, grid)
+            mid_lambda = curvature_field(g, midpoint)["lambda_max"][0]
+            aligned = bool(np.all(np.abs(field["evec0"][field["gate"] == 1]) > 0.99))
+            checks.append((var, mid_lambda, aligned))
+            svgs[var] = field_svg(field)
             (tmp_path / f"field_var{var:g}.svg").write_text(svgs[var])
         by_var = {v: (lam, aligned) for v, lam, aligned in checks}
         separated_ok = by_var[0.5][0] > 0 and by_var[2.0][0] > 0

@@ -18,6 +18,7 @@ from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS, forwards_per_eval, guided_evals  # noqa: E402
 
 from sfglab import cli, config, datasets, sampler  # noqa: E402
+from sfglab.datasets import sample_gmm  # noqa: E402
 from sfglab.model import ScoreModel, save_checkpoint  # noqa: E402
 
 
@@ -106,3 +107,30 @@ def test_threaded_sampling_keeps_the_cost_contract(tmp_path):
     stack = WORKLOADS["fractal2d-autoguide-sfg"].sample_stack
     evals = guided_evals(stack, run["n_steps"], run["heun"]) * run["chunks"]
     assert (run["evals"], run["forwards"]) == (evals, evals * forwards_per_eval(stack))
+
+
+def test_twogauss_eval_fires_the_field_and_csv_spans(tmp_path):
+    # the twogauss workload's eval in small: perfbench's coverage check needs
+    # the curvature-field span, and its CSV metrics the table and reader spans
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = WORKLOADS["twogauss-flow-classifier"].config(1, str(out))
+    cfg["eval"]["frechet_reference_n"] = 64
+    cfg["eval"]["field"]["grid_n"] = 5
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    sample_gmm(config.task_specs(config.validate_config(cfg))["base"], 50, 3).to_csv(
+        out / "samples_classifier.csv")
+
+    tracer = Tracer()
+    patcher = instrument.install(tracer)
+    try:
+        assert cli.main(["eval", "--config", str(path)]) == 0
+    finally:
+        assert patcher.restore() == []
+    counts = instrument.span_counts(tracer)
+    variances = cfg["eval"]["field"]["variances"]
+    points = [sp.attrs["points"] for sp in tracer.spans if sp.name == "evaluation.curvature_field"]
+    assert points == [5 * 5] * len(variances)
+    assert counts.get("evaluation.sweep_to_csv") == len(variances)
+    assert counts.get("datasets.from_csv") == 1

@@ -421,6 +421,48 @@ class TestExitCodes:
         assert main([command, "--config", path]) == 4
         assert str(target) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ['{"command": "sample", "extra": {"sfg_st', "[1, 2]",
+                                      '{"extra": 3}', None],
+                             ids=["truncated", "not_an_object", "extra_not_an_object", "directory"])
+    def test_malformed_sample_manifest_is_4(self, tmp_path, capsys, body):
+        out = tmp_path / "out"
+        cfg = {"task": "two_gaussian", "seed": 1, "out": str(out),
+               "data": {"two_gaussian": {"separation": 4.0, "base_variance": 1.0, "ambient_dim": 2}},
+               "eval": {"samples_file": "samples_x.csv", "frechet_reference_n": 64}}
+        out.mkdir()
+        points = np.random.default_rng(2).standard_normal((50, 2))
+        LabeledPointSet(points, np.zeros(50, dtype=int)).to_csv(out / "samples_x.csv")
+        manifest = out / "sample_manifest_x.json"
+        if body is None:
+            manifest.mkdir()
+        else:
+            manifest.write_text(body)
+        assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 4
+        assert f"unreadable sample manifest {manifest}" in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("artifact, argv", [
+        ("train.csv", ["train"]),
+        ("main.ckpt", ["sample"]),
+        ("dir.csv", ["eval"]),
+        ("dir.csv", ["plot", "--kind", "scatter"]),
+        ("dir.csv", ["plot", "--kind", "field"]),
+        ("dir.csv", ["plot", "--kind", "sweep"]),
+    ], ids=["train_csv", "checkpoint", "eval_samples_file", "plot_scatter", "plot_field", "plot_sweep"])
+    def test_artifact_path_that_is_a_directory_is_4(self, tmp_path, capsys, artifact, argv):
+        out = tmp_path / "out"
+        cfg = fractal_config(out)
+        cfg["eval"]["samples_file"] = "dir.csv"
+        out.mkdir()
+        target = out / artifact
+        target.mkdir()
+        if argv[0] == "plot":
+            argv = [*argv, "--inputs", str(target), "--out", str(tmp_path / "x.svg")]
+        else:
+            argv = [*argv, "--config", write_config(tmp_path, cfg)]
+        assert main(argv) == 4
+        assert str(target) in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind, table", [
         ("sweep", "weight,frechet\n0,1.5\n1,abc\n"),
         ("sweep", "weight,frechet\n0,1.5\n1\n"),
@@ -720,10 +762,10 @@ class TestPlot:
         from sfglab.evaluation import curvature_field, make_grid, sweep_to_csv
         from sfglab.oracle import smooth
 
-        rows = curvature_field(smooth(make_two_gaussian(4.0, 1.0, 2), 0.7071),
-                               make_grid(-3, 3, 5))
+        field = curvature_field(smooth(make_two_gaussian(4.0, 1.0, 2), 0.7071),
+                                make_grid(-3, 3, 5))
         csv = tmp_path / "field.csv"
-        sweep_to_csv(rows, csv)
+        sweep_to_csv(field, csv)
         out = tmp_path / "field.svg"
         assert main(["plot", "--kind", "field", "--inputs", str(csv), "--out", str(out)]) == 0
         assert "line" in out.read_text()
@@ -735,9 +777,9 @@ class TestPlot:
         from sfglab.svg import PALETTE
 
         spec = GmmSpec([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]], [1.0, 1.0], labels=[10, 11])
-        rows = curvature_field(smooth(spec, 0.5), make_grid(-3, 3, 4))
+        field = curvature_field(smooth(spec, 0.5), make_grid(-3, 3, 4))
         csv = tmp_path / "field.csv"
-        sweep_to_csv(rows, csv)
+        sweep_to_csv(field, csv)
         out = tmp_path / "field.svg"
         assert main(["plot", "--kind", "field", "--inputs", str(csv), "--out", str(out)]) == 0
         body = out.read_text()

@@ -347,6 +347,9 @@ class TestCsvFormat:
         ("0.5,1.5,0,\n0.5,abc,1,\n", "line 3: could not convert string to float: 'abc'"),
         ("0.5,1.5,1.5,\n", "line 2: invalid literal for int() with base 10: '1.5'"),
         ("0.5,1.5,0,\n0.5,1.5,0,\n0.5,0,\n", "line 4: 3 fields, expected 4"),
+        ("0.5,1.5,0,\n0.5,1.5,99999999999999999999,\n",
+         "line 3: label 99999999999999999999 is outside the int64 range"),
+        ("0.5,1.5,-9223372036854775809,\n", "line 2: label -9223372036854775809 is outside the int64 range"),
     ])
     def test_bad_rows_name_their_line(self, tmp_path, body, message):
         path = tmp_path / "pts.csv"
@@ -354,3 +357,72 @@ class TestCsvFormat:
         with pytest.raises(ValueError) as info:
             LabeledPointSet.from_csv(path)
         assert str(info.value) == f"{path}: {message}"
+
+
+def reference_from_csv(path):
+    """The per-line reader that `from_csv`'s one `np.loadtxt` call replaced:
+    each line stripped and split at commas, blank lines skipped, `float()`
+    per coordinate and `int()` per label. Returns (points, labels, regions)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        n = len(header) - 2
+        flat, labs, regs = [], [], []
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            assert len(parts) == n + 2
+            flat.extend(map(float, parts[:n]))
+            labs.append(int(parts[n]))
+            regs.append(parts[n + 1])
+    return np.array(flat, dtype=float).reshape(len(labs), n), np.array(labs, dtype=np.int64), regs
+
+
+def assert_reads_like_reference(path):
+    points, labels, regions = reference_from_csv(path)
+    back = LabeledPointSet.from_csv(path)
+    assert back.points.flags.c_contiguous and back.points.dtype == np.float64
+    assert back.points.shape == points.shape
+    assert back.points.tobytes() == points.tobytes()
+    assert back.labels.tobytes() == labels.tobytes()
+    assert back.region_tag == (regions if any(regions) else None)
+
+
+# printf formats the random sets mix, one drawn per cell
+CELL_FORMATS = ["%.9g", "%.17g", "%r", "%.6e", "%.3f"]
+
+
+class TestColumnReader:
+    @pytest.mark.parametrize("shape", [(20000, 2), (600, 256)], ids=["20000x2", "600x256"])
+    def test_random_sets_read_like_the_line_reader(self, tmp_path, shape):
+        rng = np.random.default_rng(shape[1])
+        points = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+        labels = rng.integers(-2**63, 2**63 - 1, shape[0], dtype=np.int64, endpoint=True)
+        tags = rng.choice(["", "mode", "saddle", "outlier"], shape[0]).tolist()
+        written = tmp_path / "written.csv"
+        LabeledPointSet(points, labels, tags).to_csv(written)
+        assert_reads_like_reference(written)
+
+        formats = rng.integers(0, len(CELL_FORMATS), shape)
+        mixed = tmp_path / "mixed.csv"
+        with open(mixed, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join([f"x{i}" for i in range(shape[1])] + ["label", "region"]) + "\n")
+            for row, fmts, lab, tag in zip(points.tolist(), formats.tolist(), labels.tolist(), tags):
+                cells = [CELL_FORMATS[f] % v for v, f in zip(row, fmts)]
+                fh.write(",".join(cells) + f",{lab},{tag}\n")
+        assert_reads_like_reference(mixed)
+
+    @pytest.mark.parametrize("body", [
+        "1_0,１２,7,mode\n",
+        "-nan,+7,+3,\n",
+        " 2.5 , -0 , 4 ,saddle  \n\t1e-320\t,inf,-1, \n",
+        "1,2,0,a\n\n   \n3,4,1,b\n",
+        "1,2,0,a\r\n3,4,1,\r\n",
+        "nan,-inf,0,\t\n",
+    ], ids=["underscore_and_fullwidth_digits", "signs_and_negative_nan", "padded_cells",
+            "blank_lines", "crlf", "whitespace_region"])
+    def test_odd_cells_read_like_the_line_reader(self, tmp_path, body):
+        path = tmp_path / "odd.csv"
+        path.write_bytes(("x0,x1,label,region\n" + body).encode("utf-8"))
+        assert_reads_like_reference(path)

@@ -188,30 +188,30 @@ class TestCurvatureField:
 
     def test_single_gaussian_gate_never_on(self):
         spec = GmmSpec([1.0], np.zeros((1, 2)), [1.0])
-        rows = curvature_field(smooth(spec, 0.5), make_grid(-2, 2, 5))
-        assert all(r["gate"] == 0 for r in rows)
+        field = curvature_field(smooth(spec, 0.5), make_grid(-2, 2, 5))
+        assert len(field["gate"]) == 25 and not field["gate"].any()
 
     def test_midpoint_saddle_alignment(self):
         # separated two-Gaussian regimes: additive variance 2 and 0.5
         spec = make_two_gaussian(4.0, 1.0, 2)
         for var in (2.0, 0.5):
             g = smooth(spec, float(np.sqrt(var)))
-            rows = curvature_field(g, np.array([[0.0, 0.0]]))
-            assert rows[0]["gate"] == 1
-            assert abs(rows[0]["evec0"]) > 0.99  # aligned with the inter-mode axis
+            field = curvature_field(g, np.array([[0.0, 0.0]]))
+            assert field["gate"][0] == 1
+            assert abs(field["evec0"][0]) > 0.99  # aligned with the inter-mode axis
 
     def test_merged_regime_midpoint_not_saddle(self):
         # additive variance 4 on separation 4: -1/5 + 4/25 < 0 at the midpoint
         spec = make_two_gaussian(4.0, 1.0, 2)
-        rows = curvature_field(smooth(spec, 2.0), np.array([[0.0, 0.0]]))
-        assert rows[0]["gate"] == 0
+        field = curvature_field(smooth(spec, 2.0), np.array([[0.0, 0.0]]))
+        assert field["gate"][0] == 0
 
     def test_classifier_columns_present(self):
         spec = make_two_gaussian(4.0, 1.0, 2)
-        rows = curvature_field(smooth(spec, 1.0), make_grid(-3, 3, 3))
-        for key in ("score0", "score1", "clf0_0", "clf0_1", "clf1_0", "clf1_1",
-                    "lambda_max", "evec0", "evec1", "gate"):
-            assert key in rows[0]
+        field = curvature_field(smooth(spec, 1.0), make_grid(-3, 3, 3))
+        assert list(field) == ["x0", "x1", "score0", "score1", "lambda_max", "evec0", "evec1",
+                               "gate", "clf0_0", "clf0_1", "clf1_0", "clf1_1"]
+        assert all(col.shape == (9,) for col in field.values())
 
 
 class TestReportAndStats:
@@ -263,19 +263,36 @@ def reference_table_bytes(rows):
 class TestSweepToCsv:
     @pytest.mark.parametrize("rows", [
         [],
+        [{}, {}],
         [{"w": 1.5, "name": "sfg", "n": 3}],
         [{"w": np.float64(0.1), "ok": True, "big": 2**60, "k": np.int64(-5)},
          {"w": -0.0, "extra": None, "k": 7},
          {"extra": "tag", "w": np.nan, "big": np.inf, "ok": False},
          {"w": 5e-324, "k": 1e16, "name": ""}],
-    ], ids=["no_rows", "one_row", "mixed"])
+    ], ids=["no_rows", "empty_rows", "one_row", "mixed"])
     def test_bytes_match_reference_writer(self, tmp_path, rows):
         path = tmp_path / "t.csv"
         sweep_to_csv(rows, path)
         assert path.read_bytes() == reference_table_bytes(rows)
 
     def test_curvature_field_table_bytes(self, tmp_path):
-        rows = curvature_field(smooth(make_two_gaussian(4.0, 1.0, 2), 0.7), make_grid(-3, 3, 6))
-        path = tmp_path / "field.csv"
-        sweep_to_csv(rows, path)
+        # the columns write the bytes their per-point rows gave, on the benchmark's
+        # 22 x 22 grid, with one- and two-digit class ids
+        for labels in ([0, 1], [10, 11]):
+            spec = GmmSpec([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]], [1.0, 1.0], labels=labels)
+            field = curvature_field(smooth(spec, 0.7), make_grid(-4, 4, 22))
+            rows = [dict(zip(field, cells)) for cells in zip(*(c.tolist() for c in field.values()))]
+            assert len(rows) == 484 and f"clf{labels[1]}_1" in rows[0]
+            path = tmp_path / "field.csv"
+            sweep_to_csv(field, path)
+            assert path.read_bytes() == reference_table_bytes(rows)
+
+    def test_columns_write_like_their_rows(self, tmp_path):
+        cols = {"w": np.array([0.5, -0.0, np.nan]), "k": np.array([1, -2, 3]),
+                "name": ["a", None, ""], "mixed": [1.5, "x", None], "n": [2**60, True, 7]}
+        rows = [dict(zip(cols, cells)) for cells in zip(*cols.values())]
+        path = tmp_path / "t.csv"
+        sweep_to_csv(cols, path)
         assert path.read_bytes() == reference_table_bytes(rows)
+        with pytest.raises(ValueError, match="differ in length"):
+            sweep_to_csv({"a": [1.0, 2.0], "b": [1.0]}, path)

@@ -35,20 +35,16 @@ class TestScatter:
 
 class TestFieldPlot:
     def test_empty_rows(self):
-        doc = field_svg([])
-        assert "<svg" in doc
+        assert "<svg" in field_svg({})
+        assert "<svg" in field_svg({"x0": np.zeros(0), "x1": np.zeros(0)})
 
     def test_gate_segments_only_where_on(self):
-        rows = [
-            {"x0": 0.0, "x1": 0.0, "score0": 1.0, "score1": 0.0,
-             "clf0_0": 0.1, "clf0_1": 0.0, "clf1_0": -0.1, "clf1_1": 0.0,
-             "lambda_max": 1.0, "evec0": 1.0, "evec1": 0.0, "gate": 1},
-            {"x0": 1.0, "x1": 0.0, "score0": -1.0, "score1": 0.0,
-             "clf0_0": 0.1, "clf0_1": 0.0, "clf1_0": -0.1, "clf1_1": 0.0,
-             "lambda_max": -1.0, "evec0": 0.0, "evec1": 1.0, "gate": 0},
-        ]
-        doc = field_svg(rows)
+        cols = {"x0": [0.0, 1.0], "x1": [0.0, 0.0], "score0": [1.0, -1.0], "score1": [0.0, 0.0],
+                "clf0_0": [0.1, 0.1], "clf0_1": [0.0, 0.0], "clf1_0": [-0.1, -0.1], "clf1_1": [0.0, 0.0],
+                "lambda_max": [1.0, -1.0], "evec0": [1.0, 0.0], "evec1": [0.0, 1.0], "gate": [1, 0]}
+        doc = field_svg(cols)
         assert doc.count('stroke="#2ca02c"') == 1  # one curvature segment
+        assert field_svg({k: np.asarray(v) for k, v in cols.items()}) == doc
 
 
 class TestLineChart:
