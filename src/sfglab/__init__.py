@@ -7,7 +7,7 @@ in closed form and every guidance strategy can be checked against exact
 oracles.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .datasets import (
     Fractal,
@@ -50,6 +50,7 @@ from .guidance import (
     cfg,
     classifier_guidance,
     sfg_init,
+    sfg_start,
     sfg_step,
 )
 from .sampler import (

@@ -25,7 +25,7 @@ from .config import (ConfigError, MissingArtifact, NumericFailure, config_hash, 
 from .datasets import LabeledPointSet, read_csv, sample_gmm
 from .model import TrainingDiverged, load_checkpoint, save_checkpoint, train
 from .oracle import smooth
-from .rng import derive_seed, generator
+from .rng import CLASS_IDS, derive_seed, generator
 from .sampler import GuidedProvider, initial_latents, sample
 
 
@@ -180,13 +180,13 @@ def _load_models(out: Path, names) -> dict:
 
 def _class_ids_for(cfg: dict, model, n_samples: int):
     """sample.class_id for every trajectory: None, one id (negative means
-    unconditional) or, for "random", one seeded draw per trajectory."""
+    unconditional) or, for "random", one draw of n_samples ids from
+    generator(seed, rng.CLASS_IDS), entry i for trajectory i."""
     choice = cfg["sample"].get("class_id")
     if choice is None or not model.conditional:
         return None
     if choice == "random":
-        return np.asarray([int(generator(derive_seed(cfg["seed"], i), 2).integers(model.n_classes))
-                           for i in range(n_samples)])
+        return generator(cfg["seed"], CLASS_IDS).integers(model.n_classes, size=n_samples)
     if choice >= model.n_classes:
         raise ConfigError(f"sample.class_id {choice} is not a class of model "
                           f"{cfg['sample']['model']!r}, which has {model.n_classes} classes")
@@ -303,7 +303,8 @@ def cmd_eval(cfg: dict) -> int:
         metrics = _sample_metrics(cfg, specs)
         for key in ("outlier_rate", "coverage_entropy", "frechet"):
             report[key] = metrics[key](samples)
-        manifest = out / f"sample_manifest_{spath.stem.replace('samples_', '')}.json"
+        # the manifest of the sample run that wrote the file sits beside it
+        manifest = spath.with_name(f"sample_manifest_{spath.stem.removeprefix('samples_')}.json")
         if manifest.exists():
             report["sfg_stats"] = _sfg_stats_of(manifest)
 

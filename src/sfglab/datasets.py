@@ -101,6 +101,14 @@ class FractalSpec:
             raise ValueError("a trunk-only fractal has a single class")
 
 
+def _check_region_tag(tag: str) -> None:
+    """to_csv writes a region tag as a bare CSV field: it may hold no comma,
+    no line break and no leading or trailing whitespace."""
+    if "," in tag or tag != tag.strip() or len(tag.splitlines()) > 1:
+        raise ValueError(f"region tag {tag!r} has a comma, a line break or "
+                         "leading or trailing whitespace")
+
+
 def read_csv(path):
     """Stream a comma-separated table: yield the header fields first, then
     (line number, fields) per non-blank line. A line whose field count
@@ -135,10 +143,8 @@ class LabeledPointSet:
             region_tag = list(region_tag)
             if len(region_tag) != n:
                 raise ValueError("region tags must have length N")
-            for tag in set(region_tag):  # to_csv writes them as bare CSV fields
-                if "," in tag or tag != tag.strip() or len(tag.splitlines()) > 1:
-                    raise ValueError(f"region tag {tag!r} has a comma, a line break or "
-                                     "leading or trailing whitespace")
+            for tag in set(region_tag):
+                _check_region_tag(tag)
         self.region_tag = region_tag
 
     def __len__(self) -> int:
@@ -174,9 +180,10 @@ class LabeledPointSet:
         for its cell, each label the one `int()` gives.
 
         One `np.loadtxt` call parses the body; its structured dtype enforces
-        the field count on every line. When it raises, the per-line reader
-        runs instead: it takes the cells Python parses and numpy does not
-        (`1_0`, full-width digits), or raises ValueError naming the file and line."""
+        the field count on every line. When it raises, or a region tag is
+        one to_csv cannot write, the per-line reader runs instead: it takes
+        the cells Python parses and numpy does not (`1_0`, full-width digits),
+        or raises ValueError naming the file and line."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             if header[-2:] != ["label", "region"]:
@@ -192,6 +199,11 @@ class LabeledPointSet:
         regs = rec["region"].tolist()
         if any(regs):  # the line reader strips each line, so a tag loses trailing whitespace
             regs = [r.rstrip() for r in regs]
+            try:
+                for tag in set(regs):
+                    _check_region_tag(tag)
+            except ValueError:
+                return cls._from_lines(path, n)
         # a C-contiguous copy: a strided record view can take matmul off its BLAS path
         return cls(np.ascontiguousarray(rec["x"]), np.ascontiguousarray(rec["label"]),
                    regs if any(regs) else None)
@@ -209,6 +221,7 @@ class LabeledPointSet:
                 if not INT64_MIN <= lab <= INT64_MAX:
                     raise ValueError(f"label {lab} is outside the int64 range")
                 labs.append(lab)
+                _check_region_tag(parts[n + 1])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             regs.append(parts[n + 1])

@@ -50,20 +50,21 @@ class SfgState:
         object.__setattr__(self, "v", v)
 
 
-def _unit_vector(n: int, seed: int) -> np.ndarray:
-    v = generator(seed).standard_normal(n)
-    return v / np.linalg.norm(v)
+def sfg_start(v, spec: GuidanceSpec) -> SfgState:
+    """Fresh carry at the unit start vector v, (n,) for one trajectory or
+    (B, n) for a batch, with alpha = spec.alpha0 and last_lambda = 0 per row."""
+    rows = np.shape(v)[:-1]
+    return SfgState(v=v, alpha=np.full(rows, float(spec.alpha0)), last_lambda=np.zeros(rows))
 
 
-def sfg_init(n: int, seed, spec: GuidanceSpec) -> SfgState:
-    """Fresh carry with alpha = spec.alpha0 and v uniform on the unit sphere
-    (a normalized Gaussian draw from generator(seed)). One seed gives a
-    (n,) state; a sequence of seeds gives a (B, n) state, one row per seed."""
+def sfg_init(n: int, seed: int, spec: GuidanceSpec) -> SfgState:
+    """Fresh (n,) carry with v uniform on the unit sphere: a normalized
+    Gaussian draw from generator(seed). The sampler draws a whole run's
+    start vectors at once instead (rng.SFG_START) and calls sfg_start."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    v = _unit_vector(n, seed) if np.ndim(seed) == 0 else np.stack([_unit_vector(n, s) for s in seed])
-    rows = v.shape[:-1]
-    return SfgState(v=v, alpha=np.full(rows, float(spec.alpha0)), last_lambda=np.zeros(rows))
+    v = generator(seed).standard_normal(n)
+    return sfg_start(v / np.linalg.norm(v), spec)
 
 
 def sfg_step(eps_fn, x, sigma, state: SfgState, spec: GuidanceSpec):

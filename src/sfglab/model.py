@@ -263,9 +263,9 @@ class ScoreModel:
         and output z * s (the cache backprop reads), the network output, and
         for backprop per hidden layer the SiLU derivative and the delta (views
         of three arrays; the deltas alternate between two, as in _buffers),
-        and the input-feature gradient of a conditional model; _backward adds
-        the block views of the gradient vector it last filled. train() drops
-        them, so a trained model carries none."""
+        and a conditional model's gradient of its class-embedding input
+        columns; _backward adds the block views of the gradient vector it last
+        filled. train() drops them, so a trained model carries none."""
         local = self._local
         bufs = getattr(local, "train", None)
         if bufs is None or bufs["rows"] != rows:
@@ -278,7 +278,7 @@ class ScoreModel:
                 "out": np.empty((rows, self.data_dim)),
                 "dsilu": [flat[2][:rows * h].reshape(rows, h) for h in self.hidden],
                 "delta": [flat[i % 2][:rows * h].reshape(rows, h) for i, h in enumerate(self.hidden)],
-                "dfeat": np.empty((rows, self.weights[0].shape[1])) if self.conditional else None,
+                "demb": np.empty((rows, self.emb_dim)) if self.conditional else None,
             }
         return bufs
 
@@ -359,10 +359,12 @@ class ScoreModel:
                 delta = np.matmul(delta, self.weights[i], out=bufs["delta"][i - 1])
                 delta *= dsilu
         if self.class_emb is not None:
-            dfeat = np.matmul(delta, self.weights[0], out=bufs["dfeat"])
+            # only the embedding columns of the input gradient: the features
+            # are data, so no other column has a parameter to update
+            demb = np.matmul(delta, self.weights[0][:, -self.emb_dim:], out=bufs["demb"])
             grad_emb = blocks[-1]
             grad_emb.fill(0.0)
-            np.add.at(grad_emb, ids, dfeat[:, -self.emb_dim:])
+            np.add.at(grad_emb, ids, demb)
         return grad
 
     def predict_eps(self, x, sigma, class_ids=None) -> np.ndarray:

@@ -1,10 +1,22 @@
-"""Seed derivation for reproducible parallel runs.
+"""Seed derivation and the random streams of a run.
 
-Per-trajectory seeds come from folding an index path into the master seed
-with splitmix64 finalizer rounds: trajectory i of a run seeded with S draws
-from ``generator(S, i)``, and independent sub-streams of one trajectory
-extend the path (``generator(S, i, 1)`` for the SFG start vector, etc.).
-The scheme is documented here so runs can be reproduced piecewise.
+A stream is a PCG64 generator seeded by folding an index path into the
+master seed with splitmix64 finalizer rounds: ``generator(S, *path)``. Each
+kind of randomness has its own path, so runs can be reproduced piecewise:
+
+- 100: the gen-data training set; 101-103 the simplex region test sets;
+- 999: the eval Frechet reference draw;
+- 0xC0DE and 0xBA7C under a model's own seed: its initial weights and its
+  training batches (a model trains with seed ``derive_seed(S, k)``, k a
+  hash of its name);
+- ``(j, i)`` and ``(j, i, 1)``: esm_by_region's points and noise for region
+  j at noise level i;
+- ``LATENTS``, ``CLASS_IDS`` and ``SFG_START``: the per-trajectory draws of
+  a sampling run. Each is one array drawn once per run, before the
+  trajectories are split into chunks; row (or entry) i belongs to
+  trajectory i. numpy fills an array in order, so trajectory i's draws are
+  the same for every sample count above i, and no draw depends on the chunk
+  size or the thread count.
 """
 
 from __future__ import annotations
@@ -13,6 +25,10 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+LATENTS = 200  # (n_samples, dim) standard normals: the start latents, times the first level
+CLASS_IDS = 201  # n_samples integers below n_classes: sample.class_id "random"
+SFG_START = 202  # (n_samples, dim) standard normals, rows scaled to unit norm: SFG start vectors
 
 
 def _mix(z: int) -> int:

@@ -6,12 +6,15 @@ D = x - sigma * eps) with the 2nd-order Heun predictor/corrector and a plain
 Euler step into sigma = 0; over a flow-time schedule it integrates
 x' = v(x, t) with explicit Euler.
 
-Trajectories are independent given per-trajectory seeds derived from the
-master seed (see rng.derive_seed). Work is partitioned into fixed-size chunks
-regardless of thread count, so outputs are bitwise identical for any
---threads value and assemble in trajectory order. The start latents come
-from initial_latents, or from x0 when runs that share seed, sample count and
-schedule (the points of a sweep) draw them once.
+All randomness of a run is drawn before the trajectories are split into
+chunks, each kind as one array from its own stream of the master seed (see
+rng): the start latents from initial_latents, or from x0 when runs that
+share seed, sample count and schedule (the points of a sweep) draw them once,
+and under saddle-free guidance the start vectors of the power iteration.
+Trajectory i takes row i of each. Work is partitioned into fixed-size chunks
+regardless of thread count, and nothing random is drawn inside a chunk, so
+outputs are bitwise identical for any --threads value and assemble in
+trajectory order.
 
 Chunks on different threads may share a model. Each ScoreModel evaluation
 writes its input features and hidden activations into buffers private to the
@@ -37,7 +40,7 @@ from . import guidance as gd
 from .datasets import GmmSpec, LabeledPointSet
 from .model import class_ids_per_row, eps_to_flow, flow_to_eps
 from .oracle import classifier_grad, smooth
-from .rng import derive_seed, generator
+from .rng import LATENTS, SFG_START, generator
 
 
 @dataclass(frozen=True)
@@ -185,11 +188,6 @@ class GuidedProvider:
 
     # -- sampling hooks --------------------------------------------------------
 
-    def init_state(self, traj_seeds) -> gd.SfgState | None:
-        if self.sfg_spec is None:
-            return None
-        return gd.sfg_init(self.dim, [derive_seed(ts, 1) for ts in traj_seeds], self.sfg_spec)
-
     def predictor(self, x, level, cls, state):
         """Guided estimate in the sampler's native space, plus state, the
         eps-space correction payload for Heun reuse, and a trace row."""
@@ -223,12 +221,11 @@ class GuidedProvider:
 class _FieldProvider:
     """Wraps a bare callable(x, level) -> estimate as an unguided provider."""
 
+    sfg_spec = None
+
     def __init__(self, fn, dim=None):
         self.fn = fn
         self.dim = dim
-
-    def init_state(self, traj_seeds):
-        return None
 
     def predictor(self, x, level, cls, state):
         return np.asarray(self.fn(x, level), dtype=float), state, None, None
@@ -249,11 +246,19 @@ def _chunk_ranges(n, chunk_size):
 
 def initial_latents(seed, n_samples: int, dim: int, scale: float) -> np.ndarray:
     """The (n_samples, dim) start points sample() draws when it gets no x0:
-    row i is scale times a standard normal draw from generator(derive_seed(seed, i), 0).
-    Runs that share the seed, sample count and schedule can draw them once
-    and pass them to each run as x0."""
-    rows = [generator(derive_seed(seed, i), 0).standard_normal(dim) for i in range(n_samples)]
-    return np.stack(rows) * scale
+    scale times one (n_samples, dim) standard normal draw from
+    generator(seed, rng.LATENTS). Runs that share the seed, sample count and
+    schedule can draw them once and pass them to each run as x0."""
+    return generator(seed, LATENTS).standard_normal((n_samples, dim)) * scale
+
+
+def sfg_start_vectors(seed, n_samples: int, dim: int) -> np.ndarray:
+    """The (n_samples, dim) saddle-free start vectors of a run: one standard
+    normal draw from generator(seed, rng.SFG_START), each row scaled to unit
+    norm, so every row is uniform on the unit sphere."""
+    v = generator(seed, SFG_START).standard_normal((n_samples, dim))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v
 
 
 def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, threads,
@@ -274,13 +279,13 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, t
         latents = np.asarray(x0, dtype=float)  # only read: each chunk copies its rows
         if latents.shape != (n_samples, dim):
             raise ValueError(f"x0 must have shape ({n_samples}, {dim})")
-    traj_seeds = [derive_seed(seed, i) for i in range(n_samples)]
+    v0 = None if provider.sfg_spec is None else sfg_start_vectors(seed, n_samples, dim)
 
     def run_chunk(bounds):
         lo, hi = bounds
         x = latents[lo:hi].copy()
         cls = ids_all[lo:hi] if ids_all is not None else None
-        state = provider.init_state(traj_seeds[lo:hi])
+        state = None if v0 is None else gd.sfg_start(v0[lo:hi], provider.sfg_spec)
         failed = np.zeros(hi - lo, dtype=bool)
         trace_rows = []
         for k in range(n_steps):

@@ -97,9 +97,14 @@ def test_threaded_sampling_keeps_the_cost_contract(tmp_path):
 
     tracer = Tracer()
     patcher = instrument.install(tracer)
+    # the four chunks take a few ms: at the default 5 ms switch interval the
+    # first worker can hold the interpreter lock until it has run them all
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
         assert cli.main(["sample", "--config", str(path), "--threads", "2"]) == 0
     finally:
+        sys.setswitchinterval(switch)
         assert patcher.restore() == []
     (run,) = instrument.sampler_runs(tracer)
     assert run["command"] == "cli.sample" and run["chunks"] == 4
@@ -107,6 +112,33 @@ def test_threaded_sampling_keeps_the_cost_contract(tmp_path):
     stack = WORKLOADS["fractal2d-autoguide-sfg"].sample_stack
     evals = guided_evals(stack, run["n_steps"], run["heun"]) * run["chunks"]
     assert (run["evals"], run["forwards"]) == (evals, evals * forwards_per_eval(stack))
+
+
+def test_sample_draws_from_a_fixed_number_of_generators(tmp_path):
+    # the fractal workload's sample command in small (random class ids,
+    # autoguidance + sfg): each kind of per-trajectory randomness is one
+    # array from one generator, so the count does not grow with n_samples
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = WORKLOADS["fractal2d-autoguide-sfg"].config(1, str(out))
+    cfg["models"] = {"main": {"hidden": [16, 16], "conditional": True},
+                     "bad": {"hidden": [8], "conditional": True}}
+    cfg["schedule"]["n_steps"] = 4
+    for name, mcfg in cfg["models"].items():
+        save_checkpoint(ScoreModel(2, mcfg["hidden"], n_classes=2, seed=len(name)), out / f"{name}.ckpt")
+    calls = {}
+    for n_samples in (32, 64):
+        cfg["sample"].update(n_samples=n_samples, chunk_size=16)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        tracer = Tracer()
+        patcher = instrument.install(tracer)
+        try:
+            assert cli.main(["sample", "--config", str(path)]) == 0
+        finally:
+            assert patcher.restore() == []
+        calls[n_samples] = instrument.span_counts(tracer).get("rng.generator")
+    assert calls[32] == calls[64] == 3  # start latents, class ids, sfg start vectors
 
 
 def test_twogauss_eval_fires_the_field_and_csv_spans(tmp_path):

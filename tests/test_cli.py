@@ -441,6 +441,25 @@ class TestExitCodes:
         assert f"unreadable sample manifest {manifest}" in capsys.readouterr().err
         assert not (out / "eval_report.json").exists()
 
+    @pytest.mark.parametrize("beside", [False, True], ids=["no_manifest_beside", "manifest_beside"])
+    def test_eval_reads_the_manifest_beside_an_absolute_samples_file(self, tmp_path, beside):
+        # out/ holds a decoy manifest with the samples file's stem; only a
+        # manifest in the samples file's own directory belongs to it
+        out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+        out.mkdir()
+        elsewhere.mkdir()
+        cfg = {"task": "two_gaussian", "seed": 1, "out": str(out),
+               "data": {"two_gaussian": {"separation": 4.0, "base_variance": 1.0, "ambient_dim": 2}},
+               "eval": {"samples_file": str(elsewhere / "samples_x.csv"), "frechet_reference_n": 64}}
+        points = np.random.default_rng(2).standard_normal((50, 2))
+        LabeledPointSet(points, np.zeros(50, dtype=int)).to_csv(elsewhere / "samples_x.csv")
+        (out / "sample_manifest_x.json").write_text('{"extra": {"sfg_stats": {"decoy": 1.0}}}')
+        if beside:
+            (elsewhere / "sample_manifest_x.json").write_text('{"extra": {"sfg_stats": {"own": 2.0}}}')
+        assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 0
+        report = json.loads((out / "eval_report.json").read_text())
+        assert report["sfg_stats"] == ({"own": 2.0} if beside else None)
+
     @pytest.mark.parametrize("artifact, argv", [
         ("train.csv", ["train"]),
         ("main.ckpt", ["sample"]),
@@ -493,6 +512,23 @@ class TestPipeline:
         report = json.loads((out / "eval_report.json").read_text())
         assert 0.0 <= report["outlier_rate"] <= 1.0
         assert report["sfg_stats"] is not None
+
+    def test_sample_is_bytewise_identical_across_threads(self, tmp_path):
+        # sfg start vectors, random class ids and start latents are drawn
+        # once per run, before chunking, so no file depends on --threads
+        out = tmp_path / "run"
+        cfg = fractal_config(out)
+        cfg["sample"].update(n_samples=50, chunk_size=8)
+        path = write_config(tmp_path, cfg)
+        out.mkdir()
+        save_checkpoint(ScoreModel(2, [16], n_classes=2, seed=4), out / "main.ckpt")
+        files = {}
+        for threads in (1, 2, 4):
+            assert main(["sample", "--config", path, "--threads", str(threads)]) == 0
+            files[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert sorted(files[1]) == ["main.ckpt", "sample_manifest_sfg.json", "samples_sfg.csv",
+                                    "sfg_trace_sfg.csv"]
+        assert files[1] == files[2] == files[4]
 
     def test_relative_out_pipeline(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

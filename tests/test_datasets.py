@@ -350,6 +350,10 @@ class TestCsvFormat:
         ("0.5,1.5,0,\n0.5,1.5,99999999999999999999,\n",
          "line 3: label 99999999999999999999 is outside the int64 range"),
         ("0.5,1.5,-9223372036854775809,\n", "line 2: label -9223372036854775809 is outside the int64 range"),
+        ("0.5,1.5,0,mode\n1,2,0, mode\n",
+         "line 3: region tag ' mode' has a comma, a line break or leading or trailing whitespace"),
+        ("1,2,0,a\x1cb\n",
+         "line 2: region tag 'a\\x1cb' has a comma, a line break or leading or trailing whitespace"),
     ])
     def test_bad_rows_name_their_line(self, tmp_path, body, message):
         path = tmp_path / "pts.csv"

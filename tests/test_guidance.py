@@ -3,7 +3,7 @@ import pytest
 
 from sfglab.datasets import GmmSpec, make_two_gaussian
 from sfglab.guidance import (GuidanceSpec, SfgState, autoguidance, cfg,
-                             classifier_guidance, sfg_init, sfg_step)
+                             classifier_guidance, sfg_init, sfg_start, sfg_step)
 from sfglab.model import OracleModel
 from sfglab.oracle import classifier_grad, full_spectrum, hessian, score, smooth
 from sfglab.rng import derive_seed
@@ -209,7 +209,7 @@ class TestSfgStep:
         eps_fn = lambda z: om.predict_eps(z, sigma)
         gspec = sfg_spec(1.5)
         singles = [sfg_init(2, s, gspec) for s in (1, 2, 3)]
-        batch = sfg_init(2, (1, 2, 3), gspec)
+        batch = sfg_start(np.stack([st.v for st in singles]), gspec)
         xs = np.array([[0.0, 0.0], [0.5, 0.1], [-2.0, 0.4]])
         eps_b, batch2 = sfg_step(eps_fn, xs, sigma, batch, gspec)
         for i, st in enumerate(singles):

@@ -118,9 +118,11 @@ def reference_forward(weights, biases, feats):
     return out, (pre, sig, acts)
 
 
-def reference_backward(weights, class_emb, cache, ids, dout):
+def reference_backward(weights, class_emb, cache, ids, dout, full_product=False):
     """Out-of-place backprop: per-layer weight and bias gradients and the
-    embedding gradient as fresh arrays."""
+    embedding gradient as fresh arrays. The embedding gradient comes from
+    the embedding columns of the first weight, or with full_product from
+    the slice of the whole input-feature gradient."""
     pre, sig, acts = cache
     n_layers = len(weights)
     grads_w = [None] * n_layers
@@ -138,9 +140,10 @@ def reference_backward(weights, class_emb, cache, ids, dout):
             delta *= dsilu
     grad_emb = None
     if class_emb is not None:
-        dfeat = delta @ weights[0]
+        emb_dim = class_emb.shape[1]
+        demb = (delta @ weights[0])[:, -emb_dim:] if full_product else delta @ weights[0][:, -emb_dim:]
         grad_emb = np.zeros_like(class_emb)
-        np.add.at(grad_emb, ids, dfeat[:, -class_emb.shape[1]:])
+        np.add.at(grad_emb, ids, demb)
     return grads_w, grads_b, grad_emb
 
 
@@ -419,6 +422,24 @@ class TestGradients:
             an = grads[bi][idx]
             assert abs(fd - an) <= 1e-4 * max(1.0, abs(fd), abs(an))
             checked += 1
+
+    @pytest.mark.parametrize("dim, rows", [(2, 200), (256, 200), (3, 1)])
+    def test_embedding_gradient_matches_the_whole_input_gradient(self, dim, rows):
+        # backprop multiplies the first-layer delta by the embedding columns
+        # of the first weight only; the slice of the whole product agrees
+        # to rounding, and every other gradient block is unchanged
+        m = ScoreModel(dim, [32, 16], n_classes=3, seed=11)
+        rng = np.random.default_rng(12)
+        ids = m._map_class_ids(rows, rng.integers(-1, 3, rows))
+        feats = m._features(rng.standard_normal((rows, dim)), np.exp(rng.uniform(-3, 2, rows)), ids)
+        out, cache = m._forward(feats, want_cache=True)
+        dout = rng.standard_normal(out.shape)
+        got = [b.copy() for b in m._blocks(m._backward(cache, ids, dout))]
+        gw, gb, gemb = reference_backward(m.weights, m.class_emb, cache, ids, dout, full_product=True)
+        for i in range(len(gw)):
+            assert np.array_equal(got[2 * i], gw[i]) and np.array_equal(got[2 * i + 1], gb[i])
+        assert np.any(gemb != 0)
+        np.testing.assert_allclose(got[-1], gemb, rtol=1e-12, atol=0)
 
 
 class TestTraining:

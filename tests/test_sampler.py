@@ -5,7 +5,8 @@ from sfglab.datasets import GmmSpec, make_two_gaussian
 from sfglab.guidance import GuidanceSpec
 from sfglab.model import OracleModel, ScoreModel
 from sfglab.oracle import classifier_grad, smooth
-from sfglab.sampler import GuidedProvider, Schedule, flow_time_schedule, sample, sigma_schedule
+from sfglab.sampler import (GuidedProvider, Schedule, flow_time_schedule, initial_latents, sample,
+                            sfg_start_vectors, sigma_schedule)
 
 
 def single_gaussian_oracle(variance=1.0, dim=2):
@@ -113,6 +114,26 @@ class TestHeun:
         assert np.array_equal(a.points, c.points)
 
 
+class TestRunDraws:
+    def test_trajectory_draws_do_not_depend_on_the_sample_count(self):
+        # trajectory i's start latent, random class id and sfg start vector
+        # are row i of one draw per run, the same for every n_samples > i
+        from sfglab.cli import _class_ids_for
+
+        model = ScoreModel(3, [4], n_classes=5, seed=0)
+        cfg = {"seed": 21, "sample": {"class_id": "random"}}
+        counts = (1, 7, 64, 257)
+        draws = {n: (initial_latents(21, n, 3, 2.5), _class_ids_for(cfg, model, n),
+                     sfg_start_vectors(21, n, 3)) for n in counts}
+        for n in counts:
+            for got, full in zip(draws[n], draws[counts[-1]]):
+                assert len(got) == n and np.array_equal(got, full[:n])
+        latents, ids, v = draws[counts[-1]]
+        assert ids.dtype == np.int64 and set(ids.tolist()) == set(range(5))
+        assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() < 1e-12
+        assert not np.allclose(np.abs(v), np.abs(latents) / np.linalg.norm(latents, axis=1, keepdims=True))
+
+
 class TestEulerFlow:
     def test_zero_velocity_constant(self):
         sch = flow_time_schedule(10)
@@ -217,17 +238,18 @@ class TestGuidedProviders:
         # re-run the integrator by hand with sfg_step to confirm the state
         # carry v_i = u_{i-1}/||u_{i-1}|| is exactly what the sampler does,
         # with the spec's h and alpha0 reaching the step
-        from sfglab.guidance import SfgState, sfg_init, sfg_step
-        from sfglab.rng import derive_seed, generator
+        # (start latents and start vectors rebuilt from their rng streams)
+        from sfglab.guidance import SfgState, sfg_step
+        from sfglab.rng import LATENTS, SFG_START, generator
 
         spec = GuidanceSpec(kind="sfg", weight=2.0, alpha0=alpha0, h=h)
         n, seed = 8, 13
         guided = self.run([spec], n=n, seed=seed)
 
         steps = self.sch.steps
-        seeds = [derive_seed(seed, i) for i in range(n)]
-        x = np.stack([generator(s, 0).standard_normal(2) for s in seeds]) * steps[0]
-        v = np.stack([sfg_init(2, derive_seed(s, 1), spec).v for s in seeds])
+        x = generator(seed, LATENTS).standard_normal((n, 2)) * steps[0]
+        z = generator(seed, SFG_START).standard_normal((n, 2))
+        v = z / np.linalg.norm(z, axis=1, keepdims=True)
         state = SfgState(v=v, alpha=np.full(n, alpha0), last_lambda=np.zeros(n))
         for k in range(len(steps) - 1):
             s_cur, s_next = steps[k], steps[k + 1]
