@@ -12,7 +12,8 @@ import numpy as np
 
 from .datasets import GmmSpec, LabeledPointSet, sample_gmm
 from .model import esm_loss
-from .oracle import classifier_grad, full_spectrum, hessian, score, smooth
+from .oracle import (SmoothedGmm, _as_batch, _kernel, classifier_grad, full_spectrum, hessian,
+                     score, smooth)
 from .rng import derive_seed, generator
 
 
@@ -77,24 +78,27 @@ def _points_of(samples) -> np.ndarray:
 
 
 def _nearest_mahalanobis(points: np.ndarray, spec: GmmSpec) -> np.ndarray:
-    """Mahalanobis distance of every point to its nearest component, shape (N,)."""
-    diff = points[:, None, :] - spec.means[None, :, :]
-    if spec.isotropic:
-        maha2 = (diff * diff).sum(axis=2) / spec.covariances[None, :]
-    else:
-        maha2 = np.einsum("nki,kij,nkj->nk", diff, np.linalg.inv(spec.covariances), diff)
-    return np.sqrt(maha2.min(axis=1))
+    """Mahalanobis distance of every point to its nearest component, shape
+    (N,); NaN where some component's quadratic form is NaN."""
+    g = SmoothedGmm(spec, 0.0)  # not smooth(): eval and sweep fire no oracle span
+    quad, _ = _kernel(g, _as_batch(g, points)[0])
+    return np.sqrt(quad.min(axis=1))
 
 
 def outlier_rate(samples, spec: GmmSpec, threshold: float) -> float:
     """Fraction of samples whose Mahalanobis distance to the nearest
-    component of the mixture exceeds threshold."""
+    component of the mixture exceeds threshold. NaN when a distance is NaN
+    (a non-finite point, or a quadratic form that overflows to inf - inf),
+    because that point is neither inlier nor outlier."""
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
     pts = _points_of(samples)
     if len(pts) == 0:
         raise ValueError("empty sample set")
-    return float(np.mean(_nearest_mahalanobis(pts, spec) > threshold))
+    dist = _nearest_mahalanobis(pts, spec)
+    if np.isnan(dist).any():
+        return float("nan")
+    return float(np.mean(dist > threshold))
 
 
 def coverage_entropy(samples, modes) -> float:
@@ -111,7 +115,14 @@ def coverage_entropy(samples, modes) -> float:
     refs = modes.means if isinstance(modes, GmmSpec) else np.asarray(modes, dtype=float)
     if refs.ndim != 2 or len(refs) < 1:
         raise ValueError("need at least one reference mode")
-    dists = np.linalg.norm(pts[:, None, :] - refs[None, :, :], axis=2)
+    if pts.shape[1] != refs.shape[1]:
+        raise ValueError(f"points are {pts.shape[1]}-d, modes {refs.shape[1]}-d")
+    if refs.shape[1] == 2:  # equals the norm bitwise: a two-term sum has one order
+        dx = pts[:, 0, None] - refs[None, :, 0]
+        dy = pts[:, 1, None] - refs[None, :, 1]
+        dists = np.sqrt(dx * dx + dy * dy)
+    else:  # one mode at a time: no (N, M, n) difference tensor
+        dists = np.stack([np.linalg.norm(pts - ref, axis=1) for ref in refs], axis=1)
     if not np.isfinite(dists).any(axis=1).all():
         return float("nan")
     assign = dists.argmin(axis=1)

@@ -598,15 +598,19 @@ class OracleModel:
             out[rows] = oracle.score(self._smooth(max(int(cid), -1), sigma), x[rows])
         return out
 
+    @staticmethod
+    def _one_level(level) -> float:
+        if np.size(level) != 1:
+            raise ValueError(f"the oracle takes one sigma per call, got {np.size(level)}")
+        return float(np.asarray(level).item())
+
     def predict_eps(self, x, sigma, class_ids=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if np.size(sigma) != 1:
-            raise ValueError(f"the oracle takes one sigma per call, got {np.size(sigma)}")
-        sig = float(np.asarray(sigma).item())
+        sig = self._one_level(sigma)
         return (-sig * self._score_at(np.atleast_2d(x), sig, class_ids)).reshape(x.shape)
 
     def predict_velocity(self, x, t, class_ids=None) -> np.ndarray:
-        t = float(_check_flow_time(t))
+        t = self._one_level(_check_flow_time(t))
         x = np.asarray(x, dtype=float)
         sigma = t / (1.0 - t)
         if sigma <= 0:

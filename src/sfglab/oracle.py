@@ -5,6 +5,12 @@ A mixture smoothed by N(0, sigma^2 I) is again a mixture with covariances
 Sigma_i + sigma^2 I, so everything here is closed form up to floating point.
 All responsibility computations go through log-sum-exp with max subtraction:
 naive density sums underflow catastrophically in the 256-d simplex regime.
+
+One kernel, `_kernel`, gives every per-component quantity: the quadratic
+forms (the log joint's, and the nearest-component distances of
+`evaluation.outlier_rate` at sigma 0) and the component scores. Isotropic
+mixtures use one (N, k, n) difference; 2-d anisotropic mixtures (the
+fractal) an elementwise closed form over (N, k); other dimensions an einsum.
 """
 
 from __future__ import annotations
@@ -70,16 +76,56 @@ def _as_batch(g: SmoothedGmm, x) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _log_joint(g: SmoothedGmm, x: np.ndarray) -> np.ndarray:
-    """log w_i + log N(x; mu_i, Sigma_i + sigma^2 I), shape (N, k)."""
+def _kernel(g: SmoothedGmm, x: np.ndarray, scores: bool = False):
+    """Per-component quadratic forms q_i = (x - mu_i)^T A_i (x - mu_i), shape
+    (N, k), with A_i the effective precision; with scores=True also the
+    component scores s_i = A_i (mu_i - x), shape (N, k, n), else None.
+
+    Isotropic: the scores' mu_i - x overwrites the (N, k, n) buffer of the
+    quadratic form's x - mu_i, so one large temporary serves both. 2-d: with
+    (u, v) = mu_i - x and A_i = [[a, b], [b', c]], s_i = (a u + b v, b' u + c v)
+    and q_i = u s_i0 + v s_i1, elementwise over (N, k). Other dimensions: einsum.
+    """
+    if g.dim == 2 and not g.isotropic:
+        p = g._inv
+        u = g.base.means[None, :, 0] - x[:, 0, None]
+        v = g.base.means[None, :, 1] - x[:, 1, None]
+        # component-major, so the callers' sums over components run along contiguous rows
+        s = np.empty((2,) + u.shape)
+        # points far enough out overflow (inf - inf = nan) silently, as the einsum does
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(p[:, 0, 0], u, out=s[0])
+            t = p[:, 0, 1] * v
+            s[0] += t
+            np.multiply(p[:, 1, 0], u, out=s[1])
+            s[1] += np.multiply(p[:, 1, 1], v, out=t)
+            u *= s[0]
+            v *= s[1]
+            quad = np.add(u, v, out=u)
+        return quad, s.transpose(1, 2, 0) if scores else None
     diff = x[:, None, :] - g.base.means[None, :, :]  # (N, k, n)
     if g.isotropic:
-        quad = (diff * diff).sum(axis=2) / g._var[None, :]
+        quad = np.multiply(diff, diff, out=None if scores else diff).sum(axis=2) / g._var[None, :]
     else:
         quad = np.einsum("nki,kij,nkj->nk", diff, g._inv, diff)
+    if not scores:
+        return quad, None
+    to_mean = np.subtract(g.base.means[None, :, :], x[:, None, :], out=diff)
+    if g.isotropic:
+        return quad, np.divide(to_mean, g._var[None, :, None], out=to_mean)
+    return quad, np.einsum("kij,nkj->nki", g._inv, to_mean)
+
+
+def _log_joint(g: SmoothedGmm, x: np.ndarray, scores: bool = False):
+    """log w_i + log N(x; mu_i, Sigma_i + sigma^2 I), shape (N, k), and the
+    component scores of _kernel (None unless scores=True)."""
+    quad, s = _kernel(g, x, scores)
     with np.errstate(divide="ignore"):
-        logw = np.log(g.base.weights)[None, :]
-    return logw - 0.5 * (g.dim * _LOG_2PI + g._logdet[None, :] + quad)
+        logw = np.log(g.base.weights)
+    # in place, with the operands of logw - 0.5 * (n log 2 pi + logdet + quad)
+    quad += g.dim * _LOG_2PI + g._logdet
+    quad *= 0.5
+    return np.subtract(logw, quad, out=quad), s
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -89,31 +135,25 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _responsibilities(lj: np.ndarray) -> np.ndarray:
-    m = lj.max(axis=1, keepdims=True)
-    r = np.exp(lj - m)
-    return r / r.sum(axis=1, keepdims=True)
+    r = lj - lj.max(axis=1, keepdims=True)
+    np.exp(r, out=r)
+    r /= r.sum(axis=1, keepdims=True)
+    return r
 
 
 def log_density(g: SmoothedGmm, x):
     """log sum_i w_i N(x; mu_i, Sigma_i + sigma^2 I) via log-sum-exp."""
     xb, single = _as_batch(g, x)
-    out = _logsumexp(_log_joint(g, xb), axis=1)
+    out = _logsumexp(_log_joint(g, xb)[0], axis=1)
     return float(out[0]) if single else out
-
-
-def _component_scores(g: SmoothedGmm, x: np.ndarray) -> np.ndarray:
-    """s_i = (Sigma_i + sigma^2 I)^-1 (mu_i - x), shape (N, k, n)."""
-    diff = g.base.means[None, :, :] - x[:, None, :]
-    if g.isotropic:
-        return diff / g._var[None, :, None]
-    return np.einsum("kij,nkj->nki", g._inv, diff)
 
 
 def score(g: SmoothedGmm, x):
     """Gradient of the smoothed log density: sum_i r_i(x) s_i(x)."""
     xb, single = _as_batch(g, x)
-    r = _responsibilities(_log_joint(g, xb))
-    out = (r[:, :, None] * _component_scores(g, xb)).sum(axis=1)
+    lj, s_i = _log_joint(g, xb, scores=True)
+    s_i *= _responsibilities(lj)[:, :, None]
+    out = s_i.sum(axis=1)
     return out[0] if single else out
 
 
@@ -126,8 +166,8 @@ def hessian(g: SmoothedGmm, x) -> np.ndarray:
     precision.
     """
     xb, single = _as_batch(g, x)
-    r = _responsibilities(_log_joint(g, xb))  # (N, k)
-    s_i = _component_scores(g, xb)  # (N, k, n)
+    lj, s_i = _log_joint(g, xb, scores=True)  # (N, k), (N, k, n)
+    r = _responsibilities(lj)
     s = np.einsum("nk,nki->ni", r, s_i)
     h = np.einsum("nk,nki,nkj->nij", r, s_i, s_i) - s[:, :, None] * s[:, None, :]
     if g.isotropic:
@@ -167,12 +207,11 @@ def classifier_grad(g: SmoothedGmm, x, class_id: int):
     if not mask.any():
         raise ValueError(f"unknown class id {class_id}; labels are {np.unique(labels)}")
     xb, single = _as_batch(g, x)
-    lj = _log_joint(g, xb)
-    s_i = _component_scores(g, xb)
-    r_all = _responsibilities(lj)
-    lj_sub = np.where(mask[None, :], lj, -np.inf)
-    r_sub = _responsibilities(lj_sub)
-    out = ((r_sub - r_all)[:, :, None] * s_i).sum(axis=1)
+    lj, s_i = _log_joint(g, xb, scores=True)
+    r_sub = _responsibilities(np.where(mask[None, :], lj, -np.inf))
+    r_sub -= _responsibilities(lj)
+    s_i *= r_sub[:, :, None]
+    out = s_i.sum(axis=1)
     return out[0] if single else out
 
 

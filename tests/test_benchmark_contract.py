@@ -166,3 +166,35 @@ def test_twogauss_eval_fires_the_field_and_csv_spans(tmp_path):
     assert points == [5 * 5] * len(variances)
     assert counts.get("evaluation.sweep_to_csv") == len(variances)
     assert counts.get("datasets.from_csv") == 1
+
+
+def test_fractal_eval_and_sweep_fire_no_oracle_span(tmp_path):
+    # the fractal workload's eval and a one-point sweep in small: its coverage
+    # check lists no oracle span for this workload, so the metrics must reach
+    # the mixture without smooth/score/hessian/classifier_grad/full_spectrum
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = WORKLOADS["fractal2d-autoguide-sfg"].config(1, str(out))
+    cfg["models"] = {"main": {"hidden": [16, 16], "conditional": True},
+                     "bad": {"hidden": [8], "conditional": True}}
+    cfg["schedule"]["n_steps"] = 4
+    cfg["sample"].update(n_samples=32, chunk_size=16)
+    cfg["eval"]["frechet_reference_n"] = 64
+    cfg["sweep"]["weights"] = [2.0]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for name, mcfg in cfg["models"].items():
+        save_checkpoint(ScoreModel(2, mcfg["hidden"], n_classes=2, seed=len(name)), out / f"{name}.ckpt")
+    base = config.task_specs(config.validate_config(cfg))["base"]
+    sample_gmm(base, 50, 3).to_csv(out / "samples_autoguidance+sfg.csv")
+
+    tracer = Tracer()
+    patcher = instrument.install(tracer)
+    try:
+        assert cli.main(["eval", "--config", str(path)]) == 0
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+    finally:
+        assert patcher.restore() == []
+    counts = instrument.span_counts(tracer)
+    assert not [name for name in counts if name.startswith("oracle.")]
+    assert counts.get("evaluation.outlier_rate") == counts.get("evaluation.coverage_entropy") == 2

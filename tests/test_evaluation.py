@@ -1,14 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sfglab.datasets import (Fractal, FractalSpec, GmmSpec, LabeledPointSet,
                              make_outlier_gmm, make_saddle_gmm, make_simplex_gmm,
                              make_two_gaussian, sample_gmm)
-from sfglab.evaluation import (EvalReport, coverage_entropy, curvature_field,
-                               esm_by_region, gaussian_frechet, make_grid,
+from sfglab.evaluation import (EvalReport, _nearest_mahalanobis, coverage_entropy,
+                               curvature_field, esm_by_region, gaussian_frechet, make_grid,
                                outlier_rate, sfg_stats, sweep_to_csv)
 from sfglab.model import OracleModel
-from sfglab.oracle import smooth
+from sfglab.oracle import SmoothedGmm, _kernel, smooth
 
 
 def exact_moment_points(mean, cov_scale, n=8):
@@ -90,6 +92,75 @@ class TestOutlierRate:
         spec = make_two_gaussian(8.0, 1.0, 2)
         with pytest.raises(ValueError):
             outlier_rate(LabeledPointSet(np.zeros((2, 2)), [0, 0]), spec, 0.0)
+
+    def test_nan_distance_is_nan(self):
+        # a nan point is neither inlier nor outlier, as coverage_entropy has no nearest mode for it
+        spec = make_two_gaussian(4.0, 1.0, 2)
+        assert np.isnan(outlier_rate(np.array([[0.0, 0.0], [np.nan, 0.0], [1e3, 0.0]]), spec, 4.0))
+        # the fractal's quadratic forms overflow to inf - inf = nan, silently
+        frac = Fractal(FractalSpec(5, np.pi / 5, 0.75, 0.01, n_classes=2))
+        huge = frac.sample(50, seed=1).points * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(outlier_rate(huge, frac.gmm, threshold=4.0))
+
+
+def ref_maha2(points, spec):
+    """Squared Mahalanobis distances to every component, the form the metric
+    used before it took them from the oracle kernel: the reference."""
+    diff = points[:, None, :] - spec.means[None, :, :]
+    if spec.isotropic:
+        return (diff * diff).sum(axis=2) / spec.covariances[None, :]
+    return np.einsum("nki,kij,nkj->nk", diff, np.linalg.inv(spec.covariances), diff)
+
+
+def ref_coverage_entropy(pts, refs):
+    dists = np.linalg.norm(pts[:, None, :] - refs[None, :, :], axis=2)
+    p = np.bincount(dists.argmin(axis=1), minlength=len(refs)) / len(pts)
+    return float(0.0 - (p[p > 0] * np.log(p[p > 0])).sum())
+
+
+def nearest_component_draws():
+    """(spec, points) pairs: fractal, 256-d simplex and two-Gaussian draws,
+    widened so that some 2-d points fall beyond the outlier threshold 4."""
+    rng = np.random.default_rng(23)
+    frac = Fractal(FractalSpec(8, np.pi / 5, 0.75, 0.005, n_classes=2)).gmm
+    simplex = make_simplex_gmm(16, 256, 0.2)
+    two = make_two_gaussian(4.0, 1.0, 2)
+    out = []
+    for spec, n, widen in ((frac, 2000, 0.02), (simplex, 300, 0.2), (two, 500, 1.0)):
+        pts = sample_gmm(spec, n, seed=4).points
+        out.append((spec, pts + widen * rng.standard_normal(pts.shape)))
+    return out
+
+
+class TestNearestComponent:
+    def test_matches_the_reference_forms(self):
+        for spec, pts in nearest_component_draws():
+            dist, ref = _nearest_mahalanobis(pts, spec), np.sqrt(ref_maha2(pts, spec).min(axis=1))
+            if spec.isotropic:
+                assert np.array_equal(dist, ref)
+            else:  # measured 4e-14 on the depth-8 fractal
+                assert np.all(np.abs(dist - ref) <= 1e-12 * ref)
+            for threshold in (4.0, float(np.median(ref))):  # 256-d draws all lie beyond 4
+                assert np.array_equal(dist > threshold, ref > threshold)
+                assert outlier_rate(pts, spec, threshold) == float(np.mean(ref > threshold))
+            assert 0 < np.mean(dist > 4.0) < 1 or spec.dim > 2
+            assert coverage_entropy(pts, spec) == ref_coverage_entropy(pts, spec.means)
+
+    def test_assignments_match_the_reference(self):
+        for spec, pts in nearest_component_draws():
+            quad, _ = _kernel(SmoothedGmm(spec, 0.0), pts)
+            assert np.array_equal(quad.argmin(axis=1), ref_maha2(pts, spec).argmin(axis=1))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 256])
+    def test_coverage_entropy_is_bitwise_the_norm_form(self, dim):
+        rng = np.random.default_rng(dim)
+        refs = rng.standard_normal((7, dim))
+        pts = rng.standard_normal((200, dim)) * 1.5
+        assert coverage_entropy(pts, refs) == ref_coverage_entropy(pts, refs)
+        with pytest.raises(ValueError, match="points are"):
+            coverage_entropy(pts[:, :-1] if dim > 1 else np.zeros((3, 2)), refs)
 
 
 class TestCoverageEntropy:

@@ -657,6 +657,9 @@ class TestOracleModelConditional:
         with pytest.raises(ValueError, match="one sigma"):
             om.predict_eps(x, np.array([0.5, 1.0]))
         assert np.array_equal(om.predict_eps(x, np.array([0.5])), om.predict_eps(x, 0.5))
+        with pytest.raises(ValueError, match="one sigma"):  # flow times too
+            om.predict_velocity(x, np.array([0.3, 0.5]))
+        assert np.array_equal(om.predict_velocity(x, np.array([0.3])), om.predict_velocity(x, 0.3))
 
     def test_wrong_length_class_ids_rejected(self):
         om = OracleModel(make_two_gaussian(4.0, 1.0, 2))

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from sfglab.datasets import Fractal, FractalSpec, GmmSpec, make_simplex_gmm, make_two_gaussian
-from sfglab.oracle import (classifier_grad, classify_region, full_spectrum, hessian,
-                           log_density, score, smooth)
+from sfglab.datasets import (Fractal, FractalSpec, GmmSpec, make_simplex_gmm, make_two_gaussian,
+                             sample_gmm)
+from sfglab.evaluation import make_grid
+from sfglab.oracle import (_kernel, _logsumexp, _responsibilities, classifier_grad, classify_region,
+                           full_spectrum, hessian, log_density, score, smooth)
 
 
 def random_mixture(rng, full_cov_prob=0.5, max_dim=5, max_k=4):
@@ -251,7 +255,7 @@ class TestClassifierGrad:
 
         for _ in range(20):
             x = rng.standard_normal(2) * 3
-            lj = _log_joint(g, x[None])
+            lj, _ = _log_joint(g, x[None])
             post = _responsibilities(lj)[0]
             total = post[0] * classifier_grad(g, x, 0) + post[1] * classifier_grad(g, x, 1)
             assert np.abs(total).max() < 1e-10
@@ -326,3 +330,126 @@ class TestClassifyRegion:
             assert labels.tolist() == [classify_region(g, x) for x in xs]
             seen.update(labels.tolist())
         assert seen == {"saddle_region", "mode", "other"}
+
+
+# The per-component forms the oracle used before its one kernel, kept as the
+# reference: an (N, k, n) difference and einsum for full covariances.
+def ref_log_joint(g, x):
+    diff = x[:, None, :] - g.base.means[None, :, :]
+    if g.isotropic:
+        quad = (diff * diff).sum(axis=2) / g._var[None, :]
+    else:
+        quad = np.einsum("nki,kij,nkj->nk", diff, g._inv, diff)
+    with np.errstate(divide="ignore"):
+        logw = np.log(g.base.weights)[None, :]
+    return logw - 0.5 * (g.dim * np.log(2.0 * np.pi) + g._logdet[None, :] + quad), quad
+
+
+def ref_component_scores(g, x):
+    diff = g.base.means[None, :, :] - x[:, None, :]
+    if g.isotropic:
+        return diff / g._var[None, :, None]
+    return np.einsum("kij,nkj->nki", g._inv, diff)
+
+
+def ref_oracle(g, x):
+    """log density, score, Hessian and every class's classifier gradient from
+    the reference forms, with the oracle's expressions for each."""
+    lj, _ = ref_log_joint(g, x)
+    s_i = ref_component_scores(g, x)
+    r = _responsibilities(lj)
+    s = np.einsum("nk,nki->ni", r, s_i)
+    h = np.einsum("nk,nki,nkj->nij", r, s_i, s_i) - s[:, :, None] * s[:, None, :]
+    if g.isotropic:
+        h -= (r / g._var).sum(axis=1)[:, None, None] * np.eye(g.dim)
+    else:
+        h -= np.einsum("nk,kij->nij", r, g._inv)
+    out = {"log_density": _logsumexp(lj, axis=1), "score": (r[:, :, None] * s_i).sum(axis=1),
+           "hessian": h}
+    for c in np.unique(g.base.labels):
+        r_sub = _responsibilities(np.where((g.base.labels == c)[None, :], lj, -np.inf))
+        out[f"clf{c}"] = ((r_sub - r)[:, :, None] * s_i).sum(axis=1)
+    return out
+
+
+def ref_scales(g, x):
+    """Per point, the size of the terms each reference output sums: the
+    round-off scale that a relative bound is taken against (a classifier
+    gradient or a Hessian can cancel to far below its terms)."""
+    lj, _ = ref_log_joint(g, x)
+    a = np.abs(ref_component_scores(g, x))
+    r = _responsibilities(lj)
+    s = (r[:, :, None] * a).sum(axis=1)
+    out = {"log_density": np.maximum(np.abs(_logsumexp(lj, axis=1)), 1.0), "score": s.max(axis=1),
+           "hessian": (np.einsum("nk,nki,nkj->nij", r, a, a) + s[:, :, None] * s[:, None, :]
+                       + np.einsum("nk,kij->nij", r, np.abs(g._inv))).max(axis=(1, 2))}
+    for c in np.unique(g.base.labels):
+        r_sub = _responsibilities(np.where((g.base.labels == c)[None, :], lj, -np.inf))
+        out[f"clf{c}"] = ((r_sub + r)[:, :, None] * a).sum(axis=1).max(axis=1)
+    return out
+
+
+def oracle_outputs(g, x):
+    out = {"log_density": log_density(g, x), "score": score(g, x), "hessian": hessian(g, x)}
+    for c in np.unique(g.base.labels):
+        out[f"clf{c}"] = classifier_grad(g, x, int(c))
+    return out
+
+
+def fractal_probe_points():
+    """The depth-8 fractal mixture, a point within 1e-3 of every mean, and
+    64 points 10 to 30 units from the origin."""
+    spec = Fractal(FractalSpec(8, np.pi / 5, 0.75, 0.005, n_classes=2)).gmm
+    rng = np.random.default_rng(21)
+    ang = rng.uniform(0, 2 * np.pi, spec.n_components)
+    radius = 1e-3 * rng.uniform(0, 1, (spec.n_components, 1))
+    near = spec.means + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    ang = rng.uniform(0, 2 * np.pi, 64)
+    far = np.stack([np.cos(ang), np.sin(ang)], axis=1) * rng.uniform(10, 30, (64, 1))
+    return spec, near, far
+
+
+class TestKernel:
+    # Largest relative difference measured on the fractal: 9e-14 (quadratic
+    # forms and every output, against the scales of their terms).
+    REL = 1e-12
+
+    @pytest.mark.parametrize("sigma", [0.005, 0.05, 0.5, 1.0])
+    def test_fractal_matches_the_einsum_reference(self, sigma):
+        spec, near, far = fractal_probe_points()
+        g = smooth(spec, sigma)
+        for x in (near, far):
+            quad, s_i = _kernel(g, x, scores=True)
+            ref_quad = ref_log_joint(g, x)[1]
+            ref_s = ref_component_scores(g, x)
+            assert np.all(np.abs(quad - ref_quad) <= self.REL * ref_quad)
+            assert np.all(np.abs(s_i - ref_s).max(axis=2) <= self.REL * np.abs(ref_s).max(axis=2))
+            assert np.array_equal(_kernel(g, x)[0], quad)
+            got, ref, scale = oracle_outputs(g, x), ref_oracle(g, x), ref_scales(g, x)
+            assert set(got) == {"log_density", "score", "hessian", "clf0", "clf1"}
+            for key in got:
+                err = np.abs(got[key] - ref[key]).reshape(len(x), -1).max(axis=1)
+                assert np.all(err <= self.REL * scale[key]), key
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 1.0])
+    def test_isotropic_outputs_are_bitwise_the_reference(self, sigma):
+        rng = np.random.default_rng(22)
+        two = make_two_gaussian(4.0, 1.0, 2)
+        simplex = make_simplex_gmm(16, 64, 0.2)
+        cases = [(two, make_grid(-4.0, 4.0, 21)),  # the grid holds 0.0: signed zeros count too
+                 (two, sample_gmm(two, 50, 1).points),
+                 (simplex, np.vstack([simplex.means, rng.standard_normal((40, 64))]))]
+        for spec, x in cases:
+            g = smooth(spec, sigma)
+            got, ref = oracle_outputs(g, x), ref_oracle(g, x)
+            assert np.array_equal(_kernel(g, x)[0], ref_log_joint(g, x)[1])
+            for key in ref:
+                assert np.array_equal(got[key], ref[key]), key
+                assert np.array_equal(np.signbit(got[key]), np.signbit(ref[key])), key
+
+    def test_overflowing_points_give_nan_without_a_warning(self):
+        spec, near, _ = fractal_probe_points()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quad, _ = _kernel(smooth(spec, 0.0), near * 1e160)
+        assert np.isnan(quad).any()
