@@ -8,9 +8,12 @@ naive density sums underflow catastrophically in the 256-d simplex regime.
 
 One kernel, `_kernel`, gives every per-component quantity: the quadratic
 forms (the log joint's, and the nearest-component distances of
-`evaluation.outlier_rate` at sigma 0) and the component scores. Isotropic
-mixtures use one (N, k, n) difference; 2-d anisotropic mixtures (the
-fractal) an elementwise closed form over (N, k); other dimensions an einsum.
+`evaluation.outlier_rate` at sigma 0) and, for the Hessian and anisotropic
+mixtures, the component scores. Isotropic mixtures (simplex, two-Gaussian)
+take their quadratic forms from one GEMM, x @ means.T, and `score` and
+`classifier_grad` their weighted score sums from a second one, so no
+(N, k, n) array is formed; 2-d anisotropic mixtures (the fractal) use an
+elementwise closed form over (N, k); other dimensions an einsum.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ class SmoothedGmm:
         if self.base.isotropic:
             var = self.base.covariances + s2
             object.__setattr__(self, "_var", var)
+            object.__setattr__(self, "_sqnorm", np.einsum("ki,ki->k", self.base.means, self.base.means))
             object.__setattr__(self, "_logdet", self.base.dim * np.log(var))
             object.__setattr__(self, "_inv", None)
         else:
@@ -81,38 +85,45 @@ def _kernel(g: SmoothedGmm, x: np.ndarray, scores: bool = False):
     (N, k), with A_i the effective precision; with scores=True also the
     component scores s_i = A_i (mu_i - x), shape (N, k, n), else None.
 
-    Isotropic: the scores' mu_i - x overwrites the (N, k, n) buffer of the
-    quadratic form's x - mu_i, so one large temporary serves both. 2-d: with
+    Isotropic: q_i = (|mu_i|^2 - 2 x.mu_i) / v_i + |x|^2 / v_i from one GEMM,
+    clamped at 0 (a point on a mean can round below it; NaN passes). 2-d: with
     (u, v) = mu_i - x and A_i = [[a, b], [b', c]], s_i = (a u + b v, b' u + c v)
-    and q_i = u s_i0 + v s_i1, elementwise over (N, k). Other dimensions: einsum.
+    and q_i = u s_i0 + v s_i1, elementwise over (N, k); the quadratic form
+    alone uses the two score rows as scratch. Other dimensions: einsum.
     """
-    if g.dim == 2 and not g.isotropic:
+    if g.isotropic:
+        quad = x @ g.base.means.T
+        quad *= -2.0
+        quad += g._sqnorm
+        quad /= g._var
+        quad += np.einsum("ni,ni->n", x, x)[:, None] / g._var
+        np.maximum(quad, 0.0, out=quad)
+        if not scores:
+            return quad, None
+        s = np.subtract(g.base.means[None, :, :], x[:, None, :])
+        return quad, np.divide(s, g._var[None, :, None], out=s)
+    if g.dim == 2:
         p = g._inv
         u = g.base.means[None, :, 0] - x[:, 0, None]
         v = g.base.means[None, :, 1] - x[:, 1, None]
         # component-major, so the callers' sums over components run along contiguous rows
         s = np.empty((2,) + u.shape)
+        t = np.empty_like(u) if scores else s[1]  # the quadratic form alone keeps no score row
         # points far enough out overflow (inf - inf = nan) silently, as the einsum does
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(p[:, 0, 0], u, out=s[0])
-            t = p[:, 0, 1] * v
-            s[0] += t
+            s[0] += np.multiply(p[:, 0, 1], v, out=t)
             np.multiply(p[:, 1, 0], u, out=s[1])
-            s[1] += np.multiply(p[:, 1, 1], v, out=t)
             u *= s[0]
+            s[1] += np.multiply(p[:, 1, 1], v, out=t if scores else s[0])
             v *= s[1]
             quad = np.add(u, v, out=u)
         return quad, s.transpose(1, 2, 0) if scores else None
     diff = x[:, None, :] - g.base.means[None, :, :]  # (N, k, n)
-    if g.isotropic:
-        quad = np.multiply(diff, diff, out=None if scores else diff).sum(axis=2) / g._var[None, :]
-    else:
-        quad = np.einsum("nki,kij,nkj->nk", diff, g._inv, diff)
+    quad = np.einsum("nki,kij,nkj->nk", diff, g._inv, diff)
     if not scores:
         return quad, None
     to_mean = np.subtract(g.base.means[None, :, :], x[:, None, :], out=diff)
-    if g.isotropic:
-        return quad, np.divide(to_mean, g._var[None, :, None], out=to_mean)
     return quad, np.einsum("kij,nkj->nki", g._inv, to_mean)
 
 
@@ -141,6 +152,19 @@ def _responsibilities(lj: np.ndarray) -> np.ndarray:
     return r
 
 
+def _score_sum(g: SmoothedGmm, x: np.ndarray, w: np.ndarray, s_i) -> np.ndarray:
+    """sum_i w_i s_i(x), shape (N, n), for weights w (N, k), which it overwrites.
+    Isotropic (s_i None): one GEMM, (w / v) @ mu - x sum_i w_i / v_i. Otherwise
+    from the component scores s_i of _kernel, which it also overwrites."""
+    if s_i is None:
+        w /= g._var
+        out = w @ g.base.means
+        out -= x * w.sum(axis=1)[:, None]
+        return out
+    s_i *= w[:, :, None]
+    return s_i.sum(axis=1)
+
+
 def log_density(g: SmoothedGmm, x):
     """log sum_i w_i N(x; mu_i, Sigma_i + sigma^2 I) via log-sum-exp."""
     xb, single = _as_batch(g, x)
@@ -151,9 +175,8 @@ def log_density(g: SmoothedGmm, x):
 def score(g: SmoothedGmm, x):
     """Gradient of the smoothed log density: sum_i r_i(x) s_i(x)."""
     xb, single = _as_batch(g, x)
-    lj, s_i = _log_joint(g, xb, scores=True)
-    s_i *= _responsibilities(lj)[:, :, None]
-    out = s_i.sum(axis=1)
+    lj, s_i = _log_joint(g, xb, scores=not g.isotropic)
+    out = _score_sum(g, xb, _responsibilities(lj), s_i)
     return out[0] if single else out
 
 
@@ -207,11 +230,10 @@ def classifier_grad(g: SmoothedGmm, x, class_id: int):
     if not mask.any():
         raise ValueError(f"unknown class id {class_id}; labels are {np.unique(labels)}")
     xb, single = _as_batch(g, x)
-    lj, s_i = _log_joint(g, xb, scores=True)
+    lj, s_i = _log_joint(g, xb, scores=not g.isotropic)
     r_sub = _responsibilities(np.where(mask[None, :], lj, -np.inf))
     r_sub -= _responsibilities(lj)
-    s_i *= r_sub[:, :, None]
-    out = s_i.sum(axis=1)
+    out = _score_sum(g, xb, r_sub, s_i)
     return out[0] if single else out
 
 

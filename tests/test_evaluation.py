@@ -97,6 +97,9 @@ class TestOutlierRate:
         # a nan point is neither inlier nor outlier, as coverage_entropy has no nearest mode for it
         spec = make_two_gaussian(4.0, 1.0, 2)
         assert np.isnan(outlier_rate(np.array([[0.0, 0.0], [np.nan, 0.0], [1e3, 0.0]]), spec, 4.0))
+        # so is a point with an infinite coordinate: inf * 0 in the isotropic GEMM is nan
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(outlier_rate(np.array([[0.0, 0.0], [np.inf, 0.0]]), spec, 4.0))
         # the fractal's quadratic forms overflow to inf - inf = nan, silently
         frac = Fractal(FractalSpec(5, np.pi / 5, 0.75, 0.01, n_classes=2))
         huge = frac.sample(50, seed=1).points * 1e160
@@ -138,15 +141,24 @@ class TestNearestComponent:
     def test_matches_the_reference_forms(self):
         for spec, pts in nearest_component_draws():
             dist, ref = _nearest_mahalanobis(pts, spec), np.sqrt(ref_maha2(pts, spec).min(axis=1))
-            if spec.isotropic:
-                assert np.array_equal(dist, ref)
-            else:  # measured 4e-14 on the depth-8 fractal
-                assert np.all(np.abs(dist - ref) <= 1e-12 * ref)
+            # measured 6e-14 on the depth-8 fractal, 1e-14 on the two-Gaussian draws
+            assert np.all(np.abs(dist - ref) <= 1e-12 * ref)
             for threshold in (4.0, float(np.median(ref))):  # 256-d draws all lie beyond 4
                 assert np.array_equal(dist > threshold, ref > threshold)
                 assert outlier_rate(pts, spec, threshold) == float(np.mean(ref > threshold))
             assert 0 < np.mean(dist > 4.0) < 1 or spec.dim > 2
             assert coverage_entropy(pts, spec) == ref_coverage_entropy(pts, spec.means)
+
+    def test_points_on_the_means_are_at_distance_zero(self):
+        # the expanded isotropic form rounds below 0 on some of these means
+        # (down to -2e-11 in 256-d); the clamp keeps their distance defined
+        rng = np.random.default_rng(25)
+        for dim in (2, 16, 256):
+            means = 3.0 * rng.standard_normal((50, dim))
+            spec = GmmSpec(np.full(50, 0.02), means, np.full(50, 0.3))
+            dist = _nearest_mahalanobis(means, spec)
+            assert np.all((dist >= 0.0) & (dist < 1e-4))
+            assert outlier_rate(means, spec, threshold=1.0) == 0.0
 
     def test_assignments_match_the_reference(self):
         for spec, pts in nearest_component_draws():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -333,7 +334,9 @@ class TestClassifyRegion:
 
 
 # The per-component forms the oracle used before its one kernel, kept as the
-# reference: an (N, k, n) difference and einsum for full covariances.
+# reference: an (N, k, n) difference, and an einsum for full covariances. They
+# compute in the dtype of x, so an np.longdouble x gives an extended-precision
+# truth.
 def ref_log_joint(g, x):
     diff = x[:, None, :] - g.base.means[None, :, :]
     if g.isotropic:
@@ -352,48 +355,78 @@ def ref_component_scores(g, x):
     return np.einsum("kij,nkj->nki", g._inv, diff)
 
 
-def ref_oracle(g, x):
-    """log density, score, Hessian and every class's classifier gradient from
+def ref_oracle(g, x, classes=None, with_hessian=True):
+    """log density, score, Hessian (unless with_hessian is False) and the
+    classifier gradient of each class in classes (default: every label) from
     the reference forms, with the oracle's expressions for each."""
     lj, _ = ref_log_joint(g, x)
     s_i = ref_component_scores(g, x)
     r = _responsibilities(lj)
-    s = np.einsum("nk,nki->ni", r, s_i)
-    h = np.einsum("nk,nki,nkj->nij", r, s_i, s_i) - s[:, :, None] * s[:, None, :]
-    if g.isotropic:
-        h -= (r / g._var).sum(axis=1)[:, None, None] * np.eye(g.dim)
-    else:
-        h -= np.einsum("nk,kij->nij", r, g._inv)
-    out = {"log_density": _logsumexp(lj, axis=1), "score": (r[:, :, None] * s_i).sum(axis=1),
-           "hessian": h}
-    for c in np.unique(g.base.labels):
+    out = {"log_density": _logsumexp(lj, axis=1), "score": (r[:, :, None] * s_i).sum(axis=1)}
+    if with_hessian:
+        s = np.einsum("nk,nki->ni", r, s_i)
+        h = np.einsum("nk,nki,nkj->nij", r, s_i, s_i) - s[:, :, None] * s[:, None, :]
+        if g.isotropic:
+            h -= (r / g._var).sum(axis=1)[:, None, None] * np.eye(g.dim)
+        else:
+            h -= np.einsum("nk,kij->nij", r, g._inv)
+        out["hessian"] = h
+    for c in np.unique(g.base.labels) if classes is None else classes:
         r_sub = _responsibilities(np.where((g.base.labels == c)[None, :], lj, -np.inf))
         out[f"clf{c}"] = ((r_sub - r)[:, :, None] * s_i).sum(axis=1)
     return out
 
 
-def ref_scales(g, x):
+def ref_scales(g, x, classes=None, with_hessian=True):
     """Per point, the size of the terms each reference output sums: the
     round-off scale that a relative bound is taken against (a classifier
-    gradient or a Hessian can cancel to far below its terms)."""
+    gradient or a Hessian can cancel to far below its terms). An isotropic
+    score sum is one GEMM that adds mu_i / v_i and x / v_i apart, so its
+    terms are (|mu_i| + |x|) / v_i; near a mean they dwarf |mu_i - x| / v_i."""
     lj, _ = ref_log_joint(g, x)
     a = np.abs(ref_component_scores(g, x))
+    if g.isotropic:
+        terms = (np.abs(g.base.means)[None, :, :] + np.abs(x)[:, None, :]) / g._var[None, :, None]
+    else:
+        terms = a
     r = _responsibilities(lj)
-    s = (r[:, :, None] * a).sum(axis=1)
-    out = {"log_density": np.maximum(np.abs(_logsumexp(lj, axis=1)), 1.0), "score": s.max(axis=1),
-           "hessian": (np.einsum("nk,nki,nkj->nij", r, a, a) + s[:, :, None] * s[:, None, :]
-                       + np.einsum("nk,kij->nij", r, np.abs(g._inv))).max(axis=(1, 2))}
-    for c in np.unique(g.base.labels):
+    out = {"log_density": np.maximum(np.abs(_logsumexp(lj, axis=1)), 1.0),
+           "score": (r[:, :, None] * terms).sum(axis=1).max(axis=1)}
+    if with_hessian:
+        s = (r[:, :, None] * a).sum(axis=1)
+        if g.isotropic:
+            prec = (r / g._var).sum(axis=1)[:, None, None] * np.eye(g.dim)
+        else:
+            prec = np.einsum("nk,kij->nij", r, np.abs(g._inv))
+        out["hessian"] = (np.einsum("nk,nki,nkj->nij", r, a, a) + s[:, :, None] * s[:, None, :]
+                          + prec).max(axis=(1, 2))
+    for c in np.unique(g.base.labels) if classes is None else classes:
         r_sub = _responsibilities(np.where((g.base.labels == c)[None, :], lj, -np.inf))
-        out[f"clf{c}"] = ((r_sub + r)[:, :, None] * a).sum(axis=1).max(axis=1)
+        out[f"clf{c}"] = ((r_sub + r)[:, :, None] * terms).sum(axis=1).max(axis=1)
     return out
 
 
-def oracle_outputs(g, x):
-    out = {"log_density": log_density(g, x), "score": score(g, x), "hessian": hessian(g, x)}
-    for c in np.unique(g.base.labels):
+def quad_term_scale(g, x):
+    """(|x| + |mu_i|)^2 / v_i, the size of the terms of an isotropic
+    quadratic form expanded as (|mu_i|^2 - 2 x.mu_i + |x|^2) / v_i."""
+    norms = np.linalg.norm(x, axis=1)[:, None] + np.linalg.norm(g.base.means, axis=1)[None, :]
+    return norms * norms / g._var[None, :]
+
+
+def oracle_outputs(g, x, classes=None, with_hessian=True):
+    out = {"log_density": log_density(g, x), "score": score(g, x)}
+    if with_hessian:
+        out["hessian"] = hessian(g, x)
+    for c in np.unique(g.base.labels) if classes is None else classes:
         out[f"clf{c}"] = classifier_grad(g, x, int(c))
     return out
+
+
+def assert_within(got, ref, scale, rel):
+    assert set(got) == set(ref)
+    for key in got:
+        err = np.abs(got[key] - ref[key]).reshape(len(scale[key]), -1).max(axis=1)
+        assert np.all(err <= rel * scale[key]), key
 
 
 def fractal_probe_points():
@@ -409,9 +442,24 @@ def fractal_probe_points():
     return spec, near, far
 
 
+def isotropic_truth_points():
+    """(spec, points) pairs: the two-Gaussian grid (it holds 0.0), and every
+    mean of the 64-d simplex at 16 components and of the 256-d simplex at 16
+    and 120, with 32 points 10 units from a mean in a random direction."""
+    rng = np.random.default_rng(24)
+    out = [(make_two_gaussian(4.0, 1.0, 2), make_grid(-4.0, 4.0, 21))]
+    for dim, k in ((64, 16), (256, 16), (256, 120)):
+        spec = make_simplex_gmm(k, dim, 0.2)
+        step = rng.standard_normal((32, dim))
+        step *= 10.0 / np.linalg.norm(step, axis=1, keepdims=True)
+        out.append((spec, np.vstack([spec.means, spec.means[np.arange(32) % k] + step])))
+    return out
+
+
 class TestKernel:
     # Largest relative difference measured on the fractal: 9e-14 (quadratic
-    # forms and every output, against the scales of their terms).
+    # forms and every output, against the scales of their terms); on the
+    # isotropic GEMM forms against a longdouble truth: BENCH_18.json.
     REL = 1e-12
 
     @pytest.mark.parametrize("sigma", [0.005, 0.05, 0.5, 1.0])
@@ -425,27 +473,51 @@ class TestKernel:
             assert np.all(np.abs(quad - ref_quad) <= self.REL * ref_quad)
             assert np.all(np.abs(s_i - ref_s).max(axis=2) <= self.REL * np.abs(ref_s).max(axis=2))
             assert np.array_equal(_kernel(g, x)[0], quad)
-            got, ref, scale = oracle_outputs(g, x), ref_oracle(g, x), ref_scales(g, x)
+            got = oracle_outputs(g, x)
             assert set(got) == {"log_density", "score", "hessian", "clf0", "clf1"}
-            for key in got:
-                err = np.abs(got[key] - ref[key]).reshape(len(x), -1).max(axis=1)
-                assert np.all(err <= self.REL * scale[key]), key
+            assert_within(got, ref_oracle(g, x), ref_scales(g, x), self.REL)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.05, 1.0])
-    def test_isotropic_outputs_are_bitwise_the_reference(self, sigma):
+    def test_isotropic_outputs_match_the_reference(self, sigma):
         rng = np.random.default_rng(22)
         two = make_two_gaussian(4.0, 1.0, 2)
         simplex = make_simplex_gmm(16, 64, 0.2)
-        cases = [(two, make_grid(-4.0, 4.0, 21)),  # the grid holds 0.0: signed zeros count too
+        cases = [(two, make_grid(-4.0, 4.0, 21)),
                  (two, sample_gmm(two, 50, 1).points),
                  (simplex, np.vstack([simplex.means, rng.standard_normal((40, 64))]))]
         for spec, x in cases:
             g = smooth(spec, sigma)
-            got, ref = oracle_outputs(g, x), ref_oracle(g, x)
-            assert np.array_equal(_kernel(g, x)[0], ref_log_joint(g, x)[1])
-            for key in ref:
-                assert np.array_equal(got[key], ref[key]), key
-                assert np.array_equal(np.signbit(got[key]), np.signbit(ref[key])), key
+            quad = _kernel(g, x)[0]
+            assert np.all(np.abs(quad - ref_log_joint(g, x)[1]) <= self.REL * quad_term_scale(g, x))
+            assert_within(oracle_outputs(g, x), ref_oracle(g, x), ref_scales(g, x), self.REL)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.002, 0.05, 1.0])
+    def test_isotropic_gemm_forms_match_a_longdouble_truth(self, sigma):
+        for spec, x in isotropic_truth_points():
+            g = smooth(spec, sigma)
+            classes = np.unique(spec.labels)[[0, -1]]
+            for rows in np.array_split(x, -(-len(x) // 32)):  # (32, k, n) longdouble at most
+                truth = rows.astype(np.longdouble)
+                quad = _kernel(g, rows)[0]
+                assert np.all(np.abs(quad - ref_log_joint(g, truth)[1])
+                              <= self.REL * quad_term_scale(g, rows))
+                assert_within(oracle_outputs(g, rows, classes, with_hessian=False),
+                              ref_oracle(g, truth, classes, with_hessian=False),
+                              ref_scales(g, rows, classes, with_hessian=False), self.REL)
+
+    def test_isotropic_calls_allocate_less_than_one_difference_tensor(self):
+        spec = make_simplex_gmm(120, 256, 0.2)
+        g = smooth(spec, 0.05)
+        x = sample_gmm(spec, 256, 5).points
+        tensor = x.size * spec.n_components * 8  # one (N, k, n) float64 array: 63 MB
+        for call in (score, log_density, lambda g, x: classifier_grad(g, x, 3)):
+            tracemalloc.start()
+            try:
+                call(g, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < tensor
 
     def test_overflowing_points_give_nan_without_a_warning(self):
         spec, near, _ = fractal_probe_points()
