@@ -46,10 +46,7 @@ from .model import (
 from .guidance import (
     GuidanceSpec,
     SfgState,
-    autoguidance,
-    cfg,
-    classifier_guidance,
-    sfg_init,
+    extrapolate,
     sfg_start,
     sfg_step,
 )

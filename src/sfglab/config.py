@@ -13,6 +13,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import numbers
 import os
 
@@ -287,6 +288,11 @@ def _cross_field_check(cfg: dict) -> None:
     task = cfg["task"]
     if task not in cfg.get("data", {}):
         raise ConfigError(f"task {task!r} needs a data.{task} section")
+    # the tag becomes part of file names in out, so it may not leave that directory
+    tag = cfg["sample"].get("tag", "")
+    if {"/", "\\", "\0"} & set(tag):
+        raise ConfigError(f"sample.tag {tag!r} must be a plain file-name piece "
+                          "(no path separator or NUL)")
     models = cfg.get("models", {})
     main = cfg["sample"]["model"]
     if models and main not in models:
@@ -320,7 +326,7 @@ def _cross_field_check(cfg: dict) -> None:
             raise ConfigError(f"{section}.{key} {cfg[section][key]} must exceed the data dimension "
                               f"{dim} (the Frechet distance needs a full-rank covariance)")
     kinds = {s.kind for stack in stacks for s in stack}
-    if kinds & {"cfg", "interval_cfg"} and not models.get(main, {}).get("conditional", False):
+    if "cfg" in kinds and not models.get(main, {}).get("conditional", False):
         raise ConfigError(f"cfg needs a conditional main model (got {main!r})")
 
 
@@ -415,6 +421,22 @@ def _not_a_number(constant: str):
     raise ConfigError(f"config is not valid JSON: {constant} is not a JSON number")
 
 
+def _number_reader(parse):
+    """parse for JSON number literals, rejecting one beyond the float range:
+    float() rounds 1e400 to inf, and an integer that no float can hold
+    fails wherever it meets a float."""
+    def read(literal: str):
+        try:
+            value = parse(literal)
+            if math.isfinite(value):
+                return value
+        except (ValueError, OverflowError):  # too many digits, or too large for a float
+            pass
+        shown = literal if len(literal) <= 24 else f"{literal[:20]}..."
+        raise ConfigError(f"config number {shown} overflows a float")
+    return read
+
+
 def load_config(path, overrides=None) -> dict:
     """Read, override and validate a run config. The SFGLAB_SEED/SFGLAB_OUT/
     SFGLAB_THREADS environment variables override the file, and the non-None
@@ -422,7 +444,8 @@ def load_config(path, overrides=None) -> dict:
     the result is validated like the file itself."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_not_a_number)
+            raw = json.load(fh, parse_constant=_not_a_number, parse_float=_number_reader(float),
+                            parse_int=_number_reader(int))
     except FileNotFoundError as exc:
         raise MissingArtifact(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:

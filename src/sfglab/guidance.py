@@ -14,8 +14,12 @@ alpha * sigma >= 1; at mid and low sigma the most negative eigenvalue can
 win instead. Whether a shift of alpha tracks better is open (ROADMAP.md,
 open item 2).
 
-Identity weights short-circuit (cfg/autoguidance at w = 1, the saddle-free
-and classifier updates at w = 0) so guided and unguided sampling paths stay
+Classifier-free guidance and autoguidance share one update, extrapolate.
+Classifier guidance, which needs the exact Bayes classifier, is applied by
+the sampler's GuidedProvider.
+
+Identity weights short-circuit (extrapolation at w = 1, the saddle-free and
+classifier updates at w = 0) so guided and unguided sampling paths stay
 bitwise identical.
 """
 
@@ -26,9 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import generator
-
-GUIDANCE_KINDS = ("none", "classifier", "cfg", "interval_cfg", "autoguidance", "sfg")
+GUIDANCE_KINDS = ("none", "classifier", "cfg", "autoguidance", "sfg")
 
 
 @dataclass(frozen=True)
@@ -57,23 +59,16 @@ def sfg_start(v, spec: GuidanceSpec) -> SfgState:
     return SfgState(v=v, alpha=np.full(rows, float(spec.alpha0)), last_lambda=np.zeros(rows))
 
 
-def sfg_init(n: int, seed: int, spec: GuidanceSpec) -> SfgState:
-    """Fresh (n,) carry with v uniform on the unit sphere: a normalized
-    Gaussian draw from generator(seed). The sampler draws a whole run's
-    start vectors at once instead (rng.SFG_START) and calls sfg_start."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    v = generator(seed).standard_normal(n)
-    return sfg_start(v / np.linalg.norm(v), spec)
-
-
 def sfg_step(eps_fn, x, sigma, state: SfgState, spec: GuidanceSpec):
     """One guided noise estimate plus the updated power-iteration carry.
 
     Exactly two eps_fn evaluations: the base estimate and one probe at
     x + h * sigma * v, with h and the weight taken from spec. Returns
-    (eps_hat, state') without mutating state. Accepts a single point (n,)
-    or a batch (B, n) with batched state.
+    (eps_hat, state', correction) without mutating state; correction is the
+    base estimate minus eps_hat (w * u up to rounding where the gate is
+    open, +0.0 where it is closed), which a Heun corrector subtracts from
+    its own base estimate. Accepts a single point (n,) or a batch (B, n)
+    with batched state.
     """
     x = np.asarray(x, dtype=float)
     v = state.v
@@ -96,48 +91,25 @@ def sfg_step(eps_fn, x, sigma, state: SfgState, spec: GuidanceSpec):
                       "keeping previous perturbation vector", RuntimeWarning)
         eps_out = np.where(degenerate, eps_hat, eps_out)
     v_new = np.where(degenerate, v, u_shifted / np.where(degenerate, 1.0, norms))
-    return eps_out, SfgState(v=v_new, alpha=alpha, last_lambda=lam)
+    return eps_out, SfgState(v=v_new, alpha=alpha, last_lambda=lam), eps_hat - eps_out
 
 
-def _check_same_shape(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"estimate shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def _extrapolate(good, weak, w: float):
-    """good + (w - 1)(good - weak), built in place in one new array; each
-    operation has the operands of that expression, so the bytes match."""
+def extrapolate(good, weak, w: float):
+    """good + (w - 1)(good - weak): classifier-free guidance with the
+    unconditional estimate as weak, autoguidance with a degraded model's.
+    w = 1 returns good as is. Otherwise the result is built in place in one
+    new array, each operation with the operands of that expression, so the
+    bytes match it."""
+    good = np.asarray(good, dtype=float)
+    weak = np.asarray(weak, dtype=float)
+    if good.shape != weak.shape:
+        raise ValueError(f"estimate shapes differ: {good.shape} vs {weak.shape}")
+    if w == 1.0:
+        return good
     out = np.subtract(good, weak)
     out *= w - 1.0
     out += good
     return out
-
-
-def cfg(eps_cond, eps_uncond, w: float):
-    """eps_cond + (w - 1)(eps_cond - eps_uncond); w = 1 returns eps_cond as is."""
-    eps_cond, eps_uncond = _check_same_shape(eps_cond, eps_uncond)
-    if w == 1.0:
-        return eps_cond
-    return _extrapolate(eps_cond, eps_uncond, w)
-
-
-def autoguidance(eps_main, eps_bad, w: float):
-    """Extrapolate away from a degraded companion model's estimate."""
-    eps_main, eps_bad = _check_same_shape(eps_main, eps_bad)
-    if w == 1.0:
-        return eps_main
-    return _extrapolate(eps_main, eps_bad, w)
-
-
-def classifier_guidance(score, classifier_grad, w: float):
-    """score + w * grad log p(y|x); w = 0 returns the score as is."""
-    score, classifier_grad = _check_same_shape(score, classifier_grad)
-    if w == 0.0:
-        return score
-    return score + w * classifier_grad
 
 
 @dataclass(frozen=True)
@@ -145,8 +117,10 @@ class GuidanceSpec:
     """Tagged selection of a guidance strategy.
 
     companion names the second model (cfg's unconditional branch or the
-    autoguidance degraded model) in the run's model table. interval is
-    required exactly for interval_cfg, classifier_class for classifier.
+    autoguidance degraded model) in the run's model table. interval (cfg
+    only) limits the guidance to flow times t_lo <= t <= t_hi (interval
+    CFG); None guides at every level. classifier_class is required for
+    classifier.
     For sfg, weight, alpha0 (the initial shift) and h (the probe step) are
     the step's settings; SfgState holds only the per-trajectory carry.
     """
@@ -162,14 +136,14 @@ class GuidanceSpec:
     def __post_init__(self):
         if self.kind not in GUIDANCE_KINDS:
             raise ValueError(f"unknown guidance kind {self.kind!r}")
-        if (self.interval is not None) != (self.kind == "interval_cfg"):
-            raise ValueError("interval is required exactly for interval_cfg")
         if self.interval is not None:
+            if self.kind != "cfg":
+                raise ValueError(f"interval applies only to cfg, not {self.kind}")
             t_lo, t_hi = self.interval
             if not t_lo < t_hi:
                 raise ValueError("interval must satisfy t_lo < t_hi")
             object.__setattr__(self, "interval", (float(t_lo), float(t_hi)))
-        if self.kind in ("cfg", "interval_cfg", "autoguidance"):
+        if self.kind in ("cfg", "autoguidance"):
             if self.companion is None:
                 raise ValueError(f"{self.kind} requires a companion model")
             if self.weight < 1.0:

@@ -164,16 +164,14 @@ class GuidedProvider:
     def base_eps(self, x, level, cls):
         eps = self._model_eps("main", x, level, cls)
         for s in self.base_specs:
-            if s.kind == "none":
-                continue
-            if s.kind in ("cfg", "interval_cfg"):
+            if s.kind in ("cfg", "autoguidance"):
                 if s.interval is None or s.interval[0] <= self._flow_time_of(level) <= s.interval[1]:
-                    eps = gd.cfg(eps, self._model_eps(s.companion, x, level, None), s.weight)
-            elif s.kind == "autoguidance":
-                eps = gd.autoguidance(eps, self._model_eps(s.companion, x, level, cls), s.weight)
-            elif s.kind == "classifier":
-                if s.weight != 0.0:
-                    eps = eps - self._sigma_of(level) * s.weight * self._bayes_grad(x, level, s.classifier_class)
+                    # cfg extrapolates from the unconditional estimate,
+                    # autoguidance from the companion's at the same class
+                    weak = self._model_eps(s.companion, x, level, None if s.kind == "cfg" else cls)
+                    eps = gd.extrapolate(eps, weak, s.weight)
+            elif s.kind == "classifier" and s.weight != 0.0:
+                eps = eps - self._sigma_of(level) * s.weight * self._bayes_grad(x, level, s.classifier_class)
         return eps
 
     def _bayes_grad(self, x, level, class_id):
@@ -189,27 +187,19 @@ class GuidedProvider:
     # -- sampling hooks --------------------------------------------------------
 
     def predictor(self, x, level, cls, state):
-        """Guided estimate in the sampler's native space, plus state, the
-        eps-space correction payload for Heun reuse, and a trace row."""
+        """Guided estimate in the sampler's native space, the updated
+        saddle-free state, and the eps-space correction the corrector
+        subtracts (None without a saddle-free spec)."""
         if self.sfg_spec is None:
-            eps = self.base_eps(x, level, cls)
-            out = eps_to_flow(eps, x, level) if self.mode == "flow" else eps
-            return out, state, None, None
-        raw = []
-
-        def eps_fn(z):
-            est = self.base_eps(z, level, cls)
-            raw.append(est)
-            return est
-
-        # In flow coordinates the probe h * t * v matches h * sigma * v in
-        # diffusion coordinates (x_t = (1 - t) x_diff with t = (1 - t) sigma),
-        # so the level plays the role of sigma in either mode.
-        eps_hat, state = gd.sfg_step(eps_fn, x, level, state, self.sfg_spec)
-        corr = raw[0] - eps_hat  # m * w * u rows; exact +0.0 where the gate is closed
-        trace = {"lambda": state.last_lambda, "gate": state.last_lambda > 0, "alpha": state.alpha}
-        out = eps_to_flow(eps_hat, x, level) if self.mode == "flow" else eps_hat
-        return out, state, corr, trace
+            eps, corr = self.base_eps(x, level, cls), None
+        else:
+            # In flow coordinates the probe h * t * v matches h * sigma * v in
+            # diffusion coordinates (x_t = (1 - t) x_diff with t = (1 - t) sigma),
+            # so the level plays the role of sigma in either mode.
+            eps, state, corr = gd.sfg_step(lambda z: self.base_eps(z, level, cls), x, level,
+                                           state, self.sfg_spec)
+        out = eps_to_flow(eps, x, level) if self.mode == "flow" else eps
+        return out, state, corr
 
     def corrector(self, x, level, cls, corr):
         eps = self.base_eps(x, level, cls)
@@ -228,7 +218,7 @@ class _FieldProvider:
         self.dim = dim
 
     def predictor(self, x, level, cls, state):
-        return np.asarray(self.fn(x, level), dtype=float), state, None, None
+        return np.asarray(self.fn(x, level), dtype=float), state, None
 
     def corrector(self, x, level, cls, corr):
         return np.asarray(self.fn(x, level), dtype=float)
@@ -287,12 +277,13 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, t
         cls = ids_all[lo:hi] if ids_all is not None else None
         state = None if v0 is None else gd.sfg_start(v0[lo:hi], provider.sfg_spec)
         failed = np.zeros(hi - lo, dtype=bool)
-        trace_rows = []
+        lams, alphas = [], []
         for k in range(n_steps):
             s_cur, s_next = steps[k], steps[k + 1]
-            d_cur, state, corr, trace = provider.predictor(x, s_cur, cls, state)
-            if trace is not None:
-                trace_rows.append(trace)
+            d_cur, state, corr = provider.predictor(x, s_cur, cls, state)
+            if state is not None:
+                lams.append(state.last_lambda)
+                alphas.append(state.alpha)
             dt = s_next - s_cur
             x_new = x + dt * d_cur
             if heun and s_next > 0:
@@ -300,7 +291,7 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, t
                 x_new = x + dt * 0.5 * (d_cur + d_prime)
             failed |= ~np.isfinite(x_new).all(axis=1)
             x = np.where(failed[:, None], x, x_new)
-        return x, failed, trace_rows
+        return x, failed, lams, alphas
 
     bounds = _chunk_ranges(n_samples, chunk_size)
     if threads > 1 and len(bounds) > 1:
@@ -312,9 +303,9 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, t
     points = np.concatenate([r[0] for r in results])
     failed = np.concatenate([r[1] for r in results])
     trace = None
-    if results[0][2]:  # per key, each chunk's (n_steps, rows) record side by side
-        trace = {key: np.concatenate([np.stack([row[key] for row in r[2]]) for r in results], axis=1)
-                 for key in results[0][2][0]}
+    if v0 is not None:  # (n_steps, n_samples): each chunk's per-step record side by side
+        lam, alpha = (np.concatenate([np.stack(r[i]) for r in results], axis=1) for i in (2, 3))
+        trace = {"lambda": lam, "gate": lam > 0, "alpha": alpha}
     return Trajectories(points, ids_all, failed, trace)
 
 

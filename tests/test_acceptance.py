@@ -15,10 +15,10 @@ import sfglab as sf
 from sfglab.datasets import FractalSpec, GmmSpec, LabeledPointSet, sample_gmm
 from sfglab.evaluation import (coverage_entropy, curvature_field, esm_by_region,
                                gaussian_frechet, make_grid, outlier_rate)
-from sfglab.guidance import GuidanceSpec, sfg_init, sfg_step
+from sfglab.guidance import GuidanceSpec, sfg_start, sfg_step
 from sfglab.model import OracleModel, TrainConfig, train
 from sfglab.rng import derive_seed, generator
-from sfglab.sampler import GuidedProvider, flow_time_schedule, sample, sigma_schedule
+from sfglab.sampler import GuidedProvider, flow_time_schedule, sample, sfg_start_vectors, sigma_schedule
 from sfglab.svg import field_svg
 
 
@@ -102,10 +102,10 @@ class TestCriterion3PowerIterationFidelity:
         lam_max = sf.full_spectrum(sf.hessian(sf.smooth(spec, sigma), np.zeros(2)))[0][0]
         target = sigma * sigma * lam_max
         gspec = GuidanceSpec(kind="sfg", weight=0.0, alpha0=1.0, h=0.01)
-        state = sfg_init(2, 303, gspec)
+        state = sfg_start(sfg_start_vectors(303, 1, 2)[0], gspec)
         x = np.zeros(2)
         for _ in range(25):
-            _, state = sfg_step(lambda z: om.predict_eps(z, sigma), x, sigma, state, gspec)
+            _, state, _ = sfg_step(lambda z: om.predict_eps(z, sigma), x, sigma, state, gspec)
         err = abs(float(state.last_lambda) - target)
         align = abs(float(state.v[0]))
         elapsed = time.time() - start
@@ -156,7 +156,7 @@ class TestCriterion5CostContract:
         per_step = counter["n"] / sch.n_steps
         calls = []
         gspec = GuidanceSpec(kind="sfg", weight=1.0)
-        st = sfg_init(2, 506, gspec)
+        st = sfg_start(sfg_start_vectors(506, 1, 2)[0], gspec)
         sfg_step(lambda z: (calls.append(1), om.predict_eps(z, 0.5))[1], np.zeros(2), 0.5, st, gspec)
         ok = per_step == 2.0 and len(calls) == 2
         report(5, ok, f"{per_step:g} evaluations per guided sampling step (== 2), "

@@ -207,9 +207,8 @@ class TestConfigValidation:
         assert [list(row) for row, _ in grid] == [["weight", "alpha", "h"]] * 4  # sweep.csv columns
         assert points(kind="sfg", weights=[1.5], h_values=[0.2]) == [
             ({"weight": 1.5, "h": 0.2}, [GuidanceSpec(kind="sfg", weight=1.5, h=0.2)])]
-        assert points(kind="interval_cfg", companion="u", interval=[0.1, 0.8], weights=[3]) == [
-            ({"weight": 3.0}, [GuidanceSpec(kind="interval_cfg", weight=3.0, companion="u",
-                                            interval=(0.1, 0.8))])]
+        assert points(kind="cfg", companion="u", interval=[0.1, 0.8], weights=[3]) == [
+            ({"weight": 3.0}, [GuidanceSpec(kind="cfg", weight=3.0, companion="u", interval=(0.1, 0.8))])]
 
     def test_classifier_sweep_takes_the_run_classifier_class(self):
         cfg = validate_config({
@@ -238,6 +237,28 @@ class TestConfigValidation:
         for command in ("sample", "sweep"):
             assert main([command, "--config", path]) == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["guidance", "sweep"])
+    def test_interval_cfg_is_not_a_kind(self, tmp_path, capsys, section):
+        # interval CFG is spelled as cfg with an interval
+        cfg = fractal_config(tmp_path / "out")
+        cfg["models"]["u"] = {"hidden": [8]}
+        spec = {"kind": "interval_cfg", "companion": "u", "interval": [0.1, 0.8]}
+        if section == "guidance":
+            cfg["guidance"], where = [{**spec, "weight": 3.0}], "['guidance', 0, 'kind']"
+        else:
+            cfg["sweep"], where = {**spec, "weights": [3.0]}, "['sweep', 'kind']"
+        assert main(["sample", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"config schema violation at {where}: 'interval_cfg' is not one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tag", ["a/b", "../up", "a\\b", "a\0b"], ids=["slash", "parent", "backslash", "nul"])
+    def test_tag_must_be_a_file_name_piece(self, tmp_path, capsys, tag):
+        cfg = fractal_config(tmp_path / "out")
+        cfg["sample"]["tag"] = tag
+        assert main(["sample", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "config error: sample.tag" in capsys.readouterr().err
+        cfg["sample"]["tag"] = "run.2-a_b"
+        assert validate_config(cfg)["sample"]["tag"] == "run.2-a_b"
 
     @pytest.mark.parametrize("change", REJECTED_GUIDANCE.values(), ids=REJECTED_GUIDANCE.keys())
     def test_guidance_rejected_at_load(self, tmp_path, capsys, change):
@@ -283,6 +304,33 @@ class TestExitCodes:
         cfg = _deep_merge(simplex_config(tmp_path / "out"), {"data": {"simplex": {"scale": float("nan")}}})
         assert main(["gen-data", "--config", write_config(tmp_path, cfg)]) == 2
         assert "NaN is not a JSON number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400, "9" * 5000],
+                             ids=["1e400", "-1e400", "int_1e400", "int_5000_digits"])
+    @pytest.mark.parametrize("task, path", [
+        ("fractal", ("guidance", 0, "weight")),
+        ("two_gaussian", ("data", "two_gaussian", "base_variance")),
+        ("fractal", ("train", "lr")),
+        ("fractal", ("eval", "outlier_threshold")),
+    ], ids=["guidance_weight", "base_variance", "train_lr", "outlier_threshold"])
+    def test_overflowing_number_is_2(self, tmp_path, capsys, task, path, literal):
+        # float() reads 1e400 as inf, which JSON has no number for; no float
+        # holds 10**400, and int() refuses 5000 digits
+        cfg = fractal_config(tmp_path / "out")
+        if task == "two_gaussian":
+            cfg = {"task": task, "seed": 0, "out": str(tmp_path / "out"),
+                   "data": {task: {"separation": 4.0, "base_variance": 1.0, "ambient_dim": 2}}}
+        *parents, key = path
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = "PLACEHOLDER"
+        path_file = tmp_path / "cfg.json"
+        path_file.write_text(json.dumps(cfg).replace('"PLACEHOLDER"', literal))
+        assert main(["gen-data", "--config", str(path_file)]) == 2
+        err = capsys.readouterr().err
+        assert f"config number {literal[:20]}" in err and "overflows a float" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("env, flags", REJECTED_OVERRIDES.values(), ids=REJECTED_OVERRIDES.keys())
     def test_rejected_override_is_2(self, tmp_path, capsys, monkeypatch, env, flags):
@@ -662,6 +710,26 @@ class TestSweepCommand:
         assert lines[0] == "weight,outlier_rate,coverage_entropy"
         assert len(lines) == 3
 
+
+    def test_cfg_sweep_with_an_interval(self, tmp_path):
+        # an interval that holds no level of the schedule (flow times reach
+        # 5 / 6) guides nowhere; one that holds every level guides everywhere
+        out = tmp_path / "run"
+        cfg = fractal_config(out)
+        cfg["models"]["u"] = {"hidden": [8]}
+        out.mkdir()
+        save_checkpoint(ScoreModel(2, [16], n_classes=2, seed=1), out / "main.ckpt")
+        save_checkpoint(ScoreModel(2, [8], seed=2), out / "u.ckpt")
+        rows = {}
+        for interval in ([0.9, 0.99], [0.0, 1.0]):
+            cfg["sweep"] = {"kind": "cfg", "companion": "u", "interval": interval, "weights": [1.0, 4.0],
+                            "metrics": ["frechet", "outlier_rate"]}
+            assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+            lines = (out / "sweep.csv").read_text().splitlines()
+            assert lines[0] == "weight,frechet,outlier_rate" and len(lines) == 3
+            rows[interval[0]] = [line.split(",", 1)[1] for line in lines[1:]]
+        assert rows[0.9][0] == rows[0.9][1] == rows[0.0][0]
+        assert rows[0.0][1] != rows[0.0][0]
 
     def test_shared_latents_give_the_separately_drawn_sweep(self, tmp_path, monkeypatch):
         # the sweep draws the start latents once for all its points; sampling

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from sfglab.datasets import GmmSpec, make_two_gaussian
-from sfglab.guidance import (GuidanceSpec, SfgState, autoguidance, cfg,
-                             classifier_guidance, sfg_init, sfg_start, sfg_step)
+from sfglab.guidance import GUIDANCE_KINDS, GuidanceSpec, SfgState, extrapolate, sfg_start, sfg_step
 from sfglab.model import OracleModel
 from sfglab.oracle import classifier_grad, full_spectrum, hessian, score, smooth
 from sfglab.rng import derive_seed
+from sfglab.sampler import GuidedProvider, sfg_start_vectors
 
 
 def single_gaussian_eps(variance=1.0):
@@ -18,29 +18,41 @@ def sfg_spec(weight=0.0, **kw):
     return GuidanceSpec(kind="sfg", weight=weight, **kw)
 
 
+def start_carry(n, seed, spec):
+    """A fresh (n,) carry: the first start vector a run with this seed draws."""
+    return sfg_start(sfg_start_vectors(seed, 1, n)[0], spec)
+
+
 class TestSfgInit:
+    """The start carry: sfg_start at a row of sfg_start_vectors."""
+
     def test_unit_norm(self):
-        st = sfg_init(64, 0, sfg_spec())
+        st = start_carry(64, 0, sfg_spec())
         assert abs(np.linalg.norm(st.v) - 1.0) < 1e-12
+        assert st.alpha == 1.0 and st.last_lambda == 0.0
 
     def test_seed_determinism(self):
-        assert np.array_equal(sfg_init(16, 3, sfg_spec()).v, sfg_init(16, 3, sfg_spec()).v)
-        assert not np.array_equal(sfg_init(16, 3, sfg_spec()).v, sfg_init(16, 4, sfg_spec()).v)
+        assert np.array_equal(start_carry(16, 3, sfg_spec()).v, start_carry(16, 3, sfg_spec()).v)
+        assert not np.array_equal(start_carry(16, 3, sfg_spec()).v, start_carry(16, 4, sfg_spec()).v)
 
     def test_sphere_uniformity_coordinate_means(self):
-        # each coordinate of a uniform unit vector has mean 0, variance 1/n
+        # each coordinate of a uniform unit vector has mean 0, variance 1/n,
+        # across seeds and across the rows of one run's draw
         n, trials = 8, 10000
-        vs = np.stack([sfg_init(n, derive_seed(1, i), sfg_spec()).v for i in range(trials)])
+        across_seeds = np.stack([start_carry(n, derive_seed(1, i), sfg_spec()).v for i in range(trials)])
         band = 3.0 * np.sqrt(1.0 / n / trials)
-        assert np.abs(vs.mean(axis=0)).max() < band
+        for vs in (across_seeds, sfg_start_vectors(1, trials, n)):
+            assert np.abs(vs.mean(axis=0)).max() < band
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            start_carry(0, 0, sfg_spec())
+        with pytest.raises(ValueError, match="unit norm"):
+            sfg_start(np.array([1.0, 1.0]), sfg_spec())
         with pytest.raises(ValueError):
-            sfg_init(0, 0, sfg_spec())
+            start_carry(4, 0, sfg_spec(h=0.0))
         with pytest.raises(ValueError):
-            sfg_init(4, 0, sfg_spec(h=0.0))
-        with pytest.raises(ValueError):
-            sfg_init(4, 0, sfg_spec(weight=-1.0))
+            start_carry(4, 0, sfg_spec(weight=-1.0))
 
 
 class TestSfgStep:
@@ -50,9 +62,9 @@ class TestSfgStep:
         sigma = 0.7
         eps_fn = lambda z: om.predict_eps(z, sigma)
         gspec = sfg_spec(weight=2.0)
-        st = sfg_init(2, 1, gspec)
+        st = start_carry(2, 1, gspec)
         x = np.array([0.3, -1.2])
-        eps_hat, st = sfg_step(eps_fn, x, sigma, st, gspec)
+        eps_hat, st, _ = sfg_step(eps_fn, x, sigma, st, gspec)
         expected_lam = -sigma**2 / (1 + sigma**2)
         assert abs(st.last_lambda - expected_lam) < 1e-12
         assert np.array_equal(eps_hat, eps_fn(x))  # gate closed: untouched
@@ -63,10 +75,10 @@ class TestSfgStep:
         sigma = 0.5
         eps_fn = lambda z: om.predict_eps(z, sigma)
         gspec = sfg_spec(weight=0.0)
-        st = sfg_init(2, 2, gspec)
+        st = start_carry(2, 2, gspec)
         x = np.zeros(2)
         for _ in range(8):  # let the carry align with the saddle direction
-            eps_hat, st = sfg_step(eps_fn, x, sigma, st, gspec)
+            eps_hat, st, _ = sfg_step(eps_fn, x, sigma, st, gspec)
             assert np.array_equal(eps_hat, eps_fn(x))
         assert st.last_lambda > 0  # saddle point: estimate positive even at w=0
 
@@ -80,10 +92,10 @@ class TestSfgStep:
         target = sigma**2 * lam_max
         eps_fn = lambda z: om.predict_eps(z, sigma)
         gspec = sfg_spec(alpha0=1.0, h=0.01, weight=0.0)
-        st = sfg_init(2, 3, gspec)
+        st = start_carry(2, 3, gspec)
         x = np.zeros(2)
         for _ in range(25):
-            _, st = sfg_step(eps_fn, x, sigma, st, gspec)
+            _, st, _ = sfg_step(eps_fn, x, sigma, st, gspec)
         assert abs(st.last_lambda - target) <= 1e-3 * (1 + abs(target))
         assert abs(st.v[0]) > 0.999
 
@@ -110,9 +122,9 @@ class TestSfgStep:
                 return -sigma * (s0 + h_mat @ (z - x0))
 
             gspec = sfg_spec(alpha0=1.0, h=0.05, weight=0.0)
-            st = sfg_init(n, int(rng.integers(1 << 30)), gspec)
+            st = start_carry(n, int(rng.integers(1 << 30)), gspec)
             for _ in range(50):
-                _, st = sfg_step(eps_fn, x0, sigma, st, gspec)
+                _, st, _ = sfg_step(eps_fn, x0, sigma, st, gspec)
             vals = sigma**2 * full_spectrum(h_mat)[0]
             shifted = vals + float(st.alpha) * sigma
             if len(vals) < 2 or abs(shifted[0]) == 0:
@@ -129,12 +141,12 @@ class TestSfgStep:
         sigma = 1.5
         eps_fn = lambda z: om.predict_eps(z, sigma)
         gspec = sfg_spec(alpha0=0.0, weight=1.0)
-        st = sfg_init(2, 5, gspec)
+        st = start_carry(2, 5, gspec)
         rng = np.random.default_rng(6)
         prev_alpha = 0.0
         for _ in range(20):
             x = rng.standard_normal(2)
-            _, st = sfg_step(eps_fn, x, sigma, st, gspec)
+            _, st, _ = sfg_step(eps_fn, x, sigma, st, gspec)
             assert st.alpha >= prev_alpha - 1e-15
             assert st.last_lambda + st.alpha >= -1e-12
             prev_alpha = st.alpha
@@ -145,15 +157,34 @@ class TestSfgStep:
         om = single_gaussian_eps()
         rng = np.random.default_rng(7)
         gspec = sfg_spec(weight=3.0)
-        st = sfg_init(2, 8, gspec)
+        st = start_carry(2, 8, gspec)
         for _ in range(1000):
             sigma = float(rng.random() * 2 + 0.05)
             x = rng.standard_normal(2) * 3
             eps_fn = lambda z: om.predict_eps(z, sigma)
             base = eps_fn(x)
-            eps_hat, st = sfg_step(eps_fn, x, sigma, st, gspec)
+            eps_hat, st, corr = sfg_step(eps_fn, x, sigma, st, gspec)
             assert st.last_lambda < 0
             assert np.array_equal(eps_hat, base)
+            assert np.all(corr == 0.0) and not np.signbit(corr).any()  # exact +0.0
+
+    def test_correction_is_base_minus_estimate(self):
+        # at the two-Gaussian saddle the gate opens: the correction is the
+        # subtraction base - eps_hat, about w * u with u the probe difference
+        spec = make_two_gaussian(4.0, 1.0, 2)
+        om = OracleModel(spec)
+        sigma, x = 0.5, np.array([[0.0, 0.0], [0.1, -0.2], [3.0, 0.0]])
+        eps_fn = lambda z: om.predict_eps(z, sigma)
+        gspec = sfg_spec(weight=2.0)
+        st = sfg_start(np.tile([1.0, 0.0], (3, 1)), gspec)
+        eps_hat, st2, corr = sfg_step(eps_fn, x, sigma, st, gspec)
+        base = eps_fn(x)
+        assert np.array_equal(corr, base - eps_hat)
+        u = (base - eps_fn(x + gspec.h * sigma * st.v)) / gspec.h
+        gate = st2.last_lambda > 0
+        assert gate.tolist() == [True, True, False]  # the third point sits on a mode
+        assert np.allclose(corr[gate], gspec.weight * u[gate], rtol=1e-12, atol=1e-14)
+        assert np.all(corr[~gate] == 0.0)
 
     def test_finite_difference_first_order_convergence(self):
         # u approximates sigma^2 H v to O(h) at a generic (asymmetric) point
@@ -186,7 +217,7 @@ class TestSfgStep:
             return om.predict_eps(z, 0.5)
 
         gspec = sfg_spec(weight=1.0)
-        st = sfg_init(2, 9, gspec)
+        st = start_carry(2, 9, gspec)
         sfg_step(eps_fn, np.zeros(2), 0.5, st, gspec)
         assert len(calls) == 2
 
@@ -195,10 +226,10 @@ class TestSfgStep:
             return np.zeros_like(z)
 
         gspec = sfg_spec(alpha0=0.0, weight=2.0)
-        st = sfg_init(3, 10, gspec)
+        st = start_carry(3, 10, gspec)
         v_before = st.v.copy()
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            eps_hat, st2 = sfg_step(eps_fn, np.ones(3), 0.5, st, gspec)
+            eps_hat, st2, _ = sfg_step(eps_fn, np.ones(3), 0.5, st, gspec)
         assert np.array_equal(st2.v, v_before)
         assert np.array_equal(eps_hat, np.zeros(3))
 
@@ -208,43 +239,73 @@ class TestSfgStep:
         sigma = 0.5
         eps_fn = lambda z: om.predict_eps(z, sigma)
         gspec = sfg_spec(1.5)
-        singles = [sfg_init(2, s, gspec) for s in (1, 2, 3)]
+        singles = [start_carry(2, s, gspec) for s in (1, 2, 3)]
         batch = sfg_start(np.stack([st.v for st in singles]), gspec)
         xs = np.array([[0.0, 0.0], [0.5, 0.1], [-2.0, 0.4]])
-        eps_b, batch2 = sfg_step(eps_fn, xs, sigma, batch, gspec)
+        eps_b, batch2, _ = sfg_step(eps_fn, xs, sigma, batch, gspec)
         for i, st in enumerate(singles):
-            eps_s, st2 = sfg_step(eps_fn, xs[i], sigma, st, gspec)
+            eps_s, st2, _ = sfg_step(eps_fn, xs[i], sigma, st, gspec)
             assert np.allclose(eps_b[i], eps_s, rtol=1e-14, atol=0)
             assert np.allclose(batch2.v[i], st2.v, rtol=1e-14, atol=0)
             assert np.isclose(batch2.last_lambda[i], st2.last_lambda)
 
 
+class Fixed:
+    """A stand-in model whose noise estimate is one fixed array."""
+
+    data_dim = 2
+    param = "eps"
+
+    def __init__(self, eps):
+        self.eps = eps
+
+    def predict_eps(self, x, sigma, class_ids=None):
+        return self.eps
+
+
+def classifier_provider(spec, weight):
+    return GuidedProvider({"main": OracleModel(spec)},
+                          [GuidanceSpec(kind="classifier", weight=weight, classifier_class=0)], gmm=spec)
+
+
+def guided_score(provider, x, sigma):
+    """The score the provider's guided noise estimate stands for: -eps / sigma."""
+    return -provider.base_eps(x, sigma, None) / sigma
+
+
 class TestLinearCombinations:
     def test_cfg_identity_weight(self):
         a, b = np.array([1.0, 2.0]), np.array([0.5, -1.0])
-        assert cfg(a, b, 1.0) is a
+        assert extrapolate(a, b, 1.0) is a
 
     def test_cfg_equal_estimates(self):
         a = np.array([1.0, 2.0])
-        assert np.array_equal(cfg(a, a.copy(), 3.5), a)
+        assert np.array_equal(extrapolate(a, a.copy(), 3.5), a)
 
     def test_cfg_formula(self):
         a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        assert np.allclose(cfg(a, b, 2.0), [2.0, -1.0])
+        assert np.allclose(extrapolate(a, b, 2.0), [2.0, -1.0])
 
     def test_cfg_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
-            cfg(np.zeros(2), np.zeros(3), 2.0)
+            extrapolate(np.zeros(2), np.zeros(3), 2.0)
 
     def test_autoguidance_identities(self):
-        a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        assert autoguidance(a, b, 1.0) is a
-        assert np.array_equal(autoguidance(a, a.copy(), 2.0), a)
-        assert np.allclose(autoguidance(a, b, 2.0), 2 * a - b)
+        # through the provider: the companion's estimate is the weak one
+        a, b = np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])
+        x = np.zeros((1, 2))
+
+        def base_eps(bad, w):
+            spec = GuidanceSpec(kind="autoguidance", weight=w, companion="bad")
+            return GuidedProvider({"main": Fixed(a), "bad": Fixed(bad)}, [spec]).base_eps(x, 0.5, None)
+
+        assert base_eps(b, 1.0) is a
+        assert np.array_equal(base_eps(a.copy(), 2.0), a)
+        assert np.allclose(base_eps(b, 2.0), 2 * a - b)
 
     def test_extrapolation_matches_the_out_of_place_expression(self):
-        # cfg and autoguidance build their result in place; the bytes are
-        # those of eps + (w - 1) * (eps - other)
+        # extrapolate builds its result in place; the bytes are those of
+        # eps + (w - 1) * (eps - other)
         rng = np.random.default_rng(31)
         for shape in ((), (3,), (64, 2), (300, 5)):
             a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
@@ -252,41 +313,74 @@ class TestLinearCombinations:
             a_before, b_before = np.copy(a), np.copy(b)
             for w in (1.5, 2.0, 3.7, 1e6):
                 want = a + (w - 1.0) * (a - b)
-                assert np.array_equal(cfg(a, b, w), want)
-                assert np.array_equal(autoguidance(a, b, w), want)
+                assert np.array_equal(extrapolate(a, b, w), want)
             assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
 
     def test_classifier_guidance(self):
-        s, g = np.array([1.0, 0.0]), np.array([0.0, 2.0])
-        assert classifier_guidance(s, g, 0.0) is s
-        assert np.allclose(classifier_guidance(s, g, 0.5), [1.0, 1.0])
+        # eps - sigma * w * grad log p(y|x); w = 0 returns the model's estimate as is
+        spec = make_two_gaussian(4.0, 1.0, 2)
+        sigma, x = 0.5, np.array([[0.3, -0.4], [1.0, 0.2]])
+        eps = OracleModel(spec).predict_eps(x, sigma)
+        bare = GuidedProvider({"main": Fixed(eps)},
+                              [GuidanceSpec(kind="classifier", weight=0.0, classifier_class=0)], gmm=spec)
+        assert bare.base_eps(x, sigma, None) is eps
+        grad = classifier_grad(smooth(spec, sigma), x, 0)
+        guided = classifier_provider(spec, 0.5).base_eps(x, sigma, None)
+        assert np.allclose(guided, eps - sigma * 0.5 * grad, rtol=1e-12, atol=0)
 
     def test_classifier_guidance_points_toward_class_mean(self):
         spec = make_two_gaussian(4.0, 1.0, 2)
-        g = smooth(spec, 0.5)
-        x = np.zeros(2)
-        guided = classifier_guidance(score(g, x), classifier_grad(g, x, 0), 1.0)
+        guided = guided_score(classifier_provider(spec, 1.0), np.zeros((1, 2)), 0.5)[0]
         assert guided[0] < -1e-3  # pushes toward class 0 at -2 e1
 
     def test_classifier_field_moves_toward_modes(self):
         # guided score gains positive alignment with (mu_0 - x) between modes
         spec = make_two_gaussian(4.0, 1.0, 2)
-        g = smooth(spec, 0.7)
-        xs = np.linspace(-1.8, 1.8, 13)
-        for x0 in xs:
-            x = np.array([x0, 0.3])
-            guided = classifier_guidance(score(g, x), classifier_grad(g, x, 0), 2.0)
-            to_mode = spec.means[0] - x
-            base_align = float(score(g, x) @ to_mode)
-            assert float(guided @ to_mode) > base_align - 1e-12
+        sigma = 0.7
+        g = smooth(spec, sigma)
+        x = np.stack([np.linspace(-1.8, 1.8, 13), np.full(13, 0.3)], axis=1)
+        guided = guided_score(classifier_provider(spec, 2.0), x, sigma)
+        to_mode = spec.means[0] - x
+        base_align = np.sum(score(g, x) * to_mode, axis=1)
+        assert np.all(np.sum(guided * to_mode, axis=1) > base_align - 1e-12)
+
+
+class TestProviderDispatch:
+    def test_every_kind_is_dispatched(self):
+        # each kind, at a weight that guides, changes the provider's estimate
+        # near the saddle of the two-Gaussian task; none leaves it bitwise alone
+        spec = make_two_gaussian(4.0, 1.0, 2)
+        main, wide = OracleModel(spec), OracleModel(GmmSpec([1.0], np.zeros((1, 2)), [4.0]))
+        settings = {
+            "none": {},
+            "classifier": {"weight": 2.0, "classifier_class": 0},
+            "cfg": {"weight": 3.0, "companion": "uncond"},
+            "autoguidance": {"weight": 2.0, "companion": "bad"},
+            "sfg": {"weight": 2.0},
+        }
+        assert tuple(settings) == GUIDANCE_KINDS
+        sigma, x = 0.5, np.array([[0.1, 0.05], [0.2, -0.2]])
+        bare = main.predict_eps(x, sigma)
+        for kind, kw in settings.items():
+            gspec = GuidanceSpec(kind=kind, **kw)
+            provider = GuidedProvider({"main": main, "uncond": wide, "bad": wide}, [gspec], gmm=spec)
+            state = sfg_start(np.tile([1.0, 0.0], (2, 1)), gspec) if kind == "sfg" else None
+            est, state, corr = provider.predictor(x, sigma, None, state)
+            if kind == "none":
+                assert np.array_equal(est, bare)
+            else:
+                assert np.linalg.norm(est - bare, axis=1).min() > 1e-3, kind
+            assert (corr is not None) == (kind == "sfg") == (state is not None)
 
 
 class TestGuidanceSpec:
-    def test_interval_required_iff_interval_kind(self):
-        with pytest.raises(ValueError):
-            GuidanceSpec(kind="cfg", weight=2.0, companion="u", interval=(0.1, 0.8))
-        with pytest.raises(ValueError):
-            GuidanceSpec(kind="interval_cfg", weight=2.0, companion="u")
+    def test_interval_only_on_cfg(self):
+        assert GuidanceSpec(kind="cfg", weight=2.0, companion="u").interval is None
+        assert GuidanceSpec(kind="cfg", weight=2.0, companion="u", interval=(0.1, 0.8)).interval == (0.1, 0.8)
+        with pytest.raises(ValueError, match="only to cfg"):
+            GuidanceSpec(kind="autoguidance", weight=2.0, companion="u", interval=(0.1, 0.8))
+        with pytest.raises(ValueError, match="unknown guidance kind"):
+            GuidanceSpec(kind="interval_cfg", weight=2.0, companion="u", interval=(0.1, 0.8))
 
     def test_companion_required(self):
         for kind in ("cfg", "autoguidance"):
@@ -299,10 +393,10 @@ class TestGuidanceSpec:
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError, match="t_lo < t_hi"):
-            GuidanceSpec(kind="interval_cfg", weight=2.0, companion="u", interval=(0.8, 0.1))
+            GuidanceSpec(kind="cfg", weight=2.0, companion="u", interval=(0.8, 0.1))
 
     def test_list_interval_stored_as_tuple(self):
-        spec = GuidanceSpec(kind="interval_cfg", weight=7.0, companion="uncond", interval=[0.1, 0.8])
+        spec = GuidanceSpec(kind="cfg", weight=7.0, companion="uncond", interval=[0.1, 0.8])
         assert spec.interval == (0.1, 0.8)
 
     def test_weight_bounds(self):

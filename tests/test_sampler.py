@@ -230,8 +230,13 @@ class TestGuidedProviders:
         trace = guided.sfg_trace
         assert trace["lambda"].shape == (30, 64)
         assert trace["alpha"].shape == (30, 64)
+        assert np.array_equal(trace["gate"], trace["lambda"] > 0) and trace["gate"].any()
         # monotone alpha along every trajectory
         assert np.all(np.diff(trace["alpha"], axis=0) >= -1e-15)
+        # chunks on threads assemble the same per-step record in trajectory order
+        chunked = self.run([GuidanceSpec(kind="sfg", weight=1.0)], chunk_size=24, threads=2)
+        for key in trace:
+            assert np.array_equal(chunked.sfg_trace[key], trace[key])
 
     @pytest.mark.parametrize("h, alpha0", [(0.1, 1.0), (0.03, 2.5)], ids=["default", "nondefault"])
     def test_sfg_manual_state_threading_matches_sampler(self, h, alpha0):
@@ -253,14 +258,7 @@ class TestGuidedProviders:
         state = SfgState(v=v, alpha=np.full(n, alpha0), last_lambda=np.zeros(n))
         for k in range(len(steps) - 1):
             s_cur, s_next = steps[k], steps[k + 1]
-            raw = []
-
-            def eps_fn(z):
-                raw.append(self.om.predict_eps(z, s_cur))
-                return raw[-1]
-
-            d_cur, state = sfg_step(eps_fn, x, s_cur, state, spec)
-            corr = raw[0] - d_cur
+            d_cur, state, corr = sfg_step(lambda z: self.om.predict_eps(z, s_cur), x, s_cur, state, spec)
             x_new = x + (s_next - s_cur) * d_cur
             if s_next > 0:
                 d_prime = self.om.predict_eps(x_new, s_next) - corr
@@ -304,14 +302,14 @@ class TestGuidedProviders:
 
     def test_interval_cfg_covering_every_level_is_bitwise_cfg(self):
         full = self.run([GuidanceSpec(kind="cfg", weight=3.0, companion="uncond")], class_ids=1)
-        part = self.run([GuidanceSpec(kind="interval_cfg", weight=3.0, companion="uncond",
+        part = self.run([GuidanceSpec(kind="cfg", weight=3.0, companion="uncond",
                                       interval=(0.0, 1.0))], class_ids=1)
         assert np.array_equal(part.points, full.points)
 
     def test_interval_cfg_covering_no_level_is_bitwise_unguided(self):
         # the schedule's flow times sigma / (1 + sigma) stay at or below 10 / 11
         none = self.run([GuidanceSpec(kind="none")], class_ids=1)
-        part = self.run([GuidanceSpec(kind="interval_cfg", weight=3.0, companion="uncond",
+        part = self.run([GuidanceSpec(kind="cfg", weight=3.0, companion="uncond",
                                       interval=(0.95, 0.99))], class_ids=1)
         full = self.run([GuidanceSpec(kind="cfg", weight=3.0, companion="uncond")], class_ids=1)
         assert np.array_equal(part.points, none.points)
@@ -322,7 +320,7 @@ class TestGuidedProviders:
         # guidance to the (0.1, 0.8) interval moderates the bias
         full = self.run([GuidanceSpec(kind="cfg", weight=7.0, companion="uncond")],
                         n=300, class_ids=1)
-        part = self.run([GuidanceSpec(kind="interval_cfg", weight=7.0, companion="uncond",
+        part = self.run([GuidanceSpec(kind="cfg", weight=7.0, companion="uncond",
                                       interval=(0.1, 0.8))], n=300, class_ids=1)
         none = self.run([GuidanceSpec(kind="none")], n=300, class_ids=1)
         m_full = full.points[:, 0].mean()
@@ -390,7 +388,7 @@ class TestCostContract:
 
         sch = sigma_schedule(10, 0.01, 10.0)
         provider = GuidedProvider({"main": om, "uncond": Counting()},
-                                  [GuidanceSpec(kind="interval_cfg", weight=3.0, companion="uncond",
+                                  [GuidanceSpec(kind="cfg", weight=3.0, companion="uncond",
                                                 interval=(0.3, 0.6))])
         sample(provider, sch, 4, seed=17, class_ids=1)
         # Heun evaluates a predictor at every level but 0 and a corrector at
