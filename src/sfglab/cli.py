@@ -69,6 +69,12 @@ def _read_points(path) -> LabeledPointSet:
         raise MissingArtifact(f"unreadable point set: {exc}") from exc
 
 
+def _check_dim(path, dim: int, task_dim: int) -> None:
+    """A model or sample artifact must hold points of the task's dimension."""
+    if dim != task_dim:
+        raise MissingArtifact(f"{path} holds {dim}-d data, but the task is {task_dim}-d")
+
+
 def _number_or_text(cell: str):
     try:
         return float(cell)
@@ -119,20 +125,9 @@ def _sfg_stats_of(manifest: Path):
 
 def cmd_gen_data(cfg: dict) -> int:
     out = _ensure_out(cfg)
-    specs = task_specs(cfg)
-    seed = cfg["seed"]
-    n_train = cfg["data"]["n_train"]
-    n_test = cfg["data"]["n_test"]
-    train_set = sample_gmm(specs["base"], n_train, derive_seed(seed, 100))
+    train_set = sample_gmm(task_specs(cfg)["base"], cfg["data"]["n_train"], derive_seed(cfg["seed"], 100))
     train_set.to_csv(out / "train.csv")
     files = {"train.csv": len(train_set)}
-    if cfg["task"] == "simplex":
-        for i, region in enumerate(("mode", "saddle", "outlier")):
-            spec = specs["base"] if region == "mode" else specs[region]
-            pts = sample_gmm(spec, n_test, derive_seed(seed, 101 + i))
-            tagged = LabeledPointSet(pts.points, pts.labels, [region] * len(pts))
-            tagged.to_csv(out / f"test_{region}.csv")
-            files[f"test_{region}.csv"] = len(tagged)
     _write_manifest(out / "gen_data_manifest.json", "gen-data", cfg, {"files": files})
     print(f"gen-data: wrote {sorted(files)} to {out}")
     return 0
@@ -165,7 +160,8 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _load_models(out: Path, names) -> dict:
+def _load_models(out: Path, names, dim: int) -> dict:
+    """The checkpoints `<name>.ckpt` in out, each a model of dim-d data."""
     table = {}
     for name in names:
         path = out / f"{name}.ckpt"
@@ -175,6 +171,7 @@ def _load_models(out: Path, names) -> dict:
             table[name], _ = load_checkpoint(path)
         except (OSError, ValueError) as exc:
             raise MissingArtifact(f"unreadable checkpoint: {exc}") from exc
+        _check_dim(path, table[name].data_dim, dim)
     return table
 
 
@@ -200,10 +197,10 @@ def _stack_sampler(cfg: dict, out: Path, specs):
     latents. The latents depend on none of the stack, so they are drawn once
     for every stack run samples."""
     main = cfg["sample"]["model"]
-    table = _load_models(out, sorted({main} | {s.companion for s in specs if s.companion}))
+    gmm = task_specs(cfg)["base"]
+    table = _load_models(out, sorted({main} | {s.companion for s in specs if s.companion}), gmm.dim)
     table["main"] = table[main]
     mode = "eps" if cfg["schedule"]["kind"] == "sigma" else "flow"
-    gmm = task_specs(cfg)["base"]
     n_samples = cfg["sample"]["n_samples"]
     class_ids = _class_ids_for(cfg, table["main"], n_samples)
     sch = schedule(cfg)
@@ -229,8 +226,10 @@ def cmd_sample(cfg: dict) -> int:
     trajs.to_point_set().to_csv(out / f"samples_{tag}.csv")
     extra = {"tag": tag, "n_failed": trajs.n_failed, "n_samples": n_samples}
     if trajs.sfg_trace is not None:
-        extra["sfg_stats"] = evaluation.sfg_stats(trajs.sfg_trace)
-        lam, gate, alpha = (trajs.sfg_trace[k] for k in ("lambda", "gate", "alpha"))
+        # over the trajectories that did not fail, whose trace can hold NaN
+        trace = {k: v[:, ~trajs.failed] for k, v in trajs.sfg_trace.items()}
+        extra["sfg_stats"] = evaluation.sfg_stats(trace)
+        lam, gate, alpha = (trace[k] for k in ("lambda", "gate", "alpha"))
         evaluation.sweep_to_csv([{"step": k, "level": sch.steps[k], "gate_fraction": gate[k].mean(),
                                   "lambda_mean": lam[k].mean(), "lambda_min": lam[k].min(),
                                   "lambda_max": lam[k].max(), "alpha_mean": alpha[k].mean()}
@@ -288,8 +287,8 @@ def cmd_eval(cfg: dict) -> int:
         region_specs = {"mode": specs["base"], "saddle": specs["saddle"], "outlier": specs["outlier"]}
         sigmas = ecfg.get("sigmas") or list(np.geomspace(0.02, 10.0, 12))
         # the model and its inference buffers are freed before the larger sample metrics run
-        rows = evaluation.esm_by_region(_load_models(out, [name])[name], region_specs, sigmas,
-                                        ecfg["n_per_region"], cfg["seed"])
+        rows = evaluation.esm_by_region(_load_models(out, [name], specs["base"].dim)[name], region_specs,
+                                        sigmas, ecfg["n_per_region"], cfg["seed"])
         evaluation.sweep_to_csv(rows, out / "esm_rows.csv")
         tables["esm_rows.csv"] = len(rows)
         report["esm_rows"] = rows
@@ -299,7 +298,9 @@ def cmd_eval(cfg: dict) -> int:
     if ecfg.get("samples_file") and not spath.exists():
         raise MissingArtifact(f"samples file {spath} not found")
     if spath.exists():
-        samples = _frechet_sized(_read_points(spath))  # every eval computes the Frechet distance
+        samples = _read_points(spath)
+        _check_dim(spath, samples.dim, specs["base"].dim)
+        samples = _frechet_sized(samples)  # every eval computes the Frechet distance
         metrics = _sample_metrics(cfg, specs)
         for key in ("outlier_rate", "coverage_entropy", "frechet"):
             report[key] = metrics[key](samples)

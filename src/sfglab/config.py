@@ -81,6 +81,7 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "n_train": {"type": "integer", "minimum": 1},
+                # deprecated and ignored; accepted so that configs which set it still load
                 "n_test": {"type": "integer", "minimum": 1},
                 "simplex": {
                     "type": "object",
@@ -199,7 +200,7 @@ SCHEMA = {
 DEFAULTS = {
     "threads": 1,
     "out": "runs/out",
-    "data": {"n_train": 1000, "n_test": 1000},
+    "data": {"n_train": 1000},
     "train": {
         "batches": 3000, "batch_size": 200, "warmup_batches": 100, "lr": 1e-3,
         "cosine_anneal": True, "weight_decay": 1e-5, "objective": "dsm",

@@ -101,14 +101,6 @@ class FractalSpec:
             raise ValueError("a trunk-only fractal has a single class")
 
 
-def _check_region_tag(tag: str) -> None:
-    """to_csv writes a region tag as a bare CSV field: it may hold no comma,
-    no line break and no leading or trailing whitespace."""
-    if "," in tag or tag != tag.strip() or len(tag.splitlines()) > 1:
-        raise ValueError(f"region tag {tag!r} has a comma, a line break or "
-                         "leading or trailing whitespace")
-
-
 def read_csv(path):
     """Stream a comma-separated table: yield the header fields first, then
     (line number, fields) per non-blank line. A line whose field count
@@ -127,9 +119,9 @@ def read_csv(path):
 
 
 class LabeledPointSet:
-    """N points with class labels and optional region tags."""
+    """N points with class labels."""
 
-    def __init__(self, points, labels, region_tag=None):
+    def __init__(self, points, labels):
         self.points = np.asarray(points, dtype=float)
         if self.points.ndim != 2:
             raise ValueError("points must be a (N, n) array")
@@ -139,13 +131,6 @@ class LabeledPointSet:
         n = self.points.shape[0]
         if self.labels.shape != (n,):
             raise ValueError("labels must have length N")
-        if region_tag is not None:
-            region_tag = list(region_tag)
-            if len(region_tag) != n:
-                raise ValueError("region tags must have length N")
-            for tag in set(region_tag):
-                _check_region_tag(tag)
-        self.region_tag = region_tag
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -155,35 +140,36 @@ class LabeledPointSet:
         return self.points.shape[1]
 
     def to_csv(self, path) -> None:
-        """Write `x0,...,x{n-1},label,region` rows, floats at 9 significant digits.
+        """Write `x0,...,x{n-1},label,region` rows, floats at 9 significant
+        digits and the `region` field empty.
 
         Rows go out in blocks of at most about 16k cells: a block's cells are
         copied into one object array and written with one `%`-format of the
         per-row template repeated, so no list of every line is held."""
         n, size = self.dim, len(self)
         header = ",".join([f"x{i}" for i in range(n)] + ["label", "region"])
-        line = ",".join(["%.9g"] * n) + ",%d,%s\n"
-        block = max(1, WRITE_BLOCK_CELLS // (n + 2))
-        cells = np.empty((min(block, size), n + 2), dtype=object)
+        line = ",".join(["%.9g"] * n) + ",%d,\n"
+        block = max(1, WRITE_BLOCK_CELLS // (n + 1))
+        cells = np.empty((min(block, size), n + 1), dtype=object)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
             for start in range(0, size, block):
                 rows = cells[:min(block, size - start)]
                 rows[:, :n] = self.points[start:start + block]
                 rows[:, n] = self.labels[start:start + block]
-                rows[:, n + 1] = "" if self.region_tag is None else self.region_tag[start:start + block]
                 fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "LabeledPointSet":
         """Read a `to_csv` file: each coordinate is the value `float()` gives
-        for its cell, each label the one `int()` gives.
+        for its cell, each label the one `int()` gives. The `region` cell is
+        read past and ignored, so files whose rows carry a tag read too.
 
         One `np.loadtxt` call parses the body; its structured dtype enforces
-        the field count on every line. When it raises, or a region tag is
-        one to_csv cannot write, the per-line reader runs instead: it takes
-        the cells Python parses and numpy does not (`1_0`, full-width digits),
-        or raises ValueError naming the file and line."""
+        the field count on every line. When it raises, the per-line reader
+        runs instead: it takes the cells Python parses and numpy does not
+        (`1_0`, full-width digits), or raises ValueError naming the file and
+        line."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             if header[-2:] != ["label", "region"]:
@@ -196,24 +182,15 @@ class LabeledPointSet:
                     rec = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
             except ValueError:
                 return cls._from_lines(path, n)
-        regs = rec["region"].tolist()
-        if any(regs):  # the line reader strips each line, so a tag loses trailing whitespace
-            regs = [r.rstrip() for r in regs]
-            try:
-                for tag in set(regs):
-                    _check_region_tag(tag)
-            except ValueError:
-                return cls._from_lines(path, n)
         # a C-contiguous copy: a strided record view can take matmul off its BLAS path
-        return cls(np.ascontiguousarray(rec["x"]), np.ascontiguousarray(rec["label"]),
-                   regs if any(regs) else None)
+        return cls(np.ascontiguousarray(rec["x"]), np.ascontiguousarray(rec["label"]))
 
     @classmethod
     def _from_lines(cls, path, n: int) -> "LabeledPointSet":
         """The per-line reader: `float()` and `int()` per cell."""
         records = read_csv(path)
         next(records)
-        flat, labs, regs = [], [], []
+        flat, labs = [], []
         for lineno, parts in records:
             try:
                 flat.extend(map(float, parts[:n]))
@@ -221,12 +198,9 @@ class LabeledPointSet:
                 if not INT64_MIN <= lab <= INT64_MAX:
                     raise ValueError(f"label {lab} is outside the int64 range")
                 labs.append(lab)
-                _check_region_tag(parts[n + 1])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            regs.append(parts[n + 1])
-        region = regs if any(regs) else None
-        return cls(np.array(flat, dtype=float).reshape(len(labs), n), labs, region)
+        return cls(np.array(flat, dtype=float).reshape(len(labs), n), labs)
 
 
 def make_simplex_gmm(n_components: int, ambient_dim: int, scale: float) -> GmmSpec:

@@ -12,7 +12,7 @@ import pytest
 
 from jsonschema import Draft202012Validator
 
-from sfglab import cli, evaluation
+from sfglab import __version__, cli, evaluation
 from sfglab.cli import main
 from sfglab.config import (KEYWORDS, SCHEMA, ConfigError, _deep_merge, config_hash, load_config,
                            sweep_points, task_specs, validate_config)
@@ -52,6 +52,14 @@ def simplex_config(out):
         "data": {"n_train": 50, "n_test": 20,
                  "simplex": {"n_components": 3, "ambient_dim": 4, "scale": 0.2}},
         "models": {"main": {"hidden": [8]}},
+    }
+
+
+def two_gaussian_config(out):
+    return {
+        "task": "two_gaussian", "seed": 1, "out": str(out),
+        "data": {"n_train": 50, "two_gaussian": {"separation": 4.0, "base_variance": 1.0, "ambient_dim": 2}},
+        "eval": {"frechet_reference_n": 64},
     }
 
 
@@ -450,6 +458,28 @@ class TestExitCodes:
         assert main(["gen-data", "--config", path]) == 0
         assert main(["sample", "--config", path]) == 4
 
+    @pytest.mark.parametrize("task, command", [("two_gaussian", "sample"), ("fractal", "sample"),
+                                               ("simplex", "eval")])
+    def test_checkpoint_of_another_dimension_is_4(self, tmp_path, capsys, task, command):
+        out = tmp_path / "out"
+        configs = {"fractal": fractal_config, "simplex": simplex_config, "two_gaussian": two_gaussian_config}
+        cfg = configs[task](out)
+        task_dim = task_specs(validate_config(cfg))["base"].dim
+        out.mkdir()
+        save_checkpoint(ScoreModel(3, [8], seed=0), out / "main.ckpt")
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 4
+        assert f"{out / 'main.ckpt'} holds 3-d data, but the task is {task_dim}-d" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["main.ckpt"]
+
+    def test_samples_file_of_another_dimension_is_4(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = _deep_merge(two_gaussian_config(out), {"eval": {"samples_file": "wide.csv"}})
+        out.mkdir()
+        LabeledPointSet(np.zeros((50, 3)), np.zeros(50, dtype=int)).to_csv(out / "wide.csv")
+        assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 4
+        assert f"{out / 'wide.csv'} holds 3-d data, but the task is 2-d" in capsys.readouterr().err
+        assert not (out / "eval_report.json").exists()
+
     def test_bad_json_is_2(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{nope")
@@ -627,6 +657,39 @@ class TestPipeline:
         assert main(["sample", "--config", path, "--threads", "3"]) == 0
         assert (out / "samples_sfg.csv").read_bytes() == one
 
+    def test_sfg_stats_leave_out_failed_trajectories(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        path = write_config(tmp_path, fractal_config(out))
+        for command in ("gen-data", "train"):
+            assert main([command, "--config", path]) == 0
+        real_predict, real_sample, runs = ScoreModel.predict_eps, cli.sample, []
+
+        def first_row_inf_late(self, x, sigma, class_ids=None):  # row 0 of each chunk fails late
+            eps = real_predict(self, x, sigma, class_ids)
+            if np.max(sigma) < 0.5:
+                eps[0] = np.inf
+            return eps
+
+        def recorded(*args, **kwargs):
+            runs.append(real_sample(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(ScoreModel, "predict_eps", first_row_inf_late)
+        monkeypatch.setattr(cli, "sample", recorded)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert main(["sample", "--config", path]) == 0
+        assert main(["eval", "--config", path]) == 0
+        trajs = runs[0]
+        assert 0 < trajs.n_failed < len(trajs.failed)
+
+        def strict(path):  # json.loads accepts NaN and Infinity, which JSON has no number for
+            return json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {path.name}"))
+
+        stats = strict(out / "sample_manifest_sfg.json")["extra"]["sfg_stats"]
+        assert stats == evaluation.sfg_stats({k: v[:, ~trajs.failed] for k, v in trajs.sfg_trace.items()})
+        assert strict(out / "eval_report.json")["sfg_stats"] == stats
+        assert "nan" not in (out / "sfg_trace_sfg.csv").read_text()
+
     def test_fractal_eval_scores_against_the_mixture(self, tmp_path):
         out = tmp_path / "run"
         path = write_config(tmp_path, fractal_config(out))
@@ -644,18 +707,21 @@ class TestPipeline:
         assert report["coverage_entropy"] == evaluation.coverage_entropy(samples, base)
 
     def test_simplex_gen_data_files(self, tmp_path):
-        out = tmp_path / "run"
-        cfg = {
-            "task": "simplex", "seed": 1, "out": str(out),
-            "data": {"n_train": 50, "n_test": 20,
-                     "simplex": {"n_components": 3, "ambient_dim": 4, "scale": 0.2}},
-        }
-        path = write_config(tmp_path, cfg)
-        assert main(["gen-data", "--config", path]) == 0
-        for name in ("train.csv", "test_mode.csv", "test_saddle.csv", "test_outlier.csv"):
-            assert (out / name).exists()
-        mode = LabeledPointSet.from_csv(out / "test_mode.csv")
-        assert mode.region_tag == ["mode"] * 20
+        # data.n_test is deprecated and ignored: a config that sets it writes the
+        # same training set as one that does not, and its manifest keeps the key
+        configs = {"with_n_test": simplex_config(tmp_path / "a"), "without": simplex_config(tmp_path / "b")}
+        del configs["without"]["data"]["n_test"]
+        manifests, train = {}, {}
+        for name, cfg in configs.items():
+            out = Path(cfg["out"])
+            assert main(["gen-data", "--config", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+            assert sorted(p.name for p in out.iterdir()) == ["gen_data_manifest.json", "train.csv"]
+            manifests[name] = json.loads((out / "gen_data_manifest.json").read_text())
+            train[name] = (out / "train.csv").read_bytes()
+            assert manifests[name]["extra"] == {"files": {"train.csv": 50}}
+        assert train["with_n_test"] == train["without"]
+        assert manifests["with_n_test"]["config"]["data"]["n_test"] == 20
+        assert "n_test" not in manifests["without"]["config"]["data"]
 
     def test_simplex_eval_esm_rows_and_metrics(self, tmp_path):
         out = tmp_path / "run"
@@ -889,3 +955,10 @@ class TestPlot:
         assert main(["plot", "--kind", "field", "--inputs", str(csv), "--out", str(out)]) == 0
         body = out.read_text()
         assert PALETTE[0] in body and PALETTE[1] in body  # one arrow colour per class
+
+
+def test_readme_documents_the_output_version():
+    # every output break bumps the version, and README says what moved
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    generations = readme.split("Output generations.", 1)[1].split("\n## ", 1)[0]
+    assert re.search(rf"^Version {re.escape(__version__)}\b", generations, re.MULTILINE)

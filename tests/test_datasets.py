@@ -259,8 +259,7 @@ class TestValidation:
 class TestCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        ps = LabeledPointSet(rng.standard_normal((40, 3)), rng.integers(0, 3, 40),
-                             ["mode"] * 40)
+        ps = LabeledPointSet(rng.standard_normal((40, 3)), rng.integers(0, 3, 40))
         path = tmp_path / "pts.csv"
         ps.to_csv(path)
         header = path.read_text().splitlines()[0]
@@ -268,7 +267,6 @@ class TestCsv:
         back = LabeledPointSet.from_csv(path)
         assert np.allclose(back.points, ps.points, rtol=1e-8)
         assert np.array_equal(back.labels, ps.labels)
-        assert back.region_tag == ps.region_tag
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_zero_width_points_rejected(self, n):
@@ -289,10 +287,9 @@ def reference_csv_bytes(ps):
     point-set format."""
     header = ",".join([f"x{i}" for i in range(ps.dim)] + ["label", "region"])
     lines = [header]
-    regions = ps.region_tag if ps.region_tag is not None else [""] * len(ps)
-    for row, lab, reg in zip(ps.points, ps.labels, regions):
+    for row, lab in zip(ps.points, ps.labels):
         coords = ",".join(f"{v:.9g}" for v in row)
-        lines.append(f"{coords},{lab},{reg}")
+        lines.append(f"{coords},{lab},")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -306,14 +303,11 @@ def _edge_sets():
     wide = rng.standard_normal((6, 256)) * 10.0 ** rng.integers(-12, 12, (6, 256))
     wide[0, :10] = edge
     return {
-        "edge_values": LabeledPointSet(edge.reshape(5, 2), [-5, 2**31 - 1, 0, 3, 1],
-                                       ["mode", "", "saddle", "", "outlier"]),
-        "no_region": LabeledPointSet(edge.reshape(2, 5), [0, -5], None),
-        "empty_regions": LabeledPointSet(edge.reshape(2, 5), [1, 2], ["", ""]),
+        "edge_values": LabeledPointSet(edge.reshape(5, 2), [-5, 2**31 - 1, 0, 3, 1]),
+        "no_region": LabeledPointSet(edge.reshape(2, 5), [0, -5]),
         "zero_rows": LabeledPointSet(np.zeros((0, 3)), np.zeros(0, dtype=int)),
-        "one_column": LabeledPointSet(edge.reshape(10, 1), np.arange(10) - 5,
-                                      ["mode"] * 5 + [""] * 5),
-        "256_columns": LabeledPointSet(wide, [2**31 - 1, -5, 0, 1, 2, 3], ["saddle"] * 6),
+        "one_column": LabeledPointSet(edge.reshape(10, 1), np.arange(10) - 5),
+        "256_columns": LabeledPointSet(wide, [2**31 - 1, -5, 0, 1, 2, 3]),
     }
 
 
@@ -350,10 +344,6 @@ class TestCsvFormat:
         ("0.5,1.5,0,\n0.5,1.5,99999999999999999999,\n",
          "line 3: label 99999999999999999999 is outside the int64 range"),
         ("0.5,1.5,-9223372036854775809,\n", "line 2: label -9223372036854775809 is outside the int64 range"),
-        ("0.5,1.5,0,mode\n1,2,0, mode\n",
-         "line 3: region tag ' mode' has a comma, a line break or leading or trailing whitespace"),
-        ("1,2,0,a\x1cb\n",
-         "line 2: region tag 'a\\x1cb' has a comma, a line break or leading or trailing whitespace"),
     ])
     def test_bad_rows_name_their_line(self, tmp_path, body, message):
         path = tmp_path / "pts.csv"
@@ -362,15 +352,28 @@ class TestCsvFormat:
             LabeledPointSet.from_csv(path)
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("cell", ["0.5", "1_0"], ids=["column_reader", "line_reader"])
+    def test_tagged_csv_of_an_older_version_reads(self, tmp_path, cell):
+        # versions before 0.5.0 could write a region tag per row; the region
+        # cell is now read past, whatever it holds
+        rows = [(f"{cell},1.5,0", "mode"), ("-2,3,1", "saddle"), ("4,5e-3,2", ""), ("6,7,0", " outlier"),
+                ("8,9,1", "a\x1cb")]
+        tagged, untagged = tmp_path / "tagged.csv", tmp_path / "untagged.csv"
+        tagged.write_text("x0,x1,label,region\n" + "".join(f"{row},{tag}\n" for row, tag in rows))
+        untagged.write_text("x0,x1,label,region\n" + "".join(f"{row},\n" for row, _ in rows))
+        back, want = LabeledPointSet.from_csv(tagged), LabeledPointSet.from_csv(untagged)
+        assert back.points.tobytes() == want.points.tobytes()
+        assert back.labels.tolist() == want.labels.tolist() == [0, 1, 2, 0, 1]
+
 
 def reference_from_csv(path):
     """The per-line reader that `from_csv`'s one `np.loadtxt` call replaced:
     each line stripped and split at commas, blank lines skipped, `float()`
-    per coordinate and `int()` per label. Returns (points, labels, regions)."""
+    per coordinate and `int()` per label. Returns (points, labels)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         n = len(header) - 2
-        flat, labs, regs = [], [], []
+        flat, labs = [], []
         for line in fh:
             line = line.strip()
             if not line:
@@ -379,18 +382,16 @@ def reference_from_csv(path):
             assert len(parts) == n + 2
             flat.extend(map(float, parts[:n]))
             labs.append(int(parts[n]))
-            regs.append(parts[n + 1])
-    return np.array(flat, dtype=float).reshape(len(labs), n), np.array(labs, dtype=np.int64), regs
+    return np.array(flat, dtype=float).reshape(len(labs), n), np.array(labs, dtype=np.int64)
 
 
 def assert_reads_like_reference(path):
-    points, labels, regions = reference_from_csv(path)
+    points, labels = reference_from_csv(path)
     back = LabeledPointSet.from_csv(path)
     assert back.points.flags.c_contiguous and back.points.dtype == np.float64
     assert back.points.shape == points.shape
     assert back.points.tobytes() == points.tobytes()
     assert back.labels.tobytes() == labels.tobytes()
-    assert back.region_tag == (regions if any(regions) else None)
 
 
 # printf formats the random sets mix, one drawn per cell
@@ -403,11 +404,12 @@ class TestColumnReader:
         rng = np.random.default_rng(shape[1])
         points = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
         labels = rng.integers(-2**63, 2**63 - 1, shape[0], dtype=np.int64, endpoint=True)
-        tags = rng.choice(["", "mode", "saddle", "outlier"], shape[0]).tolist()
         written = tmp_path / "written.csv"
-        LabeledPointSet(points, labels, tags).to_csv(written)
+        LabeledPointSet(points, labels).to_csv(written)
         assert_reads_like_reference(written)
 
+        # mixed formats, and region tags as files written before 0.5.0 could hold
+        tags = rng.choice(["", "mode", "saddle", "outlier"], shape[0]).tolist()
         formats = rng.integers(0, len(CELL_FORMATS), shape)
         mixed = tmp_path / "mixed.csv"
         with open(mixed, "w", encoding="utf-8", newline="\n") as fh:

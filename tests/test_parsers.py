@@ -57,18 +57,11 @@ def test_point_set_csv_round_trips_at_nine_digits(workdir, shape, data):
     points = np.array(data.draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
                                          min_size=n, max_size=n)), dtype=float).reshape(n, dim)
     labels = data.draw(st.lists(st.integers(-5, 2**31 - 1), min_size=n, max_size=n))
-    tags = data.draw(st.lists(st.one_of(st.sampled_from(["", "mode", "saddle_2"]), st.text(max_size=4)),
-                              min_size=n, max_size=n))
-    try:
-        point_set = LabeledPointSet(points, labels, tags)
-    except ValueError:
-        return
     path = workdir / "points.csv"
-    point_set.to_csv(path)
+    LabeledPointSet(points, labels).to_csv(path)
     back = LabeledPointSet.from_csv(path)
     assert np.array_equal(back.points, nine_digits(points))
     assert back.labels.tolist() == labels
-    assert back.region_tag == (tags if any(tags) else None)
 
 
 @FAST
