@@ -317,9 +317,9 @@ class Fractal:
 def sample_gmm(spec: GmmSpec, n: int, seed: int) -> LabeledPointSet:
     """Ancestral sampling: component by weight, then the component Gaussian.
 
-    Full covariances take one batched Cholesky factorization; a stable sort
-    then groups the draws by component, so each component transforms one
-    contiguous block of its draws, in row order."""
+    Full covariances take one batched Cholesky factorization, and each draw
+    is its mean plus its component's factor times its standard normal vector,
+    all draws in one gathered product."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = generator(seed)
@@ -329,12 +329,5 @@ def sample_gmm(spec: GmmSpec, n: int, seed: int) -> LabeledPointSet:
         pts = spec.means[comps] + eps * np.sqrt(spec.covariances[comps])[:, None]
     else:
         chol = np.linalg.cholesky(spec.covariances)
-        order = np.argsort(comps, kind="stable")
-        bounds = np.r_[0, np.cumsum(np.bincount(comps, minlength=spec.n_components))]
-        grouped = eps[order]
-        for j in np.flatnonzero(np.diff(bounds)):
-            rows = slice(bounds[j], bounds[j + 1])
-            grouped[rows] = spec.means[j] + grouped[rows] @ chol[j].T
-        pts = np.empty((n, spec.dim))
-        pts[order] = grouped
+        pts = spec.means[comps] + np.einsum("nij,nj->ni", chol[comps], eps)
     return LabeledPointSet(pts, spec.labels[comps])

@@ -12,8 +12,8 @@ import numpy as np
 
 from .datasets import GmmSpec, LabeledPointSet, sample_gmm
 from .model import esm_loss
-from .oracle import (SmoothedGmm, _as_batch, _kernel, classifier_grad, full_spectrum, hessian,
-                     score, smooth)
+from .oracle import (SmoothedGmm, _as_batch, _by_row_blocks, _kernel, _row_blocks, classifier_grad,
+                     full_spectrum, hessian, score, smooth)
 from .rng import derive_seed, generator
 
 
@@ -79,10 +79,11 @@ def _points_of(samples) -> np.ndarray:
 
 def _nearest_mahalanobis(points: np.ndarray, spec: GmmSpec) -> np.ndarray:
     """Mahalanobis distance of every point to its nearest component, shape
-    (N,); NaN where some component's quadratic form is NaN."""
+    (N,); NaN where some component's quadratic form is NaN. Anisotropic
+    mixtures go in the oracle's row blocks, keeping each block's minima."""
     g = SmoothedGmm(spec, 0.0)  # not smooth(): eval and sweep fire no oracle span
-    quad, _ = _kernel(g, _as_batch(g, points)[0])
-    return np.sqrt(quad.min(axis=1))
+    nearest = _by_row_blocks(g, _as_batch(g, points)[0], lambda rows: _kernel(g, rows)[0].min(axis=1))
+    return np.sqrt(nearest)
 
 
 def outlier_rate(samples, spec: GmmSpec, threshold: float) -> float:
@@ -117,31 +118,40 @@ def coverage_entropy(samples, modes) -> float:
         raise ValueError("need at least one reference mode")
     if pts.shape[1] != refs.shape[1]:
         raise ValueError(f"points are {pts.shape[1]}-d, modes {refs.shape[1]}-d")
-    if refs.shape[1] == 2:  # equals the norm bitwise: a two-term sum has one order
-        dx = pts[:, 0, None] - refs[None, :, 0]
-        dy = pts[:, 1, None] - refs[None, :, 1]
-        dists = np.sqrt(dx * dx + dy * dy)
-    else:  # one mode at a time: no (N, M, n) difference tensor
-        dists = np.stack([np.linalg.norm(pts - ref, axis=1) for ref in refs], axis=1)
-    if not np.isfinite(dists).any(axis=1).all():
+    if refs.shape[1] == 2:
+        # equals the norm bitwise (a two-term sum has one order), in the
+        # oracle's row blocks; each block keeps its argmin and finiteness
+        assign, finite = np.empty(len(pts), dtype=np.intp), np.empty(len(pts), dtype=bool)
+        cols = np.ascontiguousarray(refs.T)
+        for rows in _row_blocks(len(pts), 2 * len(refs)):
+            dx = pts[rows, 0, None] - cols[0]
+            dy = pts[rows, 1, None] - cols[1]
+            dists = np.sqrt(dx * dx + dy * dy)
+            finite[rows] = np.isfinite(dists).any(axis=1)
+            assign[rows] = dists.argmin(axis=1)
+    else:  # squared distances |p|^2 - 2 p.m + |m|^2 from one GEMM, clamped at 0
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is caught below
+            dists = pts @ refs.T
+            dists *= -2.0
+            dists += np.einsum("mi,mi->m", refs, refs)
+            dists += np.einsum("ni,ni->n", pts, pts)[:, None]
+        np.maximum(dists, 0.0, out=dists)
+        finite = np.isfinite(dists).any(axis=1)
+        assign = dists.argmin(axis=1)
+    if not finite.all():
         return float("nan")
-    assign = dists.argmin(axis=1)
-    counts = np.bincount(assign, minlength=dists.shape[1]).astype(float)
+    counts = np.bincount(assign, minlength=len(refs)).astype(float)
     p = counts / counts.sum()
     nz = p > 0
     return float(0.0 - (p[nz] * np.log(p[nz])).sum())  # one mode gives +0.0, not -0.0
 
 
-def _sym_sqrt(mat: np.ndarray, tol: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    if vals.min() < -tol:
-        raise ValueError(f"covariance not PSD after regularization (min eig {vals.min():g})")
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
 def gaussian_frechet(samples_a, samples_b) -> float:
     """||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a^1/2 S_b S_a^1/2)^1/2) on raw
-    coordinates, covariances regularized by +1e-8 I."""
+    coordinates, covariances regularized by +1e-8 I. With S_b = L L^T, the
+    trace of the root is sum sqrt(eigvalsh(L^T S_a L)): L^T S_a L is similar
+    to S_a S_b, and so to S_a^1/2 S_b S_a^1/2. NaN when either set holds a
+    non-finite value."""
     a = _points_of(samples_a)
     b = _points_of(samples_b)
     if len(a) == 0 or len(b) == 0:
@@ -155,12 +165,17 @@ def gaussian_frechet(samples_a, samples_b) -> float:
     reg = 1e-8 * np.eye(n)
     cov_a = np.cov(a, rowvar=False).reshape(n, n) + reg
     cov_b = np.cov(b, rowvar=False).reshape(n, n) + reg
-    scale = max(np.abs(cov_a).max(), np.abs(cov_b).max(), 1.0)
-    root_a = _sym_sqrt(cov_a, 1e-10 * scale)
-    inner = root_a @ cov_b @ root_a
+    if not (np.isfinite(cov_a).all() and np.isfinite(cov_b).all()):
+        return float("nan")
+    try:
+        chol_b = np.linalg.cholesky(cov_b)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance not PSD after regularization") from None
+    inner = chol_b.T @ cov_a @ chol_b
     vals = np.linalg.eigvalsh(0.5 * (inner + inner.T))
+    scale = max(np.abs(cov_a).max(), np.abs(cov_b).max(), 1.0)
     if vals.min() < -1e-10 * scale * scale:
-        raise ValueError("cross term not PSD after regularization")
+        raise ValueError(f"covariance not PSD after regularization (min eig {vals.min():g})")
     tr_sqrt = np.sqrt(np.clip(vals, 0.0, None)).sum()
     diff = mu_a - mu_b
     return float(diff @ diff + np.trace(cov_a) + np.trace(cov_b) - 2.0 * tr_sqrt)

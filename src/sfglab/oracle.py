@@ -14,6 +14,20 @@ take their quadratic forms from one GEMM, x @ means.T, and `score` and
 `classifier_grad` their weighted score sums from a second one, so no
 (N, k, n) array is formed; 2-d anisotropic mixtures (the fractal) use an
 elementwise closed form over (N, k); other dimensions an einsum.
+
+Anisotropic mixtures are evaluated in row blocks (`_by_row_blocks`, also
+used by `evaluation`'s nearest-component metrics): a block holds
+max(1, BLOCK_CELLS // (k n)) rows, so its largest temporary, the k n
+component scores of each row, stays at or below 64 KB. The budget is set by
+cache and by glibc's malloc, which serves requests of 128 KB and more with
+fresh mmap pages (its default threshold): each (N, k) float64 temporary of
+a 256-row sampler chunk on the 256-component fractal is 512 KB, so every
+call mapped, faulted in and unmapped several of them. A 64 KB block stays
+in cache and comes from the heap. Every row goes through the same
+operations in a block as in one whole-array call, so blocks change no bits.
+The isotropic GEMM path stays whole: its matrix products would round
+differently in row blocks, and its (N, k) arrays are small next to the
+(N, n) inputs.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ import numpy as np
 from .datasets import GmmSpec
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+BLOCK_CELLS = 8192  # float64 values in the largest temporary of one row block (64 KB)
 
 
 @dataclass(frozen=True)
@@ -48,9 +63,16 @@ class SmoothedGmm:
             cov = self.base.covariances + s2 * np.eye(self.base.dim)
             chol = np.linalg.cholesky(cov)
             logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+            inv = np.linalg.inv(cov)
             object.__setattr__(self, "_var", None)
             object.__setattr__(self, "_logdet", logdet)
-            object.__setattr__(self, "_inv", np.linalg.inv(cov))
+            object.__setattr__(self, "_inv", inv)
+            if self.base.dim == 2:  # contiguous (k,) rows for the 2-d closed form
+                object.__setattr__(self, "_mean_cols", np.ascontiguousarray(self.base.means.T))
+                object.__setattr__(self, "_prec_rows", np.ascontiguousarray(inv.reshape(-1, 4).T))
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "_logw", np.log(self.base.weights))
+        object.__setattr__(self, "_lognorm", self.base.dim * _LOG_2PI + self._logdet)
 
     @property
     def dim(self) -> int:
@@ -80,6 +102,24 @@ def _as_batch(g: SmoothedGmm, x) -> tuple[np.ndarray, bool]:
     return x, single
 
 
+def _row_blocks(n_rows: int, cells_per_row: int):
+    """Slices of max(1, BLOCK_CELLS // cells_per_row) rows that cover n_rows."""
+    step = max(1, BLOCK_CELLS // cells_per_row)
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+
+
+def _by_row_blocks(g: SmoothedGmm, x: np.ndarray, fn, tail: tuple = ()) -> np.ndarray:
+    """fn(x), an (N,) + tail array of per-row values. Isotropic mixtures call
+    fn once; anisotropic ones call it on row blocks of (n, rows, k) cells at
+    most BLOCK_CELLS, into one preallocated output."""
+    if g.isotropic:
+        return fn(x)
+    out = np.empty((len(x),) + tail)
+    for rows in _row_blocks(len(x), g.base.n_components * g.dim):
+        out[rows] = fn(x[rows])
+    return out
+
+
 def _kernel(g: SmoothedGmm, x: np.ndarray, scores: bool = False):
     """Per-component quadratic forms q_i = (x - mu_i)^T A_i (x - mu_i), shape
     (N, k), with A_i the effective precision; with scores=True also the
@@ -103,19 +143,19 @@ def _kernel(g: SmoothedGmm, x: np.ndarray, scores: bool = False):
         s = np.subtract(g.base.means[None, :, :], x[:, None, :])
         return quad, np.divide(s, g._var[None, :, None], out=s)
     if g.dim == 2:
-        p = g._inv
-        u = g.base.means[None, :, 0] - x[:, 0, None]
-        v = g.base.means[None, :, 1] - x[:, 1, None]
+        p00, p01, p10, p11 = g._prec_rows
+        u = g._mean_cols[0] - x[:, 0, None]
+        v = g._mean_cols[1] - x[:, 1, None]
         # component-major, so the callers' sums over components run along contiguous rows
         s = np.empty((2,) + u.shape)
         t = np.empty_like(u) if scores else s[1]  # the quadratic form alone keeps no score row
         # points far enough out overflow (inf - inf = nan) silently, as the einsum does
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(p[:, 0, 0], u, out=s[0])
-            s[0] += np.multiply(p[:, 0, 1], v, out=t)
-            np.multiply(p[:, 1, 0], u, out=s[1])
+            np.multiply(p00, u, out=s[0])
+            s[0] += np.multiply(p01, v, out=t)
+            np.multiply(p10, u, out=s[1])
             u *= s[0]
-            s[1] += np.multiply(p[:, 1, 1], v, out=t if scores else s[0])
+            s[1] += np.multiply(p11, v, out=t if scores else s[0])
             v *= s[1]
             quad = np.add(u, v, out=u)
         return quad, s.transpose(1, 2, 0) if scores else None
@@ -131,12 +171,10 @@ def _log_joint(g: SmoothedGmm, x: np.ndarray, scores: bool = False):
     """log w_i + log N(x; mu_i, Sigma_i + sigma^2 I), shape (N, k), and the
     component scores of _kernel (None unless scores=True)."""
     quad, s = _kernel(g, x, scores)
-    with np.errstate(divide="ignore"):
-        logw = np.log(g.base.weights)
     # in place, with the operands of logw - 0.5 * (n log 2 pi + logdet + quad)
-    quad += g.dim * _LOG_2PI + g._logdet
+    quad += g._lognorm
     quad *= 0.5
-    return np.subtract(logw, quad, out=quad), s
+    return np.subtract(g._logw, quad, out=quad), s
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -168,15 +206,18 @@ def _score_sum(g: SmoothedGmm, x: np.ndarray, w: np.ndarray, s_i) -> np.ndarray:
 def log_density(g: SmoothedGmm, x):
     """log sum_i w_i N(x; mu_i, Sigma_i + sigma^2 I) via log-sum-exp."""
     xb, single = _as_batch(g, x)
-    out = _logsumexp(_log_joint(g, xb)[0], axis=1)
+    out = _by_row_blocks(g, xb, lambda rows: _logsumexp(_log_joint(g, rows)[0], axis=1))
     return float(out[0]) if single else out
 
 
 def score(g: SmoothedGmm, x):
     """Gradient of the smoothed log density: sum_i r_i(x) s_i(x)."""
+    def rows_score(rows):
+        lj, s_i = _log_joint(g, rows, scores=not g.isotropic)
+        return _score_sum(g, rows, _responsibilities(lj), s_i)
+
     xb, single = _as_batch(g, x)
-    lj, s_i = _log_joint(g, xb, scores=not g.isotropic)
-    out = _score_sum(g, xb, _responsibilities(lj), s_i)
+    out = _by_row_blocks(g, xb, rows_score, (g.dim,))
     return out[0] if single else out
 
 
@@ -188,15 +229,19 @@ def hessian(g: SmoothedGmm, x) -> np.ndarray:
     mixture score: the covariance of the per-component scores minus the mean
     precision.
     """
+    def rows_hessian(rows):
+        lj, s_i = _log_joint(g, rows, scores=True)  # (N, k), (N, k, n)
+        r = _responsibilities(lj)
+        s = np.einsum("nk,nki->ni", r, s_i)
+        h = np.einsum("nk,nki,nkj->nij", r, s_i, s_i) - s[:, :, None] * s[:, None, :]
+        if g.isotropic:
+            h -= (r / g._var).sum(axis=1)[:, None, None] * np.eye(g.dim)
+        else:
+            h -= np.einsum("nk,kij->nij", r, g._inv)
+        return h
+
     xb, single = _as_batch(g, x)
-    lj, s_i = _log_joint(g, xb, scores=True)  # (N, k), (N, k, n)
-    r = _responsibilities(lj)
-    s = np.einsum("nk,nki->ni", r, s_i)
-    h = np.einsum("nk,nki,nkj->nij", r, s_i, s_i) - s[:, :, None] * s[:, None, :]
-    if g.isotropic:
-        h -= (r / g._var).sum(axis=1)[:, None, None] * np.eye(g.dim)
-    else:
-        h -= np.einsum("nk,kij->nij", r, g._inv)
+    h = _by_row_blocks(g, xb, rows_hessian, (g.dim, g.dim))
     return h[0] if single else h
 
 
@@ -229,11 +274,15 @@ def classifier_grad(g: SmoothedGmm, x, class_id: int):
     mask = labels == class_id
     if not mask.any():
         raise ValueError(f"unknown class id {class_id}; labels are {np.unique(labels)}")
+
+    def rows_grad(rows):
+        lj, s_i = _log_joint(g, rows, scores=not g.isotropic)
+        r_sub = _responsibilities(np.where(mask[None, :], lj, -np.inf))
+        r_sub -= _responsibilities(lj)
+        return _score_sum(g, rows, r_sub, s_i)
+
     xb, single = _as_batch(g, x)
-    lj, s_i = _log_joint(g, xb, scores=not g.isotropic)
-    r_sub = _responsibilities(np.where(mask[None, :], lj, -np.inf))
-    r_sub -= _responsibilities(lj)
-    out = _score_sum(g, xb, r_sub, s_i)
+    out = _by_row_blocks(g, xb, rows_grad, (g.dim,))
     return out[0] if single else out
 
 

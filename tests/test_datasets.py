@@ -211,18 +211,24 @@ class TestSampleGmm:
                 np.stack([np.eye(3) + 0.5 * np.ones((3, 3)) * s for s in (0.1, 1.0, 2.0)])),
     ], ids=["fractal", "empty_component"])
     def test_full_covariance_sampling_matches_the_mask_loop(self, spec):
-        # the reference: one boolean mask and one Cholesky factor per component
         rng = generator(8)
         comps = rng.choice(spec.n_components, size=3000, p=spec.weights)
         eps = rng.standard_normal((3000, spec.dim))
+        chol = np.linalg.cholesky(spec.covariances)
+        got = sample_gmm(spec, 3000, seed=8)
+        # bitwise the gathered form: each draw's own factor times its vector
+        gathered = spec.means[comps] + np.einsum("nij,nj->ni", chol[comps], eps)
+        assert got.points.tobytes() == gathered.tobytes()
+        assert np.array_equal(got.labels, spec.labels[comps])
+        # and within a few ulp of the terms of one boolean mask and one
+        # product per component: the two sum the same terms in other orders
         pts = np.empty((3000, spec.dim))
         for j in range(spec.n_components):
             rows = comps == j
             if rows.any():
-                pts[rows] = spec.means[j] + eps[rows] @ np.linalg.cholesky(spec.covariances[j]).T
-        got = sample_gmm(spec, 3000, seed=8)
-        assert got.points.tobytes() == pts.tobytes()
-        assert np.array_equal(got.labels, spec.labels[comps])
+                pts[rows] = spec.means[j] + eps[rows] @ chol[j].T
+        terms = np.abs(spec.means[comps]) + np.einsum("nij,nj->ni", np.abs(chol[comps]), np.abs(eps))
+        assert np.all(np.abs(got.points - pts) <= 4 * np.spacing(terms))
 
     def test_full_covariance_sampling(self):
         rng = np.random.default_rng(2)

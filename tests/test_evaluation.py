@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from sfglab.datasets import (Fractal, FractalSpec, GmmSpec, LabeledPointSet,
 from sfglab.evaluation import (EvalReport, _nearest_mahalanobis, coverage_entropy,
                                curvature_field, esm_by_region, gaussian_frechet, make_grid,
                                outlier_rate, sfg_stats, sweep_to_csv)
+from sfglab import oracle
 from sfglab.model import OracleModel
 from sfglab.oracle import SmoothedGmm, _kernel, smooth
 
@@ -175,6 +177,42 @@ class TestNearestComponent:
             coverage_entropy(pts[:, :-1] if dim > 1 else np.zeros((3, 2)), refs)
 
 
+class TestRowBlocks:
+    @staticmethod
+    def metrics(pts, spec):
+        return (_nearest_mahalanobis(pts, spec).tobytes(), outlier_rate(pts, spec, 4.0),
+                coverage_entropy(pts, spec))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_blocks_are_bitwise_one_whole_array_call(self, monkeypatch):
+        frac, pts = nearest_component_draws()[0]
+        block = oracle.BLOCK_CELLS // (frac.n_components * 2)
+        cases = [pts[:n] for n in (1, block - 1, block, block + 1, 2000)]
+        nan_rows, huge = pts[:40].copy(), pts[:40] * 1e160  # huge: the kernel's inf - inf
+        nan_rows[[3, 17, 39]] = np.nan
+        cases += [nan_rows, huge]
+        blocked = [self.metrics(x, frac) for x in cases]
+        monkeypatch.setattr(oracle, "BLOCK_CELLS", 1 << 62)  # every row in one block
+        whole = [self.metrics(x, frac) for x in cases]
+        for got, ref in zip(blocked, whole):
+            assert got[0] == ref[0]
+            np.testing.assert_array_equal(got[1:], ref[1:])  # NaN equals NaN here
+        assert np.isnan(blocked[-2][1:]).all() and np.isnan(blocked[-1][1:]).all()
+        assert not np.isnan(blocked[-3][1:]).any()
+
+    def test_outlier_rate_allocates_under_a_megabyte(self):
+        # one whole-array kernel call allocated four (N, k) float64 arrays of 4 MB
+        frac, pts = nearest_component_draws()[0]
+        tracemalloc.start()
+        try:
+            outlier_rate(pts, frac, 4.0)
+            coverage_entropy(pts, frac)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestCoverageEntropy:
     def test_single_mode_zero(self):
         pts = np.random.default_rng(3).standard_normal((100, 2)) * 0.1
@@ -225,6 +263,20 @@ class TestCoverageEntropy:
                 coverage_entropy(np.zeros((0, 2)), modes)
 
 
+def ref_frechet(a, b):
+    """The distance from a dense eigh square root of the first covariance,
+    the form the metric used before its Cholesky factor: the reference."""
+    n = a.shape[1]
+    cov_a = np.cov(a, rowvar=False) + 1e-8 * np.eye(n)
+    cov_b = np.cov(b, rowvar=False) + 1e-8 * np.eye(n)
+    vals, vecs = np.linalg.eigh(cov_a)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    inner = root @ cov_b @ root
+    tr_sqrt = np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.T)), 0.0, None)).sum()
+    diff = a.mean(axis=0) - b.mean(axis=0)
+    return float(diff @ diff + np.trace(cov_a) + np.trace(cov_b) - 2.0 * tr_sqrt)
+
+
 class TestGaussianFrechet:
     def test_identical_sets_zero(self):
         pts = np.random.default_rng(7).standard_normal((50, 2))
@@ -253,6 +305,44 @@ class TestGaussianFrechet:
         assert gaussian_frechet(a, b) < 1e-8
         c = exact_moment_points([0.3, -0.2], 1.5)
         assert gaussian_frechet(a, c) > 1e-3
+
+    @pytest.mark.parametrize("dim", [2, 256])
+    def test_cholesky_form_matches_the_eigh_reference(self, dim):
+        spec = (Fractal(FractalSpec(8, np.pi / 5, 0.75, 0.005, n_classes=2)).gmm if dim == 2
+                else make_simplex_gmm(16, 256, 0.2))
+        rng = np.random.default_rng(27)
+        for seed in range(3):
+            a = sample_gmm(spec, 600, seed).points
+            a += 0.1 * rng.standard_normal(a.shape)
+            b = sample_gmm(spec, 4000 if dim == 2 else 300, seed + 10).points
+            value, ref = gaussian_frechet(a, b), ref_frechet(a, b)
+            # against the size of the summed terms: the value itself can cancel far below them
+            terms = ref + 4.0 * np.trace(np.cov(a, rowvar=False) + np.cov(b, rowvar=False))
+            assert abs(value - ref) <= 1e-12 * terms
+            assert abs(gaussian_frechet(b, a) - value) <= 1e-12 * terms
+
+    def test_non_finite_values_give_nan(self):
+        rng = np.random.default_rng(28)
+        for dim in (2, 256):
+            a, b = rng.standard_normal((300, dim)), rng.standard_normal((400, dim))
+            for x, other in ((a.copy(), b), (b.copy(), a)):
+                x[5, 1] = np.nan
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert np.isnan(gaussian_frechet(x, other))
+                    assert np.isnan(gaussian_frechet(other, x))
+                x[5, 1] = np.inf
+                with np.errstate(invalid="ignore"):  # np.cov's own inf - inf
+                    assert np.isnan(gaussian_frechet(x, other))
+                    assert np.isnan(gaussian_frechet(other, x))
+
+    def test_covariance_not_psd_raises(self):
+        # points on the diagonal at scale 2^20: the covariance is 2^40 [[1, 1], [1, 1]]
+        # exactly, and the 1e-8 I regularization rounds away, so it is singular
+        line = np.array([[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]]) * 2.0**20
+        other = np.random.default_rng(29).standard_normal((10, 2))
+        with pytest.raises(ValueError, match="not PSD"):
+            gaussian_frechet(other, line)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="nonempty"):

@@ -6,6 +6,7 @@ import pytest
 
 from sfglab.datasets import (Fractal, FractalSpec, GmmSpec, make_simplex_gmm, make_two_gaussian,
                              sample_gmm)
+from sfglab import oracle
 from sfglab.evaluation import make_grid
 from sfglab.oracle import (_kernel, _logsumexp, _responsibilities, classifier_grad, classify_region,
                            full_spectrum, hessian, log_density, score, smooth)
@@ -525,3 +526,46 @@ class TestKernel:
             warnings.simplefilter("error")
             quad, _ = _kernel(smooth(spec, 0.0), near * 1e160)
         assert np.isnan(quad).any()
+
+
+class TestRowBlocks:
+    # every row of a block goes through the operations of a whole-array
+    # call, so the outputs are the same bytes at any block size
+
+    @staticmethod
+    def outputs_bytes(g, x):
+        return [np.asarray(out).tobytes() for out in oracle_outputs(g, x).values()]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.01, 0.3])
+    def test_blocks_are_bitwise_one_whole_array_call(self, sigma, monkeypatch):
+        spec, near, far = fractal_probe_points()
+        g = smooth(spec, sigma)
+        block = oracle.BLOCK_CELLS // (spec.n_components * spec.dim)
+        assert block == 16  # a 256-component 2-d block: (2, 16, 256) score scratch, 64 KB
+        rng = np.random.default_rng(26)
+        x = np.vstack([far, near, spec.means[rng.integers(0, spec.n_components, 2000)]
+                       + 0.01 * rng.standard_normal((2000, 2))])[:2000]
+        sizes = (1, block - 1, block, block + 1, 2000)
+        blocked = {n: self.outputs_bytes(g, x[:n]) for n in sizes}
+        # other block sizes, on a ragged row count
+        odd = {}
+        for rows in (1, 7):
+            monkeypatch.setattr(oracle, "BLOCK_CELLS", rows * spec.n_components * spec.dim)
+            odd[rows] = self.outputs_bytes(g, x[:333])
+        monkeypatch.setattr(oracle, "BLOCK_CELLS", 1 << 62)  # every row in one block
+        for n in sizes:
+            assert blocked[n] == self.outputs_bytes(g, x[:n]), n
+        assert odd[1] == odd[7] == self.outputs_bytes(g, x[:333])
+
+    def test_score_allocates_under_a_megabyte(self):
+        # one whole-array call allocated several (N, k) float64 arrays of 4 MB
+        spec, _, _ = fractal_probe_points()
+        g = smooth(spec, 0.01)
+        x = sample_gmm(spec, 2000, 5).points
+        tracemalloc.start()
+        try:
+            score(g, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
