@@ -58,7 +58,6 @@ from .sampler import (
     sigma_schedule,
 )
 from .evaluation import (
-    EvalReport,
     coverage_entropy,
     curvature_field,
     esm_by_region,

@@ -44,6 +44,12 @@ def _ensure_out(cfg: dict) -> Path:
     return out
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(path: Path, command: str, cfg: dict, extra: dict | None = None) -> None:
     # threads is execution machinery, not run identity: outputs must be
     # byte-identical for any thread count, manifests included
@@ -52,9 +58,7 @@ def _write_manifest(path: Path, command: str, cfg: dict, extra: dict | None = No
            "config_hash": config_hash(identity), "config": identity}
     if extra:
         doc["extra"] = extra
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def _sample_tag(cfg: dict) -> str:
@@ -178,15 +182,17 @@ def _load_models(out: Path, names, dim: int) -> dict:
 def _class_ids_for(cfg: dict, model, n_samples: int):
     """sample.class_id for every trajectory: None, one id (negative means
     unconditional) or, for "random", one draw of n_samples ids from
-    generator(seed, rng.CLASS_IDS), entry i for trajectory i."""
+    generator(seed, rng.CLASS_IDS), entry i for trajectory i. An unconditional
+    model takes "random" and negative ids as None and rejects any other id."""
     choice = cfg["sample"].get("class_id")
-    if choice is None or not model.conditional:
+    if choice is None or (not model.conditional and (choice == "random" or choice < 0)):
         return None
     if choice == "random":
         return generator(cfg["seed"], CLASS_IDS).integers(model.n_classes, size=n_samples)
-    if choice >= model.n_classes:
+    if choice >= (model.n_classes or 0):
+        has = f"has {model.n_classes} classes" if model.conditional else "is unconditional"
         raise ConfigError(f"sample.class_id {choice} is not a class of model "
-                          f"{cfg['sample']['model']!r}, which has {model.n_classes} classes")
+                          f"{cfg['sample']['model']!r}, which {has}")
     return choice
 
 
@@ -279,7 +285,9 @@ def cmd_eval(cfg: dict) -> int:
     out = _ensure_out(cfg)
     specs = task_specs(cfg)
     ecfg = cfg["eval"]
-    report = {}
+    # every key is present: a section this task or run does not fill stays empty
+    report = {"esm_rows": [], "outlier_rate": None, "coverage_entropy": None, "frechet": None,
+              "sfg_stats": None}
     tables = {}
 
     name = cfg["sample"]["model"]
@@ -309,7 +317,7 @@ def cmd_eval(cfg: dict) -> int:
         if manifest.exists():
             report["sfg_stats"] = _sfg_stats_of(manifest)
 
-    if cfg["task"] == "two_gaussian" and "field" in ecfg:
+    if "field" in ecfg:  # a 2-d task mixture: config._cross_field_check
         fcfg = ecfg["field"]
         grid = evaluation.make_grid(fcfg.get("grid_lo", -4.0), fcfg.get("grid_hi", 4.0),
                                     fcfg.get("grid_n", 21))
@@ -320,7 +328,7 @@ def cmd_eval(cfg: dict) -> int:
             evaluation.sweep_to_csv(field, out / fname)
             tables[fname] = len(grid)
 
-    evaluation.EvalReport(**report).to_json(out / "eval_report.json")
+    _write_json(out / "eval_report.json", report)
     _write_manifest(out / "eval_manifest.json", "eval", cfg, {"tables": tables})
     print(f"eval: report -> {out / 'eval_report.json'}")
     return 0

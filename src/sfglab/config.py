@@ -326,6 +326,8 @@ def _cross_field_check(cfg: dict) -> None:
         if cfg[section][key] <= dim:
             raise ConfigError(f"{section}.{key} {cfg[section][key]} must exceed the data dimension "
                               f"{dim} (the Frechet distance needs a full-rank covariance)")
+    if "field" in cfg["eval"] and dim != 2:
+        raise ConfigError(f"eval.field needs a 2-d task mixture; the {task} task is {dim}-d")
     kinds = {s.kind for stack in stacks for s in stack}
     if "cfg" in kinds and not models.get(main, {}).get("conditional", False):
         raise ConfigError(f"cfg needs a conditional main model (got {main!r})")

@@ -4,9 +4,7 @@ distances, 2D curvature-field tables, and the CSV writer for tables."""
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -15,30 +13,6 @@ from .model import esm_loss
 from .oracle import (SmoothedGmm, _as_batch, _by_row_blocks, _kernel, _row_blocks, classifier_grad,
                      full_spectrum, hessian, score, smooth)
 from .rng import derive_seed, generator
-
-
-@dataclass
-class EvalReport:
-    """Aggregated metrics; sections are filled per task."""
-
-    esm_rows: list = field(default_factory=list)  # {region, sigma, t, esm}
-    outlier_rate: float | None = None
-    coverage_entropy: float | None = None
-    frechet: float | None = None
-    sfg_stats: dict | None = None
-
-    def __post_init__(self):
-        for name in ("outlier_rate", "coverage_entropy", "frechet"):
-            v = getattr(self, name)
-            if v is not None and not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-        if self.outlier_rate is not None and not (0.0 <= self.outlier_rate <= 1.0):
-            raise ValueError("outlier_rate must lie in [0, 1]")
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def esm_by_region(m, region_specs: dict[str, GmmSpec], sigmas, n_per_region: int,

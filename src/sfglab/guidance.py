@@ -19,8 +19,9 @@ Classifier guidance, which needs the exact Bayes classifier, is applied by
 the sampler's GuidedProvider.
 
 Identity weights short-circuit (extrapolation at w = 1, the saddle-free and
-classifier updates at w = 0) so guided and unguided sampling paths stay
-bitwise identical.
+classifier updates at w = 0), so a stack at identity weights samples bitwise
+like the unguided stack of its GuidedProvider, which in flow mode can differ
+from the bare predict_velocity in the last bits (its v -> eps -> v round trip).
 """
 
 from __future__ import annotations

@@ -138,7 +138,36 @@ class TrainingDiverged(RuntimeError):
         self.last_good = last_good
 
 
-class ScoreModel:
+class _Predictor:
+    """predict_eps and predict_velocity over the native forward(x, level,
+    class_ids) of an "eps" model (level sigma, noise out) or a "flow" model
+    (level t, velocity out), converting with flow_to_eps and eps_to_flow."""
+
+    def predict_eps(self, x, sigma, class_ids=None) -> np.ndarray:
+        """Noise estimate at the diffusion-scale point x and noise level sigma."""
+        nonpositive = sigma <= 0 if np.ndim(sigma) == 0 else np.any(np.asarray(sigma) <= 0)
+        if nonpositive:
+            raise ValueError("sigma must be > 0")
+        if self.param == "eps":
+            return self.forward(x, sigma, class_ids)
+        sigma = np.asarray(sigma, dtype=float)
+        t = sigma / (1.0 + sigma)
+        tb = t[..., None]
+        xf = (1.0 - tb) * np.asarray(x, dtype=float)
+        return flow_to_eps(self.forward(xf, t, class_ids), xf, tb)
+
+    def predict_velocity(self, x, t, class_ids=None) -> np.ndarray:
+        """Flow velocity estimate at the flow-scale point x and time t in
+        [0, 1); an eps model needs t > 0."""
+        t = _check_flow_time(t)
+        if self.param == "flow":
+            return self.forward(x, t, class_ids)
+        tb = t[..., None]
+        eps = self.predict_eps(np.asarray(x, dtype=float) / (1.0 - tb), t / (1.0 - t), class_ids)
+        return eps_to_flow(eps, x, tb)
+
+
+class ScoreModel(_Predictor):
     """MLP predicting noise ("eps") or flow velocity ("flow").
 
     Input layout: [x, sin(c), cos(c), sin(c/2), cos(c/2), class embedding?]
@@ -367,33 +396,6 @@ class ScoreModel:
             np.add.at(grad_emb, ids, demb)
         return grad
 
-    def predict_eps(self, x, sigma, class_ids=None) -> np.ndarray:
-        """Noise estimate at the diffusion-scale point x and noise level sigma."""
-        nonpositive = sigma <= 0 if np.ndim(sigma) == 0 else np.any(np.asarray(sigma) <= 0)
-        if nonpositive:
-            raise ValueError("sigma must be > 0")
-        if self.param == "eps":
-            return self.forward(x, sigma, class_ids)
-        sigma = np.asarray(sigma, dtype=float)
-        t = sigma / (1.0 + sigma)
-        x = np.asarray(x, dtype=float)
-        tb = t[..., None]
-        xf = (1.0 - tb) * x
-        v = self.forward(xf, t, class_ids)
-        return (1.0 - tb) * v + xf
-
-    def predict_velocity(self, x, t, class_ids=None) -> np.ndarray:
-        """Flow velocity estimate at the flow-scale point x and time t in [0, 1)."""
-        t = _check_flow_time(t)
-        if self.param == "flow":
-            return self.forward(x, t, class_ids)
-        x = np.asarray(x, dtype=float)
-        tb = t[..., None]
-        sigma = t / (1.0 - t)
-        x_diff = x / (1.0 - tb)
-        eps = self.forward(x_diff, sigma, class_ids)
-        return (eps - x) / (1.0 - tb)
-
     def copy(self) -> "ScoreModel":
         """A model with this architecture, parameters and train_config that
         shares no memory with this one."""
@@ -559,7 +561,7 @@ def esm_loss(m, g: oracle.SmoothedGmm, points, sigma: float) -> float:
     return float(sigma * sigma * np.mean((diff * diff).sum(axis=1)))
 
 
-class OracleModel:
+class OracleModel(_Predictor):
     """Exact-score stand-in implementing the predict interfaces.
 
     Useful as a perfectly trained reference: its noise estimate is
@@ -573,7 +575,7 @@ class OracleModel:
         self.param = "eps"
         self._smoothed: dict[tuple[int, float], oracle.SmoothedGmm] = {}
 
-    def _smooth(self, class_id: int, sigma: float) -> oracle.SmoothedGmm:
+    def smoothed(self, class_id: int, sigma: float) -> oracle.SmoothedGmm:
         """The mixture (class_id -1) or its class_id sub-mixture, smoothed
         to sigma; built once per (class_id, sigma)."""
         key = (class_id, float(sigma))
@@ -588,35 +590,22 @@ class OracleModel:
             self._smoothed[key] = oracle.smooth(spec, key[1])
         return self._smoothed[key]
 
-    def _score_at(self, x: np.ndarray, sigma: float, ids) -> np.ndarray:
-        if ids is None:
-            return oracle.score(self._smooth(-1, sigma), x)
-        ids = class_ids_per_row(ids, x.shape[0])
-        out = np.empty_like(x)
-        for cid in np.unique(ids):
-            rows = ids == cid
-            out[rows] = oracle.score(self._smooth(max(int(cid), -1), sigma), x[rows])
-        return out
-
-    @staticmethod
-    def _one_level(level) -> float:
+    def forward(self, x, level, class_ids=None) -> np.ndarray:
+        """The exact noise estimate at noise level sigma = level, one value
+        per call; x is a point (n,) or a batch (N, n)."""
         if np.size(level) != 1:
             raise ValueError(f"the oracle takes one sigma per call, got {np.size(level)}")
-        return float(np.asarray(level).item())
-
-    def predict_eps(self, x, sigma, class_ids=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        sig = self._one_level(sigma)
-        return (-sig * self._score_at(np.atleast_2d(x), sig, class_ids)).reshape(x.shape)
-
-    def predict_velocity(self, x, t, class_ids=None) -> np.ndarray:
-        t = self._one_level(_check_flow_time(t))
-        x = np.asarray(x, dtype=float)
-        sigma = t / (1.0 - t)
-        if sigma <= 0:
-            raise ValueError("flow velocity of the oracle needs t > 0")
-        eps = self.predict_eps(x / (1.0 - t), sigma, class_ids)
-        return (eps - x) / (1.0 - t)
+        xb, sig = np.atleast_2d(x), float(np.asarray(level).item())
+        if class_ids is None:
+            score = oracle.score(self.smoothed(-1, sig), xb)
+        else:
+            ids = class_ids_per_row(class_ids, xb.shape[0])
+            score = np.empty_like(xb)
+            for cid in np.unique(ids):
+                rows = ids == cid
+                score[rows] = oracle.score(self.smoothed(max(int(cid), -1), sig), xb[rows])
+        return (-sig * score).reshape(x.shape)
 
 
 def save_checkpoint(model: ScoreModel, path) -> None:

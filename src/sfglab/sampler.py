@@ -38,8 +38,8 @@ import numpy as np
 
 from . import guidance as gd
 from .datasets import GmmSpec, LabeledPointSet
-from .model import class_ids_per_row, eps_to_flow, flow_to_eps
-from .oracle import classifier_grad, smooth
+from .model import OracleModel, class_ids_per_row, eps_to_flow, flow_to_eps
+from .oracle import classifier_grad
 from .rng import LATENTS, SFG_START, generator
 
 
@@ -142,9 +142,8 @@ class GuidedProvider:
         self.base_specs = [s for s in specs if s.kind != "sfg"]
         self.sfg_spec = specs[-1] if specs and specs[-1].kind == "sfg" else None
         self.mode = mode
-        self.gmm = gmm
+        self.bayes = None if gmm is None else OracleModel(gmm)  # the classifier's smoothed mixtures
         self.dim = models["main"].data_dim
-        self._smoothed_cache: dict[float, object] = {}
 
     # -- noise-estimate chain ------------------------------------------------
 
@@ -175,14 +174,9 @@ class GuidedProvider:
         return eps
 
     def _bayes_grad(self, x, level, class_id):
-        sigma = self._sigma_of(level)
-        key = float(sigma)
-        if key not in self._smoothed_cache:
-            self._smoothed_cache[key] = smooth(self.gmm, key)
-        g = self._smoothed_cache[key]
         if self.mode == "flow":
             x = np.asarray(x) / (1.0 - level)
-        return classifier_grad(g, x, class_id)
+        return classifier_grad(self.bayes.smoothed(-1, self._sigma_of(level)), x, class_id)
 
     # -- sampling hooks --------------------------------------------------------
 

@@ -8,6 +8,10 @@ import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#e377c2")
+# (panel side, margin) in pixels per plot kind; the scatter point radius in
+# pixels; the world length of a field arrow per unit of the plotted vector
+SCATTER, FIELD, CHART = (280, 40), (420, 48), (420, 56)
+POINT_RADIUS, ARROW_SCALE = 1.6, 0.25
 
 
 def _fmt(v: float) -> str:
@@ -98,7 +102,7 @@ def _bounds_of(point_sets, pad=0.08):
             float(lo[1] - pad * span[1]), float(hi[1] + pad * span[1]))
 
 
-def scatter_svg(point_sets, panel_size=280, margin=40, point_radius=1.6) -> str:
+def scatter_svg(point_sets) -> str:
     """Side-by-side 2D scatter panels with class colors.
 
     point_sets: list of (points (N, 2), labels (N,), title). A shared world
@@ -108,6 +112,7 @@ def scatter_svg(point_sets, panel_size=280, margin=40, point_radius=1.6) -> str:
         if len(pts) and np.asarray(pts).shape[1] != 2:
             raise ValueError(f"panel {title!r}: points must be 2D; project higher dimensions first")
     bounds = _bounds_of(point_sets)
+    panel_size, margin = SCATTER
     panels = []
     for i, (pts, labels, title) in enumerate(point_sets):
         panel = Panel(margin + i * (panel_size + margin), margin, panel_size, panel_size,
@@ -115,7 +120,7 @@ def scatter_svg(point_sets, panel_size=280, margin=40, point_radius=1.6) -> str:
         pts = np.asarray(pts, dtype=float)
         labels = np.asarray(labels, dtype=int) if labels is not None else np.zeros(len(pts), dtype=int)
         for (x, y), lab in zip(pts, labels):
-            panel.circle(x, y, point_radius, PALETTE[lab % len(PALETTE)], opacity=0.55)
+            panel.circle(x, y, POINT_RADIUS, PALETTE[lab % len(PALETTE)], opacity=0.55)
         panels.append(panel)
     n = max(len(point_sets), 1)
     return render(panels, margin + n * (panel_size + margin), panel_size + 2 * margin)
@@ -131,11 +136,12 @@ def field_columns(header) -> list[str]:
             *(f"{ck}_{i}" for ck in _classifier_keys(header) for i in (0, 1))]
 
 
-def field_svg(columns, panel_size=420, margin=48, arrow_scale=0.25) -> str:
+def field_svg(columns) -> str:
     """Quiver plot of a curvature-field table, given as columns (see
     evaluation.curvature_field): marginal score (gray), the two
     Bayes-classifier gradients (blue/red), and positive-curvature eigenvector
     segments (green) where the gate is on."""
+    panel_size, margin = FIELD
     col = {k: v.tolist() if isinstance(v, np.ndarray) else list(v) for k, v in columns.items()}
     if not col.get("x0"):
         return render([Panel(margin, margin, panel_size, panel_size, (-1, 1, -1, 1), "field")],
@@ -153,7 +159,7 @@ def field_svg(columns, panel_size=420, margin=48, arrow_scale=0.25) -> str:
         cap = 0.9 * spacing
         if norm > cap > 0:
             dx, dy = dx / norm * cap, dy / norm * cap
-        return dx * arrow_scale / max(arrow_scale, 0.25), dy * arrow_scale / max(arrow_scale, 0.25)
+        return dx, dy
 
     x0, x1 = col["x0"], col["x1"]
     arrows = [(col["score0"], col["score1"], "#777777", 0.8)]
@@ -161,7 +167,7 @@ def field_svg(columns, panel_size=420, margin=48, arrow_scale=0.25) -> str:
                for j, ck in enumerate(_classifier_keys(col))]
     for i in range(len(x0)):
         for u, v, color, opacity in arrows:
-            dx, dy = clipped(u[i] * arrow_scale, v[i] * arrow_scale)
+            dx, dy = clipped(u[i] * ARROW_SCALE, v[i] * ARROW_SCALE)
             panel.arrow(x0[i], x1[i], dx, dy, color, 0.8, opacity)
     half = 0.45 * spacing
     for x, y, gate, e0, e1 in zip(x0, x1, col["gate"], col["evec0"], col["evec1"]):
@@ -170,8 +176,9 @@ def field_svg(columns, panel_size=420, margin=48, arrow_scale=0.25) -> str:
     return render([panel], panel_size + 2 * margin, panel_size + 2 * margin)
 
 
-def line_chart_svg(rows, x_key, y_keys, group_key=None, panel_size=420, margin=56) -> str:
+def line_chart_svg(rows, x_key, y_keys, group_key=None) -> str:
     """Tradeoff curves: one polyline per y key (and per group value)."""
+    panel_size, margin = CHART
     if not rows:
         return render([Panel(margin, margin, panel_size, panel_size, (-1, 1, -1, 1), "sweep")],
                       panel_size + 2 * margin, panel_size + 2 * margin)

@@ -18,7 +18,7 @@ from sfglab.config import (KEYWORDS, SCHEMA, ConfigError, _deep_merge, config_ha
                            sweep_points, task_specs, validate_config)
 from sfglab.datasets import LabeledPointSet, sample_gmm
 from sfglab.guidance import GuidanceSpec
-from sfglab.model import ScoreModel, save_checkpoint
+from sfglab.model import ScoreModel, TrainingDiverged, save_checkpoint
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -65,9 +65,12 @@ def two_gaussian_config(out):
 
 EXAMPLES = sorted((Path(__file__).parent.parent / "examples_config").glob("*.json"))
 
-# values that only a run object's constructor rejects, with the command that
-# consumes them: (base config, change, command)
+# values that the config loader rejects after the schema, with the command
+# that consumes them: (base config, change, command)
 REJECTED_VALUES = {
+    "sample_model_not_a_model": (fractal_config, {"sample": {"model": "nope"}}, "sample"),
+    "field_on_a_3d_task": (two_gaussian_config, {"data": {"two_gaussian": {"ambient_dim": 3}},
+                                                  "eval": {"field": {"grid_n": 5}}}, "eval"),
     "train_batches_below_warmup": (fractal_config, {"models": {"main": {"train": {"batches": 4}}}}, "train"),
     "train_sigma_min_above_max": (fractal_config, {"train": {"sigma_min": 6.0, "sigma_max": 5.0}}, "train"),
     "schedule_sigma_min_above_max": (fractal_config, {"schedule": {"sigma_min": 6.0, "sigma_max": 5.0}},
@@ -361,6 +364,30 @@ class TestExitCodes:
         assert main([command, "--config", path]) == 2
         assert "sample.class_id 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sample", "sweep"])
+    def test_class_id_on_an_unconditional_model_is_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        cfg = fractal_config(out)
+        cfg["models"]["main"]["conditional"] = False
+        cfg["sample"]["class_id"] = 1
+        cfg["sweep"] = {"kind": "sfg", "weights": [1.0]}
+        path = write_config(tmp_path, cfg)
+        out.mkdir()
+        save_checkpoint(ScoreModel(2, [16], seed=1), out / "main.ckpt")
+        assert main([command, "--config", path]) == 2
+        assert "sample.class_id 1 is not a class of model 'main', which is unconditional" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("class_id", [None, -1])
+    def test_unconditional_ids_on_an_unconditional_model(self, tmp_path, class_id):
+        out = tmp_path / "out"
+        cfg = fractal_config(out)
+        cfg["sample"]["class_id"] = class_id
+        out.mkdir()
+        save_checkpoint(ScoreModel(2, [16], seed=1), out / "main.ckpt")
+        assert main(["sample", "--config", write_config(tmp_path, cfg)]) == 0
+        assert not LabeledPointSet.from_csv(out / "samples_sfg.csv").labels.any()
+
     @pytest.mark.parametrize("field, change", [
         ("sample.n_samples", {"sample": {"n_samples": 3}}),
         ("eval.frechet_reference_n", {"eval": {"frechet_reference_n": 4}}),
@@ -442,6 +469,29 @@ class TestExitCodes:
         assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 3
         assert "metric coverage_entropy is nan, not a finite number" in capsys.readouterr().err
         assert not (out / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("snapshot", [True, False])
+    def test_training_divergence_is_3(self, tmp_path, capsys, monkeypatch, snapshot):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, fractal_config(out))
+        assert main(["gen-data", "--config", path]) == 0
+        last_good = ScoreModel(2, [16], n_classes=2, seed=1) if snapshot else None
+
+        def diverge(*args, **kwargs):
+            raise TrainingDiverged(17, float("inf"), last_good)
+
+        monkeypatch.setattr(cli, "train", diverge)
+        assert main(["train", "--config", path]) == 3
+        assert "training 'main' diverged at batch 17" in capsys.readouterr().err
+        assert (out / "main_lastgood.ckpt").exists() == snapshot
+        assert not (out / "main.ckpt").exists()
+
+    def test_missing_samples_file_is_4(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = fractal_config(out)
+        cfg["eval"]["samples_file"] = "nope.csv"
+        assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 4
+        assert f"samples file {out / 'nope.csv'} not found" in capsys.readouterr().err
 
     def test_missing_config_is_4(self, capsys):
         assert main(["train", "--config", "/definitely/not/here.json"]) == 4
@@ -760,6 +810,23 @@ class TestPipeline:
         assert main(["eval", "--config", path]) == 0
         for v in ("4", "2", "0.5"):
             assert (out / f"field_var{v}.csv").exists()
+
+    def test_fractal_eval_field_tables(self, tmp_path):
+        # the fractal's mixture is 2-d, so eval.field applies to it as well;
+        # with no samples file the report keeps its five keys, empty
+        out = tmp_path / "run"
+        cfg = fractal_config(out)
+        cfg["eval"]["field"] = {"variances": [4.0, 0.5], "grid_lo": -1.0, "grid_hi": 1.0, "grid_n": 5}
+        assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 0
+        for v in ("4", "0.5"):
+            header, *lines = (out / f"field_var{v}.csv").read_text().splitlines()
+            assert len(lines) == 25 and "gate" in header.split(",")
+            assert np.isfinite([float(c) for line in lines for c in line.split(",")]).all()
+        manifest = json.loads((out / "eval_manifest.json").read_text())
+        assert manifest["extra"]["tables"] == {"field_var4.csv": 25, "field_var0.5.csv": 25}
+        assert json.loads((out / "eval_report.json").read_text()) == {
+            "esm_rows": [], "outlier_rate": None, "coverage_entropy": None, "frechet": None,
+            "sfg_stats": None}
 
 
 class TestSweepCommand:

@@ -7,7 +7,7 @@ import pytest
 from sfglab.datasets import (Fractal, FractalSpec, GmmSpec, LabeledPointSet,
                              make_outlier_gmm, make_saddle_gmm, make_simplex_gmm,
                              make_two_gaussian, sample_gmm)
-from sfglab.evaluation import (EvalReport, _nearest_mahalanobis, coverage_entropy,
+from sfglab.evaluation import (_nearest_mahalanobis, coverage_entropy,
                                curvature_field, esm_by_region, gaussian_frechet, make_grid,
                                outlier_rate, sfg_stats, sweep_to_csv)
 from sfglab import oracle
@@ -399,19 +399,6 @@ class TestReportAndStats:
         assert stats["lambda_max"] == 0.5
         assert stats["lambda_min"] == -1.0
         assert np.isclose(stats["alpha_final_mean"], 1.15)
-
-    def test_report_validation(self):
-        with pytest.raises(ValueError):
-            EvalReport(outlier_rate=1.5)
-        with pytest.raises(ValueError):
-            EvalReport(frechet=float("nan"))
-
-    def test_report_round_trip(self, tmp_path):
-        rep = EvalReport(outlier_rate=0.1, coverage_entropy=1.2, frechet=0.5)
-        rep.to_json(tmp_path / "r.json")
-        import json
-        loaded = json.loads((tmp_path / "r.json").read_text())
-        assert loaded["outlier_rate"] == 0.1
 
 
 def reference_table_bytes(rows):

@@ -661,6 +661,15 @@ class TestOracleModelConditional:
             om.predict_velocity(x, np.array([0.3, 0.5]))
         assert np.array_equal(om.predict_velocity(x, np.array([0.3])), om.predict_velocity(x, 0.3))
 
+    def test_velocity_is_the_converted_noise_estimate(self):
+        om = OracleModel(make_two_gaussian(4.0, 1.0, 2))
+        x = np.random.default_rng(3).standard_normal((5, 2))
+        t = 0.3
+        want = eps_to_flow(om.predict_eps(x / (1 - t), t / (1 - t), [0, 1, -1, 0, 1]), x, t)
+        assert np.array_equal(om.predict_velocity(x, t, [0, 1, -1, 0, 1]), want)
+        with pytest.raises(ValueError, match="sigma must be > 0"):  # t = 0 is sigma = 0
+            om.predict_velocity(x, 0.0)
+
     def test_wrong_length_class_ids_rejected(self):
         om = OracleModel(make_two_gaussian(4.0, 1.0, 2))
         with pytest.raises(ValueError, match="one id per row"):

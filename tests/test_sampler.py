@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sfglab import oracle
 from sfglab.datasets import GmmSpec, make_two_gaussian
 from sfglab.guidance import GuidanceSpec
 from sfglab.model import OracleModel, ScoreModel
@@ -217,6 +218,18 @@ class TestGuidedProviders:
             t = sigma / (1.0 + sigma)  # the same level in flow time, with x_t = (1 - t) x
             assert np.abs(flow_mode.base_eps((1.0 - t) * x, t, None) - expected).max() <= tol
 
+    def test_classifier_smooths_the_mixture_once_per_sigma(self, monkeypatch):
+        calls = []
+        real_smooth = oracle.smooth
+        monkeypatch.setattr(oracle, "smooth", lambda *a: calls.append(a[1]) or real_smooth(*a))
+        spec = GuidanceSpec(kind="classifier", weight=2.0, classifier_class=0)
+        provider = GuidedProvider({"main": ScoreModel(2, [8], seed=5)}, [spec], gmm=self.spec)
+        x = np.random.default_rng(4).standard_normal((6, 2))
+        for _ in range(3):
+            for sigma in (0.5, 2.0):
+                provider.base_eps(x, sigma, None)
+        assert calls == [0.5, 2.0]
+
     def test_sfg_gate_closed_task_is_bitwise_unguided(self):
         om = single_gaussian_oracle()
         provider = GuidedProvider({"main": om}, [GuidanceSpec(kind="sfg", weight=3.0)])
@@ -414,6 +427,25 @@ class TestModelBackedSampling:
         trajs = sample(GuidedProvider({"main": m}, [GuidanceSpec(kind="none")],
                                       mode="flow"), sch, 8, seed=20)
         assert trajs.points.shape == (8, 2)
+
+    def test_flow_identity_weights_match_the_unguided_provider(self):
+        # in flow mode the provider turns each velocity into eps and its
+        # estimate back into a velocity, so identity weights are bitwise the
+        # unguided provider, and the bare predict_velocity up to that round trip
+        main = ScoreModel(2, [16], param="flow", seed=19)
+        table = {"main": main, "bad": ScoreModel(2, [16], param="flow", seed=23)}
+        sch = flow_time_schedule(10, 0.05, 5.0)
+
+        def run(stack):
+            provider = GuidedProvider(table, stack, mode="flow", gmm=make_two_gaussian(4.0, 1.0, 2))
+            return sample(provider, sch, 64, seed=20).points
+
+        base = run([GuidanceSpec(kind="none")])
+        for spec in (GuidanceSpec(kind="classifier", weight=0.0, classifier_class=0),
+                     GuidanceSpec(kind="autoguidance", weight=1.0, companion="bad")):
+            assert np.array_equal(run([spec]), base)
+        bare = sample(main.predict_velocity, sch, 64, seed=20, dim=2).points
+        assert np.allclose(bare, base, rtol=0, atol=1e-12)
 
     def test_mode_schedule_mismatch_rejected(self):
         m = ScoreModel(2, [16], seed=21)
