@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation, svg
-from .config import (ConfigError, MissingArtifact, NumericFailure, config_hash, guidance_stack,
-                     load_config, schedule, sweep_points, task_specs, train_config)
+from .config import ConfigError, MissingArtifact, NumericFailure, Run, config_hash, load_config
 from .datasets import LabeledPointSet, read_csv, sample_gmm
 from .model import TrainingDiverged, load_checkpoint, save_checkpoint, train
 from .oracle import smooth
@@ -59,11 +58,6 @@ def _write_manifest(path: Path, command: str, cfg: dict, extra: dict | None = No
     if extra:
         doc["extra"] = extra
     _write_json(path, doc)
-
-
-def _sample_tag(cfg: dict) -> str:
-    """Names the sample files: sample.tag, else the guidance kinds joined by '+'."""
-    return cfg["sample"].get("tag") or "+".join(d["kind"] for d in cfg["guidance"]) or "none"
 
 
 def _read_points(path) -> LabeledPointSet:
@@ -127,35 +121,36 @@ def _sfg_stats_of(manifest: Path):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_gen_data(cfg: dict) -> int:
+def cmd_gen_data(run: Run) -> int:
+    cfg = run.cfg
     out = _ensure_out(cfg)
-    train_set = sample_gmm(task_specs(cfg)["base"], cfg["data"]["n_train"], derive_seed(cfg["seed"], 100))
+    train_set = sample_gmm(run.specs["base"], cfg["data"]["n_train"], derive_seed(cfg["seed"], 100))
     train_set.to_csv(out / "train.csv")
-    files = {"train.csv": len(train_set)}
-    _write_manifest(out / "gen_data_manifest.json", "gen-data", cfg, {"files": files})
-    print(f"gen-data: wrote {sorted(files)} to {out}")
+    _write_manifest(out / "gen_data_manifest.json", "gen-data", cfg, {"files": {"train.csv": len(train_set)}})
+    print(f"gen-data: wrote ['train.csv'] to {out}")
     return 0
 
 
-def cmd_train(cfg: dict) -> int:
+def cmd_train(run: Run) -> int:
+    cfg = run.cfg
     out = _ensure_out(cfg)
     train_csv = out / "train.csv"
     if not train_csv.exists():
         raise MissingArtifact(f"{train_csv} not found; run gen-data first")
     dataset = _read_points(train_csv)
-    models = cfg.get("models")
-    if not models:
+    if not run.train:
         raise ConfigError("train needs a models section")
-    for name in sorted(models):
-        mcfg = models[name]
+    for name, tcfg in run.train.items():
+        mcfg = cfg["models"][name]
         try:
-            model = train(dataset, mcfg["hidden"], train_config(cfg, name),
-                          conditional=mcfg.get("conditional", False))
+            model = train(dataset, mcfg["hidden"], tcfg, conditional=mcfg.get("conditional", False))
         except TrainingDiverged as exc:
+            saved = "no good checkpoint to save"
             if exc.last_good is not None:
                 save_checkpoint(exc.last_good, out / f"{name}_lastgood.ckpt")
+                saved = f"last good checkpoint saved to {name}_lastgood.ckpt"
             raise NumericFailure(f"training {name!r} diverged at batch {exc.batch} "
-                                 f"(loss {exc.loss}); last good checkpoint saved") from exc
+                                 f"(loss {exc.loss}); {saved}") from exc
         save_checkpoint(model, out / f"{name}.ckpt")
         losses = [{"batch": b, "lr": lr, "loss": loss} for b, lr, loss in model.loss_history]
         evaluation.sweep_to_csv(losses, out / f"{name}_loss.csv")
@@ -196,39 +191,36 @@ def _class_ids_for(cfg: dict, model, n_samples: int):
     return choice
 
 
-def _stack_sampler(cfg: dict, out: Path, specs):
+def _stack_sampler(run: Run, out: Path, specs):
     """Load sample.model (as 'main') plus the companions of specs; returns
-    run(stack) -> (Trajectories, Schedule), which samples one guidance stack
-    over that model table with the run's seed, schedule, class ids and start
-    latents. The latents depend on none of the stack, so they are drawn once
-    for every stack run samples."""
+    sample_stack(stack) -> Trajectories, which samples one guidance stack over
+    that model table with the run's seed, schedule, class ids and start latents,
+    drawn once: they depend on none of the stack."""
+    cfg, sch, gmm = run.cfg, run.schedule, run.specs["base"]
     main = cfg["sample"]["model"]
-    gmm = task_specs(cfg)["base"]
     table = _load_models(out, sorted({main} | {s.companion for s in specs if s.companion}), gmm.dim)
     table["main"] = table[main]
-    mode = "eps" if cfg["schedule"]["kind"] == "sigma" else "flow"
+    mode = "eps" if sch.kind == "sigma" else "flow"
     n_samples = cfg["sample"]["n_samples"]
     class_ids = _class_ids_for(cfg, table["main"], n_samples)
-    sch = schedule(cfg)
     x0 = initial_latents(cfg["seed"], n_samples, table["main"].data_dim, sch.steps[0])
 
-    def run(stack):
+    def sample_stack(stack):
         provider = GuidedProvider(table, stack, mode=mode, gmm=gmm)
         trajs = sample(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
                        chunk_size=cfg["sample"]["chunk_size"], threads=cfg["threads"], x0=x0)
         if trajs.n_failed == n_samples:
             raise NumericFailure("all trajectories became non-finite")
-        return trajs, sch
+        return trajs
 
-    return run
+    return sample_stack
 
 
-def cmd_sample(cfg: dict) -> int:
+def cmd_sample(run: Run) -> int:
+    cfg, tag = run.cfg, run.tag
     out = _ensure_out(cfg)
-    specs = guidance_stack(cfg)
-    trajs, sch = _stack_sampler(cfg, out, specs)(specs)
+    trajs = _stack_sampler(run, out, run.guidance)(run.guidance)
     n_samples = cfg["sample"]["n_samples"]
-    tag = _sample_tag(cfg)
     trajs.to_point_set().to_csv(out / f"samples_{tag}.csv")
     extra = {"tag": tag, "n_failed": trajs.n_failed, "n_samples": n_samples}
     if trajs.sfg_trace is not None:
@@ -236,7 +228,7 @@ def cmd_sample(cfg: dict) -> int:
         trace = {k: v[:, ~trajs.failed] for k, v in trajs.sfg_trace.items()}
         extra["sfg_stats"] = evaluation.sfg_stats(trace)
         lam, gate, alpha = (trace[k] for k in ("lambda", "gate", "alpha"))
-        evaluation.sweep_to_csv([{"step": k, "level": sch.steps[k], "gate_fraction": gate[k].mean(),
+        evaluation.sweep_to_csv([{"step": k, "level": run.schedule.steps[k], "gate_fraction": gate[k].mean(),
                                   "lambda_mean": lam[k].mean(), "lambda_min": lam[k].min(),
                                   "lambda_max": lam[k].max(), "alpha_mean": alpha[k].mean()}
                                  for k in range(len(lam))], out / f"sfg_trace_{tag}.csv")
@@ -254,14 +246,14 @@ def _frechet_sized(s: LabeledPointSet) -> LabeledPointSet:
     return s
 
 
-def _sample_metrics(cfg: dict, specs: dict) -> dict:
+def _sample_metrics(run: Run) -> dict:
     """Sample-set metrics against the task mixture: Frechet distance to a
     seeded reference draw, outlier rate (Mahalanobis distance to the nearest
     component, default threshold 4) and coverage entropy. Each returns a
     finite float or raises NumericFailure naming the metric."""
-    ecfg = cfg["eval"]
-    base, threshold = specs["base"], ecfg["outlier_threshold"] or 4.0
-    n, seed = ecfg["frechet_reference_n"], derive_seed(cfg["seed"], 999)
+    ecfg, base = run.cfg["eval"], run.specs["base"]
+    threshold = 4.0 if ecfg["outlier_threshold"] is None else ecfg["outlier_threshold"]
+    n, seed = ecfg["frechet_reference_n"], derive_seed(run.cfg["seed"], 999)
     # drawn on first use, so the reference is not held while the larger
     # outlier/coverage arrays of an earlier metric call are alive
     ref = functools.cache(lambda: sample_gmm(base, n, seed).points)
@@ -281,9 +273,9 @@ def _sample_metrics(cfg: dict, specs: dict) -> dict:
     }.items()}
 
 
-def cmd_eval(cfg: dict) -> int:
+def cmd_eval(run: Run) -> int:
+    cfg, specs = run.cfg, run.specs
     out = _ensure_out(cfg)
-    specs = task_specs(cfg)
     ecfg = cfg["eval"]
     # every key is present: a section this task or run does not fill stays empty
     report = {"esm_rows": [], "outlier_rate": None, "coverage_entropy": None, "frechet": None,
@@ -302,14 +294,14 @@ def cmd_eval(cfg: dict) -> int:
         report["esm_rows"] = rows
 
     # a relative samples_file is relative to out; an absolute one replaces it
-    spath = out / (ecfg.get("samples_file") or f"samples_{_sample_tag(cfg)}.csv")
+    spath = out / (ecfg.get("samples_file") or f"samples_{run.tag}.csv")
     if ecfg.get("samples_file") and not spath.exists():
         raise MissingArtifact(f"samples file {spath} not found")
     if spath.exists():
         samples = _read_points(spath)
         _check_dim(spath, samples.dim, specs["base"].dim)
         samples = _frechet_sized(samples)  # every eval computes the Frechet distance
-        metrics = _sample_metrics(cfg, specs)
+        metrics = _sample_metrics(run)
         for key in ("outlier_rate", "coverage_entropy", "frechet"):
             report[key] = metrics[key](samples)
         # the manifest of the sample run that wrote the file sits beside it
@@ -317,7 +309,7 @@ def cmd_eval(cfg: dict) -> int:
         if manifest.exists():
             report["sfg_stats"] = _sfg_stats_of(manifest)
 
-    if "field" in ecfg:  # a 2-d task mixture: config._cross_field_check
+    if "field" in ecfg:  # a 2-d task mixture: config._build_run
         fcfg = ecfg["field"]
         grid = evaluation.make_grid(fcfg.get("grid_lo", -4.0), fcfg.get("grid_hi", 4.0),
                                     fcfg.get("grid_n", 21))
@@ -334,24 +326,23 @@ def cmd_eval(cfg: dict) -> int:
     return 0
 
 
-def cmd_sweep(cfg: dict) -> int:
-    out = _ensure_out(cfg)
-    if not cfg.get("sweep"):
+def cmd_sweep(run: Run) -> int:
+    out = _ensure_out(run.cfg)
+    if not run.sweep:
         raise ConfigError("sweep needs a sweep section")
-    points = sweep_points(cfg)
-    run = _stack_sampler(cfg, out, [s for _, stack in points for s in stack])
-    available = _sample_metrics(cfg, task_specs(cfg))
-    metrics = {name: available[name] for name in cfg["sweep"].get("metrics", ["frechet"])}
+    sample_stack = _stack_sampler(run, out, [s for _, stack in run.sweep for s in stack])
+    available = _sample_metrics(run)
+    metrics = {name: available[name] for name in run.cfg["sweep"].get("metrics", ["frechet"])}
     rows = []
-    for run_id, (row, stack) in enumerate(points):
+    for run_id, (row, stack) in enumerate(run.sweep):
         try:
-            samples = run(stack)[0].to_point_set()
+            samples = sample_stack(stack).to_point_set()
             rows.append({**row, **{name: fn(samples) for name, fn in metrics.items()}})
         except NumericFailure as exc:
             labels = ", ".join(f"{key}={value:g}" for key, value in row.items())
             raise NumericFailure(f"sweep run {run_id} ({labels}) failed: {exc}") from exc
     evaluation.sweep_to_csv(rows, out / "sweep.csv")
-    _write_manifest(out / "sweep_manifest.json", "sweep", cfg, {"rows": len(rows)})
+    _write_manifest(out / "sweep_manifest.json", "sweep", run.cfg, {"rows": len(rows)})
     print(f"sweep: {len(rows)} rows -> {out / 'sweep.csv'}")
     return 0
 
@@ -425,7 +416,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "plot":
             return cmd_plot(args)
-        cfg = load_config(args.config, {"seed": args.seed, "out": args.out, "threads": args.threads})
+        run = load_config(args.config, {"seed": args.seed, "out": args.out, "threads": args.threads})
         dispatch = {
             "gen-data": cmd_gen_data,
             "train": cmd_train,
@@ -433,7 +424,7 @@ def main(argv=None) -> int:
             "eval": cmd_eval,
             "sweep": cmd_sweep,
         }
-        return dispatch[args.command](cfg)
+        return dispatch[args.command](run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

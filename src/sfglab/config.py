@@ -1,11 +1,11 @@
-"""Run configuration: JSON checked against a published schema, and the
-builders that turn a config into run objects (task_specs, train_config,
-schedule, guidance_stack, sweep_points). The schema is a Draft 2020-12
-document, checked by a small built-in checker for the keywords it uses; it
-fixes shape and types. Each value rule lives in the constructor that
-consumes the value. The commands call these builders, and loading calls all
-of them once, so a config that loads does not fail later on a value they
-check."""
+"""Run configuration: JSON checked against a published schema, and one
+builder that turns a config into a Run, which holds every run object the
+config describes (task mixtures, training settings, schedule, guidance stack,
+sweep grid), each built once. The schema is a Draft 2020-12 document, checked
+by a small built-in checker for the keywords it uses; it fixes shape and
+types. Each value rule lives in the constructor that consumes the value.
+Loading runs them all and the commands read the Run, so a config that loads
+does not fail later on a value they check."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import os
+from dataclasses import dataclass
 
 from .datasets import (Fractal, FractalSpec, make_outlier_gmm, make_saddle_gmm, make_simplex_gmm,
                        make_two_gaussian)
@@ -161,7 +162,7 @@ SCHEMA = {
             "properties": {
                 "sigmas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
                 "n_per_region": {"type": "integer", "minimum": 1},
-                "outlier_threshold": {"type": ["number", "null"]},
+                "outlier_threshold": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "frechet_reference_n": {"type": "integer", "minimum": 2},
                 "samples_file": {"type": "string"},
                 "field": {
@@ -239,27 +240,6 @@ def task_specs(cfg: dict) -> dict:
     return {"base": Fractal(FractalSpec(**s)).gmm}
 
 
-def train_config(cfg: dict, name: str) -> TrainConfig:
-    """Training settings of model `name`: the run's train section overridden
-    by the model's own, seeded from the run seed and a hash of the name."""
-    name_key = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "little")
-    return TrainConfig(**{**cfg["train"], **cfg["models"][name].get("train", {})},
-                       seed=derive_seed(cfg["seed"], name_key))
-
-
-def schedule(cfg: dict) -> Schedule:
-    """The sampling schedule: power-law sigmas, or the same spacing mapped to
-    flow time."""
-    s = cfg["schedule"]
-    make = sigma_schedule if s["kind"] == "sigma" else flow_time_schedule
-    return make(s["n_steps"], s["sigma_min"], s["sigma_max"], s["rho"])
-
-
-def guidance_stack(cfg: dict) -> list[GuidanceSpec]:
-    """The run's guidance list as specs."""
-    return [GuidanceSpec(**d) for d in cfg["guidance"]]
-
-
 def sweep_points(cfg: dict) -> list[tuple[dict, list[GuidanceSpec]]]:
     """One (sweep.csv row labels, one-spec guidance stack) per grid point, in
     run order: weights outermost, then alphas, then h_values. alpha and h label
@@ -285,15 +265,31 @@ def sweep_points(cfg: dict) -> list[tuple[dict, list[GuidanceSpec]]]:
     return points
 
 
-def _cross_field_check(cfg: dict) -> None:
+@dataclass(frozen=True)
+class Run:
+    """A validated config and the run objects it describes. cfg is the merged
+    config that the manifests embed, specs the task_specs mixtures, sweep the
+    sweep_points grid ([] without a sweep section) and tag the sample files'
+    name piece: sample.tag, else the guidance kinds joined by '+'."""
+
+    cfg: dict
+    specs: dict
+    train: dict[str, TrainConfig]
+    schedule: Schedule
+    guidance: list[GuidanceSpec]
+    sweep: list[tuple[dict, list[GuidanceSpec]]]
+    tag: str
+
+
+def _build_run(cfg: dict) -> Run:
+    """Build each run object of cfg once and check the rules that span
+    fields; a value a constructor rejects is a ConfigError naming where."""
     task = cfg["task"]
     if task not in cfg.get("data", {}):
         raise ConfigError(f"task {task!r} needs a data.{task} section")
-    # the tag becomes part of file names in out, so it may not leave that directory
-    tag = cfg["sample"].get("tag", "")
-    if {"/", "\\", "\0"} & set(tag):
-        raise ConfigError(f"sample.tag {tag!r} must be a plain file-name piece "
-                          "(no path separator or NUL)")
+    tag = cfg["sample"].get("tag") or "+".join(d["kind"] for d in cfg["guidance"]) or "none"
+    if {"/", "\\", "\0"} & set(tag):  # the tag names files in out, so it may not leave it
+        raise ConfigError(f"sample.tag {tag!r} must be a plain file-name piece (no path separator or NUL)")
     models = cfg.get("models", {})
     main = cfg["sample"]["model"]
     if models and main not in models:
@@ -301,22 +297,36 @@ def _cross_field_check(cfg: dict) -> None:
     where = f"data.{task}"
     try:
         specs = task_specs(cfg)
-        for name in sorted(models):
+        train = {}
+        for name in sorted(models):  # the run's train section under the model's own
             where = f"train settings of model {name!r}"
-            train_config(cfg, name)
+            name_key = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "little")
+            train[name] = TrainConfig(**{**cfg["train"], **models[name].get("train", {})},
+                                      seed=derive_seed(cfg["seed"], name_key))
         where = "schedule"
-        schedule(cfg)
+        sc = cfg["schedule"]
+        make = sigma_schedule if sc["kind"] == "sigma" else flow_time_schedule
+        schedule = make(sc["n_steps"], sc["sigma_min"], sc["sigma_max"], sc["rho"])
         where = "guidance"
-        stacks = [guidance_stack(cfg)]
-        if cfg.get("sweep"):
-            stacks += [stack for _, stack in sweep_points(cfg)]
+        guidance = [GuidanceSpec(**d) for d in cfg["guidance"]]
+        sweep = sweep_points(cfg) if cfg.get("sweep") else []
+        stacks = [guidance, *(stack for _, stack in sweep)]
         for stack in stacks:
             check_stack(stack, models)
     except (ValueError, ArithmeticError) as exc:  # e.g. a schedule whose rho overflows
         raise ConfigError(f"bad {where}: {exc}") from exc
+    used = [spec for stack in stacks for spec in stack]
+    # on a sigma schedule a flow-matching model runs at flow time sigma/(1 + sigma), which
+    # must stay below 1; sample and sweep evaluate sample.model and the companions
+    top = schedule.steps[0]
+    flow = sorted(name for name in train.keys() & {main, *(s.companion for s in used)}
+                  if train[name].objective == "flow_matching")
+    if schedule.kind == "sigma" and flow and top / (1.0 + top) >= 1.0:
+        raise ConfigError(f"schedule.sigma_max {top:g} is too large for flow-matching model "
+                          f"{flow[0]!r}: its flow time sigma_max/(1 + sigma_max) rounds to 1")
     # the Bayes classifier of classifier guidance conditions on a label of the task mixture
     labels = sorted(set(specs["base"].labels.tolist()))
-    for spec in (s for stack in stacks for s in stack if s.kind == "classifier"):
+    for spec in (s for s in used if s.kind == "classifier"):
         if spec.classifier_class not in labels:
             raise ConfigError(f"classifier_class {spec.classifier_class} is not a label of the "
                               f"{task} task; its labels are {labels}")
@@ -328,9 +338,9 @@ def _cross_field_check(cfg: dict) -> None:
                               f"{dim} (the Frechet distance needs a full-rank covariance)")
     if "field" in cfg["eval"] and dim != 2:
         raise ConfigError(f"eval.field needs a 2-d task mixture; the {task} task is {dim}-d")
-    kinds = {s.kind for stack in stacks for s in stack}
-    if "cfg" in kinds and not models.get(main, {}).get("conditional", False):
+    if "cfg" in {s.kind for s in used} and not models.get(main, {}).get("conditional", False):
         raise ConfigError(f"cfg needs a conditional main model (got {main!r})")
+    return Run(cfg, specs, train, schedule, guidance, sweep, tag)
 
 
 # The Draft 2020-12 keywords _violations implements: exactly those SCHEMA uses.
@@ -399,15 +409,13 @@ def _violations(value, schema: dict, path: tuple):
             yield path, f"{value!r} is not above the exclusive minimum of {schema['exclusiveMinimum']!r}"
 
 
-def validate_config(raw: dict) -> dict:
-    """Schema check, defaults, then cross-field checks; returns the merged
-    config. A schema violation names the shallowest path that breaks SCHEMA."""
+def validate_config(raw: dict) -> Run:
+    """Schema check, defaults, then the run builder; returns the Run. A
+    schema violation names the shallowest path that breaks SCHEMA."""
     found = min(_violations(raw, SCHEMA, ()), key=lambda v: len(v[0]), default=None)
     if found is not None:
         raise ConfigError(f"config schema violation at {list(found[0])}: {found[1]}")
-    cfg = _deep_merge(DEFAULTS, raw)
-    _cross_field_check(cfg)
-    return cfg
+    return _build_run(_deep_merge(DEFAULTS, raw))
 
 
 _ENV = {"seed": "SFGLAB_SEED", "out": "SFGLAB_OUT", "threads": "SFGLAB_THREADS"}
@@ -440,11 +448,11 @@ def _number_reader(parse):
     return read
 
 
-def load_config(path, overrides=None) -> dict:
+def load_config(path, overrides=None) -> Run:
     """Read, override and validate a run config. The SFGLAB_SEED/SFGLAB_OUT/
     SFGLAB_THREADS environment variables override the file, and the non-None
     entries of overrides (seed/out/threads, the CLI flags) override both;
-    the result is validated like the file itself."""
+    the result is validated like the file itself into a Run."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=_not_a_number, parse_float=_number_reader(float),

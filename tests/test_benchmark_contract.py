@@ -25,7 +25,7 @@ from sfglab.model import ScoreModel, save_checkpoint  # noqa: E402
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_config_validates(name, tmp_path):
     for seed in (1, 5):
-        cfg = config.validate_config(WORKLOADS[name].config(seed, str(tmp_path)))
+        cfg = config.validate_config(WORKLOADS[name].config(seed, str(tmp_path))).cfg
         assert cfg["task"] in cfg["data"]
 
 
@@ -70,7 +70,7 @@ def test_training_fires_one_forward_and_one_backward_span_per_batch(tmp_path):
     finally:
         assert patcher.restore() == []
     counts = instrument.span_counts(tracer)
-    batches = {name: config.train_config(cfg, name).batches for name in cfg["models"]}
+    batches = {name: tc.batches for name, tc in config.validate_config(cfg).train.items()}
     assert batches == {"main": 6, "bad": 4}
     assert counts.get("model.train") == 2
     assert counts.get("model.fwd_train") == counts.get("model.bwd") == sum(batches.values())
@@ -151,7 +151,7 @@ def test_twogauss_eval_fires_the_field_and_csv_spans(tmp_path):
     cfg["eval"]["field"]["grid_n"] = 5
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    sample_gmm(config.task_specs(config.validate_config(cfg))["base"], 50, 3).to_csv(
+    sample_gmm(config.validate_config(cfg).specs["base"], 50, 3).to_csv(
         out / "samples_classifier.csv")
 
     tracer = Tracer()
@@ -185,7 +185,7 @@ def test_fractal_eval_and_sweep_fire_no_oracle_span(tmp_path):
     path.write_text(json.dumps(cfg))
     for name, mcfg in cfg["models"].items():
         save_checkpoint(ScoreModel(2, mcfg["hidden"], n_classes=2, seed=len(name)), out / f"{name}.ckpt")
-    base = config.task_specs(config.validate_config(cfg))["base"]
+    base = config.validate_config(cfg).specs["base"]
     sample_gmm(base, 50, 3).to_csv(out / "samples_autoguidance+sfg.csv")
 
     tracer = Tracer()

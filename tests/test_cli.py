@@ -12,10 +12,10 @@ import pytest
 
 from jsonschema import Draft202012Validator
 
-from sfglab import __version__, cli, evaluation
+from sfglab import __version__, cli, config, evaluation
 from sfglab.cli import main
 from sfglab.config import (KEYWORDS, SCHEMA, ConfigError, _deep_merge, config_hash, load_config,
-                           sweep_points, task_specs, validate_config)
+                           sweep_points, validate_config)
 from sfglab.datasets import LabeledPointSet, sample_gmm
 from sfglab.guidance import GuidanceSpec
 from sfglab.model import ScoreModel, TrainingDiverged, save_checkpoint
@@ -65,8 +65,8 @@ def two_gaussian_config(out):
 
 EXAMPLES = sorted((Path(__file__).parent.parent / "examples_config").glob("*.json"))
 
-# values that the config loader rejects after the schema, with the command
-# that consumes them: (base config, change, command)
+# values that the config loader rejects, with the command that consumes
+# them: (base config, change, command)
 REJECTED_VALUES = {
     "sample_model_not_a_model": (fractal_config, {"sample": {"model": "nope"}}, "sample"),
     "field_on_a_3d_task": (two_gaussian_config, {"data": {"two_gaussian": {"ambient_dim": 3}},
@@ -82,6 +82,11 @@ REJECTED_VALUES = {
                                        "gen-data"),
     "integral_float_seed": (fractal_config, {"seed": 3.0}, "gen-data"),
     "fractal_zero_jitter": (fractal_config, {"data": {"fractal": {"jitter_sigma": 0.0}}}, "gen-data"),
+    # sigma_max / (1 + sigma_max) rounds to 1, a pole of the flow-to-eps conversion
+    "flow_model_at_huge_sigma_max": (fractal_config, {"train": {"objective": "flow_matching"},
+                                                      "schedule": {"sigma_max": 1e17}}, "sample"),
+    "outlier_threshold_zero": (fractal_config, {"eval": {"outlier_threshold": 0}}, "eval"),
+    "outlier_threshold_negative": (fractal_config, {"eval": {"outlier_threshold": -1}}, "eval"),
 }
 
 # overrides validated like the file: (environment, flags)
@@ -229,7 +234,7 @@ class TestConfigValidation:
             "guidance": [{"kind": "autoguidance", "weight": 2.0, "companion": "bad"},
                          {"kind": "classifier", "weight": 1.0, "classifier_class": 1}],
             "sweep": {"kind": "classifier", "weights": [0.0, 2.0]},
-        })
+        }).cfg
         assert [s.classifier_class for _, stack in sweep_points(cfg) for s in stack] == [1, 1]
         cfg["guidance"] = cfg["guidance"][:1]  # no classifier spec: class 0
         assert [s.classifier_class for _, stack in sweep_points(cfg) for s in stack] == [0, 0]
@@ -269,7 +274,7 @@ class TestConfigValidation:
         assert main(["sample", "--config", write_config(tmp_path, cfg)]) == 2
         assert "config error: sample.tag" in capsys.readouterr().err
         cfg["sample"]["tag"] = "run.2-a_b"
-        assert validate_config(cfg)["sample"]["tag"] == "run.2-a_b"
+        assert validate_config(cfg).cfg["sample"]["tag"] == "run.2-a_b"
 
     @pytest.mark.parametrize("change", REJECTED_GUIDANCE.values(), ids=REJECTED_GUIDANCE.keys())
     def test_guidance_rejected_at_load(self, tmp_path, capsys, change):
@@ -292,9 +297,24 @@ class TestConfigValidation:
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_flow_model_at_a_huge_sigma_max_names_the_model(self, tmp_path, capsys):
+        # sample and sweep evaluate sample.model and the companions, each at flow
+        # time sigma / (1 + sigma) when it is a flow-matching model on a sigma schedule
+        cfg = _deep_merge(fractal_config(tmp_path / "out"), {"schedule": {"sigma_max": 1e17}})
+        cfg["models"]["bad"] = {"hidden": [8], "conditional": True, "train": {"objective": "flow_matching"}}
+        assert validate_config(cfg).schedule.steps[0] == 1e17  # no command evaluates 'bad'
+        cfg["sweep"] = {"kind": "autoguidance", "companion": "bad", "weights": [2.0]}
+        path = write_config(tmp_path, cfg)
+        for command in ("sample", "sweep"):
+            assert main([command, "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert "schedule.sigma_max 1e+17 is too large for flow-matching model 'bad'" in err
+        cfg["schedule"]["sigma_max"] = 1e15  # t = 1 - 1e-15 stays below 1
+        assert validate_config(cfg).sweep[0][1][0].companion == "bad"
+
     @pytest.mark.parametrize("path", EXAMPLES, ids=[p.name for p in EXAMPLES])
     def test_example_config_loads(self, path):
-        cfg = load_config(path)
+        cfg = load_config(path).cfg
         assert cfg["task"] in cfg["data"]
 
     def test_hash_stable_under_key_order(self):
@@ -302,7 +322,7 @@ class TestConfigValidation:
                              "data": {"simplex": {"n_components": 2, "ambient_dim": 4, "scale": 0.2}}})
         b = validate_config({"seed": 1, "task": "simplex",
                              "data": {"simplex": {"scale": 0.2, "ambient_dim": 4, "n_components": 2}}})
-        assert config_hash(a) == config_hash(b)
+        assert config_hash(a.cfg) == config_hash(b.cfg)
 
 
 class TestExitCodes:
@@ -482,7 +502,11 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "train", diverge)
         assert main(["train", "--config", path]) == 3
-        assert "training 'main' diverged at batch 17" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "training 'main' diverged at batch 17" in err
+        # the message names the snapshot file only when there was one to write
+        assert ("last good checkpoint saved to main_lastgood.ckpt" in err) == snapshot
+        assert ("no good checkpoint to save" in err) != snapshot
         assert (out / "main_lastgood.ckpt").exists() == snapshot
         assert not (out / "main.ckpt").exists()
 
@@ -514,7 +538,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         configs = {"fractal": fractal_config, "simplex": simplex_config, "two_gaussian": two_gaussian_config}
         cfg = configs[task](out)
-        task_dim = task_specs(validate_config(cfg))["base"].dim
+        task_dim = validate_config(cfg).specs["base"].dim
         out.mkdir()
         save_checkpoint(ScoreModel(3, [8], seed=0), out / "main.ckpt")
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 4
@@ -743,7 +767,7 @@ class TestPipeline:
     def test_fractal_eval_scores_against_the_mixture(self, tmp_path):
         out = tmp_path / "run"
         path = write_config(tmp_path, fractal_config(out))
-        base = task_specs(load_config(path))["base"]
+        base = load_config(path).specs["base"]
         draws = sample_gmm(base, 400, seed=2)
         noise = 0.03 * np.random.default_rng(3).standard_normal(draws.points.shape)
         out.mkdir()
@@ -755,6 +779,40 @@ class TestPipeline:
         rates = [evaluation.outlier_rate(samples, base, t) for t in (3.0, 4.0, 5.0)]
         assert rates[0] > report["outlier_rate"] == rates[1] > rates[2]
         assert report["coverage_entropy"] == evaluation.coverage_entropy(samples, base)
+
+    def test_small_outlier_threshold_is_used_as_given(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = fractal_config(out)
+        cfg["eval"]["outlier_threshold"] = 0.25
+        path = write_config(tmp_path, cfg)
+        base = load_config(path).specs["base"]
+        out.mkdir()
+        sample_gmm(base, 400, seed=2).to_csv(out / "samples_sfg.csv")
+        samples = LabeledPointSet.from_csv(out / "samples_sfg.csv")
+        assert main(["eval", "--config", path]) == 0
+        rate = json.loads((out / "eval_report.json").read_text())["outlier_rate"]
+        assert rate == evaluation.outlier_rate(samples, base, 0.25)
+        assert rate > evaluation.outlier_rate(samples, base, 4.0)
+
+    def test_each_command_builds_the_task_mixture_once(self, tmp_path, monkeypatch):
+        # loading builds every run object once; the commands read the Run
+        built = []
+
+        class CountedFractal(config.Fractal):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(config, "Fractal", CountedFractal)
+        cfg = fractal_config(tmp_path / "out")
+        cfg["sweep"] = {"kind": "sfg", "weights": [0.0, 1.0]}
+        path = write_config(tmp_path, cfg)
+        counts = {}
+        for command in ("gen-data", "train", "sample", "eval", "sweep"):
+            built.clear()
+            assert main([command, "--config", path]) == 0
+            counts[command] = len(built)
+        assert counts == {"gen-data": 1, "train": 1, "sample": 1, "eval": 1, "sweep": 1}
 
     def test_simplex_gen_data_files(self, tmp_path):
         # data.n_test is deprecated and ignored: a config that sets it writes the

@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator, validators
 
 from sfglab.cli import _read_table
-from sfglab.config import (SCHEMA, ConfigError, _violations, guidance_stack, schedule, task_specs,
-                           train_config, validate_config)
+from sfglab.config import SCHEMA, ConfigError, _violations, validate_config
 from sfglab.datasets import LabeledPointSet
 from sfglab.evaluation import sweep_to_csv
-from sfglab.model import ScoreModel, load_checkpoint, save_checkpoint
+from sfglab.model import ScoreModel, TrainConfig, load_checkpoint, save_checkpoint
 
 FAST = settings(max_examples=40, deadline=None)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -123,14 +122,21 @@ def run_configs(draw):
 @given(cfg=run_configs())
 def test_a_config_that_validates_builds_every_run_object(cfg):
     try:
-        cfg = validate_config(cfg)
+        run = validate_config(cfg)
     except ConfigError:
         return
-    task_specs(cfg)
-    for name in cfg["models"]:
-        train_config(cfg, name)
-    schedule(cfg)
-    guidance_stack(cfg)
+    assert run.specs["base"].dim == run.cfg["data"][cfg["task"]].get("ambient_dim", 2)
+    assert list(run.train) == sorted(cfg["models"])
+    for name, tc in run.train.items():
+        assert isinstance(tc, TrainConfig)
+        merged = {**run.cfg["train"], **cfg["models"][name].get("train", {})}
+        assert {key: getattr(tc, key) for key in merged} == merged
+    sc = run.cfg["schedule"]
+    assert (run.schedule.kind, run.schedule.n_steps) == (sc["kind"], sc["n_steps"])
+    assert run.schedule.steps[0] == (sc["sigma_max"] if sc["kind"] == "sigma"
+                                     else sc["sigma_max"] / (1 + sc["sigma_max"]))
+    assert [spec.kind for spec in run.guidance] == ["none"]
+    assert (run.sweep, run.tag) == ([], "none")
 
 
 # the reference for the built-in schema checker: jsonschema with the same
