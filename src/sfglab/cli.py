@@ -200,13 +200,12 @@ def _stack_sampler(run: Run, out: Path, specs):
     main = cfg["sample"]["model"]
     table = _load_models(out, sorted({main} | {s.companion for s in specs if s.companion}), gmm.dim)
     table["main"] = table[main]
-    mode = "eps" if sch.kind == "sigma" else "flow"
     n_samples = cfg["sample"]["n_samples"]
     class_ids = _class_ids_for(cfg, table["main"], n_samples)
-    x0 = initial_latents(cfg["seed"], n_samples, table["main"].data_dim, sch.steps[0])
+    x0 = initial_latents(cfg["seed"], n_samples, table["main"].data_dim, sch.sigmas[0])
 
     def sample_stack(stack):
-        provider = GuidedProvider(table, stack, mode=mode, gmm=gmm)
+        provider = GuidedProvider(table, stack, gmm=gmm)
         trajs = sample(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
                        chunk_size=cfg["sample"]["chunk_size"], threads=cfg["threads"], x0=x0)
         if trajs.n_failed == n_samples:

@@ -20,8 +20,7 @@ the sampler's GuidedProvider.
 
 Identity weights short-circuit (extrapolation at w = 1, the saddle-free and
 classifier updates at w = 0), so a stack at identity weights samples bitwise
-like the unguided stack of its GuidedProvider, which in flow mode can differ
-from the bare predict_velocity in the last bits (its v -> eps -> v round trip).
+like the unguided stack of its GuidedProvider.
 """
 
 from __future__ import annotations

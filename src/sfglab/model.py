@@ -139,9 +139,9 @@ class TrainingDiverged(RuntimeError):
 
 
 class _Predictor:
-    """predict_eps and predict_velocity over the native forward(x, level,
-    class_ids) of an "eps" model (level sigma, noise out) or a "flow" model
-    (level t, velocity out), converting with flow_to_eps and eps_to_flow."""
+    """predict_eps over the native forward(x, level, class_ids) of an "eps"
+    model (level sigma, noise out) or a "flow" model (level t, velocity out),
+    converting the latter with flow_to_eps."""
 
     def predict_eps(self, x, sigma, class_ids=None) -> np.ndarray:
         """Noise estimate at the diffusion-scale point x and noise level sigma."""
@@ -155,16 +155,6 @@ class _Predictor:
         tb = t[..., None]
         xf = (1.0 - tb) * np.asarray(x, dtype=float)
         return flow_to_eps(self.forward(xf, t, class_ids), xf, tb)
-
-    def predict_velocity(self, x, t, class_ids=None) -> np.ndarray:
-        """Flow velocity estimate at the flow-scale point x and time t in
-        [0, 1); an eps model needs t > 0."""
-        t = _check_flow_time(t)
-        if self.param == "flow":
-            return self.forward(x, t, class_ids)
-        tb = t[..., None]
-        eps = self.predict_eps(np.asarray(x, dtype=float) / (1.0 - tb), t / (1.0 - t), class_ids)
-        return eps_to_flow(eps, x, tb)
 
 
 class ScoreModel(_Predictor):
@@ -509,42 +499,44 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
     history = []
     last_good = None
 
-    for b in range(cfg.batches):
-        lr = _lr_at(cfg, b)
-        idx = rng.integers(0, len(points), size=rows)
-        np.take(points, idx, axis=0, out=x0)
-        rng.standard_normal(out=noise)
-        if cfg.objective == "dsm":
-            level = np.exp(rng.uniform(log_smin, log_smax, size=rows))
-            np.multiply(level[:, None], noise, out=xin)
-            xin += x0
-            target = noise
-        else:
-            level = rng.random(rows)
-            np.multiply((1.0 - level)[:, None], x0, out=xin)
-            xin += np.multiply(level[:, None], noise, out=flow_target)
-            target = np.subtract(noise, x0, out=flow_target)
-        if conditional:
-            ids = dataset.labels[idx].copy()
-            if cfg.label_dropout > 0:
-                ids[rng.random(rows) < cfg.label_dropout] = -1
-        else:
-            ids = None
-        mapped = model._map_class_ids(rows, ids)
-        model._features(xin, level, mapped, out=feats)
-        out, cache = model._forward(feats, want_cache=True)
-        residual = np.subtract(out, target, out=out)
-        with np.errstate(over="ignore"):  # divergence guard below owns this case
+    # a diverging run overflows before its loss turns non-finite; the loss
+    # guard below owns that case, so numpy stays silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(cfg.batches):
+            lr = _lr_at(cfg, b)
+            idx = rng.integers(0, len(points), size=rows)
+            np.take(points, idx, axis=0, out=x0)
+            rng.standard_normal(out=noise)
+            if cfg.objective == "dsm":
+                level = np.exp(rng.uniform(log_smin, log_smax, size=rows))
+                np.multiply(level[:, None], noise, out=xin)
+                xin += x0
+                target = noise
+            else:
+                level = rng.random(rows)
+                np.multiply((1.0 - level)[:, None], x0, out=xin)
+                xin += np.multiply(level[:, None], noise, out=flow_target)
+                target = np.subtract(noise, x0, out=flow_target)
+            if conditional:
+                ids = dataset.labels[idx].copy()
+                if cfg.label_dropout > 0:
+                    ids[rng.random(rows) < cfg.label_dropout] = -1
+            else:
+                ids = None
+            mapped = model._map_class_ids(rows, ids)
+            model._features(xin, level, mapped, out=feats)
+            out, cache = model._forward(feats, want_cache=True)
+            residual = np.subtract(out, target, out=out)
             loss = float(np.multiply(residual, residual, out=sq).sum() / rows)
-        if not np.isfinite(loss) or loss > 1e6:
-            raise TrainingDiverged(b, loss, last_good)
-        dout = np.multiply(2.0, residual, out=sq)
-        dout /= rows
-        model._backward(cache, mapped, dout, out=grad)
-        adam.step(grad, lr, b + 1)
-        history.append((b, lr, loss))
-        if snapshot_every and (b + 1) % snapshot_every == 0:
-            last_good = model.copy()
+            if not np.isfinite(loss) or loss > 1e6:
+                raise TrainingDiverged(b, loss, last_good)
+            dout = np.multiply(2.0, residual, out=sq)
+            dout /= rows
+            model._backward(cache, mapped, dout, out=grad)
+            adam.step(grad, lr, b + 1)
+            history.append((b, lr, loss))
+            if snapshot_every and (b + 1) % snapshot_every == 0:
+                last_good = model.copy()
     model.loss_history = history
     model._local = threading.local()  # drop the training buffers
     return model

@@ -1,10 +1,11 @@
 """Deterministic ODE samplers with a per-step guidance hook.
 
-sample() follows the schedule: over a sigma schedule it integrates the
-probability-flow dynamics dx/dsigma = eps(x, sigma) (denoiser form
-D = x - sigma * eps) with the 2nd-order Heun predictor/corrector and a plain
-Euler step into sigma = 0; over a flow-time schedule it integrates
-x' = v(x, t) with explicit Euler.
+sample() integrates the probability-flow dynamics dx/dsigma = eps(x, sigma)
+(denoiser form D = x - sigma * eps) at diffusion scale on every schedule: a
+flow-time schedule is stepped over its sigmas t / (1 - t). Over a sigma
+schedule it takes 2nd-order Heun predictor/corrector steps and a plain Euler
+step into sigma = 0; over a flow-time schedule it takes explicit Euler steps,
+the same map as Euler on the flow ODE x_t' = v(x_t, t) with x_t = (1 - t) x.
 
 All randomness of a run is drawn before the trajectories are split into
 chunks, each kind as one array from its own stream of the master seed (see
@@ -38,15 +39,16 @@ import numpy as np
 
 from . import guidance as gd
 from .datasets import GmmSpec, LabeledPointSet
-from .model import OracleModel, class_ids_per_row, eps_to_flow, flow_to_eps
+from .model import OracleModel, class_ids_per_row
 from .oracle import classifier_grad
 from .rng import LATENTS, SFG_START, generator
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Monotone discretization: decreasing sigmas (terminal 0 appended) or
-    flow times inside [0, 1)."""
+    """Decreasing discretization from noise to data: sigmas (terminal 0
+    appended) or flow times inside [0, 1). sigmas holds the noise levels the
+    sampler steps over, for either kind."""
 
     kind: str
     steps: np.ndarray
@@ -59,18 +61,17 @@ class Schedule:
             raise ValueError("schedule needs at least two points")
         if not np.all(np.isfinite(steps)):
             raise ValueError("schedule endpoints must be finite")
-        d = np.diff(steps)
-        if not (np.all(d > 0) or np.all(d < 0)):
-            raise ValueError("schedule must be strictly monotone")
-        if self.kind == "sigma":
-            if np.any(d >= 0):
-                raise ValueError("sigma schedule must decrease")
-            if np.any(steps < 0) or np.any(steps[:-1] <= 0):
-                raise ValueError("sigmas must be positive (terminal 0 allowed)")
-        else:
-            if np.any(steps < 0) or np.any(steps >= 1.0):
-                raise ValueError("flow times must lie in [0, 1)")
+        if not np.all(np.diff(steps) < 0):
+            raise ValueError("schedule must strictly decrease")
+        if steps[-1] < 0:
+            raise ValueError("schedule levels must be >= 0 (terminal 0 allowed)")
+        if self.kind == "flow_time" and steps[0] >= 1.0:
+            raise ValueError("flow times must lie in [0, 1)")
         object.__setattr__(self, "steps", steps)
+
+    @property
+    def sigmas(self) -> np.ndarray:
+        return self.steps if self.kind == "sigma" else self.steps / (1.0 - self.steps)
 
     @property
     def n_steps(self) -> int:
@@ -122,16 +123,13 @@ class Trajectories:
 class GuidedProvider:
     """Dispatches a stack of guidance specs over a model table.
 
-    All combinations are applied to noise estimates; in flow mode each model
-    evaluation is converted from a velocity via eps = (1 - t) v + x first and
-    the final estimate is converted back. A trailing saddle-free spec wraps
-    the combined estimate of everything before it, treating a stacked
-    system (e.g. autoguidance) as a single model.
+    All combinations are applied to noise estimates at diffusion scale, each
+    model evaluated through predict_eps(x, sigma, class_ids). A trailing
+    saddle-free spec wraps the combined estimate of everything before it,
+    treating a stacked system (e.g. autoguidance) as a single model.
     """
 
-    def __init__(self, models: dict, specs, *, mode: str = "eps", gmm: GmmSpec | None = None):
-        if mode not in ("eps", "flow"):
-            raise ValueError(f"unknown provider mode {mode!r}")
+    def __init__(self, models: dict, specs, *, gmm: GmmSpec | None = None):
         specs = list(specs)
         if "main" not in models:
             raise ValueError("model table must contain 'main'")
@@ -141,69 +139,44 @@ class GuidedProvider:
         self.models = models
         self.base_specs = [s for s in specs if s.kind != "sfg"]
         self.sfg_spec = specs[-1] if specs and specs[-1].kind == "sfg" else None
-        self.mode = mode
         self.bayes = None if gmm is None else OracleModel(gmm)  # the classifier's smoothed mixtures
         self.dim = models["main"].data_dim
 
     # -- noise-estimate chain ------------------------------------------------
 
-    def _model_eps(self, name: str, x, level, cls):
-        m = self.models[name]
-        if self.mode == "eps":
-            return m.predict_eps(x, level, cls)
-        v = m.predict_velocity(x, level, cls)
-        return flow_to_eps(v, x, level)
-
-    def _flow_time_of(self, level: float) -> float:
-        return level if self.mode == "flow" else level / (1.0 + level)
-
-    def _sigma_of(self, level: float) -> float:
-        return level / (1.0 - level) if self.mode == "flow" else level
-
-    def base_eps(self, x, level, cls):
-        eps = self._model_eps("main", x, level, cls)
+    def base_eps(self, x, sigma, cls):
+        eps = self.models["main"].predict_eps(x, sigma, cls)
         for s in self.base_specs:
             if s.kind in ("cfg", "autoguidance"):
-                if s.interval is None or s.interval[0] <= self._flow_time_of(level) <= s.interval[1]:
+                if s.interval is None or s.interval[0] <= sigma / (1.0 + sigma) <= s.interval[1]:
                     # cfg extrapolates from the unconditional estimate,
                     # autoguidance from the companion's at the same class
-                    weak = self._model_eps(s.companion, x, level, None if s.kind == "cfg" else cls)
+                    weak = self.models[s.companion].predict_eps(x, sigma, None if s.kind == "cfg" else cls)
                     eps = gd.extrapolate(eps, weak, s.weight)
             elif s.kind == "classifier" and s.weight != 0.0:
-                eps = eps - self._sigma_of(level) * s.weight * self._bayes_grad(x, level, s.classifier_class)
+                grad = classifier_grad(self.bayes.smoothed(-1, sigma), x, s.classifier_class)
+                eps = eps - sigma * s.weight * grad
         return eps
-
-    def _bayes_grad(self, x, level, class_id):
-        if self.mode == "flow":
-            x = np.asarray(x) / (1.0 - level)
-        return classifier_grad(self.bayes.smoothed(-1, self._sigma_of(level)), x, class_id)
 
     # -- sampling hooks --------------------------------------------------------
 
-    def predictor(self, x, level, cls, state):
-        """Guided estimate in the sampler's native space, the updated
-        saddle-free state, and the eps-space correction the corrector
-        subtracts (None without a saddle-free spec)."""
+    def predictor(self, x, sigma, cls, state):
+        """Guided noise estimate, the updated saddle-free state, and the
+        correction the corrector subtracts (None without a saddle-free spec)."""
         if self.sfg_spec is None:
-            eps, corr = self.base_eps(x, level, cls), None
-        else:
-            # In flow coordinates the probe h * t * v matches h * sigma * v in
-            # diffusion coordinates (x_t = (1 - t) x_diff with t = (1 - t) sigma),
-            # so the level plays the role of sigma in either mode.
-            eps, state, corr = gd.sfg_step(lambda z: self.base_eps(z, level, cls), x, level,
-                                           state, self.sfg_spec)
-        out = eps_to_flow(eps, x, level) if self.mode == "flow" else eps
-        return out, state, corr
+            return self.base_eps(x, sigma, cls), state, None
+        return gd.sfg_step(lambda z: self.base_eps(z, sigma, cls), x, sigma, state, self.sfg_spec)
 
-    def corrector(self, x, level, cls, corr):
-        eps = self.base_eps(x, level, cls)
+    def corrector(self, x, sigma, cls, corr):
+        eps = self.base_eps(x, sigma, cls)
         if corr is not None:
             eps = eps - corr
         return eps
 
 
 class _FieldProvider:
-    """Wraps a bare callable(x, level) -> estimate as an unguided provider."""
+    """Wraps a bare noise-estimate field callable(x, sigma) -> eps as an
+    unguided provider."""
 
     sfg_spec = None
 
@@ -211,11 +184,11 @@ class _FieldProvider:
         self.fn = fn
         self.dim = dim
 
-    def predictor(self, x, level, cls, state):
-        return np.asarray(self.fn(x, level), dtype=float), state, None
+    def predictor(self, x, sigma, cls, state):
+        return np.asarray(self.fn(x, sigma), dtype=float), state, None
 
-    def corrector(self, x, level, cls, corr):
-        return np.asarray(self.fn(x, level), dtype=float)
+    def corrector(self, x, sigma, cls, corr):
+        return np.asarray(self.fn(x, sigma), dtype=float)
 
 
 def _as_provider(provider, dim):
@@ -250,15 +223,12 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, t
     provider = _as_provider(provider, dim)
     if provider.dim is None:
         raise ValueError("pass dim= when sampling from a bare callable")
-    wanted = "eps" if schedule.kind == "sigma" else "flow"
-    if getattr(provider, "mode", wanted) != wanted:
-        raise ValueError(f"provider mode {provider.mode!r} does not fit a {schedule.kind} schedule")
     dim = provider.dim
-    steps = schedule.steps
+    sigmas = schedule.sigmas
     n_steps = schedule.n_steps
     ids_all = None if class_ids is None else class_ids_per_row(class_ids, n_samples)
     if x0 is None:
-        latents = initial_latents(seed, n_samples, dim, steps[0])
+        latents = initial_latents(seed, n_samples, dim, sigmas[0])
     else:
         latents = np.asarray(x0, dtype=float)  # only read: each chunk copies its rows
         if latents.shape != (n_samples, dim):
@@ -273,7 +243,7 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, t
         failed = np.zeros(hi - lo, dtype=bool)
         lams, alphas = [], []
         for k in range(n_steps):
-            s_cur, s_next = steps[k], steps[k + 1]
+            s_cur, s_next = sigmas[k], sigmas[k + 1]
             d_cur, state, corr = provider.predictor(x, s_cur, cls, state)
             if state is not None:
                 lams.append(state.last_lambda)
@@ -305,8 +275,9 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, t
 
 def sample(provider, schedule: Schedule, n_samples: int, seed: int, *,
            class_ids=None, chunk_size=256, threads=1, x0=None, dim=None) -> Trajectories:
-    """Heun over a sigma schedule (the final step to sigma = 0 is Euler),
-    explicit Euler x <- x + dt * v over a flow-time schedule."""
+    """Steps x <- x + (sigma' - sigma) * eps over schedule.sigmas: Heun over a
+    sigma schedule (the final step to sigma = 0 is Euler), explicit Euler over
+    a flow-time schedule."""
     return _sample_ode(provider, schedule, n_samples, seed, class_ids=class_ids,
                        chunk_size=chunk_size, threads=threads, x0=x0, dim=dim,
                        heun=schedule.kind == "sigma")

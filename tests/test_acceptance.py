@@ -145,13 +145,8 @@ class TestCriterion5CostContract:
                 counter["n"] += 1
                 return om.predict_eps(x, sigma, class_ids)
 
-            def predict_velocity(self, x, t, class_ids=None):
-                counter["n"] += 1
-                return om.predict_velocity(x, t, class_ids)
-
         sch = flow_time_schedule(40, 0.01, 20.0)
-        provider = GuidedProvider({"main": Counting()},
-                                  [GuidanceSpec(kind="sfg", weight=2.0)], mode="flow")
+        provider = GuidedProvider({"main": Counting()}, [GuidanceSpec(kind="sfg", weight=2.0)])
         sample(provider, sch, 8, seed=505)
         per_step = counter["n"] / sch.n_steps
         calls = []

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,8 @@ from sfglab.config import (KEYWORDS, SCHEMA, ConfigError, _deep_merge, config_ha
                            sweep_points, validate_config)
 from sfglab.datasets import LabeledPointSet, sample_gmm
 from sfglab.guidance import GuidanceSpec
-from sfglab.model import ScoreModel, TrainingDiverged, save_checkpoint
+from sfglab.model import ScoreModel, TrainingDiverged, load_checkpoint, save_checkpoint
+from sfglab.sampler import GuidedProvider, sample
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -510,6 +512,18 @@ class TestExitCodes:
         assert (out / "main_lastgood.ckpt").exists() == snapshot
         assert not (out / "main.ckpt").exists()
 
+    def test_diverging_training_prints_one_line(self, tmp_path):
+        # numpy's overflow warnings stay quiet: the loss guard owns divergence
+        path = write_config(tmp_path, _deep_merge(fractal_config(tmp_path / "out"), {"train": {"lr": 1e300}}))
+        src = str(Path(__file__).parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        assert main(["gen-data", "--config", path]) == 0
+        proc = subprocess.run([sys.executable, "-m", "sfglab.cli", "train", "--config", path],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == ("numeric failure: training 'main' diverged at batch 1 (loss nan); "
+                               "no good checkpoint to save\n")
+
     def test_missing_samples_file_is_4(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = fractal_config(out)
@@ -682,6 +696,37 @@ class TestPipeline:
         assert sorted(files[1]) == ["main.ckpt", "sample_manifest_sfg.json", "samples_sfg.csv",
                                     "sfg_trace_sfg.csv"]
         assert files[1] == files[2] == files[4]
+
+    def test_flow_time_pipeline_is_bytewise_identical_across_threads(self, tmp_path):
+        # a flow-matching model sampled over a flow-time schedule under
+        # classifier guidance, in three chunks
+        out = tmp_path / "run"
+        cfg = _deep_merge(two_gaussian_config(out), {
+            "models": {"main": {"hidden": [16]}},
+            "train": {"batches": 30, "batch_size": 32, "warmup_batches": 5, "objective": "flow_matching"},
+            "schedule": {"kind": "flow_time", "n_steps": 8, "sigma_min": 0.02, "sigma_max": 5.0},
+            "sample": {"n_samples": 24, "chunk_size": 8},
+            "guidance": [{"kind": "classifier", "weight": 2.0, "classifier_class": 0}],
+            "sweep": {"kind": "classifier", "weights": [0.0, 2.0], "metrics": ["frechet"]},
+        })
+        path = write_config(tmp_path, cfg)
+        files = {}
+        for threads in (1, 2):
+            shutil.rmtree(out, ignore_errors=True)
+            for command in ("gen-data", "train", "sample", "sweep"):
+                assert main([command, "--config", path, "--threads", str(threads)]) == 0
+            files[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert sorted(files[1]) == ["gen_data_manifest.json", "main.ckpt", "main_loss.csv",
+                                    "sample_manifest_classifier.json", "samples_classifier.csv",
+                                    "sweep.csv", "sweep_manifest.json", "train.csv", "train_manifest.json"]
+        assert files[1] == files[2]
+        # the command starts where sample() does, from latents scaled by the first sigma
+        run = load_config(path)
+        provider = GuidedProvider({"main": load_checkpoint(out / "main.ckpt")[0]}, run.guidance,
+                                  gmm=run.specs["base"])
+        want = sample(provider, run.schedule, 24, run.cfg["seed"]).points
+        got = LabeledPointSet.from_csv(out / "samples_classifier.csv").points
+        assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
 
     def test_relative_out_pipeline(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -591,10 +591,10 @@ class TestFlowObjective:
                           seed=17, objective="flow_matching")
         m = train(data, [32], cfg)
         assert m.param == "flow"
-        x = np.array([0.4, -0.2])
+        x = np.array([[0.4, -0.2]])
         t = 0.5
         sigma = t / (1 - t)
-        v = m.predict_velocity(x, t)
+        v = m.forward(x, t)  # the native velocity at the flow-scale point
         eps = m.predict_eps(x / (1 - t), sigma)
         assert np.allclose(flow_to_eps(v, x, t), eps, rtol=1e-10, atol=1e-12)
 
@@ -657,18 +657,6 @@ class TestOracleModelConditional:
         with pytest.raises(ValueError, match="one sigma"):
             om.predict_eps(x, np.array([0.5, 1.0]))
         assert np.array_equal(om.predict_eps(x, np.array([0.5])), om.predict_eps(x, 0.5))
-        with pytest.raises(ValueError, match="one sigma"):  # flow times too
-            om.predict_velocity(x, np.array([0.3, 0.5]))
-        assert np.array_equal(om.predict_velocity(x, np.array([0.3])), om.predict_velocity(x, 0.3))
-
-    def test_velocity_is_the_converted_noise_estimate(self):
-        om = OracleModel(make_two_gaussian(4.0, 1.0, 2))
-        x = np.random.default_rng(3).standard_normal((5, 2))
-        t = 0.3
-        want = eps_to_flow(om.predict_eps(x / (1 - t), t / (1 - t), [0, 1, -1, 0, 1]), x, t)
-        assert np.array_equal(om.predict_velocity(x, t, [0, 1, -1, 0, 1]), want)
-        with pytest.raises(ValueError, match="sigma must be > 0"):  # t = 0 is sigma = 0
-            om.predict_velocity(x, 0.0)
 
     def test_wrong_length_class_ids_rejected(self):
         om = OracleModel(make_two_gaussian(4.0, 1.0, 2))
@@ -767,7 +755,7 @@ class TestCheckpoint:
         save_checkpoint(m, tmp_path / "c.ckpt")
         loaded, _ = load_checkpoint(tmp_path / "c.ckpt")
         x = np.ones((2, 2)) * 0.3
-        got = loaded.predict_velocity(x, 0.25, np.array([1, -1]))
+        got = loaded.forward(x, 0.25, np.array([1, -1]))
         want_src = [b.astype(np.float32).astype(float) for b in m.parameter_blocks()]
         for blk, ref in zip(loaded.parameter_blocks(), want_src):
             assert np.array_equal(blk, ref)
@@ -785,6 +773,3 @@ def test_predict_helpers_dispatch():
             eps = m.predict_eps(x, 0.5, cls)
             assert eps.shape == (2,)
             assert np.array_equal(eps, m.predict_eps(x[None, :], 0.5, cls)[0])
-            vel = m.predict_velocity(x, 0.4, cls)
-            assert vel.shape == (2,)
-            assert np.array_equal(vel, m.predict_velocity(x[None, :], 0.4, cls)[0])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sfglab import oracle
-from sfglab.datasets import GmmSpec, make_two_gaussian
-from sfglab.guidance import GuidanceSpec
-from sfglab.model import OracleModel, ScoreModel
+from sfglab.datasets import GmmSpec, make_two_gaussian, sample_gmm
+from sfglab.guidance import GuidanceSpec, sfg_start, sfg_step
+from sfglab.model import OracleModel, ScoreModel, TrainConfig, eps_to_flow, flow_to_eps, train
 from sfglab.oracle import classifier_grad, smooth
 from sfglab.sampler import (GuidedProvider, Schedule, flow_time_schedule, initial_latents, sample,
                             sfg_start_vectors, sigma_schedule)
@@ -40,16 +40,24 @@ class TestSchedules:
         assert sch.kind == "flow_time"
         assert np.all(sch.steps >= 0) and np.all(sch.steps < 1)
         assert np.all(np.diff(sch.steps) < 0)
+        # the sampler steps over sigma = t / (1 - t): the sigma schedule's levels
+        ref = sigma_schedule(50)
+        assert np.allclose(sch.sigmas, ref.steps, rtol=1e-12, atol=0)
+        assert sch.sigmas[-1] == 0.0 and ref.sigmas is ref.steps
 
     def test_validation(self):
         with pytest.raises(ValueError):
             sigma_schedule(1, 0.1, 1.0)
         with pytest.raises(ValueError):
             sigma_schedule(10, 1.0, 0.5)
-        with pytest.raises(ValueError, match="monotone"):
+        with pytest.raises(ValueError, match="decrease"):
             Schedule("sigma", [1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="decrease"):  # data to noise is not a generation
+            Schedule("flow_time", [0.0, 0.5])
+        with pytest.raises(ValueError, match=">= 0"):
+            Schedule("sigma", [1.0, -0.5])
         with pytest.raises(ValueError, match="flow times"):
-            Schedule("flow_time", [0.2, 1.0])
+            Schedule("flow_time", [1.0, 0.2])
         with pytest.raises(ValueError, match="kind"):
             Schedule("whatever", [1.0, 0.0])
 
@@ -136,32 +144,39 @@ class TestRunDraws:
 
 
 class TestEulerFlow:
+    # over a flow-time schedule the sampler takes Euler steps of
+    # dx/dsigma = eps at the sigmas t / (1 - t)
+
     def test_zero_velocity_constant(self):
+        # a zero eps field is a zero dx/dsigma
         sch = flow_time_schedule(10)
         x0 = np.random.default_rng(8).standard_normal((8, 2))
-        trajs = sample(lambda x, t: np.zeros_like(x), sch, 8, seed=8, dim=2, x0=x0)
+        trajs = sample(lambda x, s: np.zeros_like(x), sch, 8, seed=8, dim=2, x0=x0)
         assert np.array_equal(trajs.points, x0)
 
     def test_straight_line_field_reaches_target(self):
-        # v(x, t) = (target - x) / (1 - t): the exact solution contracts the
-        # gap by (1 - t), so the integrator should land on the analytic value
+        # the denoiser D = x - sigma * eps fixed at target is the straight
+        # flow x_t = (1 - t) target + t noise; Euler follows it exactly:
+        # x(sigma) = target + (x0 - target) sigma / sigma_0 at every level
         target = np.array([2.0, -1.0])
-
-        def field(x, t):
-            return (target[None, :] - x) / (1.0 - t)
-
-        t_end = 0.999
-        steps = np.linspace(0.0, t_end, 400)
-        sch = Schedule("flow_time", steps)
+        sch = flow_time_schedule(40, 0.01, 5.0)
         x0 = np.array([[5.0, 5.0]])
+        seen = []
+
+        def field(x, sigma):
+            seen.append((x.copy(), sigma))
+            return (x - target[None, :]) / sigma
+
         trajs = sample(field, sch, 1, seed=9, dim=2, x0=x0)
-        exact_gap = np.linalg.norm(x0[0] - target) * (1.0 - t_end)
-        assert np.linalg.norm(trajs.points[0] - target) < 1.5 * exact_gap
+        assert len(seen) == sch.n_steps
+        for x, sigma in seen:
+            assert np.abs(x - (target + (x0 - target) * sigma / sch.sigmas[0])).max() < 1e-12
+        assert np.abs(trajs.points - target).max() < 1e-12
 
     def test_oracle_flow_generation(self):
         om = single_gaussian_oracle()
         sch = flow_time_schedule(100, 0.002, 80.0)
-        trajs = sample(om.predict_velocity, sch, 4000, seed=10, dim=2)
+        trajs = sample(om.predict_eps, sch, 4000, seed=10, dim=2)
         pts = trajs.points
         assert np.abs(pts.mean(axis=0)).max() < 0.1
         assert np.abs(np.cov(pts, rowvar=False) - np.eye(2)).max() < 0.12
@@ -207,16 +222,13 @@ class TestGuidedProviders:
 
     def test_classifier_guidance_shifts_eps_by_the_bayes_gradient(self):
         spec = GuidanceSpec(kind="classifier", weight=2.0, classifier_class=0)
-        eps_mode = GuidedProvider({"main": self.om}, [spec], gmm=self.spec)
-        flow_mode = GuidedProvider({"main": self.om}, [spec], mode="flow", gmm=self.spec)
+        provider = GuidedProvider({"main": self.om}, [spec], gmm=self.spec)
         x = np.random.default_rng(16).standard_normal((6, 2)) * 2
         for sigma in (0.2, 1.0, 5.0):
             expected = (self.om.predict_eps(x, sigma)
                         - sigma * 2.0 * classifier_grad(smooth(self.spec, sigma), x, 0))
             tol = 1e-9 * np.abs(expected).max()
-            assert np.abs(eps_mode.base_eps(x, sigma, None) - expected).max() <= tol
-            t = sigma / (1.0 + sigma)  # the same level in flow time, with x_t = (1 - t) x
-            assert np.abs(flow_mode.base_eps((1.0 - t) * x, t, None) - expected).max() <= tol
+            assert np.abs(provider.base_eps(x, sigma, None) - expected).max() <= tol
 
     def test_classifier_smooths_the_mixture_once_per_sigma(self, monkeypatch):
         calls = []
@@ -355,13 +367,8 @@ class TestCostContract:
                 counter["n"] += 1
                 return om.predict_eps(x, sigma, class_ids)
 
-            def predict_velocity(self, x, t, class_ids=None):
-                counter["n"] += 1
-                return om.predict_velocity(x, t, class_ids)
-
         sch = flow_time_schedule(25, 0.01, 10.0)
-        provider = GuidedProvider({"main": Counting()},
-                                  [GuidanceSpec(kind="sfg", weight=1.0)], mode="flow")
+        provider = GuidedProvider({"main": Counting()}, [GuidanceSpec(kind="sfg", weight=1.0)])
         sample(provider, sch, 4, seed=15)
         assert counter["n"] == 2 * sch.n_steps
 
@@ -424,31 +431,81 @@ class TestModelBackedSampling:
     def test_flow_model_euler_sampling(self):
         m = ScoreModel(2, [16], param="flow", seed=19)
         sch = flow_time_schedule(10, 0.05, 5.0)
-        trajs = sample(GuidedProvider({"main": m}, [GuidanceSpec(kind="none")],
-                                      mode="flow"), sch, 8, seed=20)
+        trajs = sample(GuidedProvider({"main": m}, [GuidanceSpec(kind="none")]), sch, 8, seed=20)
         assert trajs.points.shape == (8, 2)
 
     def test_flow_identity_weights_match_the_unguided_provider(self):
-        # in flow mode the provider turns each velocity into eps and its
-        # estimate back into a velocity, so identity weights are bitwise the
-        # unguided provider, and the bare predict_velocity up to that round trip
+        # every model call goes through predict_eps, so identity weights are
+        # bitwise the unguided provider, and that is bitwise the bare
+        # predict_eps field of the flow model
         main = ScoreModel(2, [16], param="flow", seed=19)
         table = {"main": main, "bad": ScoreModel(2, [16], param="flow", seed=23)}
         sch = flow_time_schedule(10, 0.05, 5.0)
 
         def run(stack):
-            provider = GuidedProvider(table, stack, mode="flow", gmm=make_two_gaussian(4.0, 1.0, 2))
+            provider = GuidedProvider(table, stack, gmm=make_two_gaussian(4.0, 1.0, 2))
             return sample(provider, sch, 64, seed=20).points
 
         base = run([GuidanceSpec(kind="none")])
         for spec in (GuidanceSpec(kind="classifier", weight=0.0, classifier_class=0),
                      GuidanceSpec(kind="autoguidance", weight=1.0, companion="bad")):
             assert np.array_equal(run([spec]), base)
-        bare = sample(main.predict_velocity, sch, 64, seed=20, dim=2).points
-        assert np.allclose(bare, base, rtol=0, atol=1e-12)
+        bare = sample(main.predict_eps, sch, 64, seed=20, dim=2).points
+        assert np.array_equal(bare, base)
 
-    def test_mode_schedule_mismatch_rejected(self):
-        m = ScoreModel(2, [16], seed=21)
-        provider = GuidedProvider({"main": m}, [GuidanceSpec(kind="none")], mode="eps")
-        with pytest.raises(ValueError, match="does not fit"):
-            sample(provider, flow_time_schedule(10), 4, seed=22)
+
+class TestFlowReference:
+    """sample over a flow-time schedule against reference loops written out
+    here, on a flow-matching model trained briefly on two Gaussians."""
+
+    N, SEED = 40, 31
+
+    @classmethod
+    def setup_class(cls):
+        cls.gmm = make_two_gaussian(4.0, 1.0, 2)
+        cfg = TrainConfig(batches=200, batch_size=64, warmup_batches=10, seed=32, objective="flow_matching")
+        cls.model = train(sample_gmm(cls.gmm, 400, seed=33), [32], cfg)
+        cls.sch = flow_time_schedule(20, 0.01, 10.0)
+
+    def sample(self, stack):
+        provider = GuidedProvider({"main": self.model}, stack, gmm=self.gmm)
+        return sample(provider, self.sch, self.N, seed=self.SEED)
+
+    def flow_euler(self, weight):
+        # Euler in flow coordinates x_t = (1 - t) x: x_t <- x_t + (t' - t) v
+        # with v the model's native velocity; under classifier guidance the
+        # guided eps goes back to a velocity through eps_to_flow
+        ts = self.sch.steps
+        x = initial_latents(self.SEED, self.N, 2, ts[0])
+        for t, t_next in zip(ts[:-1], ts[1:]):
+            v = self.model.forward(x, t)
+            if weight:
+                sigma = t / (1.0 - t)
+                grad = classifier_grad(smooth(self.gmm, sigma), x / (1.0 - t), 0)
+                v = eps_to_flow(flow_to_eps(v, x, t) - sigma * weight * grad, x, t)
+            x = x + (t_next - t) * v
+        return x
+
+    @pytest.mark.parametrize("stack, weight", [
+        ([GuidanceSpec(kind="none")], 0.0),
+        ([GuidanceSpec(kind="classifier", weight=2.0, classifier_class=0)], 2.0),
+    ], ids=["none", "classifier"])
+    def test_matches_euler_in_flow_coordinates(self, stack, weight):
+        got = self.sample(stack).points
+        want = self.flow_euler(weight)
+        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(want).max() > 1.0
+
+    def test_sfg_shift_is_alpha_sigma(self):
+        # Euler over sigma = t / (1 - t) with the saddle-free step at sigma,
+        # so its warm-start shift is alpha * sigma, not alpha * t
+        spec = GuidanceSpec(kind="sfg", weight=2.0)
+        trajs = self.sample([spec])
+        sigmas = self.sch.sigmas
+        x = initial_latents(self.SEED, self.N, 2, sigmas[0])
+        state = sfg_start(sfg_start_vectors(self.SEED, self.N, 2), spec)
+        for s, s_next in zip(sigmas[:-1], sigmas[1:]):
+            eps, state, _ = sfg_step(lambda z: self.model.predict_eps(z, s), x, s, state, spec)
+            x = x + (s_next - s) * eps
+        assert trajs.sfg_trace["gate"].any()
+        assert np.abs(trajs.points - x).max() < 1e-12
