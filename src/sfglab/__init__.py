@@ -7,7 +7,7 @@ in closed form and every guidance strategy can be checked against exact
 oracles.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .datasets import (
     Fractal,
@@ -53,7 +53,6 @@ from .guidance import (
 from .sampler import (
     Schedule,
     Trajectories,
-    flow_time_schedule,
     sample,
     sigma_schedule,
 )

@@ -150,7 +150,7 @@ def cmd_train(run: Run) -> int:
                 save_checkpoint(exc.last_good, out / f"{name}_lastgood.ckpt")
                 saved = f"last good checkpoint saved to {name}_lastgood.ckpt"
             raise NumericFailure(f"training {name!r} diverged at batch {exc.batch} "
-                                 f"(loss {exc.loss}); {saved}") from exc
+                                 f"({exc.what}); {saved}") from exc
         save_checkpoint(model, out / f"{name}.ckpt")
         losses = [{"batch": b, "lr": lr, "loss": loss} for b, lr, loss in model.loss_history]
         evaluation.sweep_to_csv(losses, out / f"{name}_loss.csv")
@@ -227,7 +227,7 @@ def cmd_sample(run: Run) -> int:
         trace = {k: v[:, ~trajs.failed] for k, v in trajs.sfg_trace.items()}
         extra["sfg_stats"] = evaluation.sfg_stats(trace)
         lam, gate, alpha = (trace[k] for k in ("lambda", "gate", "alpha"))
-        evaluation.sweep_to_csv([{"step": k, "level": run.schedule.steps[k], "gate_fraction": gate[k].mean(),
+        evaluation.sweep_to_csv([{"step": k, "level": run.schedule.sigmas[k], "gate_fraction": gate[k].mean(),
                                   "lambda_mean": lam[k].mean(), "lambda_min": lam[k].min(),
                                   "lambda_max": lam[k].max(), "alpha_mean": alpha[k].mean()}
                                  for k in range(len(lam))], out / f"sfg_trace_{tag}.csv")

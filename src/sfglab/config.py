@@ -23,7 +23,7 @@ from .datasets import (Fractal, FractalSpec, make_outlier_gmm, make_saddle_gmm, 
 from .guidance import GUIDANCE_KINDS, GuidanceSpec, check_stack
 from .model import TrainConfig
 from .rng import derive_seed
-from .sampler import Schedule, flow_time_schedule, sigma_schedule
+from .sampler import Schedule, sigma_schedule
 
 
 class ConfigError(ValueError):
@@ -305,8 +305,8 @@ def _build_run(cfg: dict) -> Run:
                                       seed=derive_seed(cfg["seed"], name_key))
         where = "schedule"
         sc = cfg["schedule"]
-        make = sigma_schedule if sc["kind"] == "sigma" else flow_time_schedule
-        schedule = make(sc["n_steps"], sc["sigma_min"], sc["sigma_max"], sc["rho"])
+        schedule = sigma_schedule(sc["n_steps"], sc["sigma_min"], sc["sigma_max"], sc["rho"],
+                                  solver="heun" if sc["kind"] == "sigma" else "euler")
         where = "guidance"
         guidance = [GuidanceSpec(**d) for d in cfg["guidance"]]
         sweep = sweep_points(cfg) if cfg.get("sweep") else []
@@ -316,12 +316,12 @@ def _build_run(cfg: dict) -> Run:
     except (ValueError, ArithmeticError) as exc:  # e.g. a schedule whose rho overflows
         raise ConfigError(f"bad {where}: {exc}") from exc
     used = [spec for stack in stacks for spec in stack]
-    # on a sigma schedule a flow-matching model runs at flow time sigma/(1 + sigma), which
-    # must stay below 1; sample and sweep evaluate sample.model and the companions
-    top = schedule.steps[0]
+    # a flow-matching model runs at flow time sigma/(1 + sigma), which must stay
+    # below 1; sample and sweep evaluate sample.model and the companions
+    top = schedule.sigmas[0]
     flow = sorted(name for name in train.keys() & {main, *(s.companion for s in used)}
                   if train[name].objective == "flow_matching")
-    if schedule.kind == "sigma" and flow and top / (1.0 + top) >= 1.0:
+    if flow and top / (1.0 + top) >= 1.0:
         raise ConfigError(f"schedule.sigma_max {top:g} is too large for flow-matching model "
                           f"{flow[0]!r}: its flow time sigma_max/(1 + sigma_max) rounds to 1")
     # the Bayes classifier of classifier guidance conditions on a label of the task mixture

@@ -129,13 +129,21 @@ class TrainConfig:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes non-finite or explodes."""
+    """Raised when the training loss becomes non-finite or explodes, or the
+    parameters leave the float32 range of a checkpoint; what says which."""
 
-    def __init__(self, batch: int, loss: float, last_good: "ScoreModel | None"):
-        super().__init__(f"training diverged at batch {batch}: loss = {loss}")
+    def __init__(self, batch: int, loss: float, last_good: "ScoreModel | None", what: str = ""):
+        self.what = what or f"loss {loss}"
+        super().__init__(f"training diverged at batch {batch}: {self.what}")
         self.batch = batch
         self.loss = loss
         self.last_good = last_good
+
+
+def _storable(params) -> bool:
+    """Every parameter finite and within float32 range, as a checkpoint
+    stores it; a NaN fails the comparison too."""
+    return bool(np.abs(params).max() <= np.finfo(np.float32).max)
 
 
 class _Predictor:
@@ -475,7 +483,8 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
     flow objective with adaptive-moment updates and decoupled weight decay.
 
     Deterministic given cfg.seed. Raises TrainingDiverged (carrying the last
-    snapshot) if the loss goes non-finite or above 1e6. A batch allocates no
+    snapshot) if the loss goes non-finite or above 1e6, or the final
+    parameters do not fit a float32 checkpoint. A batch allocates no
     matrix: inputs, targets, loss terms, activations, deltas, the gradient
     and the Adam scratch live in buffers made once per run; only per-row
     vectors (levels, class ids) are new each batch.
@@ -535,8 +544,10 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
             model._backward(cache, mapped, dout, out=grad)
             adam.step(grad, lr, b + 1)
             history.append((b, lr, loss))
-            if snapshot_every and (b + 1) % snapshot_every == 0:
+            if snapshot_every and (b + 1) % snapshot_every == 0 and _storable(model.params):
                 last_good = model.copy()
+    if not _storable(model.params):
+        raise TrainingDiverged(cfg.batches - 1, loss, last_good, "parameters beyond float32 range")
     model.loss_history = history
     model._local = threading.local()  # drop the training buffers
     return model

@@ -1,11 +1,12 @@
 """Deterministic ODE samplers with a per-step guidance hook.
 
 sample() integrates the probability-flow dynamics dx/dsigma = eps(x, sigma)
-(denoiser form D = x - sigma * eps) at diffusion scale on every schedule: a
-flow-time schedule is stepped over its sigmas t / (1 - t). Over a sigma
-schedule it takes 2nd-order Heun predictor/corrector steps and a plain Euler
-step into sigma = 0; over a flow-time schedule it takes explicit Euler steps,
-the same map as Euler on the flow ODE x_t' = v(x_t, t) with x_t = (1 - t) x.
+(denoiser form D = x - sigma * eps) at diffusion scale over a Schedule: the
+noise levels sigma and a solver. Heun takes 2nd-order predictor/corrector
+steps and a plain Euler step into sigma = 0; Euler takes explicit Euler
+steps, the same map as Euler on the flow ODE x_t' = v(x_t, t) with
+x_t = (1 - t) x and t = sigma / (1 + sigma). A flow-matching model reads its
+flow time only inside its own predict_eps.
 
 All randomness of a run is drawn before the trajectories are split into
 chunks, each kind as one array from its own stream of the master seed (see
@@ -46,58 +47,43 @@ from .rng import LATENTS, SFG_START, generator
 
 @dataclass(frozen=True)
 class Schedule:
-    """Decreasing discretization from noise to data: sigmas (terminal 0
-    appended) or flow times inside [0, 1). sigmas holds the noise levels the
-    sampler steps over, for either kind."""
+    """Decreasing noise levels sigmas from noise to data (terminal 0 allowed)
+    and the solver that steps over them: "heun" or "euler"."""
 
-    kind: str
-    steps: np.ndarray
+    sigmas: np.ndarray
+    solver: str
 
     def __post_init__(self):
-        if self.kind not in ("sigma", "flow_time"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        steps = np.asarray(self.steps, dtype=float)
-        if steps.ndim != 1 or len(steps) < 2:
+        if self.solver not in ("heun", "euler"):
+            raise ValueError(f"unknown solver {self.solver!r}")
+        sigmas = np.asarray(self.sigmas, dtype=float)
+        if sigmas.ndim != 1 or len(sigmas) < 2:
             raise ValueError("schedule needs at least two points")
-        if not np.all(np.isfinite(steps)):
+        if not np.all(np.isfinite(sigmas)):
             raise ValueError("schedule endpoints must be finite")
-        if not np.all(np.diff(steps) < 0):
+        if not np.all(np.diff(sigmas) < 0):
             raise ValueError("schedule must strictly decrease")
-        if steps[-1] < 0:
+        if sigmas[-1] < 0:
             raise ValueError("schedule levels must be >= 0 (terminal 0 allowed)")
-        if self.kind == "flow_time" and steps[0] >= 1.0:
-            raise ValueError("flow times must lie in [0, 1)")
-        object.__setattr__(self, "steps", steps)
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return self.steps if self.kind == "sigma" else self.steps / (1.0 - self.steps)
+        object.__setattr__(self, "sigmas", sigmas)
 
     @property
     def n_steps(self) -> int:
-        return len(self.steps) - 1
+        return len(self.sigmas) - 1
 
 
 def sigma_schedule(n_steps: int, sigma_min: float = 0.002, sigma_max: float = 80.0,
-                   rho: float = 7.0) -> Schedule:
+                   rho: float = 7.0, *, solver: str = "heun") -> Schedule:
     """Power-law spacing from sigma_max down to sigma_min plus a terminal 0."""
     if not (0 < sigma_min < sigma_max):
         raise ValueError("need 0 < sigma_min < sigma_max")
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
     i = np.arange(n_steps) / (n_steps - 1)
-    steps = (sigma_max ** (1 / rho) + i * (sigma_min ** (1 / rho) - sigma_max ** (1 / rho))) ** rho
-    steps[0] = sigma_max  # pin endpoints: the power-law form can lose them to roundoff
-    steps[-1] = sigma_min
-    return Schedule("sigma", np.append(steps, 0.0))
-
-
-def flow_time_schedule(n_steps: int, sigma_min: float = 0.002, sigma_max: float = 80.0,
-                       rho: float = 7.0) -> Schedule:
-    """Generation schedule in flow time via t = sigma / (1 + sigma); runs from
-    near 1 (noise) down to the terminal 0 (data)."""
-    sig = sigma_schedule(n_steps, sigma_min, sigma_max, rho).steps
-    return Schedule("flow_time", sig / (1.0 + sig))
+    sigmas = (sigma_max ** (1 / rho) + i * (sigma_min ** (1 / rho) - sigma_max ** (1 / rho))) ** rho
+    sigmas[0] = sigma_max  # pin endpoints: the power-law form can lose them to roundoff
+    sigmas[-1] = sigma_min
+    return Schedule(np.append(sigmas, 0.0), solver)
 
 
 @dataclass
@@ -174,29 +160,6 @@ class GuidedProvider:
         return eps
 
 
-class _FieldProvider:
-    """Wraps a bare noise-estimate field callable(x, sigma) -> eps as an
-    unguided provider."""
-
-    sfg_spec = None
-
-    def __init__(self, fn, dim=None):
-        self.fn = fn
-        self.dim = dim
-
-    def predictor(self, x, sigma, cls, state):
-        return np.asarray(self.fn(x, sigma), dtype=float), state, None
-
-    def corrector(self, x, sigma, cls, corr):
-        return np.asarray(self.fn(x, sigma), dtype=float)
-
-
-def _as_provider(provider, dim):
-    if hasattr(provider, "predictor"):
-        return provider
-    return _FieldProvider(provider, dim)
-
-
 def _chunk_ranges(n, chunk_size):
     return [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
 
@@ -219,10 +182,7 @@ def sfg_start_vectors(seed, n_samples: int, dim: int) -> np.ndarray:
 
 
 def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, threads,
-                x0, dim, heun):
-    provider = _as_provider(provider, dim)
-    if provider.dim is None:
-        raise ValueError("pass dim= when sampling from a bare callable")
+                x0, heun):
     dim = provider.dim
     sigmas = schedule.sigmas
     n_steps = schedule.n_steps
@@ -274,10 +234,10 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, t
 
 
 def sample(provider, schedule: Schedule, n_samples: int, seed: int, *,
-           class_ids=None, chunk_size=256, threads=1, x0=None, dim=None) -> Trajectories:
-    """Steps x <- x + (sigma' - sigma) * eps over schedule.sigmas: Heun over a
-    sigma schedule (the final step to sigma = 0 is Euler), explicit Euler over
-    a flow-time schedule."""
+           class_ids=None, chunk_size=256, threads=1, x0=None) -> Trajectories:
+    """Steps x <- x + (sigma' - sigma) * eps over schedule.sigmas with the
+    schedule's solver: Heun (the final step to sigma = 0 is Euler) or
+    explicit Euler, with the noise estimates of a GuidedProvider."""
     return _sample_ode(provider, schedule, n_samples, seed, class_ids=class_ids,
-                       chunk_size=chunk_size, threads=threads, x0=x0, dim=dim,
-                       heun=schedule.kind == "sigma")
+                       chunk_size=chunk_size, threads=threads, x0=x0,
+                       heun=schedule.solver == "heun")

@@ -18,7 +18,7 @@ from sfglab.evaluation import (coverage_entropy, curvature_field, esm_by_region,
 from sfglab.guidance import GuidanceSpec, sfg_start, sfg_step
 from sfglab.model import OracleModel, TrainConfig, train
 from sfglab.rng import derive_seed, generator
-from sfglab.sampler import GuidedProvider, flow_time_schedule, sample, sfg_start_vectors, sigma_schedule
+from sfglab.sampler import GuidedProvider, sample, sfg_start_vectors, sigma_schedule
 from sfglab.svg import field_svg
 
 
@@ -122,7 +122,7 @@ class TestCriterion4GateSoundness:
         n = 200  # 200 trajectories x 50 steps = 10^4 sampled states
         guided = sample(GuidedProvider({"main": om}, [GuidanceSpec(kind="sfg", weight=3.0)]),
                         sch, n, seed=404)
-        unguided = sample(om.predict_eps, sch, n, seed=404, dim=2)
+        unguided = sample(GuidedProvider({"main": om}, []), sch, n, seed=404)
         n_states = guided.sfg_trace["gate"].size
         fires = int(guided.sfg_trace["gate"].sum())
         bitwise = bool(np.array_equal(guided.points, unguided.points))
@@ -145,7 +145,7 @@ class TestCriterion5CostContract:
                 counter["n"] += 1
                 return om.predict_eps(x, sigma, class_ids)
 
-        sch = flow_time_schedule(40, 0.01, 20.0)
+        sch = sigma_schedule(40, 0.01, 20.0, solver="euler")
         provider = GuidedProvider({"main": Counting()}, [GuidanceSpec(kind="sfg", weight=2.0)])
         sample(provider, sch, 8, seed=505)
         per_step = counter["n"] / sch.n_steps
@@ -206,13 +206,13 @@ class TestCriterion10DeterminismAndConversions:
         finals = {}
         for n in (40, 80, 160):
             sch = sigma_schedule(n, 0.05, 10.0)
-            finals[n] = sample(om.predict_eps, sch, 2, seed=708, dim=2, x0=x0).points
+            finals[n] = sample(GuidedProvider({"main": om}, []), sch, 2, seed=708, x0=x0).points
         e1 = np.linalg.norm(finals[40] - finals[160])
         e2 = np.linalg.norm(finals[80] - finals[160])
         ratio = e1 / e2
         sch = sigma_schedule(100, 0.002, 10.0)
-        final = sample(om.predict_eps, sch, 2, seed=708, dim=2, x0=x0).points
-        analytic = x0 * np.sqrt(v / (v + sch.steps[0] ** 2))
+        final = sample(GuidedProvider({"main": om}, []), sch, 2, seed=708, x0=x0).points
+        analytic = x0 * np.sqrt(v / (v + sch.sigmas[0] ** 2))
         rel = float(np.abs(final - analytic).max() / np.abs(analytic).max())
         ok = 2.8 < ratio < 6.0 and rel < 1e-3
         report("10b", ok, f"halving ratio {ratio:.2f} (order 2), analytic map rel err "

@@ -299,12 +299,13 @@ class TestConfigValidation:
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_flow_model_at_a_huge_sigma_max_names_the_model(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["sigma", "flow_time"])
+    def test_flow_model_at_a_huge_sigma_max_names_the_model(self, tmp_path, capsys, kind):
         # sample and sweep evaluate sample.model and the companions, each at flow
-        # time sigma / (1 + sigma) when it is a flow-matching model on a sigma schedule
-        cfg = _deep_merge(fractal_config(tmp_path / "out"), {"schedule": {"sigma_max": 1e17}})
+        # time sigma / (1 + sigma) when it is a flow-matching model, on either kind
+        cfg = _deep_merge(fractal_config(tmp_path / "out"), {"schedule": {"kind": kind, "sigma_max": 1e17}})
         cfg["models"]["bad"] = {"hidden": [8], "conditional": True, "train": {"objective": "flow_matching"}}
-        assert validate_config(cfg).schedule.steps[0] == 1e17  # no command evaluates 'bad'
+        assert validate_config(cfg).schedule.sigmas[0] == 1e17  # no command evaluates 'bad'
         cfg["sweep"] = {"kind": "autoguidance", "companion": "bad", "weights": [2.0]}
         path = write_config(tmp_path, cfg)
         for command in ("sample", "sweep"):
@@ -313,6 +314,13 @@ class TestConfigValidation:
             assert "schedule.sigma_max 1e+17 is too large for flow-matching model 'bad'" in err
         cfg["schedule"]["sigma_max"] = 1e15  # t = 1 - 1e-15 stays below 1
         assert validate_config(cfg).sweep[0][1][0].companion == "bad"
+
+    def test_schedule_kind_picks_the_solver_over_one_sigma_grid(self, tmp_path):
+        schedules = {kind: validate_config(_deep_merge(two_gaussian_config(tmp_path / "out"), {
+            "schedule": {"kind": kind, "n_steps": 40, "sigma_min": 0.002, "sigma_max": 10.0, "rho": 7.0}
+        })).schedule for kind in ("sigma", "flow_time")}
+        assert (schedules["sigma"].solver, schedules["flow_time"].solver) == ("heun", "euler")
+        assert np.array_equal(schedules["sigma"].sigmas, schedules["flow_time"].sigmas)
 
     @pytest.mark.parametrize("path", EXAMPLES, ids=[p.name for p in EXAMPLES])
     def test_example_config_loads(self, path):
@@ -524,6 +532,23 @@ class TestExitCodes:
         assert proc.stderr == ("numeric failure: training 'main' diverged at batch 1 (loss nan); "
                                "no good checkpoint to save\n")
 
+    def test_a_last_update_beyond_float32_saves_no_checkpoint(self, tmp_path):
+        # one batch at lr 1e300: its loss is finite, the update it makes is not
+        # storable in a float32 checkpoint
+        out = tmp_path / "out"
+        change = {"train": {"lr": 1e300},
+                  "models": {"main": {"train": {"batches": 1, "warmup_batches": 1}}}}
+        path = write_config(tmp_path, _deep_merge(fractal_config(out), change))
+        src = str(Path(__file__).parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        assert main(["gen-data", "--config", path]) == 0
+        proc = subprocess.run([sys.executable, "-m", "sfglab.cli", "train", "--config", path],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert not (out / "main.ckpt").exists()
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
+
     def test_missing_samples_file_is_4(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = fractal_config(out)
@@ -696,6 +721,17 @@ class TestPipeline:
         assert sorted(files[1]) == ["main.ckpt", "sample_manifest_sfg.json", "samples_sfg.csv",
                                     "sfg_trace_sfg.csv"]
         assert files[1] == files[2] == files[4]
+
+    def test_flow_time_sfg_trace_level_is_sigma(self, tmp_path):
+        out = tmp_path / "run"
+        path = write_config(tmp_path, _deep_merge(fractal_config(out), {"schedule": {"kind": "flow_time"}}))
+        out.mkdir()
+        save_checkpoint(ScoreModel(2, [16], n_classes=2, seed=4), out / "main.ckpt")
+        assert main(["sample", "--config", path]) == 0
+        header, *rows = [line.split(",") for line in (out / "sfg_trace_sfg.csv").read_text().splitlines()]
+        level = [float(row[header.index("level")]) for row in rows]
+        # the table's cells carry 9 significant digits
+        assert level == [float(f"{s:.9g}") for s in load_config(path).schedule.sigmas[:-1]]
 
     def test_flow_time_pipeline_is_bytewise_identical_across_threads(self, tmp_path):
         # a flow-matching model sampled over a flow-time schedule under
@@ -1132,3 +1168,6 @@ def test_readme_documents_the_output_version():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     generations = readme.split("Output generations.", 1)[1].split("\n## ", 1)[0]
     assert re.search(rf"^Version {re.escape(__version__)}\b", generations, re.MULTILINE)
+    # the installed package reports the same version as the source
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "(.*)"$', pyproject, re.MULTILINE).group(1) == __version__

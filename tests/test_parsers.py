@@ -132,9 +132,9 @@ def test_a_config_that_validates_builds_every_run_object(cfg):
         merged = {**run.cfg["train"], **cfg["models"][name].get("train", {})}
         assert {key: getattr(tc, key) for key in merged} == merged
     sc = run.cfg["schedule"]
-    assert (run.schedule.kind, run.schedule.n_steps) == (sc["kind"], sc["n_steps"])
-    assert run.schedule.steps[0] == (sc["sigma_max"] if sc["kind"] == "sigma"
-                                     else sc["sigma_max"] / (1 + sc["sigma_max"]))
+    solver = {"sigma": "heun", "flow_time": "euler"}[sc["kind"]]
+    assert (run.schedule.solver, run.schedule.n_steps) == (solver, sc["n_steps"])
+    assert run.schedule.sigmas[0] == sc["sigma_max"]
     assert [spec.kind for spec in run.guidance] == ["none"]
     assert (run.sweep, run.tag) == ([], "none")
 

@@ -6,24 +6,38 @@ from sfglab.datasets import GmmSpec, make_two_gaussian, sample_gmm
 from sfglab.guidance import GuidanceSpec, sfg_start, sfg_step
 from sfglab.model import OracleModel, ScoreModel, TrainConfig, eps_to_flow, flow_to_eps, train
 from sfglab.oracle import classifier_grad, smooth
-from sfglab.sampler import (GuidedProvider, Schedule, flow_time_schedule, initial_latents, sample,
-                            sfg_start_vectors, sigma_schedule)
+from sfglab.sampler import (GuidedProvider, Schedule, initial_latents, sample, sfg_start_vectors,
+                            sigma_schedule)
 
 
 def single_gaussian_oracle(variance=1.0, dim=2):
     return OracleModel(GmmSpec([1.0], np.zeros((1, dim)), [variance]))
 
 
+class Field:
+    """A noise-estimate field fn(x, sigma) as an unconditional model of data_dim-d data."""
+
+    def __init__(self, fn, data_dim=2):
+        self.fn, self.data_dim = fn, data_dim
+
+    def predict_eps(self, x, sigma, class_ids=None):
+        return self.fn(x, sigma)
+
+
+def unguided(model):
+    return GuidedProvider({"main": model}, [])
+
+
 class TestSchedules:
     def test_two_point_linear(self):
         sch = sigma_schedule(2, 0.5, 3.0, rho=1.0)
-        assert np.allclose(sch.steps, [3.0, 0.5, 0.0])
+        assert np.allclose(sch.sigmas, [3.0, 0.5, 0.0])
 
     def test_paper_step_count(self):
         sch = sigma_schedule(100)
         assert sch.n_steps == 100
-        assert len(sch.steps) == 101
-        assert sch.steps[0] == 80.0 and sch.steps[-1] == 0.0
+        assert len(sch.sigmas) == 101
+        assert sch.sigmas[0] == 80.0 and sch.sigmas[-1] == 0.0
 
     def test_monotonicity_property(self):
         rng = np.random.default_rng(0)
@@ -32,18 +46,20 @@ class TestSchedules:
             hi = lo + float(rng.random() * 50 + 0.1)
             rho = float(rng.random() * 10 + 0.2)
             n = int(rng.integers(2, 40))
-            steps = sigma_schedule(n, lo, hi, rho).steps
-            assert np.all(np.diff(steps) < 0)
+            sigmas = sigma_schedule(n, lo, hi, rho).sigmas
+            assert np.all(np.diff(sigmas) < 0)
 
     def test_flow_time_schedule_range(self):
-        sch = flow_time_schedule(50)
-        assert sch.kind == "flow_time"
-        assert np.all(sch.steps >= 0) and np.all(sch.steps < 1)
-        assert np.all(np.diff(sch.steps) < 0)
-        # the sampler steps over sigma = t / (1 - t): the sigma schedule's levels
+        # a flow-matching model reads each level at flow time t = sigma / (1 + sigma)
+        sch = sigma_schedule(50, solver="euler")
+        assert sch.solver == "euler"
+        ts = sch.sigmas / (1.0 + sch.sigmas)
+        assert np.all(ts >= 0) and np.all(ts < 1)
+        assert np.all(np.diff(ts) < 0)
+        # the solver is all that differs from the default schedule
         ref = sigma_schedule(50)
-        assert np.allclose(sch.sigmas, ref.steps, rtol=1e-12, atol=0)
-        assert sch.sigmas[-1] == 0.0 and ref.sigmas is ref.steps
+        assert ref.solver == "heun" and np.array_equal(sch.sigmas, ref.sigmas)
+        assert sch.sigmas[-1] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -51,28 +67,28 @@ class TestSchedules:
         with pytest.raises(ValueError):
             sigma_schedule(10, 1.0, 0.5)
         with pytest.raises(ValueError, match="decrease"):
-            Schedule("sigma", [1.0, 1.0, 0.0])
+            Schedule([1.0, 1.0, 0.0], "heun")
         with pytest.raises(ValueError, match="decrease"):  # data to noise is not a generation
-            Schedule("flow_time", [0.0, 0.5])
+            Schedule([0.0, 0.5], "euler")
         with pytest.raises(ValueError, match=">= 0"):
-            Schedule("sigma", [1.0, -0.5])
-        with pytest.raises(ValueError, match="flow times"):
-            Schedule("flow_time", [1.0, 0.2])
-        with pytest.raises(ValueError, match="kind"):
-            Schedule("whatever", [1.0, 0.0])
+            Schedule([1.0, -0.5], "heun")
+        with pytest.raises(ValueError, match="finite"):
+            Schedule([np.inf, 0.2], "euler")
+        with pytest.raises(ValueError, match="solver"):
+            Schedule([1.0, 0.0], "whatever")
 
 
 class TestHeun:
     def test_zero_eps_keeps_latents(self):
         sch = sigma_schedule(20, 0.01, 5.0)
         x0 = 5.0 * np.random.default_rng(1).standard_normal((16, 3))
-        trajs = sample(lambda x, s: np.zeros_like(x), sch, 16, seed=1, dim=3, x0=x0)
+        trajs = sample(unguided(Field(lambda x, s: np.zeros_like(x), 3)), sch, 16, seed=1, x0=x0)
         assert np.array_equal(trajs.points, x0)
 
     def test_single_gaussian_samples_match_target(self):
         om = single_gaussian_oracle()
         sch = sigma_schedule(100, 0.002, 80.0)
-        trajs = sample(om.predict_eps, sch, 10_000, seed=2, dim=2)
+        trajs = sample(unguided(om), sch, 10_000, seed=2)
         from sfglab.evaluation import gaussian_frechet
         ref = np.random.default_rng(3).standard_normal((10_000, 2))
         assert gaussian_frechet(trajs.points, ref) < 0.01
@@ -83,8 +99,8 @@ class TestHeun:
         om = single_gaussian_oracle(v)
         sch = sigma_schedule(100, 0.002, 10.0)
         x0 = np.array([[1.3, -0.4], [0.2, 2.0]])
-        trajs = sample(om.predict_eps, sch, 2, seed=4, dim=2, x0=x0)
-        expected = x0 * np.sqrt(v / (v + sch.steps[0] ** 2))
+        trajs = sample(unguided(om), sch, 2, seed=4, x0=x0)
+        expected = x0 * np.sqrt(v / (v + sch.sigmas[0] ** 2))
         rel = np.abs(trajs.points - expected) / np.abs(expected)
         assert rel.max() < 1e-3
 
@@ -95,7 +111,7 @@ class TestHeun:
         finals = {}
         for n in (40, 80, 160):
             sch = sigma_schedule(n, 0.05, 10.0)
-            finals[n] = sample(om.predict_eps, sch, 1, seed=5, dim=2, x0=x0).points
+            finals[n] = sample(unguided(om), sch, 1, seed=5, x0=x0).points
         e1 = np.linalg.norm(finals[40] - finals[160])
         e2 = np.linalg.norm(finals[80] - finals[160])
         assert 2.8 < e1 / e2 < 6.0  # ~4x shrink per halving: order 2
@@ -107,7 +123,7 @@ class TestHeun:
             return out
 
         sch = sigma_schedule(5, 0.1, 2.0)
-        trajs = sample(exploding, sch, 32, seed=6, dim=2)
+        trajs = sample(unguided(Field(exploding)), sch, 32, seed=6)
         assert 0 < trajs.n_failed < 32
         pts = trajs.to_point_set()
         assert len(pts) == 32 - trajs.n_failed
@@ -116,10 +132,10 @@ class TestHeun:
     def test_determinism_and_thread_invariance(self):
         om = single_gaussian_oracle()
         sch = sigma_schedule(20, 0.01, 10.0)
-        a = sample(om.predict_eps, sch, 70, seed=7, dim=2, chunk_size=16, threads=1)
-        b = sample(om.predict_eps, sch, 70, seed=7, dim=2, chunk_size=16, threads=4)
+        a = sample(unguided(om), sch, 70, seed=7, chunk_size=16, threads=1)
+        b = sample(unguided(om), sch, 70, seed=7, chunk_size=16, threads=4)
         assert np.array_equal(a.points, b.points)
-        c = sample(om.predict_eps, sch, 70, seed=7, dim=2, chunk_size=16, threads=1)
+        c = sample(unguided(om), sch, 70, seed=7, chunk_size=16, threads=1)
         assert np.array_equal(a.points, c.points)
 
 
@@ -144,14 +160,13 @@ class TestRunDraws:
 
 
 class TestEulerFlow:
-    # over a flow-time schedule the sampler takes Euler steps of
-    # dx/dsigma = eps at the sigmas t / (1 - t)
+    # the Euler solver takes explicit Euler steps of dx/dsigma = eps
 
     def test_zero_velocity_constant(self):
         # a zero eps field is a zero dx/dsigma
-        sch = flow_time_schedule(10)
+        sch = sigma_schedule(10, solver="euler")
         x0 = np.random.default_rng(8).standard_normal((8, 2))
-        trajs = sample(lambda x, s: np.zeros_like(x), sch, 8, seed=8, dim=2, x0=x0)
+        trajs = sample(unguided(Field(lambda x, s: np.zeros_like(x))), sch, 8, seed=8, x0=x0)
         assert np.array_equal(trajs.points, x0)
 
     def test_straight_line_field_reaches_target(self):
@@ -159,7 +174,7 @@ class TestEulerFlow:
         # flow x_t = (1 - t) target + t noise; Euler follows it exactly:
         # x(sigma) = target + (x0 - target) sigma / sigma_0 at every level
         target = np.array([2.0, -1.0])
-        sch = flow_time_schedule(40, 0.01, 5.0)
+        sch = sigma_schedule(40, 0.01, 5.0, solver="euler")
         x0 = np.array([[5.0, 5.0]])
         seen = []
 
@@ -167,7 +182,7 @@ class TestEulerFlow:
             seen.append((x.copy(), sigma))
             return (x - target[None, :]) / sigma
 
-        trajs = sample(field, sch, 1, seed=9, dim=2, x0=x0)
+        trajs = sample(unguided(Field(field)), sch, 1, seed=9, x0=x0)
         assert len(seen) == sch.n_steps
         for x, sigma in seen:
             assert np.abs(x - (target + (x0 - target) * sigma / sch.sigmas[0])).max() < 1e-12
@@ -175,8 +190,8 @@ class TestEulerFlow:
 
     def test_oracle_flow_generation(self):
         om = single_gaussian_oracle()
-        sch = flow_time_schedule(100, 0.002, 80.0)
-        trajs = sample(om.predict_eps, sch, 4000, seed=10, dim=2)
+        sch = sigma_schedule(100, 0.002, 80.0, solver="euler")
+        trajs = sample(unguided(om), sch, 4000, seed=10)
         pts = trajs.points
         assert np.abs(pts.mean(axis=0)).max() < 0.1
         assert np.abs(np.cov(pts, rowvar=False) - np.eye(2)).max() < 0.12
@@ -195,7 +210,7 @@ class TestGuidedProviders:
 
     def test_none_passthrough_matches_bare_model(self):
         guided = self.run([GuidanceSpec(kind="none")])
-        bare = sample(self.om.predict_eps, self.sch, 64, seed=11, dim=2)
+        bare = sample(unguided(self.om), self.sch, 64, seed=11)
         assert np.array_equal(guided.points, bare.points)
 
     def test_cfg_identity_weight_bitwise(self):
@@ -246,7 +261,7 @@ class TestGuidedProviders:
         om = single_gaussian_oracle()
         provider = GuidedProvider({"main": om}, [GuidanceSpec(kind="sfg", weight=3.0)])
         guided = sample(provider, self.sch, 64, seed=12)
-        base = sample(om.predict_eps, self.sch, 64, seed=12, dim=2)
+        base = sample(unguided(om), self.sch, 64, seed=12)
         assert np.array_equal(guided.points, base.points)
         assert not guided.sfg_trace["gate"].any()
 
@@ -276,7 +291,7 @@ class TestGuidedProviders:
         n, seed = 8, 13
         guided = self.run([spec], n=n, seed=seed)
 
-        steps = self.sch.steps
+        steps = self.sch.sigmas
         x = generator(seed, LATENTS).standard_normal((n, 2)) * steps[0]
         z = generator(seed, SFG_START).standard_normal((n, 2))
         v = z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -367,7 +382,7 @@ class TestCostContract:
                 counter["n"] += 1
                 return om.predict_eps(x, sigma, class_ids)
 
-        sch = flow_time_schedule(25, 0.01, 10.0)
+        sch = sigma_schedule(25, 0.01, 10.0, solver="euler")
         provider = GuidedProvider({"main": Counting()}, [GuidanceSpec(kind="sfg", weight=1.0)])
         sample(provider, sch, 4, seed=15)
         assert counter["n"] == 2 * sch.n_steps
@@ -413,7 +428,7 @@ class TestCostContract:
         sample(provider, sch, 4, seed=17, class_ids=1)
         # Heun evaluates a predictor at every level but 0 and a corrector at
         # every level after the first but 0
-        levels = [*sch.steps[:-1], *sch.steps[1:-1]]
+        levels = [*sch.sigmas[:-1], *sch.sigmas[1:-1]]
         inside = [s for s in levels if 0.3 <= s / (1.0 + s) <= 0.6]
         assert 0 < len(inside) < len(levels)
         assert sorted(levels_seen) == sorted(inside)
@@ -430,17 +445,17 @@ class TestModelBackedSampling:
 
     def test_flow_model_euler_sampling(self):
         m = ScoreModel(2, [16], param="flow", seed=19)
-        sch = flow_time_schedule(10, 0.05, 5.0)
+        sch = sigma_schedule(10, 0.05, 5.0, solver="euler")
         trajs = sample(GuidedProvider({"main": m}, [GuidanceSpec(kind="none")]), sch, 8, seed=20)
         assert trajs.points.shape == (8, 2)
 
     def test_flow_identity_weights_match_the_unguided_provider(self):
         # every model call goes through predict_eps, so identity weights are
-        # bitwise the unguided provider, and that is bitwise the bare
-        # predict_eps field of the flow model
+        # bitwise the "none" stack, and that is bitwise the empty stack over
+        # the flow model alone
         main = ScoreModel(2, [16], param="flow", seed=19)
         table = {"main": main, "bad": ScoreModel(2, [16], param="flow", seed=23)}
-        sch = flow_time_schedule(10, 0.05, 5.0)
+        sch = sigma_schedule(10, 0.05, 5.0, solver="euler")
 
         def run(stack):
             provider = GuidedProvider(table, stack, gmm=make_two_gaussian(4.0, 1.0, 2))
@@ -450,12 +465,12 @@ class TestModelBackedSampling:
         for spec in (GuidanceSpec(kind="classifier", weight=0.0, classifier_class=0),
                      GuidanceSpec(kind="autoguidance", weight=1.0, companion="bad")):
             assert np.array_equal(run([spec]), base)
-        bare = sample(main.predict_eps, sch, 64, seed=20, dim=2).points
+        bare = sample(unguided(main), sch, 64, seed=20).points
         assert np.array_equal(bare, base)
 
 
 class TestFlowReference:
-    """sample over a flow-time schedule against reference loops written out
+    """sample with the Euler solver against reference loops written out
     here, on a flow-matching model trained briefly on two Gaussians."""
 
     N, SEED = 40, 31
@@ -465,7 +480,7 @@ class TestFlowReference:
         cls.gmm = make_two_gaussian(4.0, 1.0, 2)
         cfg = TrainConfig(batches=200, batch_size=64, warmup_batches=10, seed=32, objective="flow_matching")
         cls.model = train(sample_gmm(cls.gmm, 400, seed=33), [32], cfg)
-        cls.sch = flow_time_schedule(20, 0.01, 10.0)
+        cls.sch = sigma_schedule(20, 0.01, 10.0, solver="euler")
 
     def sample(self, stack):
         provider = GuidedProvider({"main": self.model}, stack, gmm=self.gmm)
@@ -475,7 +490,7 @@ class TestFlowReference:
         # Euler in flow coordinates x_t = (1 - t) x: x_t <- x_t + (t' - t) v
         # with v the model's native velocity; under classifier guidance the
         # guided eps goes back to a velocity through eps_to_flow
-        ts = self.sch.steps
+        ts = self.sch.sigmas / (1.0 + self.sch.sigmas)
         x = initial_latents(self.SEED, self.N, 2, ts[0])
         for t, t_next in zip(ts[:-1], ts[1:]):
             v = self.model.forward(x, t)
@@ -497,7 +512,7 @@ class TestFlowReference:
         assert np.abs(want).max() > 1.0
 
     def test_sfg_shift_is_alpha_sigma(self):
-        # Euler over sigma = t / (1 - t) with the saddle-free step at sigma,
+        # Euler over sigma with the saddle-free step at sigma,
         # so its warm-start shift is alpha * sigma, not alpha * t
         spec = GuidanceSpec(kind="sfg", weight=2.0)
         trajs = self.sample([spec])
