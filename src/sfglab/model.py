@@ -15,6 +15,12 @@ allocation-free: the cached forward pass, backprop and the Adam step with
 decoupled weight decay write into buffers and into views of one flat
 gradient vector, and each keeps the operands and order of the out-of-place
 expressions, so trained parameters and checkpoints are unchanged bit for bit.
+
+Training runs in float64; inference (forward, predict_eps) runs in float32,
+the precision a checkpoint stores the parameters in. Each inference call
+casts params into a float32 copy private to the calling thread, so no stale
+copy outlives a write to params, computes the layers in float32 buffers of
+that thread, and returns float64.
 """
 
 from __future__ import annotations
@@ -82,10 +88,12 @@ def class_ids_per_row(class_ids, n_rows: int) -> np.ndarray:
 
 def _sigmoid(z, out=None):
     """Logistic sigmoid in the branch-free form 0.5 * (1 + tanh(z / 2)),
-    written in place into out, or into one new array. It lies in [0, 1] for
-    every z but NaN and cannot overflow. Its error against 1 / (1 + exp(-z))
-    is absolute, at most about 2.2e-16; for z <= -38, where the exact value
-    is below 3.2e-17, it returns 0."""
+    written in place into out, or into one new array, in the precision of z
+    (float64 in training, float32 in inference). It lies in [0, 1] for every
+    z but NaN and cannot overflow. Its error against 1 / (1 + exp(-z)) is
+    absolute, at most about 2.2e-16 in float64 (about 7e-8 in float32); for
+    z <= -38 in float64, where the exact value is below 3.2e-17, it
+    returns 0."""
     s = np.multiply(z, 0.5, out=out)
     np.tanh(s, out=s)
     s += 1.0
@@ -256,9 +264,10 @@ class ScoreModel(_Predictor):
 
     def _features(self, x: np.ndarray, level, ids: np.ndarray | None, out: np.ndarray | None = None):
         """Input features of a batch x (N, n) with mapped class ids: written
-        into out, an (N, in_dim) array, or into a new one. level is one value
-        or one per row; a single level stays a scalar, so log, sin and cos
-        run once per call, not once per row."""
+        into out, an (N, in_dim) float64 or float32 array, or into a new
+        float64 one; each value is computed in float64 and then stored.
+        level is one value or one per row; a single level stays a scalar, so
+        log, sin and cos run once per call, not once per row."""
         d = x.shape[1]
         feats = np.empty((x.shape[0], self.weights[0].shape[1])) if out is None else out
         feats[:, :d] = x
@@ -269,20 +278,30 @@ class ScoreModel(_Predictor):
             np.take(self.class_emb, ids, axis=0, out=feats[:, d + 4:])
         return feats
 
-    def _buffers(self, rows: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        """This thread's inference buffers for a batch of rows, kept while
-        the batch size repeats: the (rows, in_dim) input features that
-        forward fills, and the (z, s) pair of every hidden layer. The pairs
-        are views of three arrays: z alternates between two, so a layer's
-        input is never its output, and s shares the third."""
+    def _buffers(self, rows: int) -> threading.local:
+        """This thread's float32 inference buffers, as attributes of its
+        thread-local store: the parameter copy params32 with its weights32
+        and biases32 views, made once per thread, and for a batch of rows,
+        kept while the batch size repeats, the (rows, in_dim) input features
+        feats that forward fills, the (z, s) pair of every hidden layer in
+        layers and the (rows, data_dim) output out. The pairs are views of
+        three arrays: z alternates between two, so a layer's input is never
+        its output, and s shares the third."""
         local = self._local
+        if getattr(local, "params32", None) is None:
+            local.params32 = np.empty(self.params.size, dtype=np.float32)
+            blocks, n = self._blocks(local.params32), 2 * len(self.weights)
+            local.weights32, local.biases32 = blocks[0:n:2], blocks[1:n:2]
         if getattr(local, "rows", None) != rows:
-            flat = [np.empty(rows * max(self.hidden, default=0)) for _ in range(3)]
+            flat = [np.empty(rows * max(self.hidden, default=0), dtype=np.float32) for _ in range(3)]
             local.rows = rows
-            local.feats = np.empty((rows, self.weights[0].shape[1]))
-            local.bufs = [(flat[i % 2][:rows * h].reshape(rows, h), flat[2][:rows * h].reshape(rows, h))
-                          for i, h in enumerate(self.hidden)]
-        return local.feats, local.bufs
+            # zeroed: np.take of the class embedding casts through a float64
+            # copy of its out columns, and must not read a signaling NaN there
+            local.feats = np.zeros((rows, self.weights[0].shape[1]), dtype=np.float32)
+            local.layers = [(flat[i % 2][:rows * h].reshape(rows, h), flat[2][:rows * h].reshape(rows, h))
+                            for i, h in enumerate(self.hidden)]
+            local.out = np.empty((rows, self.data_dim), dtype=np.float32)
+        return local
 
     def _train_buffers(self, rows: int) -> dict:
         """This thread's training buffers for a batch of rows, kept while the
@@ -310,25 +329,34 @@ class ScoreModel(_Predictor):
         return bufs
 
     def _forward(self, feats: np.ndarray, want_cache: bool = False):
-        """Network output for a feature batch. With want_cache, also return
-        (pre, sig, acts): each hidden layer's pre-activation z and its
-        sigmoid s (the SiLU is z * s), and the input of every layer; these
-        and the output are this thread's training buffers (see
-        _train_buffers), which the next cached call overwrites. Without it
-        the hidden layers are computed in place in this thread's buffers
-        (see _buffers) and the output is a new array, so a sampling step
-        allocates no (rows, width) temporaries that the C allocator would
-        return to the system and fault in again. feats may be this thread's
-        feature buffer; it is only read."""
+        """Network output for a feature batch. With want_cache, the training
+        forward: float64 throughout, also returning (pre, sig, acts), each
+        hidden layer's pre-activation z and its sigmoid s (the SiLU is
+        z * s), and the input of every layer; these and the output are this
+        thread's training buffers (see _train_buffers), which the next
+        cached call overwrites. Without it, the inference forward: params
+        are cast into this thread's float32 copy on every call, so a write
+        to params shows in the next output; feats are cast into the float32
+        feature buffer unless they are that buffer; the hidden layers and
+        the output are computed in float32 in this thread's buffers (see
+        _buffers), and the output is returned as a new float64 array. A
+        sampling step allocates no (rows, width) temporaries that the C
+        allocator would return to the system and fault in again."""
         rows = feats.shape[0]
         if want_cache:
             bufs = self._train_buffers(rows)
             pre, sig, acts = bufs["pre"], bufs["sig"], [feats, *bufs["act"]]
-            layers, out = zip(pre, sig, acts[1:]), bufs["out"]
+            weights, biases, out = self.weights, self.biases, bufs["out"]
+            layers = zip(pre, sig, acts[1:])
         else:
-            layers, out = self._buffers(rows)[1], None
+            local = self._buffers(rows)
+            np.copyto(local.params32, self.params)
+            if feats is not local.feats:
+                np.copyto(local.feats, feats)
+            feats, weights, biases = local.feats, local.weights32, local.biases32
+            layers, out = local.layers, local.out
         a = feats
-        for w, b, layer in zip(self.weights[:-1], self.biases[:-1], layers):
+        for w, b, layer in zip(weights[:-1], biases[:-1], layers):
             z = np.matmul(a, w.T, out=layer[0])
             z += b
             s = _sigmoid(z, out=layer[1])
@@ -337,20 +365,20 @@ class ScoreModel(_Predictor):
             else:
                 z *= s
                 a = z
-        out = np.matmul(a, self.weights[-1].T, out=out)
-        out += self.biases[-1]
+        out = np.matmul(a, weights[-1].T, out=out)
+        out += biases[-1]
         if want_cache:
             return out, (pre, sig, acts)
-        return out
+        return out.astype(np.float64)
 
     def forward(self, x, level, class_ids=None) -> np.ndarray:
         """Raw network output at the model's native noise-level coordinate;
         x is a point (n,) or a batch (N, n), the output has its shape; level
         is one value or one per row.
 
-        The features are written into this thread's (rows, in_dim) feature
-        buffer (see _buffers), which the next call on this thread reuses;
-        training builds its features in new arrays."""
+        The features are written into this thread's float32 (rows, in_dim)
+        feature buffer (see _buffers), which the next call on this thread
+        reuses; training builds its features in float64 arrays of its own."""
         x = np.asarray(x, dtype=float)
         xb = np.atleast_2d(x)
         if xb.ndim != 2 or xb.shape[1] != self.data_dim:
@@ -360,7 +388,7 @@ class ScoreModel(_Predictor):
         if lv.ndim:
             lv = np.broadcast_to(lv, (rows,))
         ids = self._map_class_ids(rows, class_ids)
-        return self._forward(self._features(xb, lv, ids, out=self._buffers(rows)[0])).reshape(x.shape)
+        return self._forward(self._features(xb, lv, ids, out=self._buffers(rows).feats)).reshape(x.shape)
 
     def _backward(self, cache, ids, dout, out: np.ndarray | None = None) -> np.ndarray:
         """Gradient of a loss whose output gradient is dout, for the cache of

@@ -19,11 +19,17 @@ outputs are bitwise identical for any --threads value and assemble in
 trajectory order.
 
 Chunks on different threads may share a model. Each ScoreModel evaluation
-writes its input features and hidden activations into buffers private to the
-calling thread (ScoreModel._buffers), kept while the chunk's row count
-repeats, so a step allocates little and no two threads write one buffer.
-The chunk loop still holds the interpreter lock between numpy calls, so on
-the small 2-d models a second thread gains little (README, --threads).
+casts the parameters and writes its input features and hidden activations
+into float32 buffers private to the calling thread (ScoreModel._buffers),
+kept while the chunk's row count repeats, so a step allocates little and no
+two threads write one buffer. The chunk loop still holds the interpreter
+lock between numpy calls, so on the small 2-d models a second thread gains
+little (README, --threads).
+
+Once a trajectory turns non-finite it is marked failed and keeps its last
+finite point; its chunk then steps only the rows left, so a failed row costs
+no further model evaluations, and its trace entries read NaN after the step
+it failed in. A run without failures steps every row at every step.
 
 Saddle-free guidance under Heun updates its power-iteration carry once per
 step at the predictor point; the corrector slope reuses the predictor's gated
@@ -197,24 +203,38 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, t
 
     def run_chunk(bounds):
         lo, hi = bounds
+        n = hi - lo
         x = latents[lo:hi].copy()
         cls = ids_all[lo:hi] if ids_all is not None else None
         state = None if v0 is None else gd.sfg_start(v0[lo:hi], provider.sfg_spec)
-        failed = np.zeros(hi - lo, dtype=bool)
-        lams, alphas = [], []
+        failed = np.zeros(n, dtype=bool)
+        live, xl = np.arange(n), x  # the chunk rows still stepping and their states
+        lams = alphas = None
+        if state is not None:  # the trace, NaN in the steps after a row failed
+            lams, alphas = np.full((n_steps, n), np.nan), np.full((n_steps, n), np.nan)
         for k in range(n_steps):
+            if not live.size:
+                break
             s_cur, s_next = sigmas[k], sigmas[k + 1]
-            d_cur, state, corr = provider.predictor(x, s_cur, cls, state)
+            d_cur, state, corr = provider.predictor(xl, s_cur, cls, state)
             if state is not None:
-                lams.append(state.last_lambda)
-                alphas.append(state.alpha)
+                lams[k, live] = state.last_lambda
+                alphas[k, live] = state.alpha
             dt = s_next - s_cur
-            x_new = x + dt * d_cur
+            x_new = xl + dt * d_cur
             if heun and s_next > 0:
                 d_prime = provider.corrector(x_new, s_next, cls, corr)
-                x_new = x + dt * 0.5 * (d_cur + d_prime)
-            failed |= ~np.isfinite(x_new).all(axis=1)
-            x = np.where(failed[:, None], x, x_new)
+                x_new = xl + dt * 0.5 * (d_cur + d_prime)
+            ok = np.isfinite(x_new).all(axis=1)
+            if not ok.all():  # keep the last finite states and step only the rows left
+                x[live] = xl
+                failed[live[~ok]] = True
+                live, x_new = live[ok], x_new[ok]
+                cls = None if cls is None else cls[ok]
+                if state is not None:
+                    state = gd.SfgState(state.v[ok], state.alpha[ok], state.last_lambda[ok])
+            xl = x_new
+        x[live] = xl
         return x, failed, lams, alphas
 
     bounds = _chunk_ranges(n_samples, chunk_size)
@@ -228,7 +248,7 @@ def _sample_ode(provider, schedule, n_samples, seed, *, class_ids, chunk_size, t
     failed = np.concatenate([r[1] for r in results])
     trace = None
     if v0 is not None:  # (n_steps, n_samples): each chunk's per-step record side by side
-        lam, alpha = (np.concatenate([np.stack(r[i]) for r in results], axis=1) for i in (2, 3))
+        lam, alpha = (np.concatenate([r[i] for r in results], axis=1) for i in (2, 3))
         trace = {"lambda": lam, "gate": lam > 0, "alpha": alpha}
     return Trajectories(points, ids_all, failed, trace)
 

@@ -817,9 +817,10 @@ class TestPipeline:
         path = write_config(tmp_path, fractal_config(out))
         for command in ("gen-data", "train"):
             assert main([command, "--config", path]) == 0
-        real_predict, real_sample, runs = ScoreModel.predict_eps, cli.sample, []
+        real_predict, real_sample, runs, inputs = ScoreModel.predict_eps, cli.sample, [], []
 
         def first_row_inf_late(self, x, sigma, class_ids=None):  # row 0 of each chunk fails late
+            inputs.append(np.array(x, copy=True))
             eps = real_predict(self, x, sigma, class_ids)
             if np.max(sigma) < 0.5:
                 eps[0] = np.inf
@@ -833,9 +834,15 @@ class TestPipeline:
         monkeypatch.setattr(cli, "sample", recorded)
         with np.errstate(invalid="ignore", over="ignore"):
             assert main(["sample", "--config", path]) == 0
+        sampled = list(inputs)
         assert main(["eval", "--config", path]) == 0
         trajs = runs[0]
         assert 0 < trajs.n_failed < len(trajs.failed)
+        # a failed trajectory keeps its last finite point, which the model
+        # received in the step it failed and, with only the live rows
+        # stepped after that, in no later call
+        for i in np.flatnonzero(trajs.failed):
+            assert sum(bool((rows == trajs.points[i]).all(axis=1).any()) for rows in sampled) == 1
 
         def strict(path):  # json.loads accepts NaN and Infinity, which JSON has no number for
             return json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {path.name}"))

@@ -265,12 +265,21 @@ def arrays_held(obj, seen=None):
 
 class TestForward:
     def test_cached_forward_matches_plain_forward(self):
+        # the plain (inference) forward runs in float32: its bytes are the
+        # out-of-place forward on float32 weights, biases and features, cast
+        # to float64, and it agrees with the float64 cached (training)
+        # forward to float32 rounding
         m = ScoreModel(3, [16, 8], n_classes=2, seed=13)
         rng = np.random.default_rng(14)
         ids = m._map_class_ids(6, np.array([0, 1, -1, 0, 1, -1]))
         feats = m._features(rng.standard_normal((6, 3)), np.full(6, 0.6), ids)
         out, (pre, sig, acts) = m._forward(feats, want_cache=True)
-        assert out.tobytes() == m._forward(feats).tobytes()
+        plain = m._forward(feats)
+        f32 = [[p.astype(np.float32) for p in ps] for ps in (m.weights, m.biases)]
+        want = reference_forward(*f32, feats.astype(np.float32))[0].astype(np.float64)
+        assert plain.dtype == np.float64
+        assert plain.tobytes() == want.tobytes()
+        assert np.abs(plain - out).max() <= 1e-5 * np.abs(out).max()
         assert len(pre) == len(sig) == 2 and len(acts) == 3
         for z, s, a in zip(pre, sig, acts[1:]):
             assert s.tobytes() == _sigmoid(z).tobytes()
@@ -278,12 +287,12 @@ class TestForward:
 
     def test_plain_forward_buffers_are_per_thread(self):
         # the plain forward reuses per-thread buffers: threads that share a
-        # model still get the cached forward's bytes, also when the batch
-        # size changes, and no output is overwritten by a later call
+        # model still get the serial plain forward's bytes, also when the
+        # batch size changes, and no output is overwritten by a later call
         m = ScoreModel(2, [64, 64], seed=3)
         rng = np.random.default_rng(4)
         feats = [rng.standard_normal((n, 6)) for n in (400, 400, 400, 400, 7)]
-        want = [m._forward(f, want_cache=True)[0].tobytes() for f in feats]
+        want = [m._forward(f).tobytes() for f in feats]
         orders = [[(k + shift) % 4 for k in range(40)] + [4, shift] for shift in range(4)]
 
         def run(order):
@@ -344,6 +353,20 @@ class TestForward:
         for order, outs in zip(orders, results):
             assert [out.tobytes() for out in outs] == [serial[j] for j in order]
 
+    def test_a_parameter_write_shows_in_the_next_forward(self):
+        # the float32 copy is cast from params on every call, so no stale
+        # copy survives a write, on this thread or another
+        m = ScoreModel(2, [16], seed=29)
+        x = np.random.default_rng(30).standard_normal((5, 2))
+        before = m.forward(x, 0.4)
+        m.biases[-1] += 1.0
+        after = m.forward(x, 0.4)
+        assert np.allclose(after, before + 1.0, rtol=0, atol=1e-5)
+        m.params[...] = 0.0
+        assert np.all(m.forward(x, 0.4) == 0.0)
+        with ThreadPoolExecutor(1) as pool:
+            assert np.all(pool.submit(m.forward, x, 0.4).result() == 0.0)
+
     def test_per_call_checks_raise(self):
         m = ScoreModel(2, [8], n_classes=2, seed=25)
         x = np.ones((4, 2))
@@ -398,8 +421,8 @@ class TestGradients:
         target = rng.standard_normal((4, 3))
         ids = m._map_class_ids(4, np.array([0, 1, -1, 0]))
 
-        def loss_value():
-            out = m._forward(m._features(x, level, ids))
+        def loss_value():  # through the cached (training) forward, which backprop differentiates
+            out = m._forward(m._features(x, level, ids), want_cache=True)[0]
             r = out - target
             return float((r * r).sum() / 4)
 

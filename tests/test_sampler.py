@@ -129,6 +129,39 @@ class TestHeun:
         assert len(pts) == 32 - trajs.n_failed
         assert np.all(np.isfinite(pts.points))
 
+    def test_a_failing_run_is_byte_identical_across_threads(self):
+        # rows with a positive first coordinate fail at one mid level; the
+        # chunks step only their live rows after that, and the points, the
+        # failure mask and the trace (NaN after a row failed) keep their
+        # bytes at any thread count
+        sch = sigma_schedule(12, 0.01, 5.0)
+        inputs = []
+
+        def late_blowup(x, s):
+            inputs.append(np.array(x, copy=True))
+            out = x * (s / (1.0 + s * s))
+            if s == sch.sigmas[6]:
+                out[x[:, 0] > 0] = np.inf
+            return out
+
+        provider = GuidedProvider({"main": Field(late_blowup)}, [GuidanceSpec(kind="sfg", weight=1.0)])
+        with np.errstate(invalid="ignore", over="ignore"):
+            a, b = [sample(provider, sch, 70, seed=9, chunk_size=16, threads=t) for t in (1, 3)]
+        assert 0 < a.n_failed < 70
+        assert a.failed.tobytes() == b.failed.tobytes()
+        assert a.points.tobytes() == b.points.tobytes()
+        assert np.all(np.isfinite(a.points))
+        for key in ("lambda", "gate", "alpha"):
+            assert a.sfg_trace[key].tobytes() == b.sfg_trace[key].tobytes()
+        lam = a.sfg_trace["lambda"]
+        assert np.all(np.isfinite(lam[:, ~a.failed]))
+        for i in np.flatnonzero(a.failed):  # finite up to the failing step, NaN after it
+            steps = np.isfinite(lam[:, i]).sum()
+            assert 0 < steps < len(lam) and np.all(np.isnan(lam[steps:, i]))
+            # its last finite point went into the failing step's base call only
+            # (once per run), not into the steps after it
+            assert sum(bool((rows == a.points[i]).all(axis=1).any()) for rows in inputs) == 2
+
     def test_determinism_and_thread_invariance(self):
         om = single_gaussian_oracle()
         sch = sigma_schedule(20, 0.01, 10.0)
