@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 config error, 3 numeric failure, 4 missing or unreadabl
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -192,20 +191,19 @@ def _class_ids_for(cfg: dict, model, n_samples: int):
 
 
 def _stack_sampler(run: Run, out: Path, specs):
-    """Load sample.model (as 'main') plus the companions of specs; returns
-    sample_stack(stack) -> Trajectories, which samples one guidance stack over
-    that model table with the run's seed, schedule, class ids and start latents,
-    drawn once: they depend on none of the stack."""
+    """Load sample.model plus the companions of specs, each under its own
+    name; returns sample_stack(stack) -> Trajectories, which samples one
+    guidance stack over that model table with the run's seed, schedule, class
+    ids and start latents, drawn once: they depend on none of the stack."""
     cfg, sch, gmm = run.cfg, run.schedule, run.specs["base"]
     main = cfg["sample"]["model"]
     table = _load_models(out, sorted({main} | {s.companion for s in specs if s.companion}), gmm.dim)
-    table["main"] = table[main]
     n_samples = cfg["sample"]["n_samples"]
-    class_ids = _class_ids_for(cfg, table["main"], n_samples)
-    x0 = initial_latents(cfg["seed"], n_samples, table["main"].data_dim, sch.sigmas[0])
+    class_ids = _class_ids_for(cfg, table[main], n_samples)
+    x0 = initial_latents(cfg["seed"], n_samples, table[main].data_dim, sch.sigmas[0])
 
     def sample_stack(stack):
-        provider = GuidedProvider(table, stack, gmm=gmm)
+        provider = GuidedProvider(table, stack, gmm=gmm, main=main)
         trajs = sample(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
                        chunk_size=cfg["sample"]["chunk_size"], threads=cfg["threads"], x0=x0)
         if trajs.n_failed == n_samples:
@@ -236,40 +234,30 @@ def cmd_sample(run: Run) -> int:
     return 0
 
 
-def _frechet_sized(s: LabeledPointSet) -> LabeledPointSet:
-    """s, if it has enough points for the Frechet distance's full-rank
-    covariance; failed trajectories or an empty samples file can leave too few."""
-    if len(s) <= s.dim:
-        raise NumericFailure(f"{len(s)} finite samples are too few for the Frechet "
-                             f"distance in {s.dim}-d")
-    return s
-
-
-def _sample_metrics(run: Run) -> dict:
-    """Sample-set metrics against the task mixture: Frechet distance to a
-    seeded reference draw, outlier rate (Mahalanobis distance to the nearest
-    component, default threshold 4) and coverage entropy. Each returns a
-    finite float or raises NumericFailure naming the metric."""
+def _sample_metrics(run: Run, samples: LabeledPointSet, names) -> dict[str, float]:
+    """The named sample-set metrics against the task mixture: the Frechet
+    distance to its exact moments, the outlier rate (Mahalanobis distance to
+    the nearest component, default threshold 4) and the coverage entropy.
+    Each is a finite float, or NumericFailure names the metric."""
     ecfg, base = run.cfg["eval"], run.specs["base"]
+    # failed trajectories or a short samples file can leave too few points
+    # for the Frechet distance's full-rank covariance
+    if "frechet" in names and len(samples) <= samples.dim:
+        raise NumericFailure(f"{len(samples)} finite samples are too few for the Frechet "
+                             f"distance in {samples.dim}-d")
     threshold = 4.0 if ecfg["outlier_threshold"] is None else ecfg["outlier_threshold"]
-    n, seed = ecfg["frechet_reference_n"], derive_seed(run.cfg["seed"], 999)
-    # drawn on first use, so the reference is not held while the larger
-    # outlier/coverage arrays of an earlier metric call are alive
-    ref = functools.cache(lambda: sample_gmm(base, n, seed).points)
-
-    def finite(name, fn):
-        def metric(s) -> float:
-            value = float(fn(s))
-            if not np.isfinite(value):
-                raise NumericFailure(f"metric {name} is {value}, not a finite number")
-            return value
-        return metric
-
-    return {name: finite(name, fn) for name, fn in {
-        "frechet": lambda s: evaluation.gaussian_frechet(_frechet_sized(s), ref()),
-        "outlier_rate": lambda s: evaluation.outlier_rate(s, base, threshold),
-        "coverage_entropy": lambda s: evaluation.coverage_entropy(s, base),
-    }.items()}
+    metrics = {}
+    for name in names:
+        if name == "frechet":
+            value = evaluation.gaussian_frechet(samples, base)
+        elif name == "outlier_rate":
+            value = evaluation.outlier_rate(samples, base, threshold)
+        else:
+            value = evaluation.coverage_entropy(samples, base)
+        if not np.isfinite(value):
+            raise NumericFailure(f"metric {name} is {value}, not a finite number")
+        metrics[name] = float(value)
+    return metrics
 
 
 def cmd_eval(run: Run) -> int:
@@ -284,7 +272,7 @@ def cmd_eval(run: Run) -> int:
     name = cfg["sample"]["model"]
     if cfg["task"] == "simplex" and (out / f"{name}.ckpt").exists():
         region_specs = {"mode": specs["base"], "saddle": specs["saddle"], "outlier": specs["outlier"]}
-        sigmas = ecfg.get("sigmas") or list(np.geomspace(0.02, 10.0, 12))
+        sigmas = ecfg.get("sigmas", list(np.geomspace(0.02, 10.0, 12)))
         # the model and its inference buffers are freed before the larger sample metrics run
         rows = evaluation.esm_by_region(_load_models(out, [name], specs["base"].dim)[name], region_specs,
                                         sigmas, ecfg["n_per_region"], cfg["seed"])
@@ -299,10 +287,7 @@ def cmd_eval(run: Run) -> int:
     if spath.exists():
         samples = _read_points(spath)
         _check_dim(spath, samples.dim, specs["base"].dim)
-        samples = _frechet_sized(samples)  # every eval computes the Frechet distance
-        metrics = _sample_metrics(run)
-        for key in ("outlier_rate", "coverage_entropy", "frechet"):
-            report[key] = metrics[key](samples)
+        report.update(_sample_metrics(run, samples, ("outlier_rate", "coverage_entropy", "frechet")))
         # the manifest of the sample run that wrote the file sits beside it
         manifest = spath.with_name(f"sample_manifest_{spath.stem.removeprefix('samples_')}.json")
         if manifest.exists():
@@ -330,13 +315,12 @@ def cmd_sweep(run: Run) -> int:
     if not run.sweep:
         raise ConfigError("sweep needs a sweep section")
     sample_stack = _stack_sampler(run, out, [s for _, stack in run.sweep for s in stack])
-    available = _sample_metrics(run)
-    metrics = {name: available[name] for name in run.cfg["sweep"].get("metrics", ["frechet"])}
+    metrics = run.cfg["sweep"].get("metrics", ["frechet"])
     rows = []
     for run_id, (row, stack) in enumerate(run.sweep):
         try:
             samples = sample_stack(stack).to_point_set()
-            rows.append({**row, **{name: fn(samples) for name, fn in metrics.items()}})
+            rows.append({**row, **_sample_metrics(run, samples, metrics)})
         except NumericFailure as exc:
             labels = ", ".join(f"{key}={value:g}" for key, value in row.items())
             raise NumericFailure(f"sweep run {run_id} ({labels}) failed: {exc}") from exc

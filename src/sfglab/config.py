@@ -160,9 +160,12 @@ SCHEMA = {
         "eval": {
             "type": "object",
             "properties": {
-                "sigmas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
+                "sigmas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
+                           "minItems": 1},
                 "n_per_region": {"type": "integer", "minimum": 1},
                 "outlier_threshold": {"type": ["number", "null"], "exclusiveMinimum": 0},
+                # deprecated and ignored (the Frechet distance takes the mixture's exact
+                # moments); accepted so that configs which set it still load
                 "frechet_reference_n": {"type": "integer", "minimum": 2},
                 "samples_file": {"type": "string"},
                 "field": {
@@ -210,7 +213,7 @@ DEFAULTS = {
     "schedule": {"kind": "sigma", "n_steps": 100, "sigma_min": 0.002, "sigma_max": 80.0, "rho": 7.0},
     "sample": {"n_samples": 1000, "model": "main", "class_id": None, "chunk_size": 256},
     "guidance": [{"kind": "none"}],
-    "eval": {"n_per_region": 1000, "outlier_threshold": None, "frechet_reference_n": 4000},
+    "eval": {"n_per_region": 1000, "outlier_threshold": None},
 }
 
 
@@ -330,12 +333,12 @@ def _build_run(cfg: dict) -> Run:
         if spec.classifier_class not in labels:
             raise ConfigError(f"classifier_class {spec.classifier_class} is not a label of the "
                               f"{task} task; its labels are {labels}")
-    # every eval computes the Frechet distance, which needs a full-rank covariance
+    # every eval computes the Frechet distance, which needs a full-rank sample covariance
     dim = specs["base"].dim
-    for section, key in (("sample", "n_samples"), ("eval", "frechet_reference_n")):
-        if cfg[section][key] <= dim:
-            raise ConfigError(f"{section}.{key} {cfg[section][key]} must exceed the data dimension "
-                              f"{dim} (the Frechet distance needs a full-rank covariance)")
+    n_samples = cfg["sample"]["n_samples"]
+    if n_samples <= dim:
+        raise ConfigError(f"sample.n_samples {n_samples} must exceed the data dimension {dim} "
+                          f"(the Frechet distance needs a full-rank covariance)")
     if "field" in cfg["eval"] and dim != 2:
         raise ConfigError(f"eval.field needs a 2-d task mixture; the {task} task is {dim}-d")
     if "cfg" in {s.kind for s in used} and not models.get(main, {}).get("conditional", False):

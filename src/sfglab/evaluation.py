@@ -1,6 +1,6 @@
 """Quantitative harness: region-partitioned score-matching losses, outlier
-and coverage metrics against a task mixture, raw-coordinate Gaussian Frechet
-distances, 2D curvature-field tables, and the CSV writer for tables."""
+and coverage metrics against a task mixture, the raw-coordinate Gaussian Frechet
+distance to its exact moments, 2D curvature-field tables, and the CSV writer for tables."""
 
 from __future__ import annotations
 
@@ -120,39 +120,39 @@ def coverage_entropy(samples, modes) -> float:
     return float(0.0 - (p[nz] * np.log(p[nz])).sum())  # one mode gives +0.0, not -0.0
 
 
-def gaussian_frechet(samples_a, samples_b) -> float:
-    """||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a^1/2 S_b S_a^1/2)^1/2) on raw
-    coordinates, covariances regularized by +1e-8 I. With S_b = L L^T, the
-    trace of the root is sum sqrt(eigvalsh(L^T S_a L)): L^T S_a L is similar
-    to S_a S_b, and so to S_a^1/2 S_b S_a^1/2. NaN when either set holds a
-    non-finite value."""
-    a = _points_of(samples_a)
-    b = _points_of(samples_b)
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("both sample sets must be nonempty")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("sample sets must share dimension")
-    n = a.shape[1]
-    if len(a) <= n or len(b) <= n:
+def gmm_moments(spec: GmmSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mean and covariance of a mixture: mu = sum w_i mu_i and
+    S = sum w_i (S_i + (mu_i - mu)(mu_i - mu)^T)."""
+    w = spec.weights
+    mu = w @ spec.means
+    dev = spec.means - mu
+    cov = (dev.T * w) @ dev
+    if spec.isotropic:
+        cov[np.diag_indices(spec.dim)] += w @ spec.covariances
+    else:
+        cov += np.einsum("k,kij->ij", w, spec.covariances)
+    return mu, cov
+
+
+def gaussian_frechet(samples, spec: GmmSpec) -> float:
+    """||mu_a - mu||^2 + Tr(S_a + S - 2 (S_a^1/2 S S_a^1/2)^1/2) on raw
+    coordinates, from the samples' mean and covariance (mu_a, S_a) to the
+    mixture's exact moments (mu, S). With S = L L^T, the trace of the root is
+    sum sqrt(eigvalsh(L^T S_a L)): L^T S_a L is similar to S_a S, and so to
+    S_a^1/2 S S_a^1/2. NaN when a sample holds a non-finite value."""
+    a = _points_of(samples)
+    n = spec.dim
+    if len(a) <= n:
         raise ValueError("need more samples than dimensions for a stable covariance")
-    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
-    reg = 1e-8 * np.eye(n)
-    cov_a = np.cov(a, rowvar=False).reshape(n, n) + reg
-    cov_b = np.cov(b, rowvar=False).reshape(n, n) + reg
-    if not (np.isfinite(cov_a).all() and np.isfinite(cov_b).all()):
+    cov_a = np.cov(a, rowvar=False).reshape(n, n)
+    if not np.isfinite(cov_a).all():
         return float("nan")
-    try:
-        chol_b = np.linalg.cholesky(cov_b)
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance not PSD after regularization") from None
-    inner = chol_b.T @ cov_a @ chol_b
-    vals = np.linalg.eigvalsh(0.5 * (inner + inner.T))
-    scale = max(np.abs(cov_a).max(), np.abs(cov_b).max(), 1.0)
-    if vals.min() < -1e-10 * scale * scale:
-        raise ValueError(f"covariance not PSD after regularization (min eig {vals.min():g})")
-    tr_sqrt = np.sqrt(np.clip(vals, 0.0, None)).sum()
-    diff = mu_a - mu_b
-    return float(diff @ diff + np.trace(cov_a) + np.trace(cov_b) - 2.0 * tr_sqrt)
+    mu, cov = gmm_moments(spec)
+    chol = np.linalg.cholesky(cov)
+    inner = chol.T @ cov_a @ chol
+    tr_sqrt = np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.T)), 0.0, None)).sum()
+    diff = a.mean(axis=0) - mu
+    return float(diff @ diff + np.trace(cov_a) + np.trace(cov) - 2.0 * tr_sqrt)
 
 
 def table_columns(table) -> dict:

@@ -5,7 +5,6 @@ master seed with splitmix64 finalizer rounds: ``generator(S, *path)``. Each
 kind of randomness has its own path, so runs can be reproduced piecewise:
 
 - 100: the gen-data training set;
-- 999: the eval Frechet reference draw;
 - 0xC0DE and 0xBA7C under a model's own seed: its initial weights and its
   training batches (a model trains with seed ``derive_seed(S, k)``, k a
   hash of its name);

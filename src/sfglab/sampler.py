@@ -113,7 +113,8 @@ class Trajectories:
 
 
 class GuidedProvider:
-    """Dispatches a stack of guidance specs over a model table.
+    """Dispatches a stack of guidance specs over a model table, whose entry
+    `main` (default "main") is the sampled model.
 
     All combinations are applied to noise estimates at diffusion scale, each
     model evaluated through predict_eps(x, sigma, class_ids). A trailing
@@ -121,23 +122,24 @@ class GuidedProvider:
     treating a stacked system (e.g. autoguidance) as a single model.
     """
 
-    def __init__(self, models: dict, specs, *, gmm: GmmSpec | None = None):
+    def __init__(self, models: dict, specs, *, gmm: GmmSpec | None = None, main: str = "main"):
         specs = list(specs)
-        if "main" not in models:
-            raise ValueError("model table must contain 'main'")
+        if main not in models:
+            raise ValueError(f"model table must contain {main!r}")
         gd.check_stack(specs, models)
         if gmm is None and any(s.kind == "classifier" for s in specs):
             raise ValueError("classifier guidance needs the task mixture for the Bayes oracle")
         self.models = models
+        self.main = models[main]
         self.base_specs = [s for s in specs if s.kind != "sfg"]
         self.sfg_spec = specs[-1] if specs and specs[-1].kind == "sfg" else None
         self.bayes = None if gmm is None else OracleModel(gmm)  # the classifier's smoothed mixtures
-        self.dim = models["main"].data_dim
+        self.dim = self.main.data_dim
 
     # -- noise-estimate chain ------------------------------------------------
 
     def base_eps(self, x, sigma, cls):
-        eps = self.models["main"].predict_eps(x, sigma, cls)
+        eps = self.main.predict_eps(x, sigma, cls)
         for s in self.base_specs:
             if s.kind in ("cfg", "autoguidance"):
                 if s.interval is None or s.interval[0] <= sigma / (1.0 + sigma) <= s.interval[1]:

@@ -230,7 +230,6 @@ class TestCriterion10DeterminismAndConversions:
             "schedule": {"kind": "sigma", "n_steps": 12, "sigma_min": 0.02, "sigma_max": 5.0},
             "sample": {"n_samples": 40, "class_id": "random", "chunk_size": 8},
             "guidance": [{"kind": "sfg", "weight": 1.0}],
-            "eval": {"frechet_reference_n": 100},
         }
         from sfglab.cli import main
         path = tmp_path / "cfg.json"

@@ -89,7 +89,6 @@ def test_threaded_sampling_keeps_the_cost_contract(tmp_path):
                      "bad": {"hidden": [8], "conditional": True}}
     cfg["schedule"]["n_steps"] = 6
     cfg["sample"].update(n_samples=32, chunk_size=8)
-    cfg["eval"]["frechet_reference_n"] = 64
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     for name, mcfg in cfg["models"].items():
@@ -147,7 +146,6 @@ def test_twogauss_eval_fires_the_field_and_csv_spans(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     cfg = WORKLOADS["twogauss-flow-classifier"].config(1, str(out))
-    cfg["eval"]["frechet_reference_n"] = 64
     cfg["eval"]["field"]["grid_n"] = 5
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -179,7 +177,6 @@ def test_fractal_eval_and_sweep_fire_no_oracle_span(tmp_path):
                      "bad": {"hidden": [8], "conditional": True}}
     cfg["schedule"]["n_steps"] = 4
     cfg["sample"].update(n_samples=32, chunk_size=16)
-    cfg["eval"]["frechet_reference_n"] = 64
     cfg["sweep"]["weights"] = [2.0]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -44,7 +44,7 @@ def fractal_config(out, tiny=True):
         "schedule": {"kind": "sigma", "n_steps": 8, "sigma_min": 0.02, "sigma_max": 5.0},
         "sample": {"n_samples": 12, "class_id": "random", "chunk_size": 8},
         "guidance": [{"kind": "sfg", "weight": 1.0}],
-        "eval": {"frechet_reference_n": 64},
+        "eval": {},
     }
 
 
@@ -61,7 +61,7 @@ def two_gaussian_config(out):
     return {
         "task": "two_gaussian", "seed": 1, "out": str(out),
         "data": {"n_train": 50, "two_gaussian": {"separation": 4.0, "base_variance": 1.0, "ambient_dim": 2}},
-        "eval": {"frechet_reference_n": 64},
+        "eval": {},
     }
 
 
@@ -89,6 +89,7 @@ REJECTED_VALUES = {
                                                       "schedule": {"sigma_max": 1e17}}, "sample"),
     "outlier_threshold_zero": (fractal_config, {"eval": {"outlier_threshold": 0}}, "eval"),
     "outlier_threshold_negative": (fractal_config, {"eval": {"outlier_threshold": -1}}, "eval"),
+    "eval_sigmas_empty": (simplex_config, {"eval": {"sigmas": []}}, "eval"),
 }
 
 # overrides validated like the file: (environment, flags)
@@ -124,7 +125,7 @@ def schema_keywords(schema):
         yield from schema_keywords(sub)
 
 
-# (config change, the path the checker names), one per keyword it implements
+# (config change, the path the checker names), at least one per keyword it implements
 SCHEMA_VIOLATIONS = {
     "type_integral_float": ({"seed": 7.0}, ["seed"]),
     "type_bool_not_integer": ({"seed": True}, ["seed"]),
@@ -138,6 +139,7 @@ SCHEMA_VIOLATIONS = {
     "minProperties": ({"models": {}}, ["models"]),
     "items": ({"models": {"main": {"hidden": [8, 0]}}}, ["models", "main", "hidden", 1]),
     "minItems": ({"models": {"main": {"hidden": []}}}, ["models", "main", "hidden"]),
+    "minItems_eval_sigmas": ({"eval": {"sigmas": []}}, ["eval", "sigmas"]),
     "maxItems": ({"guidance": [{"kind": "none", "interval": [0, 1, 2]}]}, ["guidance", 0, "interval"]),
     "minimum": ({"threads": 0}, ["threads"]),
     "exclusiveMinimum": ({"schedule": {"rho": 0}}, ["schedule", "rho"]),
@@ -420,8 +422,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field, change", [
         ("sample.n_samples", {"sample": {"n_samples": 3}}),
-        ("eval.frechet_reference_n", {"eval": {"frechet_reference_n": 4}}),
-    ], ids=["n_samples", "frechet_reference_n"])
+    ], ids=["n_samples"])
     def test_too_few_frechet_samples_is_2(self, tmp_path, capsys, field, change):
         # the simplex here is 4-d: the Frechet covariance needs at least 5 points
         cfg = _deep_merge(simplex_config(tmp_path / "out"), change)
@@ -492,7 +493,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         cfg = {"task": "two_gaussian", "seed": 1, "out": str(out),
                "data": {"two_gaussian": {"separation": 4.0, "base_variance": 1.0, "ambient_dim": 2}},
-               "eval": {"samples_file": "huge.csv", "frechet_reference_n": 64}}
+               "eval": {"samples_file": "huge.csv"}}
         out.mkdir()
         points = np.random.default_rng(2).standard_normal((50, 2)) * 1e160
         LabeledPointSet(points, np.zeros(50, dtype=int)).to_csv(out / "huge.csv")
@@ -620,7 +621,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         cfg = {"task": "two_gaussian", "seed": 1, "out": str(out),
                "data": {"two_gaussian": {"separation": 4.0, "base_variance": 1.0, "ambient_dim": 2}},
-               "eval": {"samples_file": "samples_x.csv", "frechet_reference_n": 64}}
+               "eval": {"samples_file": "samples_x.csv"}}
         out.mkdir()
         points = np.random.default_rng(2).standard_normal((50, 2))
         LabeledPointSet(points, np.zeros(50, dtype=int)).to_csv(out / "samples_x.csv")
@@ -642,7 +643,7 @@ class TestExitCodes:
         elsewhere.mkdir()
         cfg = {"task": "two_gaussian", "seed": 1, "out": str(out),
                "data": {"two_gaussian": {"separation": 4.0, "base_variance": 1.0, "ambient_dim": 2}},
-               "eval": {"samples_file": str(elsewhere / "samples_x.csv"), "frechet_reference_n": 64}}
+               "eval": {"samples_file": str(elsewhere / "samples_x.csv")}}
         points = np.random.default_rng(2).standard_normal((50, 2))
         LabeledPointSet(points, np.zeros(50, dtype=int)).to_csv(elsewhere / "samples_x.csv")
         (out / "sample_manifest_x.json").write_text('{"extra": {"sfg_stats": {"decoy": 1.0}}}')
@@ -763,6 +764,50 @@ class TestPipeline:
         want = sample(provider, run.schedule, 24, run.cfg["seed"]).points
         got = LabeledPointSet.from_csv(out / "samples_classifier.csv").points
         assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
+
+    def test_a_companion_named_main_is_main_ckpt(self, tmp_path):
+        # sample.model "big" guided by a companion that is really named "main":
+        # the companion is main.ckpt, not the sampled model under a second name
+        out = tmp_path / "run"
+        cfg = fractal_config(out)
+        cfg["models"] = {"big": {"hidden": [16], "conditional": True},
+                         "main": {"hidden": [8], "conditional": True},
+                         "weak": {"hidden": [8], "conditional": True}}
+        cfg["sample"]["model"] = "big"
+        path = write_config(tmp_path, cfg)
+        assert main(["gen-data", "--config", path]) == 0
+        assert main(["train", "--config", path]) == 0
+        shutil.copyfile(out / "main.ckpt", out / "weak.ckpt")
+        samples, sweeps = {}, {}
+        for companion in ("main", "weak", None):
+            tag = companion or "unguided"
+            guided = {"kind": "autoguidance", "companion": companion, "weight": 3.0}
+            # the unguided run's sweep is autoguidance by the sampled model itself: no change
+            run_cfg = {**cfg, "sample": {**cfg["sample"], "tag": tag},
+                       "guidance": [guided if companion else {"kind": "none"}],
+                       "sweep": {"kind": "autoguidance", "companion": companion or "big", "weights": [3.0]}}
+            path = write_config(tmp_path, run_cfg, f"{tag}.json")
+            assert main(["sample", "--config", path]) == 0
+            samples[tag] = (out / f"samples_{tag}.csv").read_bytes()
+            assert main(["sweep", "--config", path]) == 0
+            sweeps[tag] = (out / "sweep.csv").read_bytes()
+        assert samples["main"] == samples["weak"] != samples["unguided"]
+        assert sweeps["main"] == sweeps["weak"] != sweeps["unguided"]
+
+    def test_frechet_reference_n_is_deprecated_and_ignored(self, tmp_path):
+        # a config that sets it writes the same report as one that does not,
+        # and its manifest keeps the key
+        reports, manifests = {}, {}
+        for name, change in (("with_key", {"eval": {"frechet_reference_n": 64}}), ("without", {})):
+            out = tmp_path / name
+            path = write_config(tmp_path, _deep_merge(fractal_config(out), change), f"{name}.json")
+            for command in ("gen-data", "train", "sample", "eval"):
+                assert main([command, "--config", path]) == 0
+            reports[name] = (out / "eval_report.json").read_bytes()
+            manifests[name] = json.loads((out / "eval_manifest.json").read_text())["config"]["eval"]
+        assert reports["with_key"] == reports["without"]
+        assert manifests["with_key"]["frechet_reference_n"] == 64
+        assert "frechet_reference_n" not in manifests["without"]
 
     def test_relative_out_pipeline(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -926,7 +971,7 @@ class TestPipeline:
             "train": {"batches": 20, "batch_size": 32, "warmup_batches": 5},
             "schedule": {"n_steps": 8, "sigma_min": 0.02, "sigma_max": 5.0},
             "sample": {"n_samples": 32},
-            "eval": {"n_per_region": 16, "frechet_reference_n": 64},  # no eval.sigmas: the 12 defaults
+            "eval": {"n_per_region": 16},  # no eval.sigmas: the 12 defaults
         })
         path = write_config(tmp_path, cfg)
         for command in ("gen-data", "train", "sample", "eval"):

@@ -8,7 +8,7 @@ from sfglab.datasets import (Fractal, FractalSpec, GmmSpec, LabeledPointSet,
                              make_outlier_gmm, make_saddle_gmm, make_simplex_gmm,
                              make_two_gaussian, sample_gmm)
 from sfglab.evaluation import (_nearest_mahalanobis, coverage_entropy,
-                               curvature_field, esm_by_region, gaussian_frechet, make_grid,
+                               curvature_field, esm_by_region, gaussian_frechet, gmm_moments, make_grid,
                                outlier_rate, sfg_stats, sweep_to_csv)
 from sfglab import oracle
 from sfglab.model import OracleModel
@@ -263,94 +263,101 @@ class TestCoverageEntropy:
                 coverage_entropy(np.zeros((0, 2)), modes)
 
 
-def ref_frechet(a, b):
-    """The distance from a dense eigh square root of the first covariance,
+def ref_frechet(a, mu, cov):
+    """The distance from a dense eigh square root of the sample covariance,
     the form the metric used before its Cholesky factor: the reference."""
-    n = a.shape[1]
-    cov_a = np.cov(a, rowvar=False) + 1e-8 * np.eye(n)
-    cov_b = np.cov(b, rowvar=False) + 1e-8 * np.eye(n)
+    cov_a = np.cov(a, rowvar=False)
     vals, vecs = np.linalg.eigh(cov_a)
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    inner = root @ cov_b @ root
+    inner = root @ cov @ root
     tr_sqrt = np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.T)), 0.0, None)).sum()
-    diff = a.mean(axis=0) - b.mean(axis=0)
-    return float(diff @ diff + np.trace(cov_a) + np.trace(cov_b) - 2.0 * tr_sqrt)
+    diff = a.mean(axis=0) - mu
+    return float(diff @ diff + np.trace(cov_a) + np.trace(cov) - 2.0 * tr_sqrt)
+
+
+def gaussian(mean, variance):
+    """The one-component mixture N(mean, variance * I)."""
+    return GmmSpec([1.0], [mean], [variance])
+
+
+class TestGmmMoments:
+    def test_fractal_moments_match_a_million_draws(self):
+        spec = Fractal(FractalSpec(8, np.pi / 5, 0.75, 0.005, n_classes=2)).gmm
+        mu, cov = gmm_moments(spec)
+        x = sample_gmm(spec, 10**6, 31).points
+        n = len(x)
+        dev = x - x.mean(axis=0)
+        # standard errors of the sample mean and of each sample covariance entry
+        assert np.all(np.abs(x.mean(axis=0) - mu) <= 4.0 * np.sqrt(np.diag(cov) / n))
+        products = dev[:, :, None] * dev[:, None, :]
+        se = products.std(axis=0) / np.sqrt(n)
+        assert np.all(np.abs(products.mean(axis=0) - cov) <= 4.0 * se)
+
+    def test_simplex_moments_match_the_hand_formula(self):
+        mu, cov = gmm_moments(make_simplex_gmm(16, 256, 0.2))
+        ones = np.r_[np.ones(16), np.zeros(240)]
+        assert np.abs(mu - ones / 16).max() <= 1e-15
+        assert np.abs(cov - (0.04 * np.eye(256) + np.diag(ones) / 16 - np.outer(mu, mu))).max() <= 1e-15
 
 
 class TestGaussianFrechet:
     def test_identical_sets_zero(self):
+        # a sample set against the Gaussian of its own moments
         pts = np.random.default_rng(7).standard_normal((50, 2))
-        assert gaussian_frechet(pts, pts.copy()) < 1e-8
+        spec = GmmSpec([1.0], [pts.mean(axis=0)], [np.cov(pts, rowvar=False)])
+        assert abs(gaussian_frechet(pts, spec)) < 1e-8
 
     def test_mean_shift_closed_form(self):
         m = 1.7
-        a = exact_moment_points([0.0, 0.0], 1.0)
-        b = exact_moment_points([m, 0.0], 1.0)
-        assert np.isclose(gaussian_frechet(a, b), m * m, atol=1e-6)
+        a = exact_moment_points([m, 0.0], 1.0)
+        assert np.isclose(gaussian_frechet(a, gaussian([0.0, 0.0], 1.0)), m * m, atol=1e-6)
 
     def test_variance_scaling_closed_form(self):
-        # N(0, I) vs N(0, 4I) in 2D: 2 (1 + 4 - 2 * 2) = 2
-        a = exact_moment_points([0.0, 0.0], 1.0)
-        b = exact_moment_points([0.0, 0.0], 4.0)
-        assert np.isclose(gaussian_frechet(a, b), 2.0, atol=1e-6)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(8)
-        a, b = rng.standard_normal((60, 3)), rng.standard_normal((70, 3)) * 1.4 + 0.3
-        assert abs(gaussian_frechet(a, b) - gaussian_frechet(b, a)) < 1e-8
+        # N(0, I) vs N(0, 4I) in 2D, either way round: 2 (1 + 4 - 2 * 2) = 2
+        for var_a, var_b in ((1.0, 4.0), (4.0, 1.0)):
+            a = exact_moment_points([0.0, 0.0], var_a)
+            assert np.isclose(gaussian_frechet(a, gaussian([0.0, 0.0], var_b)), 2.0, atol=1e-6)
 
     def test_zero_iff_moment_matched(self):
         a = exact_moment_points([0.3, -0.2], 1.3)
-        b = exact_moment_points([0.3, -0.2], 1.3) * 1.0
-        assert gaussian_frechet(a, b) < 1e-8
+        assert abs(gaussian_frechet(a, gaussian([0.3, -0.2], 1.3))) < 1e-8
+        # four components at unit distance, variance 0.8: covariance 0.8 I + I / 2 = 1.3 I
+        offsets = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        mixture = GmmSpec(np.full(4, 0.25), offsets + [0.3, -0.2], np.full(4, 0.8))
+        assert abs(gaussian_frechet(a, mixture)) < 1e-8
         c = exact_moment_points([0.3, -0.2], 1.5)
-        assert gaussian_frechet(a, c) > 1e-3
+        assert gaussian_frechet(c, mixture) > 1e-3
 
     @pytest.mark.parametrize("dim", [2, 256])
     def test_cholesky_form_matches_the_eigh_reference(self, dim):
         spec = (Fractal(FractalSpec(8, np.pi / 5, 0.75, 0.005, n_classes=2)).gmm if dim == 2
                 else make_simplex_gmm(16, 256, 0.2))
+        mu, cov = gmm_moments(spec)
         rng = np.random.default_rng(27)
         for seed in range(3):
             a = sample_gmm(spec, 600, seed).points
             a += 0.1 * rng.standard_normal(a.shape)
-            b = sample_gmm(spec, 4000 if dim == 2 else 300, seed + 10).points
-            value, ref = gaussian_frechet(a, b), ref_frechet(a, b)
+            value, ref = gaussian_frechet(a, spec), ref_frechet(a, mu, cov)
             # against the size of the summed terms: the value itself can cancel far below them
-            terms = ref + 4.0 * np.trace(np.cov(a, rowvar=False) + np.cov(b, rowvar=False))
+            terms = ref + 4.0 * np.trace(np.cov(a, rowvar=False) + cov)
             assert abs(value - ref) <= 1e-12 * terms
-            assert abs(gaussian_frechet(b, a) - value) <= 1e-12 * terms
 
     def test_non_finite_values_give_nan(self):
         rng = np.random.default_rng(28)
         for dim in (2, 256):
-            a, b = rng.standard_normal((300, dim)), rng.standard_normal((400, dim))
-            for x, other in ((a.copy(), b), (b.copy(), a)):
-                x[5, 1] = np.nan
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    assert np.isnan(gaussian_frechet(x, other))
-                    assert np.isnan(gaussian_frechet(other, x))
-                x[5, 1] = np.inf
-                with np.errstate(invalid="ignore"):  # np.cov's own inf - inf
-                    assert np.isnan(gaussian_frechet(x, other))
-                    assert np.isnan(gaussian_frechet(other, x))
-
-    def test_covariance_not_psd_raises(self):
-        # points on the diagonal at scale 2^20: the covariance is 2^40 [[1, 1], [1, 1]]
-        # exactly, and the 1e-8 I regularization rounds away, so it is singular
-        line = np.array([[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]]) * 2.0**20
-        other = np.random.default_rng(29).standard_normal((10, 2))
-        with pytest.raises(ValueError, match="not PSD"):
-            gaussian_frechet(other, line)
+            x, spec = rng.standard_normal((300, dim)), gaussian(np.zeros(dim), 1.0)
+            x[5, 1] = np.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.isnan(gaussian_frechet(x, spec))
+            x[5, 1] = np.inf
+            with np.errstate(invalid="ignore"):  # np.cov's own inf - inf
+                assert np.isnan(gaussian_frechet(x, spec))
 
     def test_preconditions(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            gaussian_frechet(np.zeros((0, 2)), np.zeros((5, 2)))
-        with pytest.raises(ValueError, match="dimension"):
-            gaussian_frechet(np.zeros((5, 2)), np.zeros((5, 3)))
-        with pytest.raises(ValueError, match="more samples"):
-            gaussian_frechet(np.zeros((2, 2)), np.zeros((5, 2)))
+        for n in (0, 2):
+            with pytest.raises(ValueError, match="more samples"):
+                gaussian_frechet(np.zeros((n, 2)), gaussian([0.0, 0.0], 1.0))
 
 
 class TestCurvatureField:

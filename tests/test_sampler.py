@@ -90,8 +90,7 @@ class TestHeun:
         sch = sigma_schedule(100, 0.002, 80.0)
         trajs = sample(unguided(om), sch, 10_000, seed=2)
         from sfglab.evaluation import gaussian_frechet
-        ref = np.random.default_rng(3).standard_normal((10_000, 2))
-        assert gaussian_frechet(trajs.points, ref) < 0.01
+        assert gaussian_frechet(trajs.points, GmmSpec([1.0], np.zeros((1, 2)), [1.0])) < 0.01
 
     def test_analytic_flow_map(self):
         # dx/dsigma = sigma x / (v + sigma^2): x(0) = x(s0) sqrt(v / (v + s0^2))
