@@ -9,18 +9,19 @@ the same network serves the unconditional branch.
 Flow convention: x_t = (1 - t) x0 + t eps with t = 0 at the data end and
 t = 1 at pure noise, so eps = (1 - t) v + x and sigma(t) = t / (1 - t).
 
-A model's parameters are one flat float64 vector in checkpoint order; the
-weight, bias and embedding arrays are views of it. A training batch runs
-allocation-free: the cached forward pass, backprop and the Adam step with
-decoupled weight decay write into buffers and into views of one flat
-gradient vector, and each keeps the operands and order of the out-of-place
-expressions, so trained parameters and checkpoints are unchanged bit for bit.
+A model's parameters are one flat float32 vector in checkpoint order, the
+precision a checkpoint stores them in; the weight, bias and embedding arrays
+are views of it. Forward (training and inference), backprop and the
+activation run in float32. Adam with decoupled weight decay updates a float64
+master copy of the parameters and rounds it into params after each step: at
+lr * wd = 1e-8 a float32 weight decay w - 1e-8 w would round back to w.
 
-Training runs in float64; inference (forward, predict_eps) runs in float32,
-the precision a checkpoint stores the parameters in. Each inference call
-casts params into a float32 copy private to the calling thread, so no stale
-copy outlives a write to params, computes the layers in float32 buffers of
-that thread, and returns float64.
+A training batch runs allocation-free: the cached forward pass, backprop and
+the Adam step write into buffers and into views of one flat gradient vector,
+and each keeps the operands and order of the out-of-place expressions, so
+trained parameters and checkpoints are unchanged bit for bit. Inference
+computes the layers in float32 buffers of the calling thread and returns
+float64.
 """
 
 from __future__ import annotations
@@ -89,11 +90,10 @@ def class_ids_per_row(class_ids, n_rows: int) -> np.ndarray:
 def _sigmoid(z, out=None):
     """Logistic sigmoid in the branch-free form 0.5 * (1 + tanh(z / 2)),
     written in place into out, or into one new array, in the precision of z
-    (float64 in training, float32 in inference). It lies in [0, 1] for every
-    z but NaN and cannot overflow. Its error against 1 / (1 + exp(-z)) is
-    absolute, at most about 2.2e-16 in float64 (about 7e-8 in float32); for
-    z <= -38 in float64, where the exact value is below 3.2e-17, it
-    returns 0."""
+    (float32 in the model). It lies in [0, 1] for every z but NaN and cannot
+    overflow. Its error against 1 / (1 + exp(-z)) is absolute, at most about
+    7e-8 in float32 (about 2.2e-16 in float64); for z <= -38 in float64,
+    where the exact value is below 3.2e-17, it returns 0."""
     s = np.multiply(z, 0.5, out=out)
     np.tanh(s, out=s)
     s += 1.0
@@ -184,14 +184,13 @@ class ScoreModel(_Predictor):
     def __init__(self, data_dim: int, hidden, *, n_classes: int | None = None,
                  param: str = "eps", emb_dim: int = 8, seed: int = 0):
         self._allocate(data_dim, hidden, n_classes, param, emb_dim, seed)
+        # drawn and scaled in float64, then rounded into the float32 blocks
         rng = generator(seed, 0xC0DE)
         for w, b in zip(self.weights, self.biases):
-            rng.standard_normal(out=w)
-            w *= np.sqrt(2.0 / w.shape[1])
+            w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[1])
             b.fill(0.0)
         if self.class_emb is not None:
-            rng.standard_normal(out=self.class_emb)
-            self.class_emb *= 0.1
+            self.class_emb[...] = rng.standard_normal(self.class_emb.shape) * 0.1
 
     @classmethod
     def _empty(cls, data_dim, hidden, n_classes, param, emb_dim, seed) -> "ScoreModel":
@@ -220,7 +219,7 @@ class ScoreModel(_Predictor):
             self._layout += [(f"w{i}", (widths[i + 1], widths[i])), (f"b{i}", (widths[i + 1],))]
         if self.n_classes:
             self._layout.append(("class_emb", (self.n_classes + 1, self.emb_dim)))
-        self.params = np.empty(sum(math.prod(shape) for _, shape in self._layout))
+        self.params = np.empty(sum(math.prod(shape) for _, shape in self._layout), dtype=np.float32)
         blocks = self._blocks(self.params)
         n_layers = len(widths) - 1
         self.weights = blocks[0:2 * n_layers:2]
@@ -262,99 +261,91 @@ class ScoreModel(_Predictor):
             raise ValueError(f"unknown class id in {np.unique(ids)}; model has {self.n_classes} classes")
         return np.where(ids < 0, null, ids)
 
-    def _features(self, x: np.ndarray, level, ids: np.ndarray | None, out: np.ndarray | None = None):
-        """Input features of a batch x (N, n) with mapped class ids: written
-        into out, an (N, in_dim) float64 or float32 array, or into a new
-        float64 one; each value is computed in float64 and then stored.
-        level is one value or one per row; a single level stays a scalar, so
-        log, sin and cos run once per call, not once per row."""
+    def _features(self, x: np.ndarray, level, ids: np.ndarray | None, out: np.ndarray):
+        """Input features of a batch x (N, n) with mapped class ids, written
+        into out, an (N, in_dim) float32 array; each value but the embedding
+        is computed in float64 and then stored. level is one value or one per
+        row; a single level stays a scalar, so log, sin and cos run once per
+        call, not once per row."""
         d = x.shape[1]
-        feats = np.empty((x.shape[0], self.weights[0].shape[1])) if out is None else out
-        feats[:, :d] = x
+        out[:, :d] = x
         c = np.log(level) if self.param == "eps" else level
         for j, f in enumerate((np.sin(c), np.cos(c), np.sin(0.5 * c), np.cos(0.5 * c))):
-            feats[:, d + j] = f
+            out[:, d + j] = f
         if ids is not None:
-            np.take(self.class_emb, ids, axis=0, out=feats[:, d + 4:])
-        return feats
+            np.take(self.class_emb, ids, axis=0, out=out[:, d + 4:])
+        return out
 
     def _buffers(self, rows: int) -> threading.local:
-        """This thread's float32 inference buffers, as attributes of its
-        thread-local store: the parameter copy params32 with its weights32
-        and biases32 views, made once per thread, and for a batch of rows,
-        kept while the batch size repeats, the (rows, in_dim) input features
-        feats that forward fills, the (z, s) pair of every hidden layer in
-        layers and the (rows, data_dim) output out. The pairs are views of
-        three arrays: z alternates between two, so a layer's input is never
-        its output, and s shares the third."""
+        """This thread's float32 inference buffers for a batch of rows, as
+        attributes of its thread-local store, kept while the batch size
+        repeats: the (rows, in_dim) input features feats that forward fills,
+        the (z, s) pair of every hidden layer in layers and the (rows,
+        data_dim) output out. The pairs are views of three arrays: z
+        alternates between two, so a layer's input is never its output, and
+        s shares the third."""
         local = self._local
-        if getattr(local, "params32", None) is None:
-            local.params32 = np.empty(self.params.size, dtype=np.float32)
-            blocks, n = self._blocks(local.params32), 2 * len(self.weights)
-            local.weights32, local.biases32 = blocks[0:n:2], blocks[1:n:2]
         if getattr(local, "rows", None) != rows:
             flat = [np.empty(rows * max(self.hidden, default=0), dtype=np.float32) for _ in range(3)]
             local.rows = rows
-            # zeroed: np.take of the class embedding casts through a float64
-            # copy of its out columns, and must not read a signaling NaN there
-            local.feats = np.zeros((rows, self.weights[0].shape[1]), dtype=np.float32)
+            local.feats = np.empty((rows, self.weights[0].shape[1]), dtype=np.float32)
             local.layers = [(flat[i % 2][:rows * h].reshape(rows, h), flat[2][:rows * h].reshape(rows, h))
                             for i, h in enumerate(self.hidden)]
             local.out = np.empty((rows, self.data_dim), dtype=np.float32)
         return local
 
     def _train_buffers(self, rows: int) -> dict:
-        """This thread's training buffers for a batch of rows, kept while the
-        batch size repeats: per hidden layer its pre-activation z, sigmoid s
-        and output z * s (the cache backprop reads), the network output, and
-        for backprop per hidden layer the SiLU derivative and the delta (views
-        of three arrays; the deltas alternate between two, as in _buffers),
-        and a conditional model's gradient of its class-embedding input
-        columns; _backward adds the block views of the gradient vector it last
-        filled. train() drops them, so a trained model carries none."""
+        """This thread's float32 training buffers for a batch of rows, kept
+        while the batch size repeats: per hidden layer its pre-activation z,
+        sigmoid s and output z * s (the cache backprop reads), the network
+        output, and for backprop per hidden layer the SiLU derivative and the
+        delta (views of three arrays; the deltas alternate between two, as in
+        _buffers), and a conditional model's gradient of its class-embedding
+        input columns; _backward adds the block views of the gradient vector
+        it last filled. train() drops them, so a trained model carries none."""
         local = self._local
         bufs = getattr(local, "train", None)
         if bufs is None or bufs["rows"] != rows:
-            flat = [np.empty(rows * max(self.hidden, default=0)) for _ in range(3)]
+            def new(*shape):
+                return np.empty(shape, dtype=np.float32)
+
+            flat = [new(rows * max(self.hidden, default=0)) for _ in range(3)]
             bufs = local.train = {
                 "rows": rows,
-                "pre": [np.empty((rows, h)) for h in self.hidden],
-                "sig": [np.empty((rows, h)) for h in self.hidden],
-                "act": [np.empty((rows, h)) for h in self.hidden],
-                "out": np.empty((rows, self.data_dim)),
+                "pre": [new(rows, h) for h in self.hidden],
+                "sig": [new(rows, h) for h in self.hidden],
+                "act": [new(rows, h) for h in self.hidden],
+                "out": new(rows, self.data_dim),
                 "dsilu": [flat[2][:rows * h].reshape(rows, h) for h in self.hidden],
                 "delta": [flat[i % 2][:rows * h].reshape(rows, h) for i, h in enumerate(self.hidden)],
-                "demb": np.empty((rows, self.emb_dim)) if self.conditional else None,
+                "demb": new(rows, self.emb_dim) if self.conditional else None,
             }
         return bufs
 
     def _forward(self, feats: np.ndarray, want_cache: bool = False):
-        """Network output for a feature batch. With want_cache, the training
-        forward: float64 throughout, also returning (pre, sig, acts), each
-        hidden layer's pre-activation z and its sigmoid s (the SiLU is
-        z * s), and the input of every layer; these and the output are this
-        thread's training buffers (see _train_buffers), which the next
-        cached call overwrites. Without it, the inference forward: params
-        are cast into this thread's float32 copy on every call, so a write
-        to params shows in the next output; feats are cast into the float32
-        feature buffer unless they are that buffer; the hidden layers and
-        the output are computed in float32 in this thread's buffers (see
-        _buffers), and the output is returned as a new float64 array. A
-        sampling step allocates no (rows, width) temporaries that the C
-        allocator would return to the system and fault in again."""
+        """Network output for a float32 feature batch, computed in float32
+        on params. With want_cache, the training forward, also returning
+        (pre, sig, acts), each hidden layer's pre-activation z and its
+        sigmoid s (the SiLU is z * s), and the input of every layer; these
+        and the output are this thread's training buffers (see
+        _train_buffers), which the next cached call overwrites. Without it,
+        the inference forward: feats are copied into this thread's feature
+        buffer unless they are that buffer, the hidden layers and the output
+        are computed in this thread's buffers (see _buffers), and the output
+        is returned as a new float64 array. A sampling step allocates no
+        (rows, width) temporaries that the C allocator would return to the
+        system and fault in again."""
         rows = feats.shape[0]
         if want_cache:
             bufs = self._train_buffers(rows)
             pre, sig, acts = bufs["pre"], bufs["sig"], [feats, *bufs["act"]]
-            weights, biases, out = self.weights, self.biases, bufs["out"]
-            layers = zip(pre, sig, acts[1:])
+            layers, out = zip(pre, sig, acts[1:]), bufs["out"]
         else:
             local = self._buffers(rows)
-            np.copyto(local.params32, self.params)
             if feats is not local.feats:
                 np.copyto(local.feats, feats)
-            feats, weights, biases = local.feats, local.weights32, local.biases32
-            layers, out = local.layers, local.out
+            feats, layers, out = local.feats, local.layers, local.out
+        weights, biases = self.weights, self.biases
         a = feats
         for w, b, layer in zip(weights[:-1], biases[:-1], layers):
             z = np.matmul(a, w.T, out=layer[0])
@@ -378,7 +369,7 @@ class ScoreModel(_Predictor):
 
         The features are written into this thread's float32 (rows, in_dim)
         feature buffer (see _buffers), which the next call on this thread
-        reuses; training builds its features in float64 arrays of its own."""
+        reuses; training builds its features in a buffer of its own."""
         x = np.asarray(x, dtype=float)
         xb = np.atleast_2d(x)
         if xb.ndim != 2 or xb.shape[1] != self.data_dim:
@@ -392,9 +383,10 @@ class ScoreModel(_Predictor):
 
     def _backward(self, cache, ids, dout, out: np.ndarray | None = None) -> np.ndarray:
         """Gradient of a loss whose output gradient is dout, for the cache of
-        _forward(feats, want_cache=True) and the mapped class ids: written
-        into out, a flat vector laid out like params, or into a new one. The
-        SiLU derivatives and deltas go into this thread's training buffers."""
+        _forward(feats, want_cache=True) and the mapped class ids, in float32:
+        written into out, a flat vector laid out like params, or into a new
+        one. The SiLU derivatives and deltas go into this thread's training
+        buffers."""
         pre, sig, acts = cache
         grad = np.empty_like(self.params) if out is None else out
         bufs = self._train_buffers(dout.shape[0])
@@ -444,8 +436,10 @@ def _lr_at(cfg: TrainConfig, batch: int) -> float:
 
 class _AdamW:
     """Adam (arXiv:1412.6980) with decoupled weight decay (arXiv:1711.05101)
-    on a model's flat parameter vector, in place. One pass per ADAM_CHUNK
-    elements with two scratch chunks computes, element by element,
+    on a float64 master copy p of a model's flat float32 parameter vector,
+    in place (mixed precision after arXiv:1710.03740). One pass per
+    ADAM_CHUNK elements with two scratch chunks widens the float32 gradient
+    g to float64 and computes, element by element,
 
         m = beta1 m + (1 - beta1) g
         v = beta2 v + (1 - beta2) g g
@@ -453,15 +447,17 @@ class _AdamW:
         p -= lr wd p    (weights and class embedding only, after the update)
 
     with the operands and order of these expressions, so a step gives the
-    same bits as the same expressions evaluated block by block."""
+    same bits as the same expressions evaluated block by block; then it
+    rounds p into the model's params."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, model: ScoreModel, weight_decay: float):
         self.params = model.params
-        self.m = np.zeros_like(self.params)
-        self.v = np.zeros_like(self.params)
-        n = self.params.size
+        self.master = model.params.astype(np.float64)
+        self.m = np.zeros_like(self.master)
+        self.v = np.zeros_like(self.master)
+        n = self.master.size
         self.scratch = (np.empty(min(n, ADAM_CHUNK)), np.empty(min(n, ADAM_CHUNK)))
         self.weight_decay = weight_decay
         decayed, pos = [], 0
@@ -485,8 +481,9 @@ class _AdamW:
         bc2 = 1.0 - beta2**t
         decay = lr * self.weight_decay
         for lo, hi, spans in self.chunks:
-            p, g, m, v = self.params[lo:hi], grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
-            a, c = self.scratch[0][:hi - lo], self.scratch[1][:hi - lo]
+            p, m, v = self.master[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            a, g = self.scratch[0][:hi - lo], self.scratch[1][:hi - lo]
+            np.copyto(g, grad[lo:hi])
             m *= beta1
             m += np.multiply(1.0 - beta1, g, out=a)
             v *= beta2
@@ -495,7 +492,7 @@ class _AdamW:
             v += a
             np.divide(m, bc1, out=a)
             np.multiply(lr, a, out=a)
-            np.divide(v, bc2, out=c)
+            c = np.divide(v, bc2, out=g)  # g is spent
             np.sqrt(c, out=c)
             c += self.eps
             a /= c
@@ -503,6 +500,7 @@ class _AdamW:
             for s0, s1 in spans:
                 w = p[s0:s1]
                 w -= np.multiply(decay, w, out=a[s0:s1])
+            np.copyto(self.params[lo:hi], p)
 
 
 def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bool = False,
@@ -512,10 +510,12 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
 
     Deterministic given cfg.seed. Raises TrainingDiverged (carrying the last
     snapshot) if the loss goes non-finite or above 1e6, or the final
-    parameters do not fit a float32 checkpoint. A batch allocates no
-    matrix: inputs, targets, loss terms, activations, deltas, the gradient
-    and the Adam scratch live in buffers made once per run; only per-row
-    vectors (levels, class ids) are new each batch.
+    float64 master parameters do not fit a float32 checkpoint. A batch
+    allocates no matrix: inputs, targets, loss terms, activations, deltas,
+    the gradient and the Adam scratch live in buffers made once per run;
+    only per-row vectors (levels, class ids) are new each batch. Points,
+    noise and targets are float64; the residual, the loss terms and
+    everything after them are float32 up to the Adam step.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -528,8 +528,9 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
     adam = _AdamW(model, cfg.weight_decay)
     grad = np.empty_like(model.params)
     rows = cfg.batch_size
-    x0, noise, xin, flow_target, sq = (np.empty((rows, points.shape[1])) for _ in range(5))
-    feats = np.empty((rows, model.weights[0].shape[1]))
+    x0, noise, xin, flow_target = (np.empty((rows, points.shape[1])) for _ in range(4))
+    sq = np.empty((rows, points.shape[1]), dtype=np.float32)
+    feats = np.empty((rows, model.weights[0].shape[1]), dtype=np.float32)
 
     rng = generator(cfg.seed, 0xBA7C)
     log_smin, log_smax = np.log(cfg.sigma_min), np.log(cfg.sigma_max)
@@ -564,7 +565,7 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
             model._features(xin, level, mapped, out=feats)
             out, cache = model._forward(feats, want_cache=True)
             residual = np.subtract(out, target, out=out)
-            loss = float(np.multiply(residual, residual, out=sq).sum() / rows)
+            loss = float(np.multiply(residual, residual, out=sq).sum()) / rows
             if not np.isfinite(loss) or loss > 1e6:
                 raise TrainingDiverged(b, loss, last_good)
             dout = np.multiply(2.0, residual, out=sq)
@@ -572,9 +573,9 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
             model._backward(cache, mapped, dout, out=grad)
             adam.step(grad, lr, b + 1)
             history.append((b, lr, loss))
-            if snapshot_every and (b + 1) % snapshot_every == 0 and _storable(model.params):
+            if snapshot_every and (b + 1) % snapshot_every == 0 and _storable(adam.master):
                 last_good = model.copy()
-    if not _storable(model.params):
+    if not _storable(adam.master):
         raise TrainingDiverged(cfg.batches - 1, loss, last_good, "parameters beyond float32 range")
     model.loss_history = history
     model._local = threading.local()  # drop the training buffers

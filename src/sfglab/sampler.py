@@ -19,12 +19,12 @@ outputs are bitwise identical for any --threads value and assemble in
 trajectory order.
 
 Chunks on different threads may share a model. Each ScoreModel evaluation
-casts the parameters and writes its input features and hidden activations
-into float32 buffers private to the calling thread (ScoreModel._buffers),
-kept while the chunk's row count repeats, so a step allocates little and no
-two threads write one buffer. The chunk loop still holds the interpreter
-lock between numpy calls, so on the small 2-d models a second thread gains
-little (README, --threads).
+writes its input features and hidden activations into float32 buffers
+private to the calling thread (ScoreModel._buffers), kept while the chunk's
+row count repeats, so a step allocates little and no two threads write one
+buffer. The chunk loop still holds the interpreter lock between numpy
+calls, so on the small 2-d models a second thread gains little (README,
+--threads).
 
 Once a trajectory turns non-finite it is marked failed and keeps its last
 finite point; its chunk then steps only the rows left, so a failed row costs

@@ -11,7 +11,7 @@ import pytest
 
 from sfglab.datasets import GmmSpec, LabeledPointSet, make_two_gaussian
 from sfglab.model import (ADAM_CHUNK, CKPT_MAGIC, CKPT_VERSION, OracleModel, ScoreModel,
-                          TrainConfig, TrainingDiverged, _lr_at, _sigmoid, eps_to_flow,
+                          TrainConfig, TrainingDiverged, _AdamW, _lr_at, _sigmoid, eps_to_flow,
                           eps_to_score, esm_loss, flow_to_eps, load_checkpoint,
                           save_checkpoint, score_to_eps, train)
 from sfglab import oracle
@@ -101,6 +101,11 @@ def reference_features(m, x, level, ids, class_emb=None):
     return np.concatenate(parts, axis=1)
 
 
+def built_features(m, x, level, ids):
+    """The model's float32 features of a batch, through _features."""
+    return m._features(x, level, ids, out=np.empty((x.shape[0], m.weights[0].shape[1]), dtype=np.float32))
+
+
 def reference_forward(weights, biases, feats):
     """Out-of-place forward pass: output and (pre, sig, acts) as fresh arrays."""
     a = feats
@@ -148,27 +153,32 @@ def reference_backward(weights, class_emb, cache, ids, dout, full_product=False)
 
 
 def reference_train(dataset, hidden, cfg, conditional=False):
-    """The out-of-place training loop: per-block initialisation, forward,
-    backward, Adam and weight decay on separate arrays, each batch building
-    fresh temporaries. Returns the parameter blocks in checkpoint order and
-    the loss history."""
+    """The out-of-place training loop: per-block initialisation drawn in
+    float64 and rounded to float32; forward and backward in float32; Adam
+    and weight decay on float64 master blocks, rounded into the float32
+    blocks after each step; each batch building fresh temporaries. Returns
+    the float32 parameter blocks in checkpoint order and the loss history."""
     points = dataset.points
     n_classes = int(dataset.labels.max()) + 1 if conditional else None
     param = "eps" if cfg.objective == "dsm" else "flow"
     shell = ScoreModel(points.shape[1], hidden, n_classes=n_classes, param=param, seed=cfg.seed)
     widths = [shell.weights[0].shape[1]] + list(hidden) + [points.shape[1]]
     init = generator(cfg.seed, 0xC0DE)
-    weights = [init.standard_normal((widths[i + 1], widths[i])) * np.sqrt(2.0 / widths[i])
-               for i in range(len(widths) - 1)]
-    biases = [np.zeros(widths[i + 1]) for i in range(len(widths) - 1)]
-    class_emb = init.standard_normal((n_classes + 1, shell.emb_dim)) * 0.1 if conditional else None
-    blocks = []
-    for w, b in zip(weights, biases):
-        blocks.extend([w, b])
-    if class_emb is not None:
-        blocks.append(class_emb)
-    m_state = [np.zeros_like(p) for p in blocks]
-    v_state = [np.zeros_like(p) for p in blocks]
+
+    def rounded(a):
+        return a.astype(np.float32).astype(np.float64)
+
+    master_w = [rounded(init.standard_normal((widths[i + 1], widths[i])) * np.sqrt(2.0 / widths[i]))
+                for i in range(len(widths) - 1)]
+    master_b = [np.zeros(widths[i + 1]) for i in range(len(widths) - 1)]
+    master_emb = rounded(init.standard_normal((n_classes + 1, shell.emb_dim)) * 0.1) if conditional else None
+    master = []
+    for w, b in zip(master_w, master_b):
+        master.extend([w, b])
+    if master_emb is not None:
+        master.append(master_emb)
+    m_state = [np.zeros_like(p) for p in master]
+    v_state = [np.zeros_like(p) for p in master]
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     rng = generator(cfg.seed, 0xBA7C)
     log_smin, log_smax = np.log(cfg.sigma_min), np.log(cfg.sigma_max)
@@ -193,10 +203,13 @@ def reference_train(dataset, hidden, cfg, conditional=False):
         else:
             ids = None
         mapped = shell._map_class_ids(cfg.batch_size, ids)
-        feats = reference_features(shell, xin, level, mapped, class_emb)
+        weights = [w.astype(np.float32) for w in master_w]
+        biases = [b.astype(np.float32) for b in master_b]
+        class_emb = None if master_emb is None else master_emb.astype(np.float32)
+        feats = reference_features(shell, xin, level, mapped, class_emb).astype(np.float32)
         out, cache = reference_forward(weights, biases, feats)
-        residual = out - target
-        loss = float((residual * residual).sum() / cfg.batch_size)
+        residual = (out - target).astype(np.float32)
+        loss = float((residual * residual).sum()) / cfg.batch_size
         gw, gb, gemb = reference_backward(weights, class_emb, cache, mapped,
                                           2.0 * residual / cfg.batch_size)
         grads = []
@@ -206,19 +219,20 @@ def reference_train(dataset, hidden, cfg, conditional=False):
             grads.append(gemb)
         bc1 = 1.0 - beta1**(b + 1)
         bc2 = 1.0 - beta2**(b + 1)
-        for p, g, ms, vs in zip(blocks, grads, m_state, v_state):
+        for p, g, ms, vs in zip(master, grads, m_state, v_state):
+            g = g.astype(np.float64)
             ms *= beta1
             ms += (1.0 - beta1) * g
             vs *= beta2
             vs += (1.0 - beta2) * g * g
             p -= lr * (ms / bc1) / (np.sqrt(vs / bc2) + adam_eps)
         if cfg.weight_decay > 0:
-            for w in weights:
+            for w in master_w:
                 w -= lr * cfg.weight_decay * w
-            if class_emb is not None:
-                class_emb -= lr * cfg.weight_decay * class_emb
+            if master_emb is not None:
+                master_emb -= lr * cfg.weight_decay * master_emb
         history.append((b, lr, loss))
-    return blocks, history
+    return [p.astype(np.float32) for p in master], history
 
 
 def reference_save_checkpoint(model, path):
@@ -265,21 +279,19 @@ def arrays_held(obj, seen=None):
 
 class TestForward:
     def test_cached_forward_matches_plain_forward(self):
-        # the plain (inference) forward runs in float32: its bytes are the
-        # out-of-place forward on float32 weights, biases and features, cast
-        # to float64, and it agrees with the float64 cached (training)
-        # forward to float32 rounding
+        # both passes run in float32 on params: the plain (inference) forward
+        # returns the bytes of the cached (training) output cast to float64,
+        # and both are the out-of-place forward's
         m = ScoreModel(3, [16, 8], n_classes=2, seed=13)
         rng = np.random.default_rng(14)
         ids = m._map_class_ids(6, np.array([0, 1, -1, 0, 1, -1]))
-        feats = m._features(rng.standard_normal((6, 3)), np.full(6, 0.6), ids)
+        feats = built_features(m, rng.standard_normal((6, 3)), np.full(6, 0.6), ids)
         out, (pre, sig, acts) = m._forward(feats, want_cache=True)
         plain = m._forward(feats)
-        f32 = [[p.astype(np.float32) for p in ps] for ps in (m.weights, m.biases)]
-        want = reference_forward(*f32, feats.astype(np.float32))[0].astype(np.float64)
-        assert plain.dtype == np.float64
-        assert plain.tobytes() == want.tobytes()
-        assert np.abs(plain - out).max() <= 1e-5 * np.abs(out).max()
+        want = reference_forward(m.weights, m.biases, feats)[0]
+        assert out.dtype == want.dtype == np.float32 and plain.dtype == np.float64
+        assert out.tobytes() == want.tobytes()
+        assert plain.tobytes() == want.astype(np.float64).tobytes()
         assert len(pre) == len(sig) == 2 and len(acts) == 3
         for z, s, a in zip(pre, sig, acts[1:]):
             assert s.tobytes() == _sigmoid(z).tobytes()
@@ -322,8 +334,9 @@ class TestForward:
             mapped = m._map_class_ids(rows, ids)
             for level in (0.002, 0.37, 0.9, np.float64(0.61), rng.uniform(0.01, 0.99, rows)):
                 per_row = np.broadcast_to(level, (rows,))
-                feats = m._features(x, per_row, mapped)
-                assert feats.tobytes() == reference_features(m, x, per_row, mapped).tobytes()
+                feats = built_features(m, x, per_row, mapped)
+                want = reference_features(m, x, per_row, mapped).astype(np.float32)
+                assert feats.tobytes() == want.tobytes()
                 assert m.forward(x, level, ids).tobytes() == m._forward(feats).tobytes()
             one_id = None if ids is None else ids[0]
             assert m.forward(x[0], 0.37, one_id).tobytes() == m.forward(x[:1], 0.37, one_id).tobytes()
@@ -354,8 +367,8 @@ class TestForward:
             assert [out.tobytes() for out in outs] == [serial[j] for j in order]
 
     def test_a_parameter_write_shows_in_the_next_forward(self):
-        # the float32 copy is cast from params on every call, so no stale
-        # copy survives a write, on this thread or another
+        # forward reads params itself, with no copy of its own that could
+        # go stale after a write, on this thread or another
         m = ScoreModel(2, [16], seed=29)
         x = np.random.default_rng(30).standard_normal((5, 2))
         before = m.forward(x, 0.4)
@@ -413,23 +426,25 @@ class TestForward:
 
 class TestGradients:
     def test_backprop_matches_finite_differences(self):
-        # width-8 conditional net, 100 random parameter coordinates, 1e-4 relative
+        # width-8 conditional net, 100 random parameter coordinates, 1e-4
+        # relative: the float32 backprop against central differences of the
+        # float64 out-of-place forward at the same (float32) parameters
         m = ScoreModel(3, [8, 8], n_classes=2, seed=5)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 3))
         level = np.full(4, 0.8)
         target = rng.standard_normal((4, 3))
         ids = m._map_class_ids(4, np.array([0, 1, -1, 0]))
+        blocks = [b.astype(np.float64) for b in m.parameter_blocks()]
+        n = len(m.weights)
 
-        def loss_value():  # through the cached (training) forward, which backprop differentiates
-            out = m._forward(m._features(x, level, ids), want_cache=True)[0]
-            r = out - target
+        def loss_value():
+            feats = reference_features(m, x, level, ids, blocks[-1])
+            r = reference_forward(blocks[0:2 * n:2], blocks[1:2 * n:2], feats)[0] - target
             return float((r * r).sum() / 4)
 
-        feats = m._features(x, level, ids)
-        out, cache = m._forward(feats, want_cache=True)
-        grads = m._blocks(m._backward(cache, ids, 2.0 * (out - target) / 4))
-        blocks = m.parameter_blocks()
+        out, cache = m._forward(built_features(m, x, level, ids), want_cache=True)
+        grads = m._blocks(m._backward(cache, ids, (2.0 * (out - target) / 4).astype(np.float32)))
         checked = 0
         step = 1e-6
         while checked < 100:
@@ -449,20 +464,30 @@ class TestGradients:
     @pytest.mark.parametrize("dim, rows", [(2, 200), (256, 200), (3, 1)])
     def test_embedding_gradient_matches_the_whole_input_gradient(self, dim, rows):
         # backprop multiplies the first-layer delta by the embedding columns
-        # of the first weight only; the slice of the whole product agrees
-        # to rounding, and every other gradient block is unchanged
+        # of the first weight only: its float32 gradient is the out-of-place
+        # product bit for bit, and every other gradient block is unchanged;
+        # on the same operands widened to float64, the slice of the whole
+        # input-gradient product agrees with that product to rounding
         m = ScoreModel(dim, [32, 16], n_classes=3, seed=11)
         rng = np.random.default_rng(12)
         ids = m._map_class_ids(rows, rng.integers(-1, 3, rows))
-        feats = m._features(rng.standard_normal((rows, dim)), np.exp(rng.uniform(-3, 2, rows)), ids)
+        feats = built_features(m, rng.standard_normal((rows, dim)), np.exp(rng.uniform(-3, 2, rows)), ids)
         out, cache = m._forward(feats, want_cache=True)
-        dout = rng.standard_normal(out.shape)
+        dout = rng.standard_normal(out.shape).astype(np.float32)
         got = [b.copy() for b in m._blocks(m._backward(cache, ids, dout))]
-        gw, gb, gemb = reference_backward(m.weights, m.class_emb, cache, ids, dout, full_product=True)
+        gw, gb, gemb = reference_backward(m.weights, m.class_emb, cache, ids, dout)
         for i in range(len(gw)):
             assert np.array_equal(got[2 * i], gw[i]) and np.array_equal(got[2 * i + 1], gb[i])
-        assert np.any(gemb != 0)
-        np.testing.assert_allclose(got[-1], gemb, rtol=1e-12, atol=0)
+        assert np.array_equal(got[-1], gemb)
+
+        def wide(arrays):
+            return [a.astype(np.float64) for a in arrays]
+
+        args = (wide(m.weights), m.class_emb.astype(np.float64), tuple(map(wide, cache)), ids,
+                dout.astype(np.float64))
+        sliced, whole = (reference_backward(*args, full_product=full)[2] for full in (False, True))
+        assert np.any(whole != 0)
+        np.testing.assert_allclose(sliced, whole, rtol=1e-12, atol=0)
 
 
 class TestTraining:
@@ -532,6 +557,27 @@ class TestTraining:
         blocks, history = reference_train(data, hidden, cfg, conditional)
         assert [b.tobytes() for b in m.parameter_blocks()] == [b.tobytes() for b in blocks]
         assert m.loss_history == history
+
+    def test_weight_decay_below_float32_resolution_reaches_the_parameters(self):
+        # at lr * wd = 1e-8 one decay step w - 1e-8 w rounds back to w in
+        # float32; on the float64 master, 1000 steps with a zero gradient
+        # (so Adam's own update is 0) move every weight by about 1e-5 relative
+        m = ScoreModel(2, [16], n_classes=2, seed=50)
+        start = m.params.copy()
+        w32 = m.weights[0].copy()
+        w32 -= np.float32(1e-3 * 1e-5) * w32
+        assert np.array_equal(w32, m.weights[0])
+        adam = _AdamW(m, 1e-5)
+        master = [b.astype(np.float64) for b in m.parameter_blocks()]
+        biases = [name.startswith("b") for name, _ in m._layout]
+        for t in range(1, 1001):
+            adam.step(np.zeros_like(m.params), 1e-3, t)
+            for bias, b in zip(biases, master):
+                if not bias:
+                    b -= 1e-3 * 1e-5 * b
+        assert [b.tobytes() for b in m.parameter_blocks()] == [b.astype(np.float32).tobytes() for b in master]
+        for bias, moved in zip(biases, m._blocks(m.params != start)):
+            assert not moved.any() if bias else moved.all()
 
     def test_trained_model_holds_no_training_buffers(self):
         data = gaussian_dataset(100, 2, seed=42)
@@ -751,7 +797,8 @@ class TestCheckpoint:
             reference_save_checkpoint(m, tmp_path / "b.ckpt")
             assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
             loaded, _ = load_checkpoint(tmp_path / "a.ckpt")
-            assert loaded.params.dtype == np.float64
+            assert loaded.params.dtype == np.float32
+            assert loaded.params.tobytes() == m.params.tobytes()
             save_checkpoint(loaded, tmp_path / "c.ckpt")
             assert (tmp_path / "c.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
 
