@@ -67,7 +67,7 @@ def _read_points(path) -> LabeledPointSet:
 
 
 def _check_dim(path, dim: int, task_dim: int) -> None:
-    """A model or sample artifact must hold points of the task's dimension."""
+    """A dataset, model or sample artifact must hold points of the task's dimension."""
     if dim != task_dim:
         raise MissingArtifact(f"{path} holds {dim}-d data, but the task is {task_dim}-d")
 
@@ -137,6 +137,14 @@ def cmd_train(run: Run) -> int:
     if not train_csv.exists():
         raise MissingArtifact(f"{train_csv} not found; run gen-data first")
     dataset = _read_points(train_csv)
+    if len(dataset) == 0:
+        raise MissingArtifact(f"{train_csv} holds no points; run gen-data again")
+    _check_dim(train_csv, dataset.dim, run.specs["base"].dim)
+    labels = run.specs["base"].labels
+    foreign = dataset.labels[~np.isin(dataset.labels, labels)]
+    if foreign.size:
+        raise MissingArtifact(f"{train_csv}: label {foreign[0]} is not a label of the {cfg['task']} "
+                              f"task; its labels are {sorted(set(labels.tolist()))}")
     if not run.train:
         raise ConfigError("train needs a models section")
     for name, tcfg in run.train.items():

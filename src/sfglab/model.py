@@ -16,12 +16,13 @@ activation run in float32. Adam with decoupled weight decay updates a float64
 master copy of the parameters and rounds it into params after each step: at
 lr * wd = 1e-8 a float32 weight decay w - 1e-8 w would round back to w.
 
-A training batch runs allocation-free: the cached forward pass, backprop and
-the Adam step write into buffers and into views of one flat gradient vector,
-and each keeps the operands and order of the out-of-place expressions, so
-trained parameters and checkpoints are unchanged bit for bit. Inference
-computes the layers in float32 buffers of the calling thread and returns
-float64.
+One forward pass serves training and inference. It computes the layers in
+one float32 buffer store of the calling thread, which backprop reuses, and
+inference returns float64. A training batch runs allocation-free: the cached
+forward pass, backprop and the Adam step write into buffers and into views
+of one flat gradient vector, and each keeps the operands and order of the
+out-of-place expressions, so trained parameters and checkpoints are
+unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ class ScoreModel(_Predictor):
         self.class_emb = blocks[-1] if self.n_classes else None
         self.loss_history: list[tuple[int, float, float]] = []
         self.train_config: TrainConfig | None = None
-        self._local = threading.local()  # per-thread inference and training buffers
+        self._local = threading.local()  # per-thread buffers (see _buffers)
 
     def _blocks(self, flat: np.ndarray) -> list[np.ndarray]:
         """Views of a flat vector laid out like params, one per parameter
@@ -276,42 +277,27 @@ class ScoreModel(_Predictor):
             np.take(self.class_emb, ids, axis=0, out=out[:, d + 4:])
         return out
 
-    def _buffers(self, rows: int) -> threading.local:
-        """This thread's float32 inference buffers for a batch of rows, as
-        attributes of its thread-local store, kept while the batch size
-        repeats: the (rows, in_dim) input features feats that forward fills,
-        the (z, s) pair of every hidden layer in layers and the (rows,
-        data_dim) output out. The pairs are views of three arrays: z
-        alternates between two, so a layer's input is never its output, and
-        s shares the third."""
-        local = self._local
-        if getattr(local, "rows", None) != rows:
-            flat = [np.empty(rows * max(self.hidden, default=0), dtype=np.float32) for _ in range(3)]
-            local.rows = rows
-            local.feats = np.empty((rows, self.weights[0].shape[1]), dtype=np.float32)
-            local.layers = [(flat[i % 2][:rows * h].reshape(rows, h), flat[2][:rows * h].reshape(rows, h))
-                            for i, h in enumerate(self.hidden)]
-            local.out = np.empty((rows, self.data_dim), dtype=np.float32)
-        return local
-
-    def _train_buffers(self, rows: int) -> dict:
-        """This thread's float32 training buffers for a batch of rows, kept
-        while the batch size repeats: per hidden layer its pre-activation z,
-        sigmoid s and output z * s (the cache backprop reads), the network
-        output, and for backprop per hidden layer the SiLU derivative and the
-        delta (views of three arrays; the deltas alternate between two, as in
-        _buffers), and a conditional model's gradient of its class-embedding
-        input columns; _backward adds the block views of the gradient vector
-        it last filled. train() drops them, so a trained model carries none."""
-        local = self._local
-        bufs = getattr(local, "train", None)
+    def _buffers(self, rows: int) -> dict:
+        """This thread's float32 buffers for a batch of rows, kept while the
+        batch size repeats and shared by inference and training: the (rows,
+        in_dim) input features feats that forward and train fill, per hidden
+        layer its pre-activation pre, sigmoid sig and output act (the cache
+        backprop reads; inference writes its SiLU into pre), the (rows,
+        data_dim) output out, and for backprop per hidden layer the SiLU
+        derivative dsilu and the delta (views of three arrays; the deltas
+        alternate between two, so a layer's input is never its output) and a
+        conditional model's gradient demb of its class-embedding input
+        columns; _backward adds the block views of the gradient vector it
+        last filled. train() drops them, so a trained model carries none."""
+        bufs = getattr(self._local, "bufs", None)
         if bufs is None or bufs["rows"] != rows:
             def new(*shape):
                 return np.empty(shape, dtype=np.float32)
 
             flat = [new(rows * max(self.hidden, default=0)) for _ in range(3)]
-            bufs = local.train = {
+            bufs = self._local.bufs = {
                 "rows": rows,
+                "feats": new(rows, self.weights[0].shape[1]),
                 "pre": [new(rows, h) for h in self.hidden],
                 "sig": [new(rows, h) for h in self.hidden],
                 "act": [new(rows, h) for h in self.hidden],
@@ -323,43 +309,30 @@ class ScoreModel(_Predictor):
         return bufs
 
     def _forward(self, feats: np.ndarray, want_cache: bool = False):
-        """Network output for a float32 feature batch, computed in float32
-        on params. With want_cache, the training forward, also returning
-        (pre, sig, acts), each hidden layer's pre-activation z and its
-        sigmoid s (the SiLU is z * s), and the input of every layer; these
-        and the output are this thread's training buffers (see
-        _train_buffers), which the next cached call overwrites. Without it,
-        the inference forward: feats are copied into this thread's feature
-        buffer unless they are that buffer, the hidden layers and the output
-        are computed in this thread's buffers (see _buffers), and the output
-        is returned as a new float64 array. A sampling step allocates no
-        (rows, width) temporaries that the C allocator would return to the
-        system and fault in again."""
-        rows = feats.shape[0]
-        if want_cache:
-            bufs = self._train_buffers(rows)
-            pre, sig, acts = bufs["pre"], bufs["sig"], [feats, *bufs["act"]]
-            layers, out = zip(pre, sig, acts[1:]), bufs["out"]
-        else:
-            local = self._buffers(rows)
-            if feats is not local.feats:
-                np.copyto(local.feats, feats)
-            feats, layers, out = local.feats, local.layers, local.out
-        weights, biases = self.weights, self.biases
-        a = feats
-        for w, b, layer in zip(weights[:-1], biases[:-1], layers):
-            z = np.matmul(a, w.T, out=layer[0])
+        """Network output for a feature batch, computed in float32 on params
+        in this thread's buffers (see _buffers); feats are copied into the
+        feature buffer unless they are that buffer. With want_cache, the
+        training forward: returns the float32 output and the cache (pre, sig,
+        acts), each hidden layer's pre-activation z and its sigmoid s (the
+        SiLU is z * s), and the input of every layer. Without it, the
+        inference forward writes each SiLU into z and returns the output as a
+        new float64 array. Either way the next call on this thread overwrites
+        the buffers, and a call allocates no (rows, width) temporaries that
+        the C allocator would return to the system and fault in again."""
+        bufs = self._buffers(feats.shape[0])
+        if feats is not bufs["feats"]:
+            np.copyto(bufs["feats"], feats)
+        pre, sig, act = bufs["pre"], bufs["sig"], bufs["act"]
+        a = bufs["feats"]
+        for w, b, z, s, y in zip(self.weights[:-1], self.biases[:-1], pre, sig, act):
+            np.matmul(a, w.T, out=z)
             z += b
-            s = _sigmoid(z, out=layer[1])
-            if want_cache:
-                a = np.multiply(z, s, out=layer[2])
-            else:
-                z *= s
-                a = z
-        out = np.matmul(a, weights[-1].T, out=out)
-        out += biases[-1]
+            _sigmoid(z, out=s)
+            a = np.multiply(z, s, out=y if want_cache else z)
+        out = np.matmul(a, self.weights[-1].T, out=bufs["out"])
+        out += self.biases[-1]
         if want_cache:
-            return out, (pre, sig, acts)
+            return out, (pre, sig, [bufs["feats"], *act])
         return out.astype(np.float64)
 
     def forward(self, x, level, class_ids=None) -> np.ndarray:
@@ -368,8 +341,8 @@ class ScoreModel(_Predictor):
         is one value or one per row.
 
         The features are written into this thread's float32 (rows, in_dim)
-        feature buffer (see _buffers), which the next call on this thread
-        reuses; training builds its features in a buffer of its own."""
+        feature buffer (see _buffers), which the next forward or training
+        batch on this thread reuses."""
         x = np.asarray(x, dtype=float)
         xb = np.atleast_2d(x)
         if xb.ndim != 2 or xb.shape[1] != self.data_dim:
@@ -379,17 +352,17 @@ class ScoreModel(_Predictor):
         if lv.ndim:
             lv = np.broadcast_to(lv, (rows,))
         ids = self._map_class_ids(rows, class_ids)
-        return self._forward(self._features(xb, lv, ids, out=self._buffers(rows).feats)).reshape(x.shape)
+        return self._forward(self._features(xb, lv, ids, out=self._buffers(rows)["feats"])).reshape(x.shape)
 
     def _backward(self, cache, ids, dout, out: np.ndarray | None = None) -> np.ndarray:
         """Gradient of a loss whose output gradient is dout, for the cache of
         _forward(feats, want_cache=True) and the mapped class ids, in float32:
         written into out, a flat vector laid out like params, or into a new
-        one. The SiLU derivatives and deltas go into this thread's training
-        buffers."""
+        one. The SiLU derivatives and deltas go into this thread's buffers
+        (see _buffers)."""
         pre, sig, acts = cache
         grad = np.empty_like(self.params) if out is None else out
-        bufs = self._train_buffers(dout.shape[0])
+        bufs = self._buffers(dout.shape[0])
         if bufs.get("grad") is not grad:  # block views of the vector the last call filled
             bufs["grad"], bufs["grad_blocks"] = grad, self._blocks(grad)
         blocks = bufs["grad_blocks"]
@@ -530,7 +503,6 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
     rows = cfg.batch_size
     x0, noise, xin, flow_target = (np.empty((rows, points.shape[1])) for _ in range(4))
     sq = np.empty((rows, points.shape[1]), dtype=np.float32)
-    feats = np.empty((rows, model.weights[0].shape[1]), dtype=np.float32)
 
     rng = generator(cfg.seed, 0xBA7C)
     log_smin, log_smax = np.log(cfg.sigma_min), np.log(cfg.sigma_max)
@@ -562,7 +534,7 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
             else:
                 ids = None
             mapped = model._map_class_ids(rows, ids)
-            model._features(xin, level, mapped, out=feats)
+            feats = model._features(xin, level, mapped, out=model._buffers(rows)["feats"])
             out, cache = model._forward(feats, want_cache=True)
             residual = np.subtract(out, target, out=out)
             loss = float(np.multiply(residual, residual, out=sq).sum()) / rows
@@ -578,7 +550,7 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
     if not _storable(adam.master):
         raise TrainingDiverged(cfg.batches - 1, loss, last_good, "parameters beyond float32 range")
     model.loss_history = history
-    model._local = threading.local()  # drop the training buffers
+    model._local = threading.local()  # drop the buffers
     return model
 
 

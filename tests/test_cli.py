@@ -566,6 +566,22 @@ class TestExitCodes:
         assert main(["train", "--config", path]) == 4
         assert "gen-data first" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", [999, -3])
+    def test_label_outside_the_task_is_4(self, tmp_path, capsys, label):
+        # a label the task mixture lacks would train classes without data
+        # (999) or, when negative, the null class (-3)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, fractal_config(out))
+        assert main(["gen-data", "--config", path]) == 0
+        train_csv = out / "train.csv"
+        data = LabeledPointSet.from_csv(train_csv)
+        data.labels[5] = label
+        data.to_csv(train_csv)
+        assert main(["train", "--config", path]) == 4
+        assert (f"{train_csv}: label {label} is not a label of the fractal task; its labels are [0, 1]"
+                in capsys.readouterr().err)
+        assert not (out / "main.ckpt").exists()
+
     def test_missing_checkpoint_is_4(self, tmp_path):
         cfg = fractal_config(tmp_path / "out")
         path = write_config(tmp_path, cfg)
@@ -585,6 +601,17 @@ class TestExitCodes:
         assert f"{out / 'main.ckpt'} holds 3-d data, but the task is {task_dim}-d" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["main.ckpt"]
 
+    def test_dataset_of_another_dimension_is_4(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, fractal_config(out))
+        assert main(["gen-data", "--config", path]) == 0
+        train_csv = out / "train.csv"
+        data = LabeledPointSet.from_csv(train_csv)
+        LabeledPointSet(np.c_[data.points, data.points[:, :1]], data.labels).to_csv(train_csv)
+        assert main(["train", "--config", path]) == 4
+        assert f"{train_csv} holds 3-d data, but the task is 2-d" in capsys.readouterr().err
+        assert not (out / "main.ckpt").exists()
+
     def test_samples_file_of_another_dimension_is_4(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = _deep_merge(two_gaussian_config(out), {"eval": {"samples_file": "wide.csv"}})
@@ -603,7 +630,8 @@ class TestExitCodes:
         ("main.ckpt", "sample", lambda b: b[:300]),
         ("main.ckpt", "sample", lambda b: b"NOPE" + b[4:]),
         ("train.csv", "train", lambda b: b.replace(b",", b",abc,", 1)),
-    ], ids=["checkpoint_cut_to_300_bytes", "checkpoint_bad_magic", "csv_non_numeric_cell"])
+        ("train.csv", "train", lambda b: b[:b.index(b"\n") + 1]),
+    ], ids=["checkpoint_cut_to_300_bytes", "checkpoint_bad_magic", "csv_non_numeric_cell", "csv_header_only"])
     def test_corrupt_artifact_is_4(self, tmp_path, capsys, artifact, command, corrupt):
         out = tmp_path / "out"
         path = write_config(tmp_path, fractal_config(out))

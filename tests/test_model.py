@@ -281,21 +281,47 @@ class TestForward:
     def test_cached_forward_matches_plain_forward(self):
         # both passes run in float32 on params: the plain (inference) forward
         # returns the bytes of the cached (training) output cast to float64,
-        # and both are the out-of-place forward's
+        # and both are the out-of-place forward's; the cache is checked
+        # first, because the plain call overwrites the thread's buffers
         m = ScoreModel(3, [16, 8], n_classes=2, seed=13)
         rng = np.random.default_rng(14)
         ids = m._map_class_ids(6, np.array([0, 1, -1, 0, 1, -1]))
         feats = built_features(m, rng.standard_normal((6, 3)), np.full(6, 0.6), ids)
         out, (pre, sig, acts) = m._forward(feats, want_cache=True)
-        plain = m._forward(feats)
         want = reference_forward(m.weights, m.biases, feats)[0]
-        assert out.dtype == want.dtype == np.float32 and plain.dtype == np.float64
+        assert out.dtype == want.dtype == np.float32
         assert out.tobytes() == want.tobytes()
-        assert plain.tobytes() == want.astype(np.float64).tobytes()
         assert len(pre) == len(sig) == 2 and len(acts) == 3
         for z, s, a in zip(pre, sig, acts[1:]):
             assert s.tobytes() == _sigmoid(z).tobytes()
             assert a.tobytes() == (z * s).tobytes()
+        plain = m._forward(feats)
+        assert plain.dtype == np.float64
+        assert plain.tobytes() == want.astype(np.float64).tobytes()
+
+    def test_plain_forwards_between_batches_leave_the_gradient_unchanged(self):
+        # training and inference share one buffer store per thread: plain
+        # forwards between two cached forward + backward passes, at the same
+        # row count or at one that rebuilds the store, change no gradient
+        # byte, into a new vector or into one that is reused
+        m = ScoreModel(3, [16, 8], n_classes=2, seed=31)
+        rng = np.random.default_rng(32)
+        ids = m._map_class_ids(6, np.array([0, 1, -1, 0, 1, -1]))
+        feats = built_features(m, rng.standard_normal((6, 3)), np.full(6, 0.6), ids)
+        dout = rng.standard_normal((6, 3)).astype(np.float32)
+        reused = np.empty_like(m.params)
+
+        def grads():
+            cache = m._forward(feats, want_cache=True)[1]
+            fresh = m._backward(cache, ids, dout).tobytes()
+            cache = m._forward(feats, want_cache=True)[1]
+            return fresh, m._backward(cache, ids, dout, out=reused).tobytes()
+
+        want = grads()
+        assert want[0] == want[1]
+        for rows in (6, 11, 6):
+            m.forward(rng.standard_normal((rows, 3)), 0.3, rng.integers(-1, 2, rows))
+            assert grads() == want
 
     def test_plain_forward_buffers_are_per_thread(self):
         # the plain forward reuses per-thread buffers: threads that share a
