@@ -243,25 +243,15 @@ def cmd_sample(run: Run) -> int:
 
 
 def _sample_metrics(run: Run, samples: LabeledPointSet, names) -> dict[str, float]:
-    """The named sample-set metrics against the task mixture: the Frechet
-    distance to its exact moments, the outlier rate (Mahalanobis distance to
-    the nearest component, default threshold 4) and the coverage entropy.
-    Each is a finite float, or NumericFailure names the metric."""
-    ecfg, base = run.cfg["eval"], run.specs["base"]
-    # failed trajectories or a short samples file can leave too few points
-    # for the Frechet distance's full-rank covariance
-    if "frechet" in names and len(samples) <= samples.dim:
-        raise NumericFailure(f"{len(samples)} finite samples are too few for the Frechet "
-                             f"distance in {samples.dim}-d")
-    threshold = 4.0 if ecfg["outlier_threshold"] is None else ecfg["outlier_threshold"]
+    """The named metrics of evaluation.METRICS on samples against the task
+    mixture, each a finite float; NumericFailure names a metric whose
+    precondition the samples miss or whose value is not finite."""
     metrics = {}
     for name in names:
-        if name == "frechet":
-            value = evaluation.gaussian_frechet(samples, base)
-        elif name == "outlier_rate":
-            value = evaluation.outlier_rate(samples, base, threshold)
-        else:
-            value = evaluation.coverage_entropy(samples, base)
+        try:
+            value = evaluation.METRICS[name](samples, run.specs["base"], run.cfg["eval"])
+        except ValueError as exc:  # failed trajectories or a short samples file
+            raise NumericFailure(f"metric {name}: {exc}") from exc
         if not np.isfinite(value):
             raise NumericFailure(f"metric {name} is {value}, not a finite number")
         metrics[name] = float(value)
@@ -273,8 +263,7 @@ def cmd_eval(run: Run) -> int:
     out = _ensure_out(cfg)
     ecfg = cfg["eval"]
     # every key is present: a section this task or run does not fill stays empty
-    report = {"esm_rows": [], "outlier_rate": None, "coverage_entropy": None, "frechet": None,
-              "sfg_stats": None}
+    report = {"esm_rows": [], **dict.fromkeys(evaluation.METRICS), "sfg_stats": None}
     tables = {}
 
     name = cfg["sample"]["model"]
@@ -295,7 +284,7 @@ def cmd_eval(run: Run) -> int:
     if spath.exists():
         samples = _read_points(spath)
         _check_dim(spath, samples.dim, specs["base"].dim)
-        report.update(_sample_metrics(run, samples, ("outlier_rate", "coverage_entropy", "frechet")))
+        report.update(_sample_metrics(run, samples, evaluation.METRICS))
         # the manifest of the sample run that wrote the file sits beside it
         manifest = spath.with_name(f"sample_manifest_{spath.stem.removeprefix('samples_')}.json")
         if manifest.exists():

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .datasets import (Fractal, FractalSpec, make_outlier_gmm, make_saddle_gmm, make_simplex_gmm,
                        make_two_gaussian)
+from .evaluation import METRICS
 from .guidance import GUIDANCE_KINDS, GuidanceSpec, check_stack
 from .model import TrainConfig
 from .rng import derive_seed
@@ -188,8 +189,7 @@ SCHEMA = {
                 "weights": {"type": "array", "items": {"type": "number"}, "minItems": 1},
                 "alphas": {"type": ["array", "null"], "items": {"type": "number"}},
                 "h_values": {"type": ["array", "null"], "items": {"type": "number"}},
-                "metrics": {"type": "array", "items": {"enum": ["frechet", "outlier_rate", "coverage_entropy"]},
-                            "minItems": 1},
+                "metrics": {"type": "array", "items": {"enum": list(METRICS)}, "minItems": 1},
                 "companion": {"type": "string"},
                 "interval": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
             },
@@ -333,12 +333,7 @@ def _build_run(cfg: dict) -> Run:
         if spec.classifier_class not in labels:
             raise ConfigError(f"classifier_class {spec.classifier_class} is not a label of the "
                               f"{task} task; its labels are {labels}")
-    # every eval computes the Frechet distance, which needs a full-rank sample covariance
     dim = specs["base"].dim
-    n_samples = cfg["sample"]["n_samples"]
-    if n_samples <= dim:
-        raise ConfigError(f"sample.n_samples {n_samples} must exceed the data dimension {dim} "
-                          f"(the Frechet distance needs a full-rank covariance)")
     if "field" in cfg["eval"] and dim != 2:
         raise ConfigError(f"eval.field needs a 2-d task mixture; the {task} task is {dim}-d")
     if "cfg" in {s.kind for s in used} and not models.get(main, {}).get("conditional", False):

@@ -1,6 +1,7 @@
 """Quantitative harness: region-partitioned score-matching losses, outlier
 and coverage metrics against a task mixture, the raw-coordinate Gaussian Frechet
-distance to its exact moments, 2D curvature-field tables, and the CSV writer for tables."""
+distance to its exact moments, 2D curvature-field tables, and the CSV writer for tables.
+METRICS names the sample-set metrics that eval reports and a sweep may ask for."""
 
 from __future__ import annotations
 
@@ -139,11 +140,12 @@ def gaussian_frechet(samples, spec: GmmSpec) -> float:
     coordinates, from the samples' mean and covariance (mu_a, S_a) to the
     mixture's exact moments (mu, S). With S = L L^T, the trace of the root is
     sum sqrt(eigvalsh(L^T S_a L)): L^T S_a L is similar to S_a S, and so to
-    S_a^1/2 S S_a^1/2. NaN when a sample holds a non-finite value."""
+    S_a^1/2 S S_a^1/2, so S_a need only be positive semi-definite: any 2 or
+    more samples will do. NaN when a sample holds a non-finite value."""
     a = _points_of(samples)
     n = spec.dim
-    if len(a) <= n:
-        raise ValueError("need more samples than dimensions for a stable covariance")
+    if len(a) < 2:
+        raise ValueError(f"a sample covariance needs at least 2 samples, got {len(a)}")
     cov_a = np.cov(a, rowvar=False).reshape(n, n)
     if not np.isfinite(cov_a).all():
         return float("nan")
@@ -153,6 +155,18 @@ def gaussian_frechet(samples, spec: GmmSpec) -> float:
     tr_sqrt = np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.T)), 0.0, None)).sum()
     diff = a.mean(axis=0) - mu
     return float(diff @ diff + np.trace(cov_a) + np.trace(cov) - 2.0 * tr_sqrt)
+
+
+# The sample-set metrics, in eval's order: name -> metric(samples, task
+# mixture, eval settings) -> float; a ValueError means the samples do not
+# meet the metric's precondition. Each entry looks its function up by module
+# name when called, so a rebinding of that name (a tracer's wrapper) runs.
+METRICS = {
+    "outlier_rate": lambda pts, spec, ecfg: outlier_rate(
+        pts, spec, 4.0 if ecfg.get("outlier_threshold") is None else ecfg["outlier_threshold"]),
+    "coverage_entropy": lambda pts, spec, ecfg: coverage_entropy(pts, spec),
+    "frechet": lambda pts, spec, ecfg: gaussian_frechet(pts, spec),
+}
 
 
 def table_columns(table) -> dict:

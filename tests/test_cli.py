@@ -169,6 +169,10 @@ class TestConfigValidation:
         code = "import sys, sfglab.cli; assert 'jsonschema' not in sys.modules, 'jsonschema imported'"
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
+    def test_sweep_metrics_are_the_metric_table(self):
+        assert SCHEMA["properties"]["sweep"]["properties"]["metrics"]["items"]["enum"] == \
+            list(evaluation.METRICS)
+
     def test_guidance_schema_keys_are_the_spec_fields(self):
         keys = SCHEMA["properties"]["guidance"]["items"]["properties"]
         assert set(keys) == {f.name for f in dataclasses.fields(GuidanceSpec)}
@@ -420,16 +424,19 @@ class TestExitCodes:
         assert main(["sample", "--config", write_config(tmp_path, cfg)]) == 0
         assert not LabeledPointSet.from_csv(out / "samples_sfg.csv").labels.any()
 
-    @pytest.mark.parametrize("field, change", [
-        ("sample.n_samples", {"sample": {"n_samples": 3}}),
-    ], ids=["n_samples"])
-    def test_too_few_frechet_samples_is_2(self, tmp_path, capsys, field, change):
-        # the simplex here is 4-d: the Frechet covariance needs at least 5 points
-        cfg = _deep_merge(simplex_config(tmp_path / "out"), change)
-        with pytest.raises(ConfigError, match=field):
-            validate_config(cfg)
-        assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 2
-        assert field in capsys.readouterr().err
+    def test_fewer_samples_than_dimensions_run(self, tmp_path):
+        # the simplex here is 4-d: 3 samples have a rank-2 covariance, which the
+        # Frechet distance to the exact moments takes
+        out = tmp_path / "out"
+        cfg = _deep_merge(simplex_config(out), {"sample": {"n_samples": 3},
+                                                "eval": {"sigmas": [0.5], "n_per_region": 8}})
+        validate_config(cfg)
+        path = write_config(tmp_path, cfg)
+        out.mkdir()
+        save_checkpoint(ScoreModel(4, [8], seed=1), out / "main.ckpt")
+        for command in ("sample", "eval"):
+            assert main([command, "--config", path]) == 0
+        assert np.isfinite(json.loads((out / "eval_report.json").read_text())["frechet"])
 
     def test_too_few_finite_samples_is_3(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
@@ -440,16 +447,17 @@ class TestExitCodes:
         assert main(["train", "--config", path]) == 0
         real_sample = cli.sample
 
-        def two_finite(*args, **kwargs):  # failed trajectories leave 2 samples in 2-d
+        def one_finite(*args, **kwargs):  # failed trajectories leave 1 sample
             trajs = real_sample(*args, **kwargs)
-            trajs.failed[2:] = True
+            trajs.failed[1:] = True
             return trajs
 
-        monkeypatch.setattr(cli, "sample", two_finite)
+        monkeypatch.setattr(cli, "sample", one_finite)
         assert main(["sample", "--config", path]) == 0
         for command in ("eval", "sweep"):
             assert main([command, "--config", path]) == 3
-            assert "too few for the Frechet distance" in capsys.readouterr().err
+            assert "metric frechet: a sample covariance needs at least 2 samples, got 1" in \
+                capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_metric_is_3(self, tmp_path, capsys, monkeypatch):
@@ -477,15 +485,18 @@ class TestExitCodes:
         assert not (out / "eval_report.json").exists()
         assert not (out / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("n_rows", [0, 2])
-    def test_samples_file_too_small_for_frechet_is_3(self, tmp_path, capsys, n_rows):
+    @pytest.mark.parametrize("n_rows, message", [
+        (0, "metric outlier_rate: empty sample set"),  # eval's first metric
+        (1, "metric frechet: a sample covariance needs at least 2 samples, got 1"),
+    ], ids=["0", "1"])
+    def test_samples_file_too_small_for_frechet_is_3(self, tmp_path, capsys, n_rows, message):
         out = tmp_path / "out"
         cfg = fractal_config(out)
         cfg["eval"]["samples_file"] = "few.csv"
         out.mkdir()
         LabeledPointSet(np.zeros((n_rows, 2)), np.zeros(n_rows, dtype=int)).to_csv(out / "few.csv")
         assert main(["eval", "--config", write_config(tmp_path, cfg)]) == 3
-        assert f"{n_rows} finite samples are too few for the Frechet distance" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_samples_without_a_nearest_mode_is_3(self, tmp_path, capsys):
@@ -1010,10 +1021,26 @@ class TestPipeline:
         assert sorted({r["region"] for r in rows}) == ["mode", "outlier", "saddle"]
         assert all(np.isfinite(float(r["esm"])) for r in rows)
         report = json.loads((out / "eval_report.json").read_text())
+        assert set(report) == {"esm_rows", "sfg_stats", *evaluation.METRICS}
         assert len(report["esm_rows"]) == 3 * 12
         assert np.isfinite(report["frechet"])
         assert 0.0 <= report["outlier_rate"] <= 1.0
         assert 0.0 <= report["coverage_entropy"] <= np.log(3) + 1e-12
+
+    def test_sample_metrics_call_the_module_level_functions(self, tmp_path, monkeypatch):
+        # a function rebound in the evaluation module after import (as a tracer
+        # wraps it) is the one the metric table calls
+        run = validate_config(fractal_config(tmp_path / "out"))
+        samples = sample_gmm(run.specs["base"], 20, 1)
+        calls = []
+        for fname in ("outlier_rate", "coverage_entropy", "gaussian_frechet"):
+            def counted(*args, _real=getattr(evaluation, fname), _name=fname):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(evaluation, fname, counted)
+        metrics = cli._sample_metrics(run, samples, evaluation.METRICS)
+        assert calls == ["outlier_rate", "coverage_entropy", "gaussian_frechet"]
+        assert list(metrics) == list(evaluation.METRICS)
 
     def test_two_gaussian_eval_field_tables(self, tmp_path):
         out = tmp_path / "run"

@@ -354,9 +354,24 @@ class TestGaussianFrechet:
             with np.errstate(invalid="ignore"):  # np.cov's own inf - inf
                 assert np.isnan(gaussian_frechet(x, spec))
 
+    @pytest.mark.parametrize("n_components, dim, n", [(16, 256, 100), (3, 4, 3)])
+    def test_fewer_samples_than_dimensions_match_the_eigh_reference(self, n_components, dim, n):
+        # a rank-deficient sample covariance: only the exact one is factored
+        spec = make_simplex_gmm(n_components, dim, 0.2)
+        mu, cov = gmm_moments(spec)
+        a = sample_gmm(spec, n, 29).points
+        cov_a = np.cov(a, rowvar=False)
+        null = dim - np.linalg.matrix_rank(cov_a)
+        assert null > 0
+        value, ref = gaussian_frechet(a, spec), ref_frechet(a, mu, cov)
+        # each form's null eigenvalues are rounding noise of order dim eps |S| |S_a|,
+        # which enters the trace through its square root
+        noise = np.sqrt(dim * np.finfo(float).eps * np.linalg.norm(cov, 2) * np.linalg.norm(cov_a, 2))
+        assert abs(value - ref) <= 2 * null * noise
+
     def test_preconditions(self):
-        for n in (0, 2):
-            with pytest.raises(ValueError, match="more samples"):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match=f"needs at least 2 samples, got {n}"):
                 gaussian_frechet(np.zeros((n, 2)), gaussian([0.0, 0.0], 1.0))
 
 
