@@ -132,6 +132,8 @@ def cmd_gen_data(run: Run) -> int:
 
 def cmd_train(run: Run) -> int:
     cfg = run.cfg
+    if not run.train:
+        raise ConfigError("train needs a models section")
     out = _ensure_out(cfg)
     train_csv = out / "train.csv"
     if not train_csv.exists():
@@ -145,8 +147,6 @@ def cmd_train(run: Run) -> int:
     if foreign.size:
         raise MissingArtifact(f"{train_csv}: label {foreign[0]} is not a label of the {cfg['task']} "
                               f"task; its labels are {sorted(set(labels.tolist()))}")
-    if not run.train:
-        raise ConfigError("train needs a models section")
     for name, tcfg in run.train.items():
         mcfg = cfg["models"][name]
         try:

@@ -10,6 +10,7 @@ does not fail later on a value they check."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -205,11 +206,8 @@ DEFAULTS = {
     "threads": 1,
     "out": "runs/out",
     "data": {"n_train": 1000},
-    "train": {
-        "batches": 3000, "batch_size": 200, "warmup_batches": 100, "lr": 1e-3,
-        "cosine_anneal": True, "weight_decay": 1e-5, "objective": "dsm",
-        "sigma_min": 0.02, "sigma_max": 10.0, "label_dropout": 0.1,
-    },
+    # TrainConfig's own defaults; the seed is derived per model from the run's seed
+    "train": {f.name: f.default for f in dataclasses.fields(TrainConfig) if f.name != "seed"},
     "schedule": {"kind": "sigma", "n_steps": 100, "sigma_min": 0.002, "sigma_max": 80.0, "rho": 7.0},
     "sample": {"n_samples": 1000, "model": "main", "class_id": None, "chunk_size": 256},
     "guidance": [{"kind": "none"}],

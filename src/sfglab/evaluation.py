@@ -1,7 +1,8 @@
 """Quantitative harness: region-partitioned score-matching losses, outlier
 and coverage metrics against a task mixture, the raw-coordinate Gaussian Frechet
 distance to its exact moments, 2D curvature-field tables, and the CSV writer for tables.
-METRICS names the sample-set metrics that eval reports and a sweep may ask for."""
+The sample metrics take a points array (N, n); METRICS names them for eval's
+report and a sweep, and applies them to a LabeledPointSet."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .datasets import GmmSpec, LabeledPointSet, sample_gmm
+from .datasets import GmmSpec, sample_gmm
 from .model import esm_loss
 from .oracle import (SmoothedGmm, _as_batch, _by_row_blocks, _kernel, _row_blocks, classifier_grad,
                      full_spectrum, hessian, score, smooth)
@@ -46,29 +47,23 @@ def esm_by_region(m, region_specs: dict[str, GmmSpec], sigmas, n_per_region: int
     return rows
 
 
-def _points_of(samples) -> np.ndarray:
-    if isinstance(samples, LabeledPointSet):
-        return samples.points
-    return np.asarray(samples, dtype=float)
-
-
 def _nearest_mahalanobis(points: np.ndarray, spec: GmmSpec) -> np.ndarray:
     """Mahalanobis distance of every point to its nearest component, shape
     (N,); NaN where some component's quadratic form is NaN. Anisotropic
     mixtures go in the oracle's row blocks, keeping each block's minima."""
     g = SmoothedGmm(spec, 0.0)  # not smooth(): eval and sweep fire no oracle span
-    nearest = _by_row_blocks(g, _as_batch(g, points)[0], lambda rows: _kernel(g, rows)[0].min(axis=1))
+    nearest = _by_row_blocks(g, _as_batch(g, points), lambda rows: _kernel(g, rows)[0].min(axis=1))
     return np.sqrt(nearest)
 
 
-def outlier_rate(samples, spec: GmmSpec, threshold: float) -> float:
-    """Fraction of samples whose Mahalanobis distance to the nearest
-    component of the mixture exceeds threshold. NaN when a distance is NaN
-    (a non-finite point, or a quadratic form that overflows to inf - inf),
-    because that point is neither inlier nor outlier."""
+def outlier_rate(points, spec: GmmSpec, threshold: float) -> float:
+    """Fraction of the points (N, n) whose Mahalanobis distance to the
+    nearest component of the mixture exceeds threshold. NaN when a distance
+    is NaN (a non-finite point, or a quadratic form that overflows to
+    inf - inf), because that point is neither inlier nor outlier."""
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
-    pts = _points_of(samples)
+    pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         raise ValueError("empty sample set")
     dist = _nearest_mahalanobis(pts, spec)
@@ -77,22 +72,21 @@ def outlier_rate(samples, spec: GmmSpec, threshold: float) -> float:
     return float(np.mean(dist > threshold))
 
 
-def coverage_entropy(samples, modes) -> float:
-    """Shannon entropy (nats) of nearest-mode assignments.
-
-    modes is a (M, n) array of reference points or a GmmSpec (its means;
-    components that share a mean count as one mode, the first). NaN when a
-    point has no finite distance to any mode (a non-finite point, or
-    distances that overflow), because its nearest mode is undefined.
+def coverage_entropy(points, modes) -> float:
+    """Shannon entropy (nats) of the nearest-mode assignments of the points
+    (N, n) to the reference modes (M, n); modes that coincide count as one,
+    the first. NaN when a point has no finite distance to any mode (a
+    non-finite point, or distances that overflow), because its nearest mode
+    is undefined.
     """
-    pts = _points_of(samples)
+    pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         raise ValueError("empty sample set")
-    refs = modes.means if isinstance(modes, GmmSpec) else np.asarray(modes, dtype=float)
+    refs = np.asarray(modes, dtype=float)
     if refs.ndim != 2 or len(refs) < 1:
         raise ValueError("need at least one reference mode")
-    if pts.shape[1] != refs.shape[1]:
-        raise ValueError(f"points are {pts.shape[1]}-d, modes {refs.shape[1]}-d")
+    if pts.ndim != 2 or pts.shape[1] != refs.shape[1]:
+        raise ValueError(f"points are {pts.shape}, modes {refs.shape}; need (N, n) and (M, n)")
     if refs.shape[1] == 2:
         # equals the norm bitwise (a two-term sum has one order), in the
         # oracle's row blocks; each block keeps its argmin and finiteness
@@ -135,15 +129,17 @@ def gmm_moments(spec: GmmSpec) -> tuple[np.ndarray, np.ndarray]:
     return mu, cov
 
 
-def gaussian_frechet(samples, spec: GmmSpec) -> float:
+def gaussian_frechet(points, spec: GmmSpec) -> float:
     """||mu_a - mu||^2 + Tr(S_a + S - 2 (S_a^1/2 S S_a^1/2)^1/2) on raw
-    coordinates, from the samples' mean and covariance (mu_a, S_a) to the
+    coordinates, from the mean and covariance (mu_a, S_a) of the points (N, n) to the
     mixture's exact moments (mu, S). With S = L L^T, the trace of the root is
     sum sqrt(eigvalsh(L^T S_a L)): L^T S_a L is similar to S_a S, and so to
     S_a^1/2 S S_a^1/2, so S_a need only be positive semi-definite: any 2 or
     more samples will do. NaN when a sample holds a non-finite value."""
-    a = _points_of(samples)
+    a = np.asarray(points, dtype=float)
     n = spec.dim
+    if a.ndim != 2 or a.shape[1] != n:
+        raise ValueError(f"expected points of shape (N, {n}), got {a.shape}")
     if len(a) < 2:
         raise ValueError(f"a sample covariance needs at least 2 samples, got {len(a)}")
     cov_a = np.cov(a, rowvar=False).reshape(n, n)
@@ -157,15 +153,16 @@ def gaussian_frechet(samples, spec: GmmSpec) -> float:
     return float(diff @ diff + np.trace(cov_a) + np.trace(cov) - 2.0 * tr_sqrt)
 
 
-# The sample-set metrics, in eval's order: name -> metric(samples, task
-# mixture, eval settings) -> float; a ValueError means the samples do not
-# meet the metric's precondition. Each entry looks its function up by module
-# name when called, so a rebinding of that name (a tracer's wrapper) runs.
+# The sample-set metrics, in eval's order: name -> metric(samples, a
+# LabeledPointSet, task mixture, eval settings) -> float; a ValueError means
+# the samples do not meet the metric's precondition. Each entry looks its
+# function up by module name when called, so a rebinding of that name (a
+# tracer's wrapper) runs.
 METRICS = {
-    "outlier_rate": lambda pts, spec, ecfg: outlier_rate(
-        pts, spec, 4.0 if ecfg.get("outlier_threshold") is None else ecfg["outlier_threshold"]),
-    "coverage_entropy": lambda pts, spec, ecfg: coverage_entropy(pts, spec),
-    "frechet": lambda pts, spec, ecfg: gaussian_frechet(pts, spec),
+    "outlier_rate": lambda samples, spec, ecfg: outlier_rate(
+        samples.points, spec, 4.0 if ecfg.get("outlier_threshold") is None else ecfg["outlier_threshold"]),
+    "coverage_entropy": lambda samples, spec, ecfg: coverage_entropy(samples.points, spec.means),
+    "frechet": lambda samples, spec, ecfg: gaussian_frechet(samples.points, spec),
 }
 
 
@@ -232,8 +229,6 @@ def curvature_field(g, points) -> dict[str, np.ndarray]:
     if g.dim != 2:
         raise ValueError("curvature_field needs a 2D mixture")
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be a (G, 2) array")
     class_ids = sorted(np.unique(g.base.labels).tolist())[:2]
     vals, vecs = full_spectrum(hessian(g, pts))
     s = score(g, pts)

@@ -35,26 +35,28 @@ GUIDANCE_KINDS = ("none", "classifier", "cfg", "autoguidance", "sfg")
 
 @dataclass(frozen=True)
 class SfgState:
-    """Per-trajectory carry for the saddle-free step: v the unit perturbation
-    vector (shape (n,), or (B, n) for a batch of trajectories), alpha the
-    non-decreasing shift and last_lambda the latest top-eigenvalue estimate.
+    """Carry of a batch of B trajectories for the saddle-free step: v the
+    unit perturbation vectors (B, n), alpha the non-decreasing shifts and
+    last_lambda the latest top-eigenvalue estimates, (B,) each.
     The step's settings (weight, h, alpha0) live in the run's GuidanceSpec.
     """
 
     v: np.ndarray
-    alpha: np.ndarray | float
-    last_lambda: np.ndarray | float
+    alpha: np.ndarray
+    last_lambda: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
+        if v.ndim != 2:
+            raise ValueError(f"perturbation vectors must be a batch (B, n), got shape {v.shape}")
         if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-9):
             raise ValueError("perturbation vector must be unit norm within 1e-9")
         object.__setattr__(self, "v", v)
 
 
 def sfg_start(v, spec: GuidanceSpec) -> SfgState:
-    """Fresh carry at the unit start vector v, (n,) for one trajectory or
-    (B, n) for a batch, with alpha = spec.alpha0 and last_lambda = 0 per row."""
+    """Fresh carry at the unit start vectors v (B, n), with alpha =
+    spec.alpha0 and last_lambda = 0 per row."""
     rows = np.shape(v)[:-1]
     return SfgState(v=v, alpha=np.full(rows, float(spec.alpha0)), last_lambda=np.zeros(rows))
 
@@ -67,8 +69,8 @@ def sfg_step(eps_fn, x, sigma, state: SfgState, spec: GuidanceSpec):
     (eps_hat, state', correction) without mutating state; correction is the
     base estimate minus eps_hat (w * u up to rounding where the gate is
     open, +0.0 where it is closed), which a Heun corrector subtracts from
-    its own base estimate. Accepts a single point (n,) or a batch (B, n)
-    with batched state.
+    its own base estimate. x is a batch (B, n) at one noise level sigma,
+    eps_fn maps such a batch to its noise estimates, and state carries B rows.
     """
     x = np.asarray(x, dtype=float)
     v = state.v
@@ -116,11 +118,11 @@ def extrapolate(good, weak, w: float):
 class GuidanceSpec:
     """Tagged selection of a guidance strategy.
 
-    companion names the second model (cfg's unconditional branch or the
-    autoguidance degraded model) in the run's model table. interval (cfg
-    only) limits the guidance to flow times t_lo <= t <= t_hi (interval
-    CFG); None guides at every level. classifier_class is required for
-    classifier.
+    companion (cfg and autoguidance only, and required there) names the
+    second model (cfg's unconditional branch or the autoguidance degraded
+    model) in the run's model table. interval (cfg only) limits the guidance
+    to flow times t_lo <= t <= t_hi (interval CFG); None guides at every
+    level. classifier_class (classifier only) is required for classifier.
     For sfg, weight, alpha0 (the initial shift) and h (the probe step) are
     the step's settings; SfgState holds only the per-trajectory carry.
     """
@@ -143,6 +145,10 @@ class GuidanceSpec:
             if not t_lo < t_hi:
                 raise ValueError("interval must satisfy t_lo < t_hi")
             object.__setattr__(self, "interval", (float(t_lo), float(t_hi)))
+        if self.companion is not None and self.kind not in ("cfg", "autoguidance"):
+            raise ValueError(f"companion applies only to cfg and autoguidance, not {self.kind}")
+        if self.classifier_class is not None and self.kind != "classifier":
+            raise ValueError(f"classifier_class applies only to classifier, not {self.kind}")
         if self.kind in ("cfg", "autoguidance"):
             if self.companion is None:
                 raise ValueError(f"{self.kind} requires a companion model")

@@ -4,7 +4,9 @@ Models predict either the added noise (dsm objective) or a flow velocity
 (flow_matching objective). The noise-level coordinate (log sigma, or the flow
 time t) enters through 4 Fourier features appended to the input; optional
 class conditioning appends a learned embedding with a dedicated null row so
-the same network serves the unconditional branch.
+the same network serves the unconditional branch. The trained ScoreModel
+and the exact OracleModel share one call contract, predict_eps: an (N, n)
+float batch at one noise level sigma, a scalar with 0 < sigma < inf.
 
 Flow convention: x_t = (1 - t) x0 + t eps with t = 0 at the data end and
 t = 1 at pure noise, so eps = (1 - t) v + x and sigma(t) = t / (1 - t).
@@ -104,13 +106,13 @@ def _sigmoid(z, out=None):
 
 @dataclass
 class TrainConfig:
-    """Training hyperparameters (defaults follow the desk-scale recipe:
-    30000 batches of 200, 500 warmup batches, lr 1e-3 cosine-annealed,
-    decoupled weight decay 1e-5)."""
+    """Training hyperparameters. The defaults, seed aside, are also the CLI's
+    (config.DEFAULTS["train"]): 3000 batches of 200, 100 warmup batches, lr
+    1e-3 cosine-annealed, decoupled weight decay 1e-5."""
 
-    batches: int = 30000
+    batches: int = 3000
     batch_size: int = 200
-    warmup_batches: int = 500
+    warmup_batches: int = 100
     lr: float = 1e-3
     cosine_anneal: bool = True
     weight_decay: float = 1e-5
@@ -161,17 +163,15 @@ class _Predictor:
     converting the latter with flow_to_eps."""
 
     def predict_eps(self, x, sigma, class_ids=None) -> np.ndarray:
-        """Noise estimate at the diffusion-scale point x and noise level sigma."""
-        nonpositive = sigma <= 0 if np.ndim(sigma) == 0 else np.any(np.asarray(sigma) <= 0)
-        if nonpositive:
-            raise ValueError("sigma must be > 0")
+        """Noise estimate (N, n) at the diffusion-scale batch x (N, n) and one
+        noise level sigma, a scalar with 0 < sigma < inf."""
+        if np.ndim(sigma) or not 0 < sigma < np.inf:
+            raise ValueError(f"sigma must be > 0, finite and one value per call, got {sigma!r}")
         if self.param == "eps":
             return self.forward(x, sigma, class_ids)
-        sigma = np.asarray(sigma, dtype=float)
         t = sigma / (1.0 + sigma)
-        tb = t[..., None]
-        xf = (1.0 - tb) * np.asarray(x, dtype=float)
-        return flow_to_eps(self.forward(xf, t, class_ids), xf, tb)
+        xf = (1.0 - t) * np.asarray(x, dtype=float)
+        return flow_to_eps(self.forward(xf, t, class_ids), xf, t)
 
 
 class ScoreModel(_Predictor):
@@ -336,23 +336,20 @@ class ScoreModel(_Predictor):
         return out.astype(np.float64)
 
     def forward(self, x, level, class_ids=None) -> np.ndarray:
-        """Raw network output at the model's native noise-level coordinate;
-        x is a point (n,) or a batch (N, n), the output has its shape; level
-        is one value or one per row.
+        """Raw network output (N, n) for a batch x (N, n) at one level, a
+        scalar in the model's native noise-level coordinate (per-row levels
+        are training's, which builds its features with _features).
 
         The features are written into this thread's float32 (rows, in_dim)
         feature buffer (see _buffers), which the next forward or training
         batch on this thread reuses."""
         x = np.asarray(x, dtype=float)
-        xb = np.atleast_2d(x)
-        if xb.ndim != 2 or xb.shape[1] != self.data_dim:
-            raise ValueError(f"x must have shape ({self.data_dim},) or (N, {self.data_dim}), got {x.shape}")
-        rows = xb.shape[0]
-        lv = np.asarray(level, dtype=float)
-        if lv.ndim:
-            lv = np.broadcast_to(lv, (rows,))
-        ids = self._map_class_ids(rows, class_ids)
-        return self._forward(self._features(xb, lv, ids, out=self._buffers(rows)["feats"])).reshape(x.shape)
+        if x.ndim != 2 or x.shape[1] != self.data_dim:
+            raise ValueError(f"x must have shape (N, {self.data_dim}), got {x.shape}")
+        if np.ndim(level):
+            raise ValueError(f"forward takes one level per call, got shape {np.shape(level)}")
+        ids = self._map_class_ids(len(x), class_ids)
+        return self._forward(self._features(x, level, ids, out=self._buffers(len(x))["feats"]))
 
     def _backward(self, cache, ids, dout, out: np.ndarray | None = None) -> np.ndarray:
         """Gradient of a loss whose output gradient is dout, for the cache of
@@ -555,9 +552,7 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
 
 
 def esm_loss(m, g: oracle.SmoothedGmm, points, sigma: float) -> float:
-    """Mean sigma^2 ||oracle score - model score||^2 over the points."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+    """Mean sigma^2 ||oracle score - model score||^2 over the points (N, n)."""
     pts = np.asarray(points, dtype=float)
     s_true = oracle.score(g, pts)
     s_model = eps_to_score(m.predict_eps(pts, sigma), sigma)
@@ -595,21 +590,18 @@ class OracleModel(_Predictor):
         return self._smoothed[key]
 
     def forward(self, x, level, class_ids=None) -> np.ndarray:
-        """The exact noise estimate at noise level sigma = level, one value
-        per call; x is a point (n,) or a batch (N, n)."""
-        if np.size(level) != 1:
-            raise ValueError(f"the oracle takes one sigma per call, got {np.size(level)}")
-        x = np.asarray(x, dtype=float)
-        xb, sig = np.atleast_2d(x), float(np.asarray(level).item())
+        """The exact noise estimate (N, n) at the batch x (N, n) and noise
+        level sigma = level, one value per call."""
+        x, sig = np.asarray(x, dtype=float), float(level)
         if class_ids is None:
-            score = oracle.score(self.smoothed(-1, sig), xb)
+            score = oracle.score(self.smoothed(-1, sig), x)
         else:
-            ids = class_ids_per_row(class_ids, xb.shape[0])
-            score = np.empty_like(xb)
+            ids = class_ids_per_row(class_ids, len(x))
+            score = np.empty_like(x)
             for cid in np.unique(ids):
                 rows = ids == cid
-                score[rows] = oracle.score(self.smoothed(max(int(cid), -1), sig), xb[rows])
-        return (-sig * score).reshape(x.shape)
+                score[rows] = oracle.score(self.smoothed(max(int(cid), -1), sig), x[rows])
+        return -sig * score
 
 
 def save_checkpoint(model: ScoreModel, path) -> None:

@@ -5,6 +5,8 @@ A mixture smoothed by N(0, sigma^2 I) is again a mixture with covariances
 Sigma_i + sigma^2 I, so everything here is closed form up to floating point.
 All responsibility computations go through log-sum-exp with max subtraction:
 naive density sums underflow catastrophically in the 256-d simplex regime.
+Every function takes a float batch of points (N, n), and full_spectrum a
+stack of matrices (N, n, n); a single point is a one-row batch.
 
 One kernel, `_kernel`, gives every per-component quantity: the quadratic
 forms (the log joint's, and the nearest-component distances of
@@ -92,14 +94,12 @@ def smooth(spec: GmmSpec, sigma: float) -> SmoothedGmm:
     return SmoothedGmm(spec, float(sigma))
 
 
-def _as_batch(g: SmoothedGmm, x) -> tuple[np.ndarray, bool]:
+def _as_batch(g: SmoothedGmm, x) -> np.ndarray:
+    """x as a float (N, n) batch for the n-d mixture g; any other shape raises."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != g.dim:
-        raise ValueError(f"point dimension {x.shape[-1]} != mixture dimension {g.dim}")
-    return x, single
+        raise ValueError(f"points must be a batch (N, {g.dim}) of the mixture dimension, got shape {x.shape}")
+    return x
 
 
 def _row_blocks(n_rows: int, cells_per_row: int):
@@ -204,25 +204,21 @@ def _score_sum(g: SmoothedGmm, x: np.ndarray, w: np.ndarray, s_i) -> np.ndarray:
 
 
 def log_density(g: SmoothedGmm, x):
-    """log sum_i w_i N(x; mu_i, Sigma_i + sigma^2 I) via log-sum-exp."""
-    xb, single = _as_batch(g, x)
-    out = _by_row_blocks(g, xb, lambda rows: _logsumexp(_log_joint(g, rows)[0], axis=1))
-    return float(out[0]) if single else out
+    """log sum_i w_i N(x; mu_i, Sigma_i + sigma^2 I) via log-sum-exp, (N,)."""
+    return _by_row_blocks(g, _as_batch(g, x), lambda rows: _logsumexp(_log_joint(g, rows)[0], axis=1))
 
 
 def score(g: SmoothedGmm, x):
-    """Gradient of the smoothed log density: sum_i r_i(x) s_i(x)."""
+    """Gradient of the smoothed log density: sum_i r_i(x) s_i(x), (N, n)."""
     def rows_score(rows):
         lj, s_i = _log_joint(g, rows, scores=not g.isotropic)
         return _score_sum(g, rows, _responsibilities(lj), s_i)
 
-    xb, single = _as_batch(g, x)
-    out = _by_row_blocks(g, xb, rows_score, (g.dim,))
-    return out[0] if single else out
+    return _by_row_blocks(g, _as_batch(g, x), rows_score, (g.dim,))
 
 
 def hessian(g: SmoothedGmm, x) -> np.ndarray:
-    """Exact log-density Hessian, (n, n) for a point or (N, n, n) for a batch.
+    """Exact log-density Hessian of each row, (N, n, n).
 
     With A_i the effective precision, s_i = A_i (mu_i - x) and responsibilities
     r_i, the Hessian is sum_i r_i (-A_i + s_i s_i^T) - s s^T where s is the
@@ -240,19 +236,16 @@ def hessian(g: SmoothedGmm, x) -> np.ndarray:
             h -= np.einsum("nk,kij->nij", r, g._inv)
         return h
 
-    xb, single = _as_batch(g, x)
-    h = _by_row_blocks(g, xb, rows_hessian, (g.dim, g.dim))
-    return h[0] if single else h
+    return _by_row_blocks(g, _as_batch(g, x), rows_hessian, (g.dim, g.dim))
 
 
 def full_spectrum(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric matrix (n, n) or of each matrix of a stack
-    (N, n, n), descending by eigenvalue (LAPACK): values (n,)/(N, n) and unit
-    eigenvectors as columns (n, n)/(N, n, n), so the top pair is vals[..., 0]
-    with vecs[..., :, 0]."""
+    """Eigenpairs of each symmetric matrix of a stack (N, n, n), descending
+    by eigenvalue (LAPACK): values (N, n) and unit eigenvectors as columns
+    (N, n, n), so the top pair of matrix i is vals[i, 0] with vecs[i, :, 0]."""
     h = np.asarray(h, dtype=float)
-    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
-        raise ValueError("expected a square matrix or a stack of them")
+    if h.ndim != 3 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices (N, n, n), got {h.shape}")
     ht = np.swapaxes(h, -1, -2)
     asym = np.abs(h - ht).max(axis=(-2, -1), initial=0.0)
     bad = asym > 1e-9 * (1.0 + np.abs(h).max(axis=(-2, -1), initial=0.0))
@@ -268,7 +261,7 @@ def full_spectrum(h) -> tuple[np.ndarray, np.ndarray]:
 def classifier_grad(g: SmoothedGmm, x, class_id: int):
     """Gradient of the exact Bayes log posterior log p(y = class_id | x).
 
-    Equals the score of the class sub-mixture minus the marginal score.
+    Equals the score of the class sub-mixture minus the marginal score, (N, n).
     """
     labels = g.base.labels
     mask = labels == class_id
@@ -281,21 +274,18 @@ def classifier_grad(g: SmoothedGmm, x, class_id: int):
         r_sub -= _responsibilities(lj)
         return _score_sum(g, rows, r_sub, s_i)
 
-    xb, single = _as_batch(g, x)
-    out = _by_row_blocks(g, xb, rows_grad, (g.dim,))
-    return out[0] if single else out
+    return _by_row_blocks(g, _as_batch(g, x), rows_grad, (g.dim,))
 
 
-def classify_region(g: SmoothedGmm, x, grad_tol: float | None = None) -> str | np.ndarray:
-    """'saddle_region' iff the top Hessian eigenvalue is positive; 'mode' iff
-    the score is (near) zero and the top eigenvalue negative; else 'other'.
-    One label for a point (n,), an array of N labels for a batch (N, n)."""
+def classify_region(g: SmoothedGmm, x, grad_tol: float | None = None) -> np.ndarray:
+    """One label per row: 'saddle_region' iff the top Hessian eigenvalue is
+    positive; 'mode' iff the score is (near) zero and the top eigenvalue
+    negative; else 'other'."""
     if grad_tol is None:
         grad_tol = 1e-6 * np.sqrt(g.dim)  # scale-aware zero test for the mode check
     if grad_tol <= 0:
         raise ValueError("grad_tol must be positive")
-    xb, single = _as_batch(g, x)
-    lam_max = full_spectrum(hessian(g, xb))[0][:, 0]
-    stationary = np.linalg.norm(score(g, xb), axis=1) < grad_tol
-    labels = np.where(lam_max > 0, "saddle_region", np.where(stationary & (lam_max < 0), "mode", "other"))
-    return str(labels[0]) if single else labels
+    x = _as_batch(g, x)
+    lam_max = full_spectrum(hessian(g, x))[0][:, 0]
+    stationary = np.linalg.norm(score(g, x), axis=1) < grad_tol
+    return np.where(lam_max > 0, "saddle_region", np.where(stationary & (lam_max < 0), "mode", "other"))

@@ -53,21 +53,21 @@ class TestCriterion1OracleCorrectness:
             spec = random_mixture(rng)
             sigma = float(rng.random() * 2)
             g = sf.smooth(spec, sigma)
-            x = rng.standard_normal(spec.dim) * 2
+            x = rng.standard_normal((1, spec.dim)) * 2
             step = 1e-5
             fd = np.zeros(spec.dim)
             for i in range(spec.dim):
                 e = np.zeros(spec.dim)
                 e[i] = step
-                fd[i] = (sf.log_density(g, x + e) - sf.log_density(g, x - e)) / (2 * step)
-            worst_score = max(worst_score, float(np.abs(sf.score(g, x) - fd).max()))
+                fd[i] = (sf.log_density(g, x + e)[0] - sf.log_density(g, x - e)[0]) / (2 * step)
+            worst_score = max(worst_score, float(np.abs(sf.score(g, x)[0] - fd).max()))
             if trial % 5 == 0:  # hessian FD is dim^2 evaluations; sample a fifth
-                h = sf.hessian(g, x)
+                h = sf.hessian(g, x)[0]
                 fd_h = np.zeros_like(h)
                 for i in range(spec.dim):
                     e = np.zeros(spec.dim)
                     e[i] = step
-                    fd_h[:, i] = (sf.score(g, x + e) - sf.score(g, x - e)) / (2 * step)
+                    fd_h[:, i] = (sf.score(g, x + e)[0] - sf.score(g, x - e)[0]) / (2 * step)
                 worst_hess = max(worst_hess, float(np.abs(h - fd_h).max()))
         elapsed = time.time() - start
         ok = worst_score < 1e-5 and worst_hess < 1e-4 and elapsed < 60
@@ -84,8 +84,8 @@ class TestCriterion2EigenvalueBound:
             spec = random_mixture(rng, max_dim=4, max_k=3)
             sigma = float(rng.random() * 3 + 0.02)
             g = sf.smooth(spec, sigma)
-            x = rng.standard_normal(spec.dim) * 4
-            lam_min = sf.full_spectrum(sf.hessian(g, x))[0][-1]
+            x = rng.standard_normal((1, spec.dim)) * 4
+            lam_min = sf.full_spectrum(sf.hessian(g, x))[0][0, -1]
             worst = min(worst, sigma * sigma * lam_min)
         elapsed = time.time() - start
         ok = worst >= -1.0 - 1e-9 and elapsed < 60
@@ -99,15 +99,15 @@ class TestCriterion3PowerIterationFidelity:
         spec = sf.make_two_gaussian(4.0, 1.0, 2)
         om = OracleModel(spec)
         sigma = 0.5
-        lam_max = sf.full_spectrum(sf.hessian(sf.smooth(spec, sigma), np.zeros(2)))[0][0]
+        lam_max = sf.full_spectrum(sf.hessian(sf.smooth(spec, sigma), np.zeros((1, 2))))[0][0, 0]
         target = sigma * sigma * lam_max
         gspec = GuidanceSpec(kind="sfg", weight=0.0, alpha0=1.0, h=0.01)
-        state = sfg_start(sfg_start_vectors(303, 1, 2)[0], gspec)
-        x = np.zeros(2)
+        state = sfg_start(sfg_start_vectors(303, 1, 2), gspec)
+        x = np.zeros((1, 2))
         for _ in range(25):
             _, state, _ = sfg_step(lambda z: om.predict_eps(z, sigma), x, sigma, state, gspec)
-        err = abs(float(state.last_lambda) - target)
-        align = abs(float(state.v[0]))
+        err = abs(float(state.last_lambda[0]) - target)
+        align = abs(float(state.v[0, 0]))
         elapsed = time.time() - start
         ok = err <= 1e-3 * (1 + abs(target)) and align > 0.999 and elapsed < 1.0
         report(3, ok, f"lambda err {err:.2e} (tol {1e-3 * (1 + abs(target)):.2e}), "
@@ -151,8 +151,8 @@ class TestCriterion5CostContract:
         per_step = counter["n"] / sch.n_steps
         calls = []
         gspec = GuidanceSpec(kind="sfg", weight=1.0)
-        st = sfg_start(sfg_start_vectors(506, 1, 2)[0], gspec)
-        sfg_step(lambda z: (calls.append(1), om.predict_eps(z, 0.5))[1], np.zeros(2), 0.5, st, gspec)
+        st = sfg_start(sfg_start_vectors(506, 1, 2), gspec)
+        sfg_step(lambda z: (calls.append(1), om.predict_eps(z, 0.5))[1], np.zeros((1, 2)), 0.5, st, gspec)
         ok = per_step == 2.0 and len(calls) == 2
         report(5, ok, f"{per_step:g} evaluations per guided sampling step (== 2), "
                       f"single step used {len(calls)} (== 2)")

@@ -19,7 +19,7 @@ from sfglab.config import (KEYWORDS, SCHEMA, ConfigError, _deep_merge, config_ha
                            sweep_points, validate_config)
 from sfglab.datasets import LabeledPointSet, sample_gmm
 from sfglab.guidance import GuidanceSpec
-from sfglab.model import ScoreModel, TrainingDiverged, load_checkpoint, save_checkpoint
+from sfglab.model import ScoreModel, TrainConfig, TrainingDiverged, load_checkpoint, save_checkpoint
 from sfglab.sampler import GuidedProvider, sample
 
 
@@ -113,6 +113,9 @@ REJECTED_GUIDANCE = {
     "sweep_without_weights": {"sweep": {"kind": "sfg", "weights": []}},
     "alphas_on_autoguidance_sweep": {"sweep": {"kind": "autoguidance", "companion": "bad", "weights": [2.0],
                                                "alphas": [1.0, 2.0], "h_values": [0.05, 0.1]}},
+    # a field the kind never reads: the companion would be loaded for nothing
+    "companion_on_sfg": {"guidance": [{"kind": "sfg", "weight": 1.0, "companion": "bad"}]},
+    "classifier_class_on_sfg": {"guidance": [{"kind": "sfg", "weight": 1.0, "classifier_class": 0}]},
 }
 
 
@@ -176,6 +179,12 @@ class TestConfigValidation:
     def test_guidance_schema_keys_are_the_spec_fields(self):
         keys = SCHEMA["properties"]["guidance"]["items"]["properties"]
         assert set(keys) == {f.name for f in dataclasses.fields(GuidanceSpec)}
+
+    def test_train_defaults_are_the_train_config_defaults(self, tmp_path):
+        # a model without train settings trains with TrainConfig's defaults, its seed aside
+        tc = validate_config(simplex_config(tmp_path / "out")).train["main"]
+        assert tc == TrainConfig(seed=tc.seed)
+        assert (tc.batches, tc.warmup_batches) == (3000, 100)
 
     def test_schema_violation(self):
         with pytest.raises(ConfigError, match="schema"):
@@ -571,6 +580,12 @@ class TestExitCodes:
     def test_missing_config_is_4(self, capsys):
         assert main(["train", "--config", "/definitely/not/here.json"]) == 4
 
+    def test_train_without_models_section_is_2_before_gen_data(self, tmp_path, capsys):
+        # the config error comes first: no dataset is looked for, none is needed
+        path = write_config(tmp_path, two_gaussian_config(tmp_path / "out"))
+        assert main(["train", "--config", path]) == 2
+        assert "train needs a models section" in capsys.readouterr().err
+
     def test_missing_dataset_is_4(self, tmp_path, capsys):
         cfg = fractal_config(tmp_path / "out")
         path = write_config(tmp_path, cfg)
@@ -944,13 +959,13 @@ class TestPipeline:
         noise = 0.03 * np.random.default_rng(3).standard_normal(draws.points.shape)
         out.mkdir()
         LabeledPointSet(draws.points + noise, draws.labels).to_csv(out / "samples_sfg.csv")
-        samples = LabeledPointSet.from_csv(out / "samples_sfg.csv")
+        samples = LabeledPointSet.from_csv(out / "samples_sfg.csv").points
         assert main(["eval", "--config", path]) == 0
         report = json.loads((out / "eval_report.json").read_text())
         # default threshold: Mahalanobis distance 4 to the nearest component
         rates = [evaluation.outlier_rate(samples, base, t) for t in (3.0, 4.0, 5.0)]
         assert rates[0] > report["outlier_rate"] == rates[1] > rates[2]
-        assert report["coverage_entropy"] == evaluation.coverage_entropy(samples, base)
+        assert report["coverage_entropy"] == evaluation.coverage_entropy(samples, base.means)
 
     def test_small_outlier_threshold_is_used_as_given(self, tmp_path):
         out = tmp_path / "run"
@@ -960,7 +975,7 @@ class TestPipeline:
         base = load_config(path).specs["base"]
         out.mkdir()
         sample_gmm(base, 400, seed=2).to_csv(out / "samples_sfg.csv")
-        samples = LabeledPointSet.from_csv(out / "samples_sfg.csv")
+        samples = LabeledPointSet.from_csv(out / "samples_sfg.csv").points
         assert main(["eval", "--config", path]) == 0
         rate = json.loads((out / "eval_report.json").read_text())["outlier_rate"]
         assert rate == evaluation.outlier_rate(samples, base, 0.25)

@@ -112,7 +112,7 @@ class TestTwoGaussian:
 
     def test_midpoint_score_vanishes(self):
         spec = make_two_gaussian(2.0, 1.0, 2)
-        s = score(smooth(spec, 0.0), np.zeros(2))
+        s = score(smooth(spec, 0.0), np.zeros((1, 2)))
         assert np.abs(s).max() < 1e-12
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sfglab.datasets import (Fractal, FractalSpec, GmmSpec, LabeledPointSet,
+from sfglab.datasets import (Fractal, FractalSpec, GmmSpec,
                              make_outlier_gmm, make_saddle_gmm, make_simplex_gmm,
                              make_two_gaussian, sample_gmm)
 from sfglab.evaluation import (_nearest_mahalanobis, coverage_entropy,
@@ -68,32 +68,32 @@ class TestEsmByRegion:
 class TestOutlierRate:
     def test_on_manifold_samples_score_zero(self):
         frac = Fractal(FractalSpec(5, np.pi / 5, 0.75, 0.01, n_classes=2))
-        pts = frac.sample(2000, seed=1)  # nearest-component distance <= own: P(> 6) <= exp(-18)
+        pts = frac.sample(2000, seed=1).points  # nearest-component distance <= own: P(> 6) <= exp(-18)
         assert outlier_rate(pts, frac.gmm, threshold=6.0) == 0.0
 
     def test_far_points_score_one(self):
         frac = Fractal(FractalSpec(3, np.pi / 5, 0.75, 0.01, n_classes=2))
-        pts = LabeledPointSet(np.full((10, 2), 50.0), np.zeros(10, dtype=int))
+        pts = np.full((10, 2), 50.0)
         assert outlier_rate(pts, frac.gmm, threshold=4.0) == 1.0
 
     def test_monotone_in_threshold(self):
         frac = Fractal(FractalSpec(5, np.pi / 5, 0.75, 0.02, n_classes=2))
-        pts = frac.sample(500, seed=2)
+        pts = frac.sample(500, seed=2).points
         rates = [outlier_rate(pts, frac.gmm, th) for th in (0.25, 0.5, 1.0, 2.0, 4.0)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
         assert rates[0] > 0.5 and rates[-1] < 0.01
 
     def test_gmm_mahalanobis_distance(self):
         spec = make_two_gaussian(8.0, 1.0, 2)
-        inside = LabeledPointSet(spec.means.copy(), [0, 1])
+        inside = spec.means.copy()
         assert outlier_rate(inside, spec, threshold=4.0) == 0.0
-        far = LabeledPointSet(np.array([[0.0, 30.0]]), [0])
+        far = np.array([[0.0, 30.0]])
         assert outlier_rate(far, spec, threshold=4.0) == 1.0
 
     def test_threshold_positive(self):
         spec = make_two_gaussian(8.0, 1.0, 2)
         with pytest.raises(ValueError):
-            outlier_rate(LabeledPointSet(np.zeros((2, 2)), [0, 0]), spec, 0.0)
+            outlier_rate(np.zeros((2, 2)), spec, 0.0)
 
     def test_nan_distance_is_nan(self):
         # a nan point is neither inlier nor outlier, as coverage_entropy has no nearest mode for it
@@ -149,7 +149,7 @@ class TestNearestComponent:
                 assert np.array_equal(dist > threshold, ref > threshold)
                 assert outlier_rate(pts, spec, threshold) == float(np.mean(ref > threshold))
             assert 0 < np.mean(dist > 4.0) < 1 or spec.dim > 2
-            assert coverage_entropy(pts, spec) == ref_coverage_entropy(pts, spec.means)
+            assert coverage_entropy(pts, spec.means) == ref_coverage_entropy(pts, spec.means)
 
     def test_points_on_the_means_are_at_distance_zero(self):
         # the expanded isotropic form rounds below 0 on some of these means
@@ -181,7 +181,7 @@ class TestRowBlocks:
     @staticmethod
     def metrics(pts, spec):
         return (_nearest_mahalanobis(pts, spec).tobytes(), outlier_rate(pts, spec, 4.0),
-                coverage_entropy(pts, spec))
+                coverage_entropy(pts, spec.means))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_blocks_are_bitwise_one_whole_array_call(self, monkeypatch):
@@ -206,7 +206,7 @@ class TestRowBlocks:
         tracemalloc.start()
         try:
             outlier_rate(pts, frac, 4.0)
-            coverage_entropy(pts, frac)
+            coverage_entropy(pts, frac.means)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -236,12 +236,12 @@ class TestCoverageEntropy:
 
     def test_gmm_and_fractal_references(self):
         spec = make_two_gaussian(6.0, 0.5, 2)
-        pts = sample_gmm(spec, 400, seed=5)
-        ent = coverage_entropy(pts, spec)
+        pts = sample_gmm(spec, 400, seed=5).points
+        ent = coverage_entropy(pts, spec.means)
         assert np.log(2) - 0.05 < ent <= np.log(2)
         frac = Fractal(FractalSpec(4, np.pi / 5, 0.7, 0.01, n_classes=2))
-        pts_f = frac.sample(500, seed=6)
-        ent_f = coverage_entropy(pts_f, frac.gmm)
+        pts_f = frac.sample(500, seed=6).points
+        ent_f = coverage_entropy(pts_f, frac.gmm.means)
         assert 0 < ent_f <= np.log(frac.n_segments)
         # the trunk's two components share a mean and count as one mode
         distinct = np.unique(frac.gmm.means, axis=0)
@@ -252,13 +252,13 @@ class TestCoverageEntropy:
         # 1e160 makes every distance inf, so no point has a nearest mode
         spec = make_two_gaussian(8.0, 1.0, 2)
         huge = sample_gmm(spec, 50, seed=1).points * 1e160
-        assert np.isnan(coverage_entropy(huge, spec))
+        assert np.isnan(coverage_entropy(huge, spec.means))
         assert outlier_rate(huge, spec, threshold=4.0) == 1.0  # inf is an outlier
-        assert np.isnan(coverage_entropy(np.array([[0.1, 0.0], [np.nan, 0.0]]), spec))
+        assert np.isnan(coverage_entropy(np.array([[0.1, 0.0], [np.nan, 0.0]]), spec.means))
 
     def test_empty_sample_set_rejected(self):
         spec = make_two_gaussian(8.0, 1.0, 2)
-        for modes in (spec, spec.means):
+        for modes in (spec.means, spec.means[:1]):
             with pytest.raises(ValueError, match="empty sample set"):
                 coverage_entropy(np.zeros((0, 2)), modes)
 

@@ -19,8 +19,8 @@ def sfg_spec(weight=0.0, **kw):
 
 
 def start_carry(n, seed, spec):
-    """A fresh (n,) carry: the first start vector a run with this seed draws."""
-    return sfg_start(sfg_start_vectors(seed, 1, n)[0], spec)
+    """A fresh one-row carry: the first start vector a run with this seed draws."""
+    return sfg_start(sfg_start_vectors(seed, 1, n), spec)
 
 
 class TestSfgInit:
@@ -39,7 +39,7 @@ class TestSfgInit:
         # each coordinate of a uniform unit vector has mean 0, variance 1/n,
         # across seeds and across the rows of one run's draw
         n, trials = 8, 10000
-        across_seeds = np.stack([start_carry(n, derive_seed(1, i), sfg_spec()).v for i in range(trials)])
+        across_seeds = np.concatenate([start_carry(n, derive_seed(1, i), sfg_spec()).v for i in range(trials)])
         band = 3.0 * np.sqrt(1.0 / n / trials)
         for vs in (across_seeds, sfg_start_vectors(1, trials, n)):
             assert np.abs(vs.mean(axis=0)).max() < band
@@ -48,7 +48,9 @@ class TestSfgInit:
         with pytest.raises(ValueError, match="unit norm"):
             start_carry(0, 0, sfg_spec())
         with pytest.raises(ValueError, match="unit norm"):
-            sfg_start(np.array([1.0, 1.0]), sfg_spec())
+            sfg_start(np.array([[1.0, 1.0]]), sfg_spec())
+        with pytest.raises(ValueError, match="batch"):  # one trajectory is a one-row carry
+            sfg_start(np.array([1.0, 0.0]), sfg_spec())
         with pytest.raises(ValueError):
             start_carry(4, 0, sfg_spec(h=0.0))
         with pytest.raises(ValueError):
@@ -63,7 +65,7 @@ class TestSfgStep:
         eps_fn = lambda z: om.predict_eps(z, sigma)
         gspec = sfg_spec(weight=2.0)
         st = start_carry(2, 1, gspec)
-        x = np.array([0.3, -1.2])
+        x = np.array([[0.3, -1.2]])
         eps_hat, st, _ = sfg_step(eps_fn, x, sigma, st, gspec)
         expected_lam = -sigma**2 / (1 + sigma**2)
         assert abs(st.last_lambda - expected_lam) < 1e-12
@@ -76,7 +78,7 @@ class TestSfgStep:
         eps_fn = lambda z: om.predict_eps(z, sigma)
         gspec = sfg_spec(weight=0.0)
         st = start_carry(2, 2, gspec)
-        x = np.zeros(2)
+        x = np.zeros((1, 2))
         for _ in range(8):  # let the carry align with the saddle direction
             eps_hat, st, _ = sfg_step(eps_fn, x, sigma, st, gspec)
             assert np.array_equal(eps_hat, eps_fn(x))
@@ -88,16 +90,16 @@ class TestSfgStep:
         om = OracleModel(spec)
         sigma = 0.5
         g = smooth(spec, sigma)
-        lam_max = full_spectrum(hessian(g, np.zeros(2)))[0][0]
+        lam_max = full_spectrum(hessian(g, np.zeros((1, 2))))[0][0, 0]
         target = sigma**2 * lam_max
         eps_fn = lambda z: om.predict_eps(z, sigma)
         gspec = sfg_spec(alpha0=1.0, h=0.01, weight=0.0)
         st = start_carry(2, 3, gspec)
-        x = np.zeros(2)
+        x = np.zeros((1, 2))
         for _ in range(25):
             _, st, _ = sfg_step(eps_fn, x, sigma, st, gspec)
         assert abs(st.last_lambda - target) <= 1e-3 * (1 + abs(target))
-        assert abs(st.v[0]) > 0.999
+        assert abs(st.v[0, 0]) > 0.999
 
     def test_power_iteration_on_linearized_models(self):
         # linear eps built from the analytic smoothed Hessian: exact JVPs, so
@@ -114,26 +116,26 @@ class TestSfgStep:
                            rng.random(k) + 0.1)
             sigma = float(rng.random() + 0.2)
             g = smooth(spec, sigma)
-            x0 = rng.standard_normal(n)
-            h_mat = hessian(g, x0)
+            x0 = rng.standard_normal((1, n))
+            h_mat = hessian(g, x0)[0]
             s0 = score(g, x0)
 
             def eps_fn(z):
-                return -sigma * (s0 + h_mat @ (z - x0))
+                return -sigma * (s0 + (z - x0) @ h_mat)  # h_mat is symmetric
 
             gspec = sfg_spec(alpha0=1.0, h=0.05, weight=0.0)
             st = start_carry(n, int(rng.integers(1 << 30)), gspec)
             for _ in range(50):
                 _, st, _ = sfg_step(eps_fn, x0, sigma, st, gspec)
-            vals = sigma**2 * full_spectrum(h_mat)[0]
-            shifted = vals + float(st.alpha) * sigma
+            vals = sigma**2 * full_spectrum(h_mat[None])[0][0]
+            shifted = vals + st.alpha[0] * sigma
             if len(vals) < 2 or abs(shifted[0]) == 0:
                 continue
             gap = 1.0 - max(abs(s) for s in shifted[1:]) / abs(shifted[0])
             if gap < 0.08:
                 continue
             hits += 1
-            assert abs(st.last_lambda - vals[0]) <= 1e-3 * (1 + abs(vals[0]))
+            assert abs(st.last_lambda[0] - vals[0]) <= 1e-3 * (1 + abs(vals[0]))
         assert hits >= 5  # the sweep must actually exercise converged cases
 
     def test_alpha_monotone_and_shift_bound(self):
@@ -145,7 +147,7 @@ class TestSfgStep:
         rng = np.random.default_rng(6)
         prev_alpha = 0.0
         for _ in range(20):
-            x = rng.standard_normal(2)
+            x = rng.standard_normal((1, 2))
             _, st, _ = sfg_step(eps_fn, x, sigma, st, gspec)
             assert st.alpha >= prev_alpha - 1e-15
             assert st.last_lambda + st.alpha >= -1e-12
@@ -160,7 +162,7 @@ class TestSfgStep:
         st = start_carry(2, 8, gspec)
         for _ in range(1000):
             sigma = float(rng.random() * 2 + 0.05)
-            x = rng.standard_normal(2) * 3
+            x = rng.standard_normal((1, 2)) * 3
             eps_fn = lambda z: om.predict_eps(z, sigma)
             base = eps_fn(x)
             eps_hat, st, corr = sfg_step(eps_fn, x, sigma, st, gspec)
@@ -192,9 +194,9 @@ class TestSfgStep:
         om = OracleModel(spec)
         sigma = 0.6
         g = smooth(spec, sigma)
-        x = np.array([0.7, 0.3])
-        v = np.array([np.cos(0.3), np.sin(0.3)])
-        target = sigma**2 * (hessian(g, x) @ v)
+        x = np.array([[0.7, 0.3]])
+        v = np.array([[np.cos(0.3), np.sin(0.3)]])
+        target = sigma**2 * (v @ hessian(g, x)[0])  # the Hessian is symmetric
         errs = []
         for h in (0.2, 0.1, 0.05, 0.025):
             st = SfgState(v=v, alpha=1.0, last_lambda=0.0)
@@ -218,7 +220,7 @@ class TestSfgStep:
 
         gspec = sfg_spec(weight=1.0)
         st = start_carry(2, 9, gspec)
-        sfg_step(eps_fn, np.zeros(2), 0.5, st, gspec)
+        sfg_step(eps_fn, np.zeros((1, 2)), 0.5, st, gspec)
         assert len(calls) == 2
 
     def test_degenerate_direction_keeps_previous_vector(self):
@@ -229,25 +231,26 @@ class TestSfgStep:
         st = start_carry(3, 10, gspec)
         v_before = st.v.copy()
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            eps_hat, st2, _ = sfg_step(eps_fn, np.ones(3), 0.5, st, gspec)
+            eps_hat, st2, _ = sfg_step(eps_fn, np.ones((1, 3)), 0.5, st, gspec)
         assert np.array_equal(st2.v, v_before)
-        assert np.array_equal(eps_hat, np.zeros(3))
+        assert np.array_equal(eps_hat, np.zeros((1, 3)))
 
     def test_batched_matches_single(self):
+        # a single trajectory is a one-row batch; each row of a 3-row step matches it
         spec = make_two_gaussian(4.0, 1.0, 2)
         om = OracleModel(spec)
         sigma = 0.5
         eps_fn = lambda z: om.predict_eps(z, sigma)
         gspec = sfg_spec(1.5)
-        singles = [start_carry(2, s, gspec) for s in (1, 2, 3)]
-        batch = sfg_start(np.stack([st.v for st in singles]), gspec)
+        ones = [start_carry(2, s, gspec) for s in (1, 2, 3)]
+        batch = sfg_start(np.concatenate([st.v for st in ones]), gspec)
         xs = np.array([[0.0, 0.0], [0.5, 0.1], [-2.0, 0.4]])
         eps_b, batch2, _ = sfg_step(eps_fn, xs, sigma, batch, gspec)
-        for i, st in enumerate(singles):
-            eps_s, st2, _ = sfg_step(eps_fn, xs[i], sigma, st, gspec)
-            assert np.allclose(eps_b[i], eps_s, rtol=1e-14, atol=0)
-            assert np.allclose(batch2.v[i], st2.v, rtol=1e-14, atol=0)
-            assert np.isclose(batch2.last_lambda[i], st2.last_lambda)
+        for i, st in enumerate(ones):
+            eps_1, st2, _ = sfg_step(eps_fn, xs[i:i + 1], sigma, st, gspec)
+            assert np.allclose(eps_b[i], eps_1[0], rtol=1e-14, atol=0)
+            assert np.allclose(batch2.v[i], st2.v[0], rtol=1e-14, atol=0)
+            assert np.isclose(batch2.last_lambda[i], st2.last_lambda[0])
 
 
 class Fixed:
@@ -386,6 +389,16 @@ class TestGuidanceSpec:
         for kind in ("cfg", "autoguidance"):
             with pytest.raises(ValueError, match="companion"):
                 GuidanceSpec(kind=kind, weight=2.0)
+
+    def test_fields_a_kind_never_reads_are_rejected(self):
+        for kind, kw in (("none", {}), ("classifier", {"classifier_class": 0}), ("sfg", {})):
+            with pytest.raises(ValueError, match="companion applies only to cfg and autoguidance"):
+                GuidanceSpec(kind=kind, companion="bad", **kw)
+        for kind, kw in (("none", {}), ("cfg", {"weight": 2.0, "companion": "u"}),
+                         ("autoguidance", {"weight": 2.0, "companion": "u"}), ("sfg", {})):
+            with pytest.raises(ValueError, match="classifier_class applies only to classifier"):
+                GuidanceSpec(kind=kind, classifier_class=0, **kw)
+        assert GuidanceSpec(kind="classifier", classifier_class=1).classifier_class == 1
 
     def test_classifier_needs_class(self):
         with pytest.raises(ValueError, match="classifier_class"):

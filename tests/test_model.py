@@ -349,9 +349,10 @@ class TestForward:
     @pytest.mark.parametrize("param", ["eps", "flow"])
     @pytest.mark.parametrize("n_classes", [None, 3])
     def test_buffered_forward_matches_built_features(self, param, n_classes):
-        # forward fills this thread's feature buffer, with a single level kept
-        # a scalar: the bytes of _forward(_features(...)) with one level per
-        # row, whose features are those of the out-of-place layout
+        # _features with one level per row (training's input) builds the
+        # out-of-place layout; forward at one level fills this thread's
+        # feature buffer with the bytes of those features, and a point (n,)
+        # is not a batch
         m = ScoreModel(3, [16, 8], n_classes=n_classes, param=param, seed=21)
         rng = np.random.default_rng(22)
         for rows in (1, 7, 64, 300):
@@ -363,9 +364,11 @@ class TestForward:
                 feats = built_features(m, x, per_row, mapped)
                 want = reference_features(m, x, per_row, mapped).astype(np.float32)
                 assert feats.tobytes() == want.tobytes()
-                assert m.forward(x, level, ids).tobytes() == m._forward(feats).tobytes()
+                if np.ndim(level) == 0:
+                    assert m.forward(x, level, ids).tobytes() == m._forward(feats).tobytes()
             one_id = None if ids is None else ids[0]
-            assert m.forward(x[0], 0.37, one_id).tobytes() == m.forward(x[:1], 0.37, one_id).tobytes()
+            with pytest.raises(ValueError, match="x must have shape"):
+                m.forward(x[0], 0.37, one_id)
 
     def test_feature_buffers_are_per_thread(self):
         # four threads (more than cores) run batches of equal and of
@@ -428,26 +431,27 @@ class TestForward:
             w[:] = 0.0
         for b in m.biases:
             b[:] = 0.0
-        out = m.predict_eps(np.ones(3), 0.7)
+        out = m.predict_eps(np.ones((1, 3)), 0.7)
         assert np.all(out == 0.0)
 
     def test_batch_matches_single(self):
+        # a single point is a one-row batch; each row of an N-row batch matches it
         m = ScoreModel(2, [8], seed=2)
         rng = np.random.default_rng(3)
         xs = rng.standard_normal((5, 2))
         batch = m.predict_eps(xs, 0.5)
         for i in range(5):
-            assert np.allclose(batch[i], m.predict_eps(xs[i], 0.5))
+            assert np.allclose(batch[i], m.predict_eps(xs[i:i + 1], 0.5)[0])
 
     def test_unknown_class_rejected(self):
         m = ScoreModel(2, [8], n_classes=3, seed=3)
         with pytest.raises(ValueError, match="unknown class"):
-            m.predict_eps(np.ones(2), 0.5, 5)
+            m.predict_eps(np.ones((1, 2)), 0.5, 5)
 
     def test_conditional_model_rejects_ids_when_unconditional(self):
         m = ScoreModel(2, [8], seed=4)
         with pytest.raises(ValueError, match="unconditional"):
-            m.predict_eps(np.ones(2), 0.5, 1)
+            m.predict_eps(np.ones((1, 2)), 0.5, 1)
 
 
 class TestGradients:
@@ -634,7 +638,7 @@ class TestTraining:
         data = LabeledPointSet(pts, comp)
         cfg = TrainConfig(batches=600, batch_size=100, warmup_batches=20, lr=2e-3, seed=15)
         m = train(data, [32, 32], cfg, conditional=True)
-        x = np.zeros(2)
+        x = np.zeros((1, 2))
         cond0 = m.predict_eps(x, 0.5, 0)
         cond1 = m.predict_eps(x, 0.5, 1)
         nullb = m.predict_eps(x, 0.5, None)
@@ -749,9 +753,10 @@ class TestOracleModelConditional:
     def test_one_sigma_per_call(self):
         om = OracleModel(make_two_gaussian(4.0, 1.0, 2))
         x = np.ones((2, 2))
-        with pytest.raises(ValueError, match="one sigma"):
-            om.predict_eps(x, np.array([0.5, 1.0]))
-        assert np.array_equal(om.predict_eps(x, np.array([0.5])), om.predict_eps(x, 0.5))
+        for sigmas in (np.array([0.5, 1.0]), np.array([0.5])):
+            with pytest.raises(ValueError, match="one value per call"):
+                om.predict_eps(x, sigmas)
+        assert om.predict_eps(x, 0.5).shape == (2, 2)
 
     def test_wrong_length_class_ids_rejected(self):
         om = OracleModel(make_two_gaussian(4.0, 1.0, 2))
@@ -859,13 +864,17 @@ class TestCheckpoint:
 
 
 def test_predict_helpers_dispatch():
-    # one array contract: a point (n,) gives row 0 of the same point as a (1, n) batch
+    # one array contract: an (N, n) batch gives (N, n) estimates, row i that
+    # of the one-row batch of row i, and a point (n,) is rejected
     models = [ScoreModel(2, [8], n_classes=2, param="eps", seed=30),
               ScoreModel(2, [8], n_classes=2, param="flow", seed=31),
               OracleModel(make_two_gaussian(4.0, 1.0, 2))]
-    x = np.array([0.3, -1.2])
+    xs = np.array([[0.3, -1.2], [1.0, 0.5], [-2.0, 0.1]])
     for m in models:
         for cls in (None, 1):
-            eps = m.predict_eps(x, 0.5, cls)
-            assert eps.shape == (2,)
-            assert np.array_equal(eps, m.predict_eps(x[None, :], 0.5, cls)[0])
+            eps = m.predict_eps(xs, 0.5, cls)
+            assert eps.shape == (3, 2)
+            for i in range(len(xs)):
+                assert np.allclose(eps[i], m.predict_eps(xs[i:i + 1], 0.5, cls)[0], rtol=1e-6, atol=1e-7)
+            with pytest.raises(ValueError):
+                m.predict_eps(xs[0], 0.5, cls)
