@@ -211,7 +211,10 @@ def _stack_sampler(run: Run, out: Path, specs):
     x0 = initial_latents(cfg["seed"], n_samples, table[main].data_dim, sch.sigmas[0])
 
     def sample_stack(stack):
-        provider = GuidedProvider(table, stack, gmm=gmm, main=main)
+        try:  # the stack loaded, so a checkpoint is not the declared model (an unconditional cfg main)
+            provider = GuidedProvider(table, stack, gmm=gmm, main=main)
+        except ValueError as exc:
+            raise MissingArtifact(f"checkpoint {out / main}.ckpt does not fit the guidance: {exc}") from exc
         trajs = sample(provider, sch, n_samples, cfg["seed"], class_ids=class_ids,
                        chunk_size=cfg["sample"]["chunk_size"], threads=cfg["threads"], x0=x0)
         if trajs.n_failed == n_samples:

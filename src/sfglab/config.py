@@ -3,9 +3,11 @@ builder that turns a config into a Run, which holds every run object the
 config describes (task mixtures, training settings, schedule, guidance stack,
 sweep grid), each built once. The schema is a Draft 2020-12 document, checked
 by a small built-in checker for the keywords it uses; it fixes shape and
-types. Each value rule lives in the constructor that consumes the value.
-Loading runs them all and the commands read the Run, so a config that loads
-does not fail later on a value they check."""
+types. Each value rule lives in the constructor that consumes the value;
+every guidance rule, on one spec or on a stack over the model table and the
+task's labels, lives in guidance.GuidanceSpec and guidance.check_stack, which
+GuidedProvider runs too. Loading runs them all and the commands read the Run,
+so a config that loads does not fail later on a value they check."""
 
 from __future__ import annotations
 
@@ -243,12 +245,9 @@ def task_specs(cfg: dict) -> dict:
 
 def sweep_points(cfg: dict) -> list[tuple[dict, list[GuidanceSpec]]]:
     """One (sweep.csv row labels, one-spec guidance stack) per grid point, in
-    run order: weights outermost, then alphas, then h_values. alpha and h label
-    the row, and set the spec's alpha0 and h, only when an sfg sweep lists them."""
+    run order: weights outermost, then alphas, then h_values. alpha and h
+    label the row, and set the spec's alpha0 and h, when the sweep lists them."""
     sw = cfg["sweep"]
-    for key in ("alphas", "h_values"):
-        if sw.get(key) and sw["kind"] != "sfg":
-            raise ValueError(f"sweep.{key} applies only to an sfg sweep, not {sw['kind']!r}")
     fixed = {key: sw[key] for key in ("kind", "companion", "interval") if key in sw}
     if sw["kind"] == "classifier":  # the class of the run's classifier spec, if it has one
         fixed["classifier_class"] = next((d["classifier_class"] for d in cfg["guidance"]
@@ -256,13 +255,9 @@ def sweep_points(cfg: dict) -> list[tuple[dict, list[GuidanceSpec]]]:
     points = []
     grid = itertools.product(sw["weights"], sw.get("alphas") or [None], sw.get("h_values") or [None])
     for w, a, h in grid:
-        row = {"weight": float(w)}
-        spec = dict(fixed, weight=float(w))
-        if a is not None:
-            row["alpha"] = spec["alpha0"] = float(a)
-        if h is not None:
-            row["h"] = spec["h"] = float(h)
-        points.append((row, [GuidanceSpec(**spec)]))
+        row = {key: float(v) for key, v in (("weight", w), ("alpha", a), ("h", h)) if v is not None}
+        spec = GuidanceSpec(**fixed, weight=row["weight"], alpha0=row.get("alpha"), h=row.get("h"))
+        points.append((row, [spec]))
     return points
 
 
@@ -308,15 +303,18 @@ def _build_run(cfg: dict) -> Run:
         sc = cfg["schedule"]
         schedule = sigma_schedule(sc["n_steps"], sc["sigma_min"], sc["sigma_max"], sc["rho"],
                                   solver="heun" if sc["kind"] == "sigma" else "euler")
+        rules = {"conditional": models.get(main, {}).get("conditional", False),
+                 "labels": specs["base"].labels.tolist()}
         where = "guidance"
         guidance = [GuidanceSpec(**d) for d in cfg["guidance"]]
+        check_stack(guidance, models, **rules)
+        where = "sweep"
         sweep = sweep_points(cfg) if cfg.get("sweep") else []
-        stacks = [guidance, *(stack for _, stack in sweep)]
-        for stack in stacks:
-            check_stack(stack, models)
+        for _, stack in sweep:
+            check_stack(stack, models, **rules)
     except (ValueError, ArithmeticError) as exc:  # e.g. a schedule whose rho overflows
         raise ConfigError(f"bad {where}: {exc}") from exc
-    used = [spec for stack in stacks for spec in stack]
+    used = [*guidance, *(spec for _, stack in sweep for spec in stack)]
     # a flow-matching model runs at flow time sigma/(1 + sigma), which must stay
     # below 1; sample and sweep evaluate sample.model and the companions
     top = schedule.sigmas[0]
@@ -325,17 +323,9 @@ def _build_run(cfg: dict) -> Run:
     if flow and top / (1.0 + top) >= 1.0:
         raise ConfigError(f"schedule.sigma_max {top:g} is too large for flow-matching model "
                           f"{flow[0]!r}: its flow time sigma_max/(1 + sigma_max) rounds to 1")
-    # the Bayes classifier of classifier guidance conditions on a label of the task mixture
-    labels = sorted(set(specs["base"].labels.tolist()))
-    for spec in (s for s in used if s.kind == "classifier"):
-        if spec.classifier_class not in labels:
-            raise ConfigError(f"classifier_class {spec.classifier_class} is not a label of the "
-                              f"{task} task; its labels are {labels}")
     dim = specs["base"].dim
     if "field" in cfg["eval"] and dim != 2:
         raise ConfigError(f"eval.field needs a 2-d task mixture; the {task} task is {dim}-d")
-    if "cfg" in {s.kind for s in used} and not models.get(main, {}).get("conditional", False):
-        raise ConfigError(f"cfg needs a conditional main model (got {main!r})")
     return Run(cfg, specs, train, schedule, guidance, sweep, tag)
 
 

@@ -16,7 +16,8 @@ open item 2).
 
 Classifier-free guidance and autoguidance share one update, extrapolate.
 Classifier guidance, which needs the exact Bayes classifier, is applied by
-the sampler's GuidedProvider.
+the sampler's GuidedProvider. GuidanceSpec and check_stack hold every
+guidance rule, for configs and library callers alike.
 
 Identity weights short-circuit (extrapolation at w = 1, the saddle-free and
 classifier updates at w = 0), so a stack at identity weights samples bitwise
@@ -114,17 +115,22 @@ def extrapolate(good, weak, w: float):
     return out
 
 
+# the kinds that read each optional field, and the field each kind requires
+FIELD_KINDS = {"interval": ("cfg",), "companion": ("cfg", "autoguidance"),
+               "classifier_class": ("classifier",), "alpha0": ("sfg",), "h": ("sfg",)}
+REQUIRED = {"cfg": "companion", "autoguidance": "companion", "classifier": "classifier_class"}
+
+
 @dataclass(frozen=True)
 class GuidanceSpec:
     """Tagged selection of a guidance strategy.
 
-    companion (cfg and autoguidance only, and required there) names the
-    second model (cfg's unconditional branch or the autoguidance degraded
-    model) in the run's model table. interval (cfg only) limits the guidance
-    to flow times t_lo <= t <= t_hi (interval CFG); None guides at every
-    level. classifier_class (classifier only) is required for classifier.
-    For sfg, weight, alpha0 (the initial shift) and h (the probe step) are
-    the step's settings; SfgState holds only the per-trajectory carry.
+    companion names the second model (cfg's unconditional branch or the
+    autoguidance degraded model) in the run's model table. interval limits
+    cfg to flow times t_lo <= t <= t_hi (interval CFG); None guides at every
+    level. For sfg, weight, alpha0 (the initial shift, default 1.0) and h
+    (the probe step, default 0.1) are the step's settings; SfgState holds
+    only the per-trajectory carry.
     """
 
     kind: str
@@ -132,47 +138,50 @@ class GuidanceSpec:
     interval: tuple[float, float] | None = None
     companion: str | None = None
     classifier_class: int | None = None
-    alpha0: float = 1.0
-    h: float = 0.1
+    alpha0: float | None = None
+    h: float | None = None
 
     def __post_init__(self):
         if self.kind not in GUIDANCE_KINDS:
             raise ValueError(f"unknown guidance kind {self.kind!r}")
+        for name, kinds in FIELD_KINDS.items():
+            if getattr(self, name) is not None and self.kind not in kinds:
+                raise ValueError(f"{name} applies only to {' and '.join(kinds)}, not {self.kind}")
+        if self.kind in REQUIRED and getattr(self, REQUIRED[self.kind]) is None:
+            raise ValueError(f"{self.kind} requires {REQUIRED[self.kind]}")
         if self.interval is not None:
-            if self.kind != "cfg":
-                raise ValueError(f"interval applies only to cfg, not {self.kind}")
             t_lo, t_hi = self.interval
             if not t_lo < t_hi:
                 raise ValueError("interval must satisfy t_lo < t_hi")
             object.__setattr__(self, "interval", (float(t_lo), float(t_hi)))
-        if self.companion is not None and self.kind not in ("cfg", "autoguidance"):
-            raise ValueError(f"companion applies only to cfg and autoguidance, not {self.kind}")
-        if self.classifier_class is not None and self.kind != "classifier":
-            raise ValueError(f"classifier_class applies only to classifier, not {self.kind}")
-        if self.kind in ("cfg", "autoguidance"):
-            if self.companion is None:
-                raise ValueError(f"{self.kind} requires a companion model")
-            if self.weight < 1.0:
-                raise ValueError(f"{self.kind} weight must be >= 1")
-        if self.kind == "classifier" and self.classifier_class is None:
-            raise ValueError("classifier guidance requires classifier_class")
-        if self.kind in ("sfg", "classifier") and self.weight < 0:
-            raise ValueError("weight must be >= 0")
-        if self.alpha0 < 0:
-            raise ValueError("alpha0 must be >= 0")
-        if self.h <= 0:
-            raise ValueError("h must be > 0")
+        lowest = 1.0 if self.kind in ("cfg", "autoguidance") else 0.0
+        if self.kind != "none" and not lowest <= self.weight < np.inf:  # NaN fails too
+            raise ValueError(f"{self.kind} weight must be finite and >= {lowest:g}")
+        if self.kind == "sfg":
+            object.__setattr__(self, "alpha0", 1.0 if self.alpha0 is None else self.alpha0)
+            object.__setattr__(self, "h", 0.1 if self.h is None else self.h)
+            if not (0 <= self.alpha0 < np.inf and 0 < self.h < np.inf):
+                raise ValueError(f"sfg needs a finite alpha0 >= 0 and h > 0, not {self.alpha0} and {self.h}")
 
 
-def check_stack(specs, models) -> None:
+def check_stack(specs, models, *, conditional: bool, labels) -> None:
     """Rules for a whole guidance stack over a model table (any container of
-    model names): at most one saddle-free spec, it comes last, and every
-    companion names a model in the table."""
+    model names): at most one saddle-free spec, it comes last, every
+    companion names a model in the table, cfg needs a conditional main model
+    and a classifier class is one of the task mixture's labels (None: no
+    mixture, so no classifier guidance)."""
     kinds = [s.kind for s in specs]
     if kinds.count("sfg") > 1:
         raise ValueError("at most one saddle-free spec per stack")
     if "sfg" in kinds and kinds[-1] != "sfg":
         raise ValueError("the saddle-free spec must come last in a stack")
+    if "cfg" in kinds and not conditional:
+        raise ValueError("cfg needs a conditional main model")
     for s in specs:
         if s.companion is not None and s.companion not in models:
             raise ValueError(f"missing companion {s.companion!r}; models are {sorted(models)}")
+        if s.kind == "classifier" and labels is None:
+            raise ValueError("classifier guidance needs the task mixture for the Bayes oracle")
+        if s.kind == "classifier" and s.classifier_class not in labels:
+            raise ValueError(f"classifier_class {s.classifier_class} is not a label of the task "
+                             f"mixture; its labels are {sorted(set(labels))}")

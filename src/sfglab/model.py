@@ -123,10 +123,12 @@ class TrainConfig:
     label_dropout: float = 0.1
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.batches < self.warmup_batches:
-            raise ValueError("batches must be >= warmup_batches")
+        if not 0 < self.lr < math.inf:  # NaN fails too
+            raise ValueError("lr must be finite and > 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
+        if not 0 <= self.warmup_batches <= self.batches:
+            raise ValueError("need 0 <= warmup_batches <= batches")
         if self.batches < 1:
             raise ValueError("batches must be >= 1")
         if self.batch_size < 1:

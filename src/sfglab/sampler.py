@@ -113,8 +113,8 @@ class Trajectories:
 
 
 class GuidedProvider:
-    """Dispatches a stack of guidance specs over a model table, whose entry
-    `main` (default "main") is the sampled model.
+    """Dispatches a stack of guidance specs, checked by guidance.check_stack,
+    over a model table whose entry `main` (default "main") is the sampled model.
 
     All combinations are applied to noise estimates at diffusion scale, each
     model evaluated through predict_eps(x, sigma, class_ids). A trailing
@@ -126,9 +126,8 @@ class GuidedProvider:
         specs = list(specs)
         if main not in models:
             raise ValueError(f"model table must contain {main!r}")
-        gd.check_stack(specs, models)
-        if gmm is None and any(s.kind == "classifier" for s in specs):
-            raise ValueError("classifier guidance needs the task mixture for the Bayes oracle")
+        gd.check_stack(specs, models, conditional=getattr(models[main], "conditional", True),
+                       labels=None if gmm is None else gmm.labels.tolist())
         self.models = models
         self.main = models[main]
         self.base_specs = [s for s in specs if s.kind != "sfg"]

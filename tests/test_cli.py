@@ -116,6 +116,21 @@ REJECTED_GUIDANCE = {
     # a field the kind never reads: the companion would be loaded for nothing
     "companion_on_sfg": {"guidance": [{"kind": "sfg", "weight": 1.0, "companion": "bad"}]},
     "classifier_class_on_sfg": {"guidance": [{"kind": "sfg", "weight": 1.0, "classifier_class": 0}]},
+    "alpha0_on_autoguidance": {"guidance": [{"kind": "autoguidance", "weight": 2.0, "companion": "bad",
+                                             "alpha0": 3.0}]},
+    "h_on_classifier": {"guidance": [{"kind": "classifier", "weight": 1.0, "classifier_class": 0,
+                                      "h": 0.05}]},
+}
+
+# one guidance stack per check_stack rule, over a fractal run whose models are a
+# conditional 'bad' and a 'main' that is conditional or not: (conditional, stack)
+REJECTED_STACKS = {
+    "sfg_before_autoguidance": (True, [{"kind": "sfg", "weight": 1.0},
+                                       {"kind": "autoguidance", "weight": 2.0, "companion": "bad"}]),
+    "two_sfg": (True, [{"kind": "sfg", "weight": 1.0}, {"kind": "sfg", "weight": 2.0}]),
+    "missing_companion": (True, [{"kind": "autoguidance", "weight": 2.0, "companion": "ghost"}]),
+    "cfg_on_unconditional_main": (False, [{"kind": "cfg", "weight": 2.0, "companion": "bad"}]),
+    "classifier_class_not_a_label": (True, [{"kind": "classifier", "weight": 1.0, "classifier_class": 5}]),
 }
 
 
@@ -263,7 +278,7 @@ class TestConfigValidation:
         cfg["guidance"] = [{"kind": "classifier", "weight": 1.0, "classifier_class": 5}]
         if sweep:
             cfg["sweep"] = sweep
-        message = "classifier_class 5 is not a label of the fractal task; its labels are [0, 1]"
+        message = "classifier_class 5 is not a label of the task mixture; its labels are [0, 1]"
         with pytest.raises(ConfigError, match=re.escape(message)):
             validate_config(cfg)
         path = write_config(tmp_path, cfg)
@@ -305,6 +320,47 @@ class TestConfigValidation:
         for command in ("sample", "sweep"):
             assert main([command, "--config", path]) == 2
             assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("conditional, stack", REJECTED_STACKS.values(), ids=REJECTED_STACKS.keys())
+    def test_stack_rejected_alike_by_config_and_provider(self, tmp_path, capsys, conditional, stack):
+        cfg = fractal_config(tmp_path / "out")
+        cfg["models"]["main"]["conditional"] = conditional
+        cfg["models"]["bad"] = {"hidden": [8], "conditional": True}
+        cfg["guidance"] = stack
+        with pytest.raises(ConfigError) as at_load:
+            validate_config(cfg)
+        assert main(["sample", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"config error: {at_load.value}" in capsys.readouterr().err
+        gmm = validate_config({**cfg, "guidance": [{"kind": "none"}]}).specs["base"]
+        table = {"main": ScoreModel(2, [8], n_classes=2 if conditional else None, seed=1),
+                 "bad": ScoreModel(2, [8], n_classes=2, seed=2)}
+        with pytest.raises(ValueError) as at_provider:
+            GuidedProvider(table, [GuidanceSpec(**d) for d in stack], gmm=gmm)
+        assert str(at_load.value) == f"bad guidance: {at_provider.value}"
+
+    def test_unconditional_main_checkpoint_under_cfg_is_4(self, tmp_path, capsys):
+        # the config declares a conditional main; the checkpoint on disk is not
+        cfg = fractal_config(tmp_path / "out")
+        cfg["models"]["u"] = {"hidden": [8]}
+        cfg["guidance"] = [{"kind": "cfg", "weight": 2.0, "companion": "u"}]
+        (tmp_path / "out").mkdir()
+        for name in ("main", "u"):
+            save_checkpoint(ScoreModel(2, [8], seed=1), tmp_path / "out" / f"{name}.ckpt")
+        assert main(["sample", "--config", write_config(tmp_path, cfg)]) == 4
+        assert "main.ckpt does not fit the guidance: cfg needs a conditional main model" in \
+            capsys.readouterr().err
+
+    def test_sweep_errors_name_the_sweep(self, tmp_path, capsys):
+        # the run's own guidance is valid; the grid point is not
+        cfg = fractal_config(tmp_path / "out")
+        cfg["models"]["bad"] = {"hidden": [8], "conditional": True}
+        for sweep, error in (({"weights": [0.5]}, "autoguidance weight must be finite and >= 1"),
+                             ({"weights": [2.0], "alphas": [1.0]}, "alpha0 applies only to sfg")):
+            cfg["sweep"] = {"kind": "autoguidance", "companion": "bad", **sweep}
+            with pytest.raises(ConfigError, match=f"^bad sweep: {error}"):
+                validate_config(cfg)
+            assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+            assert f"config error: bad sweep: {error}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("base, change, command", REJECTED_VALUES.values(), ids=REJECTED_VALUES.keys())
     def test_value_rejected_at_load(self, tmp_path, capsys, base, change, command):

@@ -399,6 +399,15 @@ class TestGuidanceSpec:
             with pytest.raises(ValueError, match="classifier_class applies only to classifier"):
                 GuidanceSpec(kind=kind, classifier_class=0, **kw)
         assert GuidanceSpec(kind="classifier", classifier_class=1).classifier_class == 1
+        # the saddle-free settings: unset (None) off sfg, defaults 1.0 and 0.1 on it
+        for kind, kw in (("none", {}), ("classifier", {"classifier_class": 0}),
+                         ("cfg", {"weight": 2.0, "companion": "u"}),
+                         ("autoguidance", {"weight": 2.0, "companion": "u"})):
+            assert GuidanceSpec(kind=kind, **kw).alpha0 is GuidanceSpec(kind=kind, **kw).h is None
+            for name in ("alpha0", "h"):
+                with pytest.raises(ValueError, match=f"{name} applies only to sfg, not {kind}"):
+                    GuidanceSpec(kind=kind, **{name: 1.0}, **kw)
+        assert GuidanceSpec(kind="sfg") == GuidanceSpec(kind="sfg", alpha0=1.0, h=0.1)
 
     def test_classifier_needs_class(self):
         with pytest.raises(ValueError, match="classifier_class"):
@@ -413,7 +422,15 @@ class TestGuidanceSpec:
         assert spec.interval == (0.1, 0.8)
 
     def test_weight_bounds(self):
-        with pytest.raises(ValueError):
-            GuidanceSpec(kind="cfg", weight=0.5, companion="u")
-        with pytest.raises(ValueError):
-            GuidanceSpec(kind="sfg", weight=-0.1)
+        # NaN fails every bound: an sfg spec at weight NaN would sample unguided,
+        # and a NaN alpha0 or h would turn every trajectory non-finite
+        nan, inf = float("nan"), float("inf")
+        for kw in ({"kind": "cfg", "weight": 0.5, "companion": "u"},
+                   {"kind": "autoguidance", "weight": nan, "companion": "u"},
+                   {"kind": "classifier", "weight": nan, "classifier_class": 0},
+                   {"kind": "sfg", "weight": -0.1}, {"kind": "sfg", "weight": nan},
+                   {"kind": "sfg", "weight": inf}, {"kind": "sfg", "alpha0": -1.0},
+                   {"kind": "sfg", "alpha0": nan}, {"kind": "sfg", "h": 0.0},
+                   {"kind": "sfg", "h": nan}, {"kind": "sfg", "h": inf}):
+            with pytest.raises(ValueError, match="finite"):
+                GuidanceSpec(**kw)

@@ -564,6 +564,11 @@ class TestTraining:
             TrainConfig(objective="who knows")
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batches=3, warmup_batches=1, batch_size=0)
+        # a negative decay would train with no decay at all, and NaN fails every bound
+        for kw in ({"lr": float("nan")}, {"lr": float("inf")}, {"weight_decay": -1.0},
+                   {"weight_decay": float("nan")}, {"warmup_batches": -1}):
+            with pytest.raises(ValueError, match=next(iter(kw))):
+                TrainConfig(**kw)
 
     # (dim, hidden, conditional, objective, weight_decay, label_dropout, batch_size);
     # the [128, 128] nets have more parameters than ADAM_CHUNK, the others fewer

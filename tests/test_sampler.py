@@ -345,6 +345,10 @@ class TestGuidedProviders:
             GuidedProvider({"main": self.om},
                            [GuidanceSpec(kind="cfg", weight=2.0, companion="uncond")])
 
+    def test_classifier_needs_the_mixture(self):
+        with pytest.raises(ValueError, match="needs the task mixture"):
+            GuidedProvider({"main": self.om}, [GuidanceSpec(kind="classifier", weight=1.0, classifier_class=0)])
+
     def test_sfg_must_be_last(self):
         with pytest.raises(ValueError, match="last"):
             GuidedProvider({"main": self.om, "bad": self.om},
