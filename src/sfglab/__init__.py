@@ -7,7 +7,7 @@ in closed form and every guidance strategy can be checked against exact
 oracles.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .datasets import (
     Fractal,

@@ -14,9 +14,10 @@ t = 1 at pure noise, so eps = (1 - t) v + x and sigma(t) = t / (1 - t).
 A model's parameters are one flat float32 vector in checkpoint order, the
 precision a checkpoint stores them in; the weight, bias and embedding arrays
 are views of it. Forward (training and inference), backprop and the
-activation run in float32. Adam with decoupled weight decay updates a float64
-master copy of the parameters and rounds it into params after each step: at
-lr * wd = 1e-8 a float32 weight decay w - 1e-8 w would round back to w.
+activation run in float32, and so do Adam's moments and update. The update
+and the decoupled weight decay go to a float64 master copy of the
+parameters, which is rounded into params after each step: at lr * wd = 1e-8
+a float32 weight decay w - 1e-8 w would round back to w.
 
 One forward pass serves training and inference. It computes the layers in
 one float32 buffer store of the calling thread, which backprop reuses, and
@@ -44,7 +45,7 @@ from .rng import generator
 CKPT_MAGIC = b"SFGM"
 CKPT_VERSION = 1
 # Elements per pass of the in-place Adam step: the parameter, gradient and
-# moment slices of one pass and its two scratch chunks stay in cache.
+# moment slices of one pass and its three scratch chunks stay in cache.
 ADAM_CHUNK = 16384
 
 
@@ -123,6 +124,10 @@ class TrainConfig:
     label_dropout: float = 0.1
 
     def __post_init__(self):
+        for name in ("batches", "batch_size", "warmup_batches"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.lr < math.inf:  # NaN fails too
             raise ValueError("lr must be finite and > 0")
         if not 0 <= self.weight_decay < math.inf:
@@ -135,8 +140,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.objective not in ("dsm", "flow_matching"):
             raise ValueError(f"unknown objective {self.objective!r}")
-        if not (0 < self.sigma_min < self.sigma_max):
-            raise ValueError("need 0 < sigma_min < sigma_max")
+        if not (0 < self.sigma_min < self.sigma_max < math.inf):
+            raise ValueError("need 0 < sigma_min < sigma_max < inf")
         if not (0.0 <= self.label_dropout < 1.0):
             raise ValueError("label_dropout must lie in [0, 1)")
 
@@ -409,28 +414,41 @@ def _lr_at(cfg: TrainConfig, batch: int) -> float:
 class _AdamW:
     """Adam (arXiv:1412.6980) with decoupled weight decay (arXiv:1711.05101)
     on a float64 master copy p of a model's flat float32 parameter vector,
-    in place (mixed precision after arXiv:1710.03740). One pass per
-    ADAM_CHUNK elements with two scratch chunks widens the float32 gradient
-    g to float64 and computes, element by element,
+    in place (mixed precision after arXiv:1710.03740). The moments m and v
+    and the update are float32; only the master and the decay are float64.
+    With step = lr / (1 - beta1^t) and rs = 1 / sqrt(1 - beta2^t), computed
+    in float64 once per step and then rounded to float32, one pass per
+    ADAM_CHUNK elements computes from the float32 gradient g, element by
+    element,
 
         m = beta1 m + (1 - beta1) g
-        v = beta2 v + (1 - beta2) g g
-        p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-        p -= lr wd p    (weights and class embedding only, after the update)
+        v = beta2 v + ((1 - beta2) g) g
+        a = step m / (sqrt(v) rs + eps)    (float32)
+        p -= a
+        p -= (lr wd) p    (float64; weights and class embedding only)
 
     with the operands and order of these expressions, so a step gives the
     same bits as the same expressions evaluated block by block; then it
-    rounds p into the model's params."""
+    rounds p into the model's params. The moments need no more precision
+    than float32, but the master does: at lr wd = 1e-8 a float32 decay
+    w - 1e-8 w would round back to w. Squaring (1 - beta2) g rather than g
+    keeps v finite up to |g| of about 5.8e20 (g g overflows float32 at
+    about 1.8e19). Every scalar is an np.float32, so the float32 loops run
+    under numpy's legacy and NEP 50 promotion alike."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, model: ScoreModel, weight_decay: float):
         self.params = model.params
         self.master = model.params.astype(np.float64)
-        self.m = np.zeros_like(self.master)
-        self.v = np.zeros_like(self.master)
+        self.m = np.zeros_like(model.params)
+        self.v = np.zeros_like(model.params)
         n = self.master.size
-        self.scratch = (np.empty(min(n, ADAM_CHUNK)), np.empty(min(n, ADAM_CHUNK)))
+        chunk = min(n, ADAM_CHUNK)
+        # two float32 scratch chunks for the update, one float64 chunk for
+        # the widened update and the decay
+        self.scratch = (np.empty(chunk, dtype=np.float32), np.empty(chunk, dtype=np.float32),
+                        np.empty(chunk))
         self.weight_decay = weight_decay
         decayed, pos = [], 0
         for name, shape in model._layout:
@@ -446,32 +464,35 @@ class _AdamW:
             self.chunks.append((lo, hi, spans))
 
     def step(self, grad: np.ndarray, lr: float, t: int) -> None:
-        """Update the parameters in place with gradient grad at learning rate
-        lr; t is the 1-based step count."""
-        beta1, beta2 = self.beta1, self.beta2
-        bc1 = 1.0 - beta1**t
-        bc2 = 1.0 - beta2**t
+        """Update the parameters in place with the float32 gradient grad at
+        learning rate lr; t is the 1-based step count."""
+        f32 = np.float32
+        beta1, beta2, eps = f32(self.beta1), f32(self.beta2), f32(self.eps)
+        c1, c2 = f32(1.0 - self.beta1), f32(1.0 - self.beta2)
+        step = f32(lr / (1.0 - self.beta1**t))
+        rs = f32(1.0 / math.sqrt(1.0 - self.beta2**t))
         decay = lr * self.weight_decay
         for lo, hi, spans in self.chunks:
-            p, m, v = self.master[lo:hi], self.m[lo:hi], self.v[lo:hi]
-            a, g = self.scratch[0][:hi - lo], self.scratch[1][:hi - lo]
-            np.copyto(g, grad[lo:hi])
+            p, m, v, g = self.master[lo:hi], self.m[lo:hi], self.v[lo:hi], grad[lo:hi]
+            a, c, d = (s[:hi - lo] for s in self.scratch)
             m *= beta1
-            m += np.multiply(1.0 - beta1, g, out=a)
+            m += np.multiply(c1, g, out=a)
             v *= beta2
-            np.multiply(1.0 - beta2, g, out=a)
+            np.multiply(c2, g, out=a)
             a *= g
             v += a
-            np.divide(m, bc1, out=a)
-            np.multiply(lr, a, out=a)
-            c = np.divide(v, bc2, out=g)  # g is spent
-            np.sqrt(c, out=c)
-            c += self.eps
+            np.sqrt(v, out=c)
+            c *= rs
+            c += eps
+            np.multiply(step, m, out=a)
             a /= c
-            p -= a
+            # widened exactly first: a mixed-dtype p -= a would allocate a
+            # cast buffer on every call
+            np.copyto(d, a)
+            p -= d
             for s0, s1 in spans:
                 w = p[s0:s1]
-                w -= np.multiply(decay, w, out=a[s0:s1])
+                w -= np.multiply(decay, w, out=d[s0:s1])
             np.copyto(self.params[lo:hi], p)
 
 
@@ -487,7 +508,8 @@ def train(dataset: LabeledPointSet, hidden, cfg: TrainConfig, *, conditional: bo
     the gradient and the Adam scratch live in buffers made once per run;
     only per-row vectors (levels, class ids) are new each batch. Points,
     noise and targets are float64; the residual, the loss terms and
-    everything after them are float32 up to the Adam step.
+    everything after them are float32, Adam's moments and update too; only
+    the master parameters and their weight decay are float64 (see _AdamW).
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")

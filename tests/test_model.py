@@ -2,6 +2,7 @@ import json
 import struct
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -154,10 +155,12 @@ def reference_backward(weights, class_emb, cache, ids, dout, full_product=False)
 
 def reference_train(dataset, hidden, cfg, conditional=False):
     """The out-of-place training loop: per-block initialisation drawn in
-    float64 and rounded to float32; forward and backward in float32; Adam
-    and weight decay on float64 master blocks, rounded into the float32
-    blocks after each step; each batch building fresh temporaries. Returns
-    the float32 parameter blocks in checkpoint order and the loss history."""
+    float64 and rounded to float32; forward and backward in float32; Adam's
+    moments and update in float32 (PyTorch's AdamW form) from the float32
+    gradient, added to float64 master blocks, then the float64 weight decay,
+    rounded into the float32 blocks after each step; each batch building
+    fresh temporaries. Returns the float32 parameter blocks in checkpoint
+    order and the loss history."""
     points = dataset.points
     n_classes = int(dataset.labels.max()) + 1 if conditional else None
     param = "eps" if cfg.objective == "dsm" else "flow"
@@ -177,9 +180,10 @@ def reference_train(dataset, hidden, cfg, conditional=False):
         master.extend([w, b])
     if master_emb is not None:
         master.append(master_emb)
-    m_state = [np.zeros_like(p) for p in master]
-    v_state = [np.zeros_like(p) for p in master]
+    m_state = [np.zeros(p.shape, dtype=np.float32) for p in master]
+    v_state = [np.zeros(p.shape, dtype=np.float32) for p in master]
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    f32 = np.float32
     rng = generator(cfg.seed, 0xBA7C)
     log_smin, log_smax = np.log(cfg.sigma_min), np.log(cfg.sigma_max)
     history = []
@@ -217,15 +221,12 @@ def reference_train(dataset, hidden, cfg, conditional=False):
             grads.extend([gw[i], gb[i]])
         if gemb is not None:
             grads.append(gemb)
-        bc1 = 1.0 - beta1**(b + 1)
-        bc2 = 1.0 - beta2**(b + 1)
-        for p, g, ms, vs in zip(master, grads, m_state, v_state):
-            g = g.astype(np.float64)
-            ms *= beta1
-            ms += (1.0 - beta1) * g
-            vs *= beta2
-            vs += (1.0 - beta2) * g * g
-            p -= lr * (ms / bc1) / (np.sqrt(vs / bc2) + adam_eps)
+        step = f32(lr / (1.0 - beta1**(b + 1)))
+        rs = f32(1.0 / np.sqrt(1.0 - beta2**(b + 1)))
+        for i, (p, g) in enumerate(zip(master, grads)):
+            m_state[i] = f32(beta1) * m_state[i] + f32(1.0 - beta1) * g
+            v_state[i] = f32(beta2) * v_state[i] + (f32(1.0 - beta2) * g) * g
+            p -= step * m_state[i] / (np.sqrt(v_state[i]) * rs + f32(adam_eps))
         if cfg.weight_decay > 0:
             for w in master_w:
                 w -= lr * cfg.weight_decay * w
@@ -564,11 +565,17 @@ class TestTraining:
             TrainConfig(objective="who knows")
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batches=3, warmup_batches=1, batch_size=0)
-        # a negative decay would train with no decay at all, and NaN fails every bound
+        # a negative decay would train with no decay at all, and NaN fails every
+        # bound; an infinite sigma_max leaves no range to draw levels from, and
+        # a fractional or boolean count would train on fractional batches
         for kw in ({"lr": float("nan")}, {"lr": float("inf")}, {"weight_decay": -1.0},
-                   {"weight_decay": float("nan")}, {"warmup_batches": -1}):
+                   {"weight_decay": float("nan")}, {"warmup_batches": -1},
+                   {"sigma_max": float("inf")}, {"sigma_max": float("nan")},
+                   {"batches": 2.5}, {"batch_size": 4.5}, {"warmup_batches": 1.5},
+                   {"batches": 200.0}, {"batch_size": True}, {"warmup_batches": False}):
             with pytest.raises(ValueError, match=next(iter(kw))):
                 TrainConfig(**kw)
+        assert TrainConfig(batches=np.int64(20), batch_size=np.int32(8), warmup_batches=2).batches == 20
 
     # (dim, hidden, conditional, objective, weight_decay, label_dropout, batch_size);
     # the [128, 128] nets have more parameters than ADAM_CHUNK, the others fewer
@@ -592,6 +599,63 @@ class TestTraining:
         blocks, history = reference_train(data, hidden, cfg, conditional)
         assert [b.tobytes() for b in m.parameter_blocks()] == [b.tobytes() for b in blocks]
         assert m.loss_history == history
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4, 1e19, 1e20])
+    def test_first_step_moves_each_parameter_by_lr_at_any_gradient_scale(self, scale):
+        # at t = 1 the bias-corrected step is lr g / (|g| + eps), about
+        # lr sign(g); at |g| = 1e20, g g overflows float32 where
+        # ((1 - beta2) g) g does not
+        m = ScoreModel(2, [8], seed=60)
+        adam = _AdamW(m, 0.0)
+        assert adam.m.dtype == adam.v.dtype == np.float32
+        assert adam.master.dtype == np.float64
+        start = adam.master.copy()
+        grad = np.where(np.arange(m.params.size) % 2 == 0, scale, -scale).astype(np.float32)
+        adam.step(grad, 1e-3, 1)
+        g = grad.astype(np.float64)
+        np.testing.assert_allclose(adam.master - start, -1e-3 * g / (np.abs(g) + _AdamW.eps),
+                                   rtol=1e-6, atol=0)
+
+    def test_a_batch_allocates_no_matrix(self, monkeypatch):
+        # from the first step to the last, traced memory exceeds the arrays
+        # a run keeps by less than one (batch_size, widest layer) float32
+        # matrix; those are the parameters, the master, moments and scratch,
+        # the gradient and the per-thread buffers, all reachable from the
+        # model and the optimizer, and train's five (rows, dim) batch arrays.
+        # What remains is Python objects and numpy's fixed 8192-element
+        # iterator buffer for a broadcast such as the bias add.
+        rows, dim, hidden = 200, 2, [128, 128]
+        rng = np.random.default_rng(61)
+        data = LabeledPointSet(rng.standard_normal((50, dim)), rng.integers(0, 3, 50))
+        cfg = TrainConfig(batches=6, batch_size=rows, warmup_batches=1, seed=62,
+                          objective="flow_matching", label_dropout=0.1)
+        seen = {}
+        real_init, real_step = _AdamW.__init__, _AdamW.step
+
+        def init(adam, model, weight_decay):
+            real_init(adam, model, weight_decay)
+            seen["model"] = model
+
+        def step(adam, grad, lr, t):
+            real_step(adam, grad, lr, t)
+            if t == 1:
+                owners = {}
+                for a in arrays_held(seen["model"]) + arrays_held(vars(adam)) + [grad]:
+                    owner = a if a.base is None else a.base
+                    owners[id(owner)] = owner.nbytes
+                seen["fixed"] = sum(owners.values()) + rows * dim * (4 * 8 + 4)
+                tracemalloc.reset_peak()
+            elif t == cfg.batches:
+                seen["peak"] = tracemalloc.get_traced_memory()[1]
+
+        monkeypatch.setattr(_AdamW, "__init__", init)
+        monkeypatch.setattr(_AdamW, "step", step)
+        tracemalloc.start()
+        try:
+            train(data, hidden, cfg, conditional=True)
+        finally:
+            tracemalloc.stop()
+        assert 0 < seen["peak"] - seen["fixed"] < rows * max(hidden) * 4
 
     def test_weight_decay_below_float32_resolution_reaches_the_parameters(self):
         # at lr * wd = 1e-8 one decay step w - 1e-8 w rounds back to w in
@@ -837,6 +901,14 @@ class TestCheckpoint:
             assert loaded.params.tobytes() == m.params.tobytes()
             save_checkpoint(loaded, tmp_path / "c.ckpt")
             assert (tmp_path / "c.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
+
+    def test_invalid_train_config_in_the_header_rejected(self, tmp_path):
+        m = ScoreModel(2, [8], seed=29)
+        m.train_config = TrainConfig(batches=10, warmup_batches=1)
+        m.train_config.batches = 2.5
+        save_checkpoint(m, tmp_path / "m.ckpt")
+        with pytest.raises(ValueError, match="m.ckpt.*batches"):
+            load_checkpoint(tmp_path / "m.ckpt")
 
     def test_magic_checked(self, tmp_path):
         p = tmp_path / "bad.ckpt"
